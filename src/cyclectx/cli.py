@@ -4,7 +4,8 @@ Exit codes follow a CI-friendly contract: 0 when every requested check
 passes, 1 when some check fails, 2 on usage errors. Identical
 configurations (including the seed) produce byte-identical reports; no
 timestamps or timings enter any output document. The ``CYCLECTX_SEED``
-environment variable overrides ``--seed``.
+environment variable overrides ``--seed`` for the commands that take it
+(``search`` and ``verify-all``).
 """
 
 from __future__ import annotations
@@ -62,12 +63,11 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    algebraic: float = 1e-12
     probability: float = 1e-10
     possibility_eps: float = 1e-9
 
     def __post_init__(self):
-        if min(self.algebraic, self.probability, self.possibility_eps) <= 0:
+        if min(self.probability, self.possibility_eps) <= 0:
             raise UsageError("tolerances must be strictly positive")
 
 
@@ -327,6 +327,7 @@ def _crit_search_and_protocol(n_max: int, seed: int, budget: int) -> dict:
         target = unified_ncycle_behavior(n)
         found = find_quantum_realization(s, target, dim, seed=seed, budget=budget)
         if isinstance(found, SearchFailure):
+            all_ok = False
             cases.append({"n": n, "status": "skip",
                           "notice": f"search failed ({found.message}); protocol check skipped"})
             continue
@@ -427,34 +428,39 @@ def _build_parser() -> argparse.ArgumentParser:
                     "friend/superobserver record protocol")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_n=True):
-        if with_n:
-            p.add_argument("--n", type=int, default=5)
-        p.add_argument("--dim", type=int, default=0)
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--budget", type=int, default=100000)
-        p.add_argument("--tol-alg", type=float, default=1e-12)
-        p.add_argument("--tol-prob", type=float, default=1e-10)
-        p.add_argument("--eps", type=float, default=1e-9)
+    # each subcommand takes only the flags it reads
+    def search_flags(p):
+        p.add_argument("--seed", type=int, default=RunConfig.seed)
+        p.add_argument("--budget", type=int, default=RunConfig.budget)
+
+    def output_flags(p):
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", default=None)
 
-    common(sub.add_parser("demo5", help="run the five-friend protocol end to end"),
-           with_n=False)
+    p = sub.add_parser("demo5", help="run the five-friend protocol end to end")
+    p.add_argument("--tol-prob", type=float, default=Tolerances.probability)
+    p.add_argument("--eps", type=float, default=Tolerances.possibility_eps)
+    output_flags(p)
     p = sub.add_parser("contextuality", help="generate a cycle behavior and test it")
+    p.add_argument("--n", type=int, default=5)
     p.add_argument("--kind", choices=("unified", "odd", "even"), default="unified")
-    common(p)
-    common(sub.add_parser("search", help="search for a quantum realization"))
+    output_flags(p)
+    p = sub.add_parser("search", help="search for a quantum realization")
+    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--dim", type=int, default=0)
+    search_flags(p)
+    output_flags(p)
     p = sub.add_parser("verify-all", help="run the whole verification suite")
     p.add_argument("--n-max", type=int, default=10, dest="n_max")
-    common(p, with_n=False)
+    search_flags(p)
+    output_flags(p)
     return ap
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed
+    seed = getattr(args, "seed", RunConfig.seed)
     env_seed = os.environ.get("CYCLECTX_SEED")
-    if env_seed is not None:
+    if hasattr(args, "seed") and env_seed is not None:
         try:
             seed = int(env_seed)
         except ValueError:
@@ -465,11 +471,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=args.command,
         n=n,
-        dim=getattr(args, "dim", 0),
-        kind=getattr(args, "kind", "unified"),
+        dim=getattr(args, "dim", RunConfig.dim),
+        kind=getattr(args, "kind", RunConfig.kind),
         seed=seed,
-        budget=args.budget,
-        tolerances=Tolerances(args.tol_alg, args.tol_prob, args.eps),
+        budget=getattr(args, "budget", RunConfig.budget),
+        tolerances=Tolerances(getattr(args, "tol_prob", Tolerances.probability),
+                              getattr(args, "eps", Tolerances.possibility_eps)),
         output_path=args.out,
         format=args.format,
     )

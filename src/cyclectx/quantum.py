@@ -13,26 +13,29 @@ anywhere in this module; the textbook sequential-update computation lives in
 ``oracles`` purely as a cross-check.
 
 ``find_quantum_realization`` searches for a realization of a possibilistic
-cycle target by penalty minimization over the state and the frames:
+cycle target by least squares over the state and the frames. One residual
+vector r(x) holds every constraint:
 
-    objective =   sum over forbidden tuples of p(s|C)^2
-                + sum over contexts of ||[P_i, P_j]||_F^2
-                + sum over required tuples of hinge(margin - p(s|C))^2
+    the amplitudes Q_b Q_a psi of each forbidden tuple (a, b) of a context,
+    the entries of the commutator [P_i, P_j] of each context,
+    the hinge max(0, margin - p(s|C)) of each required tuple,
 
-with random-restart gradient descent (analytic gradients, unit-sphere
-renormalization of the state after every accepted step) followed by a
-Gauss-Newton polish that drives the zero residuals to machine precision.
+and ``_PenaltyProblem.residual`` returns it with its analytic Jacobian. A
+Levenberg-Marquardt loop (Gauss-Newton steps with adaptive damping)
+minimizes ||r||^2 from each start and renormalizes the state after every
+accepted step; each of its iterations counts against the search budget.
 Deterministic structured starting points (a planar construction for odd
-cycles, a two-qubit product ansatz for even cycles) are tried before random
-restarts. The optimizer's objective is never the acceptance signal: every
-candidate is re-verified through ``behavior_from_realization`` and
-``possibilistic_collapse`` against the target.
+cycles, a two-qubit product ansatz for even cycles), ordered by their
+initial ||r||^2, are tried before random restarts. The residual is never
+the acceptance signal: every candidate is re-verified through
+``behavior_from_realization`` and ``possibilistic_collapse`` against the
+target.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -216,6 +219,13 @@ def verify_compatibility(r: QuantumRealization, s: Scenario,
 
 @dataclass(frozen=True)
 class SearchFailure:
+    """A search that ended without a verified realization.
+
+    ``best_objective`` is ||r||^2 of the best start and the three measures
+    are read from that start's residual (``required_min`` is capped at the
+    margin). ``iterations_used`` counts Levenberg-Marquardt iterations.
+    """
+
     best_objective: float
     forbidden_max: float
     commutator_max: float
@@ -227,7 +237,7 @@ class SearchFailure:
 
 @dataclass
 class _PenaltyProblem:
-    """Penalty objective over (state, frames), with analytic gradients.
+    """Residual vector r(x) over (state, frames), with its analytic Jacobian.
 
     Parameters are packed as a flat real vector: the unnormalized state
     followed by one unconstrained dim x k complex matrix per measurement,
@@ -267,203 +277,138 @@ class _PenaltyProblem:
         zs = [take(d * k).reshape(d, k) for k in self.ranks]
         return s, zs
 
-    def geometry(self, x: np.ndarray):
+    def residual(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """r(x) and its Jacobian dr/dx.
+
+        With psi the normalized state, P_i the projector of frame i and Q
+        its outcome projector (P for outcome 1, 1 - P for outcome 0), r
+        stacks the real and imaginary parts of Q_b Q_a psi for every
+        forbidden tuple (a, b) of context (i, j), then those of [P_i, P_j]
+        for every context, then max(0, margin - ||Q_b Q_a psi||^2) for every
+        required tuple. Raises ``FloatingPointError`` at a degenerate state
+        or frame.
+        """
+        d, size = self.dim, len(x)
+        eye = np.eye(d)
         s, zs = self.unpack(x)
         ns = np.linalg.norm(s)
         if ns < 1e-12:
             raise FloatingPointError("degenerate state")
         psi = s / ns
-        projs = []
+        # one row per parameter: the derivative of psi, and of each P_i,
+        # along that parameter (dP = A + A^dag, A = (1 - P) dZ (Z^dag Z)^{-1} Z^dag)
+        dpsi = np.concatenate([eye - np.outer(psi.real, psi),
+                               1j * eye - np.outer(psi.imag, psi)]) / ns
+        projs, dprojs, spans = [], [], []
+        pos = 2 * d
         for z in zs:
             gram = z.conj().T @ z
             if np.linalg.cond(gram) > 1e12:
                 raise FloatingPointError("degenerate frame")
-            projs.append(z @ np.linalg.solve(gram, z.conj().T))
-        return s, ns, psi, zs, projs
+            w = np.linalg.solve(gram, z.conj().T).conj().T
+            p = w @ z.conj().T
+            a = np.einsum("xp,yq->pqxy", eye - p, w.conj()).reshape(-1, d, d)
+            a = np.concatenate([a, 1j * a])
+            projs.append(p)
+            dprojs.append(a + a.conj().transpose(0, 2, 1))
+            spans.append(slice(pos, pos + len(a)))
+            pos += len(a)
 
-    def _outcome(self, projs, i, a):
-        return projs[i - 1] if a == 1 else np.eye(self.dim) - projs[i - 1]
-
-    def components(self, x: np.ndarray) -> dict:
-        _, _, psi, _, projs = self.geometry(x)
-        forb = [float(np.linalg.norm(self._outcome(projs, j, b)
-                                     @ (self._outcome(projs, i, a) @ psi)) ** 2)
-                for (i, j), (a, b) in self.forbidden]
-        req = [float(np.linalg.norm(self._outcome(projs, j, b)
-                                    @ (self._outcome(projs, i, a) @ psi)) ** 2)
-               for (i, j), (a, b) in self.required]
-        comms = [commutator_norm(projs[i - 1], projs[j - 1]) for i, j in self.contexts]
-        return {"forbidden": forb, "required": req, "commutators": comms}
-
-    def objective(self, x: np.ndarray) -> float:
-        try:
-            comp = self.components(x)
-        except FloatingPointError:
-            return np.inf
-        v = sum(t * t for t in comp["forbidden"])
-        v += sum(c * c for c in comp["commutators"])
-        v += sum(max(0.0, self.margin - t) ** 2 for t in comp["required"])
-        return float(v)
-
-    def objective_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        d = self.dim
-        try:
-            s, ns, psi, zs, projs = self.geometry(x)
-        except FloatingPointError:
-            return np.inf, np.zeros_like(x)
-        rho = np.outer(psi, psi.conj())
-        eye = np.eye(d)
-        total = 0.0
-        g_psi = np.zeros(d, dtype=complex)
-        g_proj = [np.zeros((d, d), dtype=complex) for _ in range(self.n)]
-
-        def pair_term(ctx, ab, weight_of):
-            nonlocal total, g_psi
+        def pair(ctx, ab):
             (i, j), (a, b) = ctx, ab
-            pa = self._outcome(projs, i, a)
-            pb = self._outcome(projs, j, b)
-            t = float(np.real(psi.conj() @ (pa @ (pb @ (pa @ psi)))))
-            w = weight_of(t)
-            if w != 0.0:
-                sa = 1.0 if a == 1 else -1.0
-                sb = 1.0 if b == 1 else -1.0
-                g_psi += w * (pa @ (pb @ (pa @ psi)))
-                gi = rho @ pa @ pb + pb @ pa @ rho
-                g_proj[i - 1] += w * sa * 0.5 * (gi + gi.conj().T)
-                g_proj[j - 1] += w * sb * (pa @ rho @ pa)
-            return t
+            qa = projs[i - 1] if a == 1 else eye - projs[i - 1]
+            qb = projs[j - 1] if b == 1 else eye - projs[j - 1]
+            u = qa @ psi
+            v = qb @ u
+            dv = np.zeros((size, d), dtype=complex)
+            dv[:2 * d] = dpsi @ (qb @ qa).T
+            dv[spans[i - 1]] += (1 if a == 1 else -1) * (dprojs[i - 1] @ psi) @ qb.T
+            dv[spans[j - 1]] += (1 if b == 1 else -1) * (dprojs[j - 1] @ u)
+            return v, dv
 
+        rows, jac = [], []
         for ctx, ab in self.forbidden:
-            t = pair_term(ctx, ab, lambda t: 2.0 * t)
-            total += t * t
-        for ctx, ab in self.required:
-            t = pair_term(ctx, ab, lambda t: -2.0 * max(0.0, self.margin - t))
-            total += max(0.0, self.margin - t) ** 2
+            v, dv = pair(ctx, ab)
+            rows += [v.real, v.imag]
+            jac += [dv.real.T, dv.imag.T]
         for i, j in self.contexts:
             pi, pj = projs[i - 1], projs[j - 1]
             k = pi @ pj - pj @ pi
-            total += float(np.real(np.trace(k.conj().T @ k)))
-            gi = k @ pj - pj @ k
-            gj = pi @ k - k @ pi
-            g_proj[i - 1] += gi + gi.conj().T
-            g_proj[j - 1] += gj + gj.conj().T
+            dk = np.zeros((size, d, d), dtype=complex)
+            dk[spans[i - 1]] += dprojs[i - 1] @ pj - pj @ dprojs[i - 1]
+            dk[spans[j - 1]] += pi @ dprojs[j - 1] - dprojs[j - 1] @ pi
+            rows += [k.real.ravel(), k.imag.ravel()]
+            jac += [dk.real.reshape(size, -1).T, dk.imag.reshape(size, -1).T]
+        for ctx, ab in self.required:
+            v, dv = pair(ctx, ab)
+            hinge = self.margin - float(np.vdot(v, v).real)
+            rows.append([max(0.0, hinge)])
+            jac.append((-2.0 * (dv @ v.conj()).real if hinge > 0 else np.zeros(size))[None])
+        return np.concatenate(rows), np.concatenate(jac)
 
-        # chain rule: projectors -> Z, normalized state -> raw state
-        g = np.zeros_like(x)
-        inner = float(np.real(psi.conj() @ g_psi))
-        gs = (g_psi - inner * psi) / ns
-        g[0:d] = 2 * gs.real
-        g[d:2 * d] = 2 * gs.imag
-        pos = 2 * d
-        for idx, z in enumerate(zs):
-            k = self.ranks[idx]
-            p = projs[idx]
-            m = np.linalg.inv(z.conj().T @ z)
-            c = (eye - p) @ g_proj[idx] @ z @ m
-            g[pos:pos + d * k] = 2 * c.real.ravel()
-            g[pos + d * k:pos + 2 * d * k] = 2 * c.imag.ravel()
-            pos += 2 * d * k
-        return total, g
+    def measures(self, r: np.ndarray) -> tuple[float, float, float]:
+        """(fmax, cmax, rmin) read from a residual vector.
 
-    def zero_residuals(self, x: np.ndarray) -> np.ndarray:
-        """Real residual vector of all exact-zero constraints (no hinges)."""
-        _, _, psi, _, projs = self.geometry(x)
-        parts = []
-        for (i, j), (a, b) in self.forbidden:
-            v = self._outcome(projs, j, b) @ (self._outcome(projs, i, a) @ psi)
-            parts.append(np.concatenate([v.real, v.imag]))
-        for i, j in self.contexts:
-            k = projs[i - 1] @ projs[j - 1] - projs[j - 1] @ projs[i - 1]
-            parts.append(np.concatenate([k.real.ravel(), k.imag.ravel()]))
-        return np.concatenate(parts)
+        fmax is the largest forbidden probability, cmax the largest context
+        commutator norm and rmin the smallest required probability, capped
+        at the margin (1.0 when nothing is required).
+        """
+        d, nf, nc = self.dim, len(self.forbidden), len(self.contexts)
+        split = 2 * d * nf
+        forb = r[:split].reshape(nf, 2 * d)
+        comm = r[split:split + 2 * d * d * nc].reshape(nc, 2 * d * d)
+        hinge = r[split + 2 * d * d * nc:]
+        fmax = float(np.max(np.sum(forb * forb, axis=1), initial=0.0))
+        cmax = float(np.sqrt(np.max(np.sum(comm * comm, axis=1), initial=0.0)))
+        rmin = self.margin - float(np.max(hinge)) if len(hinge) else 1.0
+        return fmax, cmax, rmin
 
 
-def _descend(prob: _PenaltyProblem, x0: np.ndarray, max_iters: int,
-             stop_objective: float = 1e-22) -> tuple[np.ndarray, float, list[float], int]:
-    """Backtracking gradient descent; renormalizes the raw state each step.
+def _levenberg_marquardt(prob: _PenaltyProblem, x0: np.ndarray, max_iters: int):
+    """Minimize ||r||^2 by Gauss-Newton steps with adaptive damping.
 
-    Returns (point, objective, log of accepted objective values, iterations).
-    The log is non-increasing by construction.
+    Every trial step, accepted or rejected, is one iteration. Each trial
+    point's raw state is renormalized before it is evaluated, so every
+    accepted point carries a unit state. The loop stops once ||r||^2 falls
+    to 1e-30, after ``max_iters`` iterations, or after 30 iterations in a
+    row that do not cut ||r||^2 by a tenth. Returns (point, residual, log
+    of accepted ||r||^2 values, iterations); the log is non-increasing by
+    construction and the residual is None when the start itself is
+    degenerate.
     """
+    d = prob.dim
     x = x0.copy()
-    val, grad = prob.objective_and_grad(x)
+    try:
+        r, jac = prob.residual(x)
+    except FloatingPointError:
+        return x, None, [np.inf], 0
+    val = float(r @ r)
     log = [val]
-    if not np.isfinite(val):
-        return x, val, log, 0
-    step = 1.0
-    stale = 0
-    ref = val
-    it = 0
-    while it < max_iters:
+    lam, ref, stale, it = 1e-3, val, 0, 0
+    while it < max_iters and val > 1e-30 and stale < 30:
         it += 1
-        gn2 = float(grad @ grad)
-        if val <= stop_objective or gn2 < 1e-32:
-            break
-        accepted = False
-        trial = step
-        for _ in range(40):
-            xn = x - trial * grad
-            vn = prob.objective(xn)
-            if vn < val - 1e-4 * trial * gn2:
-                accepted = True
-                break
-            trial *= 0.5
-        if not accepted:
-            break
-        x, val = xn, vn
-        d = prob.dim
-        sn = np.linalg.norm(x[0:d] + 1j * x[d:2 * d])
-        if sn > 0:
-            x[0:2 * d] /= sn
-        step = min(trial * 2.0, 1e3)
-        val, grad = prob.objective_and_grad(x)
-        log.append(val)
+        grad = jac.T @ r
+        step = np.linalg.solve(jac.T @ jac + lam * np.eye(len(x)), -grad)
+        xn = x + step
+        xn[:2 * d] /= max(np.linalg.norm(xn[:2 * d]), 1e-300)
+        try:
+            rn, jn = prob.residual(xn)
+            vn = float(rn @ rn)
+        except FloatingPointError:
+            vn = np.inf
+        if vn < val:
+            x, r, jac, val = xn, rn, jn, vn
+            log.append(val)
+            # the floor keeps the solve regular along the directions that
+            # leave r unchanged (state scale, frame gauge Z -> Z M)
+            lam = max(lam / 3.0, 1e-12)
+        else:
+            lam *= 4.0
         if val < 0.9 * ref:
             ref, stale = val, 0
         else:
             stale += 1
-            if stale >= 150:
-                break
-    return x, val, log, it
-
-
-def _gauss_newton_polish(prob: _PenaltyProblem, x0: np.ndarray,
-                         max_iters: int = 40) -> np.ndarray:
-    """Drive the zero residuals to machine precision near a converged point."""
-    x = x0.copy()
-    try:
-        r = prob.zero_residuals(x)
-    except FloatingPointError:
-        return x
-    for _ in range(max_iters):
-        f = float(r @ r)
-        if f < 1e-30:
-            break
-        jac = np.zeros((len(r), len(x)))
-        h = 1e-7
-        for k in range(len(x)):
-            xp = x.copy(); xp[k] += h
-            xm = x.copy(); xm[k] -= h
-            try:
-                jac[:, k] = (prob.zero_residuals(xp) - prob.zero_residuals(xm)) / (2 * h)
-            except FloatingPointError:
-                return x
-        dx, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        improved = False
-        t = 1.0
-        for _ in range(30):
-            try:
-                rn = prob.zero_residuals(x + t * dx)
-            except FloatingPointError:
-                rn = None
-            if rn is not None and float(rn @ rn) < f:
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-        x, r = x + t * dx, rn
-    return x
+    return x, r, log, it
 
 
 # --- structured starting points ---------------------------------------------
@@ -522,7 +467,7 @@ def _candidate_starts(prob: _PenaltyProblem, n: int, dim: int, seed: int):
     """Deterministic structured candidates, then seeded random restarts.
 
     Yields (ranks, x0) pairs. Structured candidates of the wrong shape for
-    the target simply start at a high objective and lose to better ones.
+    the target simply start at a high ||r||^2 and lose to better ones.
     """
     structured: list[tuple[tuple[int, ...], np.ndarray]] = []
     if n % 2 == 1 and n >= 5 and dim >= 3:
@@ -531,16 +476,14 @@ def _candidate_starts(prob: _PenaltyProblem, n: int, dim: int, seed: int):
         # rank-1 everywhere: alternating-zero pattern
         ranks1 = tuple([1] * n)
         zs1 = [_embed(vs[i], dim).reshape(dim, 1) for i in range(1, n + 1)]
-        structured.append((ranks1, _PenaltyProblem(n, dim, ranks1, prob.forbidden,
-                                                   prob.required, prob.contexts).pack(state, zs1)))
+        structured.append((ranks1, prob.pack(state, zs1)))
         # outcome labels of odd measurements swapped: complement frames
         ranks2 = tuple(dim - 1 if i % 2 == 1 else 1 for i in range(1, n + 1))
         zs2 = [
             _complement_frame(vs[i], dim) if i % 2 == 1 else _embed(vs[i], dim).reshape(dim, 1)
             for i in range(1, n + 1)
         ]
-        structured.append((ranks2, _PenaltyProblem(n, dim, ranks2, prob.forbidden,
-                                                   prob.required, prob.contexts).pack(state, zs2)))
+        structured.append((ranks2, prob.pack(state, zs2)))
     if n % 2 == 0 and dim >= 4:
         # two-qubit product ansatz: odd labels act on the first qubit,
         # even labels on the second, embedded in the first four dimensions
@@ -557,15 +500,17 @@ def _candidate_starts(prob: _PenaltyProblem, n: int, dim: int, seed: int):
             sr = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             state = _embed(sr / np.linalg.norm(sr), dim)
             ranks = tuple([2] * n)
-            structured.append((ranks, _PenaltyProblem(n, dim, ranks, prob.forbidden,
-                                                      prob.required, prob.contexts).pack(state, zs)))
+            structured.append((ranks, prob.pack(state, zs)))
 
-    # evaluate structured candidates and order by initial objective
+    # evaluate structured candidates and order by initial ||r||^2
     scored = []
     for ranks, x0 in structured:
-        p = _PenaltyProblem(prob.n, prob.dim, ranks, prob.forbidden,
-                            prob.required, prob.contexts)
-        scored.append((p.objective(x0), ranks, x0))
+        try:
+            r, _ = replace(prob, ranks=ranks).residual(x0)
+            val = float(r @ r)
+        except FloatingPointError:
+            val = np.inf
+        scored.append((val, ranks, x0))
     scored.sort(key=lambda t: t[0])
     for _, ranks, x0 in scored:
         yield ranks, x0
@@ -582,9 +527,7 @@ def _candidate_starts(prob: _PenaltyProblem, n: int, dim: int, seed: int):
         state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         zs = [rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
               for r in ranks]
-        p = _PenaltyProblem(prob.n, prob.dim, ranks, prob.forbidden,
-                            prob.required, prob.contexts)
-        yield ranks, p.pack(state / np.linalg.norm(state), zs)
+        yield ranks, prob.pack(state / np.linalg.norm(state), zs)
 
 
 def _canonical_frame(z: np.ndarray) -> np.ndarray:
@@ -619,8 +562,9 @@ def find_quantum_realization(
     kills one more tuple per context), so containment rather than support
     equality is the faithful acceptance test.
 
-    Budget counts descent iterations across restarts; on exhaustion a
-    ``SearchFailure`` with the best objective reached is returned.
+    Budget counts Levenberg-Marquardt iterations across restarts, at most
+    ``ITERS_PER_RESTART`` per start; on exhaustion a ``SearchFailure`` is
+    returned whose ``best_objective`` is ||r||^2 of the best start.
     """
     if target.scenario.contexts != s.contexts:
         raise RealizationError("target does not live on the given scenario")
@@ -648,29 +592,22 @@ def find_quantum_realization(
         if used >= budget or attempts >= MAX_RESTARTS:
             break
         attempts += 1
-        prob = _PenaltyProblem(n, dim, ranks, tuple(forbidden),
-                               tuple(required), tuple(s.contexts))
+        prob = replace(base, ranks=ranks)
         iters = min(ITERS_PER_RESTART, budget - used)
-        x, val, _log, it = _descend(prob, x0, iters)
+        x, r, _log, it = _levenberg_marquardt(prob, x0, iters)
         used += max(it, 1)
-        if np.isfinite(val) and val < 1.0:
-            x = _gauss_newton_polish(prob, x)
-        try:
-            comp = prob.components(x)
-        except FloatingPointError:
+        if r is None:
             continue
-        fmax = max(comp["forbidden"], default=0.0)
-        cmax = max(comp["commutators"], default=0.0)
-        rmin = min(comp["required"], default=1.0)
-        obj = prob.objective(x)
-        if obj < best[0]:
-            best = (obj, fmax, cmax, rmin)
+        val = float(r @ r)
+        fmax, cmax, rmin = prob.measures(r)
+        if val < best[0]:
+            best = (val, fmax, cmax, rmin)
         if fmax > FORBIDDEN_TOL or cmax > COMM_TOL or rmin < REQUIRED_MARGIN:
             continue
-        _, _, psi, zs, _ = prob.geometry(x)
+        state, zs = prob.unpack(x)
         try:
             cand = QuantumRealization(
-                dim, normalized(psi),
+                dim, normalized(state),
                 {i + 1: _canonical_frame(zs[i]) for i in range(n)})
             collapse = possibilistic_collapse(behavior_from_realization(cand, s))
         except (RealizationError, NoncommutingError):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cyclectx.cli import main
 
 
@@ -131,6 +133,16 @@ class TestVerifyAll:
         assert lines[0].startswith("C1 ") and lines[0].endswith("PASS")
         assert lines[-1] == "all criteria passed"
 
+    def test_skipped_search_fails_the_run(self, tmp_path):
+        code, payload = run(tmp_path, ["verify-all", "--n-max", "6", "--budget", "0",
+                                       "--format", "json"])
+        assert code == 1
+        doc = json.loads(payload)
+        assert doc["passed"] is False
+        c5 = next(c for c in doc["criteria"] if c["id"] == "C5")
+        assert c5["status"] == "fail"
+        assert [c["status"] for c in c5["cases"]] == ["skip"]
+
 
 class TestUsage:
     def test_small_n_rejected(self):
@@ -138,3 +150,15 @@ class TestUsage:
 
     def test_negative_tolerance_rejected(self):
         assert main(["demo5", "--tol-prob", "-1"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["demo5", "--tol-alg", "1e-3"],
+        ["demo5", "--seed", "4"],
+        ["contextuality", "--budget", "3"],
+        ["search", "--eps", "1e-3"],
+        ["verify-all", "--dim", "9"],
+    ])
+    def test_unread_flags_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

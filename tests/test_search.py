@@ -8,7 +8,7 @@ from cyclectx.ncycle import (
 )
 from cyclectx.quantum import (
     _PenaltyProblem,
-    _descend,
+    _levenberg_marquardt,
     SearchFailure,
     behavior_from_realization,
     find_quantum_realization,
@@ -23,10 +23,11 @@ from cyclectx.scenario import (
 
 
 def unified_problem(n, dim, ranks):
+    # a wide margin keeps the required-tuple hinge active at random points
     forb = tuple(((i, i + 1), (0, 1)) for i in range(1, n))
     req = (((1, n), (0, 1)),)
     ctxs = tuple((i, i + 1) for i in range(1, n)) + ((1, n),)
-    return _PenaltyProblem(n, dim, ranks, forb, req, ctxs)
+    return _PenaltyProblem(n, dim, ranks, forb, req, ctxs, margin=0.5)
 
 
 class TestGradient:
@@ -35,28 +36,30 @@ class TestGradient:
         prob = unified_problem(5, dim, ranks)
         rng = np.random.default_rng(11)
         x = rng.standard_normal(prob.num_params())
-        val, grad = prob.objective_and_grad(x)
+        r, jac = prob.residual(x)
+        assert r[-1] > 0
         h = 1e-6
-        num = np.zeros_like(x)
+        num = np.zeros_like(jac)
         for k in range(len(x)):
             xp = x.copy(); xp[k] += h
             xm = x.copy(); xm[k] -= h
-            num[k] = (prob.objective(xp) - prob.objective(xm)) / (2 * h)
+            num[:, k] = (prob.residual(xp)[0] - prob.residual(xm)[0]) / (2 * h)
         scale = max(1.0, float(np.max(np.abs(num))))
-        assert np.max(np.abs(grad - num)) / scale < 1e-6
+        assert np.max(np.abs(jac - num)) / scale < 1e-6
 
 
 class TestDescent:
     def test_log_is_monotone(self):
         prob = unified_problem(5, 3, (1, 1, 1, 1, 1))
         x0 = np.random.default_rng(3).standard_normal(prob.num_params())
-        _, _, log, _ = _descend(prob, x0, 300)
+        _, r, log, _ = _levenberg_marquardt(prob, x0, 300)
+        assert len(log) > 1 and log[-1] == float(r @ r)
         assert all(log[k + 1] <= log[k] for k in range(len(log) - 1))
 
     def test_iteration_budget_respected(self):
         prob = unified_problem(5, 3, (1, 1, 1, 1, 1))
         x0 = np.random.default_rng(4).standard_normal(prob.num_params())
-        _, _, _, used = _descend(prob, x0, 25)
+        _, _, _, used = _levenberg_marquardt(prob, x0, 25)
         assert used <= 25
 
 
@@ -106,6 +109,12 @@ class TestFind:
         assert np.isfinite(out.best_objective)
         assert out.iterations_used <= 1500
         assert out.attempts >= 1
+
+    def test_budget_bounds_every_iteration(self):
+        out = find_quantum_realization(make_cycle_scenario(6), unified_ncycle_behavior(6), 4,
+                                       seed=1, budget=1)
+        assert isinstance(out, SearchFailure)
+        assert out.iterations_used <= 1
 
     def test_infeasible_target_rejected_in_preprocessing(self):
         s = make_cycle_scenario(4)
