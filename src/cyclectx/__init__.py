@@ -48,7 +48,12 @@ from .ewf import (
     register_marginal,
     simulate,
 )
-from .oracles import OracleResult, exhaustive_support_check, projection_sequential
+from .oracles import (
+    OracleResult,
+    enumerate_contextuality,
+    exhaustive_support_check,
+    projection_sequential,
+)
 
 __version__ = "0.1.0"
 

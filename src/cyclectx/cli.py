@@ -1,7 +1,8 @@
 """Batch verification entry point.
 
 Exit codes follow a CI-friendly contract: 0 when every requested check
-passes, 1 when some check fails, 2 on usage errors. Identical
+passes, 1 when some check fails, 2 on usage errors and on requests too
+large to report (``EnumerationLimitError``). Identical
 configurations (including the seed) produce byte-identical reports; no
 timestamps or timings enter any output document. The ``CYCLECTX_SEED``
 environment variable overrides ``--seed`` for the commands that take it
@@ -46,6 +47,7 @@ from .quantum import (
     realization_to_doc,
 )
 from .scenario import (
+    EnumerationLimitError,
     is_logically_contextual,
     make_cycle_scenario,
     possibilistic_to_doc,
@@ -498,6 +500,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except EnumerationLimitError as exc:
+        print(f"too large: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -9,6 +9,12 @@ measurement would void the argument being verified.
 
 ``exhaustive_support_check`` recomputes every context table from the trace
 formula on the density matrix, sharing no code with ``born_pair``.
+
+``enumerate_contextuality`` decides logical contextuality by walking all
+global assignments, sharing no code with the transfer-matrix decision in
+``scenario.is_logically_contextual``. It returns the same verdict, witness
+and fates (materialized as a tuple) on cycle scenarios, and also decides
+scenarios that are not cycles.
 """
 
 from __future__ import annotations
@@ -20,7 +26,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .quantum import QuantumRealization, behavior_from_realization
-from .scenario import Scenario
+from .scenario import (
+    ENUMERATION_GUARD,
+    AssignmentFate,
+    Context,
+    ContextualityVerdict,
+    EnumerationLimitError,
+    OutcomeTuple,
+    PossibilisticBehavior,
+    Scenario,
+    Witness,
+    closing_context,
+)
 
 
 @dataclass(frozen=True)
@@ -82,3 +99,54 @@ def exhaustive_support_check(r: QuantumRealization, s: Scenario,
     b = behavior_from_realization(r, s)
     pipeline = {(c, t): b.tables[c][t] for c in s.contexts for t in b.tables[c]}
     return OracleResult("context tables", oracle, pipeline, _diff(oracle, pipeline))
+
+
+def _witness_scan_order(s: Scenario) -> list[Context]:
+    closing = closing_context(s)
+    if closing is None:
+        return list(s.contexts)
+    return [closing] + [c for c in s.contexts if c != closing]
+
+
+def enumerate_contextuality(pb: PossibilisticBehavior) -> ContextualityVerdict:
+    """Decide logical contextuality by walking every global assignment.
+
+    Works on any finite scenario. An assignment survives when its
+    restriction to every context is possible. Contexts are scanned starting
+    from the cycle-closing one, so on the cycle behaviors the reported
+    witness is the tuple the paradox post-selects on.
+    """
+    s = pb.scenario
+    size = len(s.outcomes) ** s.n
+    if size > ENUMERATION_GUARD:
+        raise EnumerationLimitError(f"{size} assignments exceed the enumeration guard")
+
+    pos = {m: k for k, m in enumerate(s.measurements)}
+    ctx_idx = {c: [pos[m] for m in c] for c in s.contexts}
+
+    surviving_restrictions: dict[Context, set[OutcomeTuple]] = {c: set() for c in s.contexts}
+    for values in itertools.product(s.outcomes, repeat=s.n):
+        if all(tuple(values[i] for i in ctx_idx[c]) in pb.supports[c] for c in s.contexts):
+            for c in s.contexts:
+                surviving_restrictions[c].add(tuple(values[i] for i in ctx_idx[c]))
+
+    for c in _witness_scan_order(s):
+        for t in sorted(pb.supports[c]):
+            if t in surviving_restrictions[c]:
+                continue
+            # every extension of t dies somewhere; record where
+            fates = []
+            free = [m for m in s.measurements if m not in c]
+            for rest in itertools.product(s.outcomes, repeat=len(free)):
+                assignment = dict(zip(c, t))
+                assignment.update(zip(free, rest))
+                full = tuple(assignment[m] for m in s.measurements)
+                killer = None
+                for c2 in s.contexts:
+                    if tuple(full[i] for i in ctx_idx[c2]) not in pb.supports[c2]:
+                        killer = c2
+                        break
+                assert killer is not None
+                fates.append(AssignmentFate(full, killer))
+            return ContextualityVerdict(True, Witness(c, t, tuple(fates)))
+    return ContextualityVerdict(False, None)

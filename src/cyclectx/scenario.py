@@ -12,11 +12,20 @@ is exercised on n-cycle scenarios (contexts {i, i+1} plus the closing pair
 {n, 1}) with binary outcomes. Outcome tuples are always keyed by the
 context's measurements in ascending label order, so the closing context is
 stored as the ordered pair (1, n).
+
+``is_logically_contextual`` decides binary n-cycles in O(n) with products
+of 2x2 boolean transfer matrices, one per context, and reports the witness's
+2^(n-2) dead extensions as a lazy sequence. ``oracles.enumerate_contextuality``
+keeps the exhaustive enumeration of global assignments as its cross-check
+and decides any other scenario.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -121,11 +130,71 @@ class AssignmentFate:
     killed_by: Context
 
 
+class WitnessFates(Sequence):
+    """Where each global extension of a witness tuple dies, computed on demand.
+
+    Item k gives the measurements outside the witness context the bits of k,
+    most significant first (``itertools.product`` order), and names the first
+    context, in scenario order, whose support rejects that assignment. There
+    are 2^(n-2) items on a binary cycle, so none is stored; ``len`` raises
+    ``EnumerationLimitError`` once the count exceeds ``sys.maxsize``.
+    """
+
+    __slots__ = ("_n", "_fixed", "_free", "_checks", "_size")
+
+    def __init__(self, pb: PossibilisticBehavior, context: Context,
+                 outcome_tuple: OutcomeTuple):
+        s = pb.scenario
+        pos = {m: k for k, m in enumerate(s.measurements)}
+        self._n = s.n
+        self._fixed = tuple((pos[m], v) for m, v in zip(context, outcome_tuple))
+        self._free = tuple(pos[m] for m in s.measurements if m not in context)
+        self._checks = tuple((tuple(pos[m] for m in c), c, pb.supports[c])
+                             for c in s.contexts)
+        self._size = 2 ** len(self._free)
+
+    def __len__(self) -> int:
+        if self._size > sys.maxsize:
+            raise EnumerationLimitError(
+                f"{self._size} witness extensions are more than len() can count")
+        return self._size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(self._size)[k])
+        k = operator.index(k)
+        if k < 0:
+            k += self._size
+        if not 0 <= k < self._size:
+            raise IndexError(f"fate index out of range for {self._size} fates")
+        values = [0] * self._n
+        for p, v in self._fixed:
+            values[p] = v
+        for shift, p in enumerate(reversed(self._free)):
+            values[p] = (k >> shift) & 1
+        full = tuple(values)
+        for idx, c, support in self._checks:
+            if tuple(full[i] for i in idx) not in support:
+                return AssignmentFate(full, c)
+        raise ScenarioError(f"assignment {full} survives every context: not a witness")
+
+    def _key(self):
+        return self._n, self._fixed, self._checks
+
+    def __eq__(self, other):
+        if not isinstance(other, WitnessFates):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 @dataclass(frozen=True)
 class Witness:
     context: Context
     outcome_tuple: OutcomeTuple
-    fates: tuple[AssignmentFate, ...]
+    fates: Sequence[AssignmentFate]
 
 
 @dataclass(frozen=True)
@@ -155,8 +224,11 @@ def make_cycle_scenario(n: int) -> Scenario:
     """n binary measurements with contexts {i, i+1} for i < n plus {n, 1}."""
     if n < 3:
         raise ScenarioError(f"a cycle needs at least 3 measurements, got {n}")
-    contexts = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    return Scenario(tuple(range(1, n + 1)), tuple(contexts))
+    return Scenario(tuple(range(1, n + 1)), _cycle_contexts(n))
+
+
+def _cycle_contexts(n: int) -> tuple[Context, ...]:
+    return tuple((i, i + 1) for i in range(1, n)) + ((1, n),)
 
 
 def closing_context(s: Scenario) -> Context | None:
@@ -215,54 +287,66 @@ def enumerate_global_assignments(s: Scenario) -> Iterator[dict[int, int]]:
         yield dict(zip(s.measurements, values))
 
 
-def _witness_scan_order(s: Scenario) -> list[Context]:
-    closing = closing_context(s)
-    if closing is None:
-        return list(s.contexts)
-    return [closing] + [c for c in s.contexts if c != closing]
+_BoolMatrix = tuple[tuple[bool, bool], tuple[bool, bool]]
+_IDENTITY: _BoolMatrix = ((True, False), (False, True))
+
+
+def _bool_product(x: _BoolMatrix, y: _BoolMatrix) -> _BoolMatrix:
+    return tuple(tuple(any(x[i][k] and y[k][j] for k in (0, 1)) for j in (0, 1))
+                 for i in (0, 1))
+
+
+def _is_binary_cycle(s: Scenario) -> bool:
+    return (s.n >= 3 and s.outcomes == (0, 1)
+            and s.measurements == tuple(range(1, s.n + 1))
+            and s.contexts == _cycle_contexts(s.n))
 
 
 def is_logically_contextual(pb: PossibilisticBehavior) -> ContextualityVerdict:
     """Search for a possible tuple none of whose global extensions survives.
 
     An assignment survives when its restriction to every context is possible.
-    Contexts are scanned starting from the cycle-closing one, so on the
-    cycle behaviors the reported witness is the tuple the paradox
-    post-selects on.
+    On the binary n-cycle, walking m_1 -> m_2 -> ... -> m_n -> m_1 turns each
+    context into a 2x2 boolean support matrix M_k (the closing context (1, n)
+    is walked from m_n to m_1, so its matrix is the transposed support). A
+    tuple (a, b) of context k, in walking order, extends to a surviving
+    assignment exactly when the product of the other n-1 matrices, taken
+    from the context's end around the cycle back to its start, is true at
+    [b][a]; prefix and suffix products give every such product in O(n).
+
+    Contexts are scanned starting from the cycle-closing one, then in
+    scenario order, tuples in sorted order, so on the cycle behaviors the
+    reported witness is the tuple the paradox post-selects on. Other
+    scenarios raise ``ScenarioError``; ``oracles.enumerate_contextuality``
+    decides them by enumeration.
     """
     s = pb.scenario
-    size = len(s.outcomes) ** s.n
-    if size > ENUMERATION_GUARD:
-        raise EnumerationLimitError(f"{size} assignments exceed the enumeration guard")
+    if not _is_binary_cycle(s):
+        raise ScenarioError("is_logically_contextual decides binary n-cycle scenarios "
+                            "only; use oracles.enumerate_contextuality for others")
+    n = s.n
 
-    pos = {m: k for k, m in enumerate(s.measurements)}
-    ctx_idx = {c: [pos[m] for m in c] for c in s.contexts}
+    def walked(k: int, t: OutcomeTuple) -> OutcomeTuple:
+        return (t[1], t[0]) if k == n - 1 else t
 
-    surviving_restrictions: dict[Context, set[OutcomeTuple]] = {c: set() for c in s.contexts}
-    for values in itertools.product(s.outcomes, repeat=s.n):
-        if all(tuple(values[i] for i in ctx_idx[c]) in pb.supports[c] for c in s.contexts):
-            for c in s.contexts:
-                surviving_restrictions[c].add(tuple(values[i] for i in ctx_idx[c]))
+    mats = [tuple(tuple(walked(k, (a, b)) in pb.supports[c] for b in (0, 1))
+                  for a in (0, 1))
+            for k, c in enumerate(s.contexts)]
+    prefix = [_IDENTITY]                 # prefix[k] = M_0 ... M_{k-1}
+    for m in mats:
+        prefix.append(_bool_product(prefix[-1], m))
+    suffix = [_IDENTITY]                 # suffix[k] = M_k ... M_{n-1}, built from the end
+    for m in reversed(mats):
+        suffix.append(_bool_product(m, suffix[-1]))
+    suffix.reverse()
 
-    for c in _witness_scan_order(s):
+    for k in [n - 1, *range(n - 1)]:
+        c = s.contexts[k]
+        back = _bool_product(suffix[k + 1], prefix[k])
         for t in sorted(pb.supports[c]):
-            if t in surviving_restrictions[c]:
-                continue
-            # every extension of t dies somewhere; record where
-            fates = []
-            free = [m for m in s.measurements if m not in c]
-            for rest in itertools.product(s.outcomes, repeat=len(free)):
-                assignment = dict(zip(c, t))
-                assignment.update(zip(free, rest))
-                full = tuple(assignment[m] for m in s.measurements)
-                killer = None
-                for c2 in s.contexts:
-                    if tuple(full[i] for i in ctx_idx[c2]) not in pb.supports[c2]:
-                        killer = c2
-                        break
-                assert killer is not None
-                fates.append(AssignmentFate(full, killer))
-            return ContextualityVerdict(True, Witness(c, t, tuple(fates)))
+            a, b = walked(k, t)
+            if not back[b][a]:
+                return ContextualityVerdict(True, Witness(c, t, WitnessFates(pb, c, t)))
     return ContextualityVerdict(False, None)
 
 

@@ -76,6 +76,22 @@ class TestContextuality:
         assert doc["kind"] == "unified"
         assert doc["tables"]["1,2"]["0,1"] == 0
 
+    def test_beyond_enumeration(self, tmp_path):
+        # 2^25 assignments used to hit the enumeration guard
+        code, payload = run(tmp_path, ["contextuality", "--n", "25", "--format", "json"])
+        assert code == 0
+        doc = json.loads(payload)
+        assert doc["contextual"] is True
+        assert doc["witness"]["assignments_checked"] == 2**23
+
+    def test_uncountable_witness_is_a_usage_error(self, tmp_path, capsys):
+        code, payload = run(tmp_path, ["contextuality", "--n", "70", "--format", "json"])
+        assert code == 2
+        assert payload == ""
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestSearch:
     def test_five_cycle_dim3(self, tmp_path):

@@ -1,13 +1,28 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from cyclectx.ncycle import (
+    FlipMask,
+    even_ncycle_behavior,
+    odd_ncycle_behavior,
+    relabel,
+    unified_ncycle_behavior,
+)
 from cyclectx.oracles import (
     OracleResult,
+    enumerate_contextuality,
     exhaustive_support_check,
     projection_sequential,
 )
 from cyclectx.quantum import QuantumRealization, born_pair
-from cyclectx.scenario import Scenario, make_cycle_scenario
+from cyclectx.scenario import (
+    PossibilisticBehavior,
+    Scenario,
+    is_logically_contextual,
+    make_cycle_scenario,
+)
 
 
 class TestProjectionSequential:
@@ -85,3 +100,55 @@ class TestOracleResult:
         # the build-level contract: oracle and pipeline never drift past 1e-10
         res = exhaustive_support_check(kcbs, cycle5)
         assert res.max_abs_diff <= 1e-10
+
+
+def assert_same_verdict(pb):
+    fast, slow = is_logically_contextual(pb), enumerate_contextuality(pb)
+    assert fast.contextual == slow.contextual
+    if slow.witness is None:
+        assert fast.witness is None
+        return
+    assert fast.witness.context == slow.witness.context
+    assert fast.witness.outcome_tuple == slow.witness.outcome_tuple
+    assert tuple(fast.witness.fates) == slow.witness.fates
+
+
+class TestEnumerateContextuality:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_random_supports(self, n):
+        s = make_cycle_scenario(n)
+        tuples = list(itertools.product((0, 1), repeat=2))
+        rng = np.random.default_rng([7, n])
+        contextual = 0
+        for _ in range(12):
+            supports = {}
+            for c in s.contexts:
+                keep = rng.random(4) < 0.8
+                keep[rng.integers(4)] = True
+                supports[c] = frozenset(t for t, k in zip(tuples, keep) if k)
+            pb = PossibilisticBehavior(s, supports)
+            assert_same_verdict(pb)
+            contextual += is_logically_contextual(pb).contextual
+        # the draw must exercise both verdicts
+        assert 0 < contextual < 12
+
+    @pytest.mark.parametrize("generator, sizes", [
+        (unified_ncycle_behavior, range(4, 13)),
+        (odd_ncycle_behavior, range(5, 12, 2)),
+        (even_ncycle_behavior, range(4, 13, 2)),
+    ], ids=["unified", "odd", "even"])
+    def test_generators_under_flip_masks(self, generator, sizes):
+        for n in sizes:
+            rng = np.random.default_rng([11, n])
+            for _ in range(3):
+                mask = FlipMask({m: bool(rng.integers(2)) for m in range(1, n + 1)})
+                pb = relabel(generator(n), mask)
+                assert is_logically_contextual(pb).contextual
+                assert_same_verdict(pb)
+
+    def test_decides_non_cycles(self):
+        # a path, not a cycle: m2 is 0 in one context and 1 in the other
+        s = Scenario((1, 2, 3), ((1, 2), (2, 3)))
+        supports = {(1, 2): frozenset({(0, 0)}), (2, 3): frozenset({(1, 1)})}
+        v = enumerate_contextuality(PossibilisticBehavior(s, supports))
+        assert v.contextual and v.witness.context == (1, 2)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,6 +161,59 @@ class TestLogicalContextuality:
 
     def test_unified7_contextual(self):
         assert is_logically_contextual(unified_ncycle_behavior(7)).contextual
+
+    def test_non_cycle_rejected(self):
+        s = Scenario((1, 2, 3), ((1, 2), (2, 3)))
+        pb = PossibilisticBehavior(s, {c: frozenset({(0, 0)}) for c in s.contexts})
+        with pytest.raises(ScenarioError, match="enumerate_contextuality"):
+            is_logically_contextual(pb)
+
+
+def assert_genuine(pb, w, fate):
+    values = dict(zip(pb.scenario.measurements, fate.assignment))
+    restricted = tuple(values[m] for m in fate.killed_by)
+    assert restricted not in pb.supports[fate.killed_by]
+    assert tuple(values[m] for m in w.context) == w.outcome_tuple
+
+
+class TestLazyFates:
+    def test_len_without_materializing(self):
+        w = is_logically_contextual(unified_ncycle_behavior(40)).witness
+        assert len(w.fates) == 2**38
+
+    def test_random_indices_are_genuine(self):
+        pb = relabel(unified_ncycle_behavior(40),
+                     FlipMask({m: m % 3 == 0 for m in range(1, 41)}))
+        w = is_logically_contextual(pb).witness
+        rng = random.Random(5)
+        for _ in range(200):
+            assert_genuine(pb, w, w.fates[rng.randrange(2**38)])
+
+    def test_index_decodes_free_measurements_in_product_order(self):
+        # free measurements are 2..5 on the closing-context witness; k = 0b0110
+        fate = is_logically_contextual(unified_ncycle_behavior(6)).witness.fates[6]
+        assert fate.assignment == (0, 0, 1, 1, 0, 1)
+
+    def test_negative_indices_and_slices(self):
+        fates = is_logically_contextual(unified_ncycle_behavior(8)).witness.fates
+        every = tuple(fates)
+        assert len(every) == 2**6
+        assert fates[-1] == every[-1]
+        assert fates[-64] == every[0]
+        assert fates[3:20:4] == every[3:20:4]
+        assert fates[::-1] == every[::-1]
+        for k in (64, -65, 2**70):
+            with pytest.raises(IndexError):
+                fates[k]
+        # witnesses stay values: the same behavior gives an equal witness
+        assert is_logically_contextual(unified_ncycle_behavior(8)).witness.fates == fates
+
+    def test_len_beyond_maxsize(self):
+        fates = is_logically_contextual(unified_ncycle_behavior(70)).witness.fates
+        with pytest.raises(EnumerationLimitError):
+            len(fates)
+        # indexing still works past the count len() can return
+        assert fates[-1].assignment[-1] == 1
 
 
 class TestPropagateChain:
