@@ -42,7 +42,6 @@ from .ewf import (
     build_measure_undo_protocol,
     build_protocol,
     commutation_certificates,
-    measurement_unitary,
     paradox_report,
     record_distribution,
     register_marginal,
@@ -50,8 +49,10 @@ from .ewf import (
 )
 from .oracles import (
     OracleResult,
+    dense_commutation_certificates,
     enumerate_contextuality,
     exhaustive_support_check,
+    measurement_unitary,
     projection_sequential,
 )
 

@@ -15,6 +15,13 @@ global assignments, sharing no code with the transfer-matrix decision in
 ``scenario.is_logically_contextual``. It returns the same verdict, witness
 and fates (materialized as a tuple) on cycle scenarios, and also decides
 scenarios that are not cycles.
+
+``dense_commutation_certificates`` recomputes the commutation certificates
+of ``ewf.commutation_certificates`` from dense Kronecker-built gates on the
+full register space, sharing no code with the system-space path. Its block
+entry is the unnormalized ``||[block, M_n]||_F``, which is ``sqrt(2^n)``
+times the pipeline's; the (d 2^n)^2 matrices it multiplies keep it to
+small n.
 """
 
 from __future__ import annotations
@@ -25,6 +32,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .ewf import (
+    CertificateEntry,
+    CertificateReport,
+    ProtocolError,
+    build_protocol,
+)
+from .linalg import ALG_TOL, kron
 from .quantum import QuantumRealization, behavior_from_realization
 from .scenario import (
     ENUMERATION_GUARD,
@@ -38,6 +52,9 @@ from .scenario import (
     Witness,
     closing_context,
 )
+
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_I2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -150,3 +167,67 @@ def enumerate_contextuality(pb: PossibilisticBehavior) -> ContextualityVerdict:
                 fates.append(AssignmentFate(full, killer))
             return ContextualityVerdict(True, Witness(c, t, tuple(fates)))
     return ContextualityVerdict(False, None)
+
+
+def measurement_unitary(r: QuantumRealization, i: int, n: int) -> np.ndarray:
+    """Full-space record gate for friend i among n record qubits."""
+    if not 1 <= i <= n:
+        raise ProtocolError(f"friend index {i} outside 1..{n}")
+    p1 = r.projector(i)
+    p0 = np.eye(r.dim) - p1
+    flip = np.eye(1, dtype=complex)
+    keep = np.eye(1, dtype=complex)
+    for k in range(1, n + 1):
+        flip = kron(flip, _X if k == i else _I2)
+        keep = kron(keep, _I2)
+    return kron(p1, flip) + kron(p0, keep)
+
+
+def _pair_gates(r: QuantumRealization, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gates for measurements i and j embedded on system (x) A_i (x) A_j."""
+    d = r.dim
+    pi, pj = r.projector(i), r.projector(j)
+    ui = kron(kron(pi, _X), _I2) + kron(kron(np.eye(d) - pi, _I2), _I2)
+    uj = kron(kron(pj, _I2), _X) + kron(kron(np.eye(d) - pj, _I2), _I2)
+    return ui, uj
+
+
+def _comm_norm(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.linalg.norm(a @ b - b @ a))
+
+
+def dense_commutation_certificates(r: QuantumRealization, n: int) -> CertificateReport:
+    """The certificates of ``ewf.commutation_certificates`` from dense gates.
+
+    Same entries, labels and flags. Pair entries are commutator norms of
+    Kronecker-built gates on system (x) A_i (x) A_j; the block entry
+    multiplies the full-space gates of the intervening block and reports
+    ||[block, M_n]||_F unnormalized. Memory grows as (d 2^n)^2.
+    """
+    entries: list[CertificateEntry] = []
+    contexts = [(i, i + 1) for i in range(1, n)] + [(1, n)]
+    for i, j in contexts:
+        ui, uj = _pair_gates(r, i, j)
+        entries.append(CertificateEntry(
+            f"M{i} vs M{j}", (f"M{i}", f"M{j}"), _comm_norm(ui, uj), True))
+    for k in range(1, n - 1):
+        uk, uk1 = _pair_gates(r, k, k + 1)
+        entries.append(CertificateEntry(
+            f"U{k}† vs M{k + 1}", (f"U{k}†", f"M{k + 1}"),
+            _comm_norm(uk.conj().T, uk1), True))
+    gates = {i: measurement_unitary(r, i, n) for i in range(1, n + 1)}
+    block = np.eye(r.dim * 2 ** n, dtype=complex)
+    for st in build_protocol(n).steps[1:-1]:
+        g = gates[st.friend]
+        block = (g.conj().T if st.kind == "undo" else g) @ block
+    entries.append(CertificateEntry(
+        f"block U vs M{n}", ("U", f"M{n}"), _comm_norm(block, gates[n]), True))
+    ctx_set = {tuple(sorted(c)) for c in contexts}
+    for a, b in itertools.combinations(range(1, n + 1), 2):
+        if (a, b) in ctx_set:
+            continue
+        ua, ub = _pair_gates(r, a, b)
+        entries.append(CertificateEntry(
+            f"M{a} vs M{b} (non-context)", (f"M{a}", f"M{b}"),
+            _comm_norm(ua, ub), False))
+    return CertificateReport(n, ALG_TOL, tuple(entries))

@@ -59,9 +59,17 @@ class Scenario:
                 raise ScenarioError(f"context {c} must be stored in ascending order")
             if not set(c) <= mset:
                 raise ScenarioError(f"context {c} is not a subset of the measurement set")
-        for c1 in self.contexts:
-            for c2 in self.contexts:
-                if c1 != c2 and set(c1) <= set(c2):
+        # a superset of c1 contains c1[0], so only those contexts are candidates
+        sets = [set(c) for c in self.contexts]
+        containing: dict[int, list[int]] = {}
+        for k, c in enumerate(self.contexts):
+            for m in c:
+                containing.setdefault(m, []).append(k)
+        everything = range(len(self.contexts))
+        for c1, s1 in zip(self.contexts, sets):
+            for k in (containing[c1[0]] if c1 else everything):
+                c2 = self.contexts[k]
+                if c1 != c2 and s1 <= sets[k]:
                     raise ScenarioError(f"context {c1} is contained in {c2}; contexts must be maximal")
 
     @property

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from cyclectx.ewf import (
     build_measure_undo_protocol,
     build_protocol,
     commutation_certificates,
-    measurement_unitary,
     paradox_report,
     record_distribution,
     register_marginal,
@@ -20,6 +21,7 @@ from cyclectx.ewf import (
 )
 from cyclectx.linalg import commutator_norm, is_unitary
 from cyclectx.ncycle import unified_ncycle_behavior
+from cyclectx.oracles import measurement_unitary
 from cyclectx.quantum import QuantumRealization, born_pair, find_quantum_realization
 from cyclectx.scenario import make_cycle_scenario
 
@@ -312,3 +314,22 @@ class TestParadoxReport:
         assert max(c.value for c in rep.pairwise) <= 1e-10
         assert rep.counterfactual.value >= 1e-3
         assert rep.chain.forced == {i: 0 for i in range(1, 7)}
+
+    def test_reach_beyond_dense_certificates(self):
+        # a single dense gate at n = 13, d = 3 would take about 9.7 GB; the
+        # system-space certificates must stay small and pass on a correct
+        # realization
+        n = 13
+        r = find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n),
+                                     3, seed=1)
+        tracemalloc.start()
+        try:
+            certs = commutation_certificates(r, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert certs.passed
+        assert peak < 32 * 2**20
+        rep = paradox_report(r, n)
+        assert rep.verdict
+        assert rep.certificates.passed

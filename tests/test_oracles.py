@@ -10,13 +10,27 @@ from cyclectx.ncycle import (
     relabel,
     unified_ncycle_behavior,
 )
+from cyclectx.ewf import (
+    build_counterfactual_protocol,
+    build_measure_undo_protocol,
+    build_protocol,
+    commutation_certificates,
+    simulate,
+)
 from cyclectx.oracles import (
     OracleResult,
+    dense_commutation_certificates,
     enumerate_contextuality,
     exhaustive_support_check,
+    measurement_unitary,
     projection_sequential,
 )
-from cyclectx.quantum import QuantumRealization, born_pair
+from cyclectx.quantum import (
+    QuantumRealization,
+    born_pair,
+    find_quantum_realization,
+    kcbs_realization,
+)
 from cyclectx.scenario import (
     PossibilisticBehavior,
     Scenario,
@@ -152,3 +166,71 @@ class TestEnumerateContextuality:
         supports = {(1, 2): frozenset({(0, 0)}), (2, 3): frozenset({(1, 1)})}
         v = enumerate_contextuality(PossibilisticBehavior(s, supports))
         assert v.contextual and v.witness.context == (1, 2)
+
+
+def random_realization(n, dim, seed):
+    rng = np.random.default_rng(seed)
+
+    def unit(shape):
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return v / np.linalg.norm(v)
+
+    return QuantumRealization(dim, unit(dim), {i: unit((dim, 1)) for i in range(1, n + 1)})
+
+
+def kcbs_cycled(n):
+    # friend i measures KCBS vector (i - 1) mod 5 + 1; for n = 6, 7 every
+    # context, the closing one included, is still an orthogonal or equal pair
+    k = kcbs_realization()
+    return QuantumRealization(3, k.state, {i: k.frames[(i - 1) % 5 + 1] for i in range(1, n + 1)})
+
+
+def searched_realization(n, dim):
+    return find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n),
+                                    dim, seed=1)
+
+
+CERTIFICATE_CASES = [
+    ("kcbs", 5, lambda: kcbs_cycled(5)),
+    ("kcbs", 6, lambda: kcbs_cycled(6)),
+    ("kcbs", 7, lambda: kcbs_cycled(7)),
+    ("searched", 6, lambda: searched_realization(6, 4)),
+    ("searched", 7, lambda: searched_realization(7, 3)),
+    ("random", 5, lambda: random_realization(5, 3, 17)),
+    ("random", 6, lambda: random_realization(6, 4, 17)),
+    ("random", 7, lambda: random_realization(7, 3, 17)),
+]
+
+
+class TestDenseCommutationCertificates:
+    @pytest.mark.parametrize("kind, n, make", CERTIFICATE_CASES,
+                             ids=[f"{k}-n{n}" for k, n, _ in CERTIFICATE_CASES])
+    def test_system_space_matches_dense(self, kind, n, make):
+        r = make()
+        fast, dense = commutation_certificates(r, n), dense_commutation_certificates(r, n)
+        assert [e.label for e in fast.entries] == [e.label for e in dense.entries]
+        assert [e.must_commute for e in fast.entries] == \
+            [e.must_commute for e in dense.entries]
+        for f, d in zip(fast.entries, dense.entries):
+            # the block entry is reported per X-string, sqrt(2^n) below the dense norm
+            value = f.norm * np.sqrt(2.0 ** n) if f.label.startswith("block") else f.norm
+            if d.norm <= 1e-12:
+                assert value <= 1e-12 and abs(value - d.norm) <= 1e-12
+            else:
+                assert abs(value - d.norm) <= 1e-12 * d.norm
+        block = dense.entry(f"block U vs M{n}").norm
+        if kind == "random":
+            assert not fast.passed and block > 0.1
+        else:
+            assert fast.passed and dense.passed
+
+    @pytest.mark.parametrize("build", [build_protocol, build_counterfactual_protocol,
+                                       build_measure_undo_protocol])
+    def test_simulate_matches_dense_gate_product(self, kcbs, build):
+        p = build(5)
+        trace = simulate(p, kcbs)
+        state = trace.states[0]
+        for st in p.steps:
+            g = measurement_unitary(kcbs, st.friend, 5)
+            state = (g.conj().T if st.kind == "undo" else g) @ state
+        np.testing.assert_allclose(trace.states[-1], state, rtol=0, atol=1e-12)

@@ -63,6 +63,27 @@ class TestScenario:
         with pytest.raises(ScenarioError):
             Scenario((1, 2, 3), ((1, 2), (1, 2, 3)))
 
+    def test_maximality_enforced_after_superset(self):
+        with pytest.raises(ScenarioError, match=r"context \(2, 3\) is contained in \(1, 2, 3\)"):
+            Scenario((1, 2, 3, 4), ((1, 2, 3), (3, 4), (2, 3)))
+
+    def test_maximality_reports_first_pair_in_scan_order(self):
+        # the first (c1, c2) of the all-pairs scan, c1 outer and c2 inner
+        rng = random.Random(5)
+        labels = (1, 2, 3, 4, 5)
+        for _ in range(300):
+            contexts = tuple(tuple(sorted(rng.sample(labels, rng.randint(1, 4))))
+                             for _ in range(rng.randint(1, 6)))
+            first = next(((c1, c2) for c1 in contexts for c2 in contexts
+                          if c1 != c2 and set(c1) <= set(c2)), None)
+            if first is None:
+                Scenario(labels, contexts)
+                continue
+            with pytest.raises(ScenarioError) as err:
+                Scenario(labels, contexts)
+            assert str(err.value) == (f"context {first[0]} is contained in {first[1]}; "
+                                      "contexts must be maximal")
+
     def test_context_must_be_subset(self):
         with pytest.raises(ScenarioError):
             Scenario((1, 2), ((1, 3),))
