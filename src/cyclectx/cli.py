@@ -16,8 +16,6 @@ import csv
 import io
 import os
 import sys
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import jsonio
@@ -63,44 +61,6 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    probability: float = 1e-10
-    possibility_eps: float = 1e-9
-
-    def __post_init__(self):
-        if min(self.probability, self.possibility_eps) <= 0:
-            raise UsageError("tolerances must be strictly positive")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    n: int = 5
-    dim: int = 0                      # 0 means parity default (3 odd, 4 even)
-    kind: str = "unified"
-    seed: int = 1
-    budget: int = 100000
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    output_path: str | None = None
-    format: str = "text"
-
-    def __post_init__(self):
-        if self.command in ("contextuality", "search") and self.n < 4:
-            raise UsageError("behavior commands need n >= 4")
-        if self.command == "demo5" and self.n != 5:
-            raise UsageError("the demonstration protocol is fixed at n = 5")
-        if self.format not in ("json", "csv", "text"):
-            raise UsageError(f"unknown format {self.format!r}")
-        if self.seed < 0:
-            raise UsageError("seed must be nonnegative")
-
-    def resolved_dim(self) -> int:
-        if self.dim:
-            return self.dim
-        return 3 if self.n % 2 == 1 else 4
-
-
 # --- rendering ---------------------------------------------------------------
 
 
@@ -128,15 +88,15 @@ def _to_csv(doc) -> str:
     return buf.getvalue()
 
 
-def _emit(cfg: RunConfig, doc: dict, text: str) -> None:
-    if cfg.format == "json":
+def _emit(args: argparse.Namespace, doc: dict, text: str) -> None:
+    if args.format == "json":
         payload = jsonio.dumps(doc)
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         payload = _to_csv(doc)
     else:
         payload = text
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -149,10 +109,10 @@ def _frac(x: float) -> str:
 # --- commands ----------------------------------------------------------------
 
 
-def cmd_demo5(cfg: RunConfig) -> int:
-    rep = paradox_report(kcbs_realization(), 5,
-                         tol=cfg.tolerances.probability,
-                         eps=cfg.tolerances.possibility_eps)
+def cmd_demo5(args: argparse.Namespace) -> int:
+    if min(args.tol_prob, args.eps) <= 0:
+        raise UsageError("tolerances must be strictly positive")
+    rep = paradox_report(kcbs_realization(), 5, tol=args.tol_prob, eps=args.eps)
     doc = report_to_doc(rep)
     lines = [f"five-friend record protocol, convention {rep.convention}", ""]
     lines.append("pairwise forbidden entries (read before the undo):")
@@ -170,7 +130,7 @@ def cmd_demo5(cfg: RunConfig) -> int:
         if e.must_commute:
             lines.append(f"  {e.label}: {e.norm:.3e}")
     lines.append(f"verdict: {'contradiction certified' if rep.verdict else 'NOT certified'}")
-    _emit(cfg, doc, "\n".join(lines) + "\n")
+    _emit(args, doc, "\n".join(lines) + "\n")
     return EXIT_PASS if rep.verdict else EXIT_CHECK_FAILURE
 
 
@@ -181,25 +141,24 @@ _GENERATORS = {
 }
 
 
-def cmd_contextuality(cfg: RunConfig) -> int:
-    if cfg.kind not in _GENERATORS:
-        raise UsageError(f"unknown behavior kind {cfg.kind!r}")
-    if cfg.kind == "odd" and cfg.n % 2 == 0:
-        raise UsageError(f"kind 'odd' needs odd n, got {cfg.n}")
-    if cfg.kind == "even" and cfg.n % 2 == 1:
-        raise UsageError(f"kind 'even' needs even n, got {cfg.n}")
-    if cfg.kind == "odd" and cfg.n < 5:
-        raise UsageError("kind 'odd' needs n >= 5")
-    pb = _GENERATORS[cfg.kind](cfg.n)
+def cmd_contextuality(args: argparse.Namespace) -> int:
+    n, kind = args.n, args.kind
+    if n < 4:
+        raise UsageError("behavior commands need n >= 4")
+    if kind == "odd" and n % 2 == 0:
+        raise UsageError(f"kind 'odd' needs odd n, got {n}")
+    if kind == "even" and n % 2 == 1:
+        raise UsageError(f"kind 'even' needs even n, got {n}")
+    pb = _GENERATORS[kind](n)
     verdict = is_logically_contextual(pb)
     doc = {
         "command": "contextuality",
-        "n": cfg.n,
-        "kind": cfg.kind,
+        "n": n,
+        "kind": kind,
         "behavior": possibilistic_to_doc(pb),
         "contextual": verdict.contextual,
     }
-    text = [f"{cfg.kind} {cfg.n}-cycle behavior: "
+    text = [f"{kind} {n}-cycle behavior: "
             f"{'logically contextual' if verdict.contextual else 'not contextual'}"]
     if verdict.witness is not None:
         w = verdict.witness
@@ -210,18 +169,24 @@ def cmd_contextuality(cfg: RunConfig) -> int:
         }
         text.append(f"witness: tuple {w.outcome_tuple} in context {w.context}; "
                     f"all {len(w.fates)} extensions die")
-    _emit(cfg, doc, "\n".join(text) + "\n")
+    _emit(args, doc, "\n".join(text) + "\n")
     return EXIT_PASS if verdict.contextual else EXIT_CHECK_FAILURE
 
 
-def cmd_search_realization(cfg: RunConfig) -> int:
-    n, dim = cfg.n, cfg.resolved_dim()
+def cmd_search_realization(args: argparse.Namespace) -> int:
+    n, dim, seed = args.n, args.dim, args.seed
+    if n < 4:
+        raise UsageError("behavior commands need n >= 4")
+    if dim == 0:
+        dim = 3 if n % 2 == 1 else 4
+    elif dim < 2:
+        raise UsageError(f"--dim must be 0 (parity default) or >= 2, got {dim}")
     s = make_cycle_scenario(n)
     target = unified_ncycle_behavior(n)
-    result = find_quantum_realization(s, target, dim, seed=cfg.seed, budget=cfg.budget)
+    result = find_quantum_realization(s, target, dim, seed=seed, budget=args.budget)
     if isinstance(result, SearchFailure):
         doc = {
-            "command": "search", "n": n, "dim": dim, "seed": cfg.seed,
+            "command": "search", "n": n, "dim": dim, "seed": seed,
             "success": False,
             "best_objective": result.best_objective,
             "forbidden_max": result.forbidden_max,
@@ -231,14 +196,14 @@ def cmd_search_realization(cfg: RunConfig) -> int:
             "attempts": result.attempts,
             "message": result.message,
         }
-        _emit(cfg, doc, f"search failed: {result.message} "
-                        f"(best objective {result.best_objective:.3e})\n")
+        _emit(args, doc, f"search failed: {result.message} "
+                         f"(best objective {result.best_objective:.3e})\n")
         return EXIT_CHECK_FAILURE
-    doc = {"command": "search", "n": n, "dim": dim, "seed": cfg.seed,
+    doc = {"command": "search", "n": n, "dim": dim, "seed": seed,
            "success": True, "realization": realization_to_doc(result)}
     ranks = ",".join(str(result.rank(i)) for i in sorted(result.frames))
-    _emit(cfg, doc, f"found a dim-{dim} realization of the unified {n}-cycle "
-                    f"behavior (projector ranks {ranks})\n")
+    _emit(args, doc, f"found a dim-{dim} realization of the unified {n}-cycle "
+                     f"behavior (projector ranks {ranks})\n")
     return EXIT_PASS
 
 
@@ -384,36 +349,35 @@ def _crit_oracles() -> dict:
     return {"status": "pass" if worst <= 1e-12 else "fail", "max_abs_diff": worst}
 
 
-def cmd_verify_all(cfg: RunConfig) -> int:
-    n_max = cfg.n
+def cmd_verify_all(args: argparse.Namespace) -> int:
+    n_max = args.n_max
     if not 4 <= n_max <= 12:
         raise UsageError(f"n-max must lie in 4..12, got {n_max}")
     criteria = [
-        ("C1", "kcbs-behavior", lambda: _crit_kcbs_behavior()),
-        ("C2", "contextuality-verdicts", lambda: _crit_contextuality(n_max)),
-        ("C3", "relabel-transforms", lambda: _crit_relabel(n_max)),
-        ("C4", "commutation-certificates", lambda: _crit_certificates()),
-        ("C5", "search-and-protocol", lambda: _crit_search_and_protocol(
-            n_max, cfg.seed, cfg.budget)),
-        ("C6", "counterfactual-closing-pair", lambda: _crit_counterfactual()),
-        ("C7", "measure-undo-roundtrip", lambda: _crit_measure_undo()),
-        ("C8", "oracle-equivalence", lambda: _crit_oracles()),
+        ("C1", "kcbs-behavior", _crit_kcbs_behavior, ()),
+        ("C2", "contextuality-verdicts", _crit_contextuality, (n_max,)),
+        ("C3", "relabel-transforms", _crit_relabel, (n_max,)),
+        ("C4", "commutation-certificates", _crit_certificates, ()),
+        ("C5", "search-and-protocol", _crit_search_and_protocol,
+         (n_max, args.seed, args.budget)),
+        ("C6", "counterfactual-closing-pair", _crit_counterfactual, ()),
+        ("C7", "measure-undo-roundtrip", _crit_measure_undo, ()),
+        ("C8", "oracle-equivalence", _crit_oracles, ()),
     ]
     results = []
     lines = []
     failed = []
-    for cid, name, fn in criteria:
-        out = fn()
-        out = {"id": cid, "name": name, **out}
+    for cid, name, fn, params in criteria:
+        out = {"id": cid, "name": name, **fn(*params)}
         results.append(out)
         lines.append(f"{cid} {name}: {out['status'].upper()}")
         if out["status"] == "fail":
             failed.append(cid)
-    doc = {"command": "verify-all", "n_max": n_max, "seed": cfg.seed,
+    doc = {"command": "verify-all", "n_max": n_max, "seed": args.seed,
            "criteria": results, "passed": not failed}
     lines.append("all criteria passed" if not failed else
                  f"FAILED: {', '.join(failed)}")
-    _emit(cfg, doc, "\n".join(lines) + "\n")
+    _emit(args, doc, "\n".join(lines) + "\n")
     if failed:
         print(f"first failing criterion: {failed[0]}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
@@ -432,72 +396,50 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # each subcommand takes only the flags it reads
     def search_flags(p):
-        p.add_argument("--seed", type=int, default=RunConfig.seed)
-        p.add_argument("--budget", type=int, default=RunConfig.budget)
+        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--budget", type=int, default=100000)
 
     def output_flags(p):
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("demo5", help="run the five-friend protocol end to end")
-    p.add_argument("--tol-prob", type=float, default=Tolerances.probability)
-    p.add_argument("--eps", type=float, default=Tolerances.possibility_eps)
+    p.add_argument("--tol-prob", type=float, default=1e-10)
+    p.add_argument("--eps", type=float, default=1e-9)
     output_flags(p)
+    p.set_defaults(run=cmd_demo5)
     p = sub.add_parser("contextuality", help="generate a cycle behavior and test it")
     p.add_argument("--n", type=int, default=5)
-    p.add_argument("--kind", choices=("unified", "odd", "even"), default="unified")
+    p.add_argument("--kind", choices=tuple(_GENERATORS), default="unified")
     output_flags(p)
+    p.set_defaults(run=cmd_contextuality)
     p = sub.add_parser("search", help="search for a quantum realization")
     p.add_argument("--n", type=int, default=5)
-    p.add_argument("--dim", type=int, default=0)
+    p.add_argument("--dim", type=int, default=0)    # 0: 3 for odd n, 4 for even n
     search_flags(p)
     output_flags(p)
+    p.set_defaults(run=cmd_search_realization)
     p = sub.add_parser("verify-all", help="run the whole verification suite")
     p.add_argument("--n-max", type=int, default=10, dest="n_max")
     search_flags(p)
     output_flags(p)
+    p.set_defaults(run=cmd_verify_all)
     return ap
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = getattr(args, "seed", RunConfig.seed)
-    env_seed = os.environ.get("CYCLECTX_SEED")
-    if hasattr(args, "seed") and env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise UsageError(f"CYCLECTX_SEED must be an integer, got {env_seed!r}")
-    n = getattr(args, "n_max", None)
-    if n is None:
-        n = getattr(args, "n", 5)
-    return RunConfig(
-        command=args.command,
-        n=n,
-        dim=getattr(args, "dim", RunConfig.dim),
-        kind=getattr(args, "kind", RunConfig.kind),
-        seed=seed,
-        budget=getattr(args, "budget", RunConfig.budget),
-        tolerances=Tolerances(getattr(args, "tol_prob", Tolerances.probability),
-                              getattr(args, "eps", Tolerances.possibility_eps)),
-        output_path=args.out,
-        format=args.format,
-    )
-
-
-_COMMANDS = {
-    "demo5": cmd_demo5,
-    "contextuality": cmd_contextuality,
-    "search": cmd_search_realization,
-    "verify-all": cmd_verify_all,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return _COMMANDS[args.command](cfg)
+        if hasattr(args, "seed"):
+            env_seed = os.environ.get("CYCLECTX_SEED")
+            if env_seed is not None:
+                try:
+                    args.seed = int(env_seed)
+                except ValueError:
+                    raise UsageError(f"CYCLECTX_SEED must be an integer, got {env_seed!r}")
+            if args.seed < 0:
+                raise UsageError("seed must be nonnegative")
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -94,6 +94,9 @@ class Protocol:
     n: int
     steps: tuple[GateStep, ...]
     kind: str = field(default="custom", compare=False)
+    # friend -> 1-based step position of its measurement / its undo
+    measured: dict[int, int] = field(init=False, compare=False, repr=False)
+    undone: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         measured: dict[int, int] = {}
@@ -113,16 +116,14 @@ class Protocol:
                 undone[st.friend] = pos
         if set(measured) != set(range(1, self.n + 1)):
             raise ProtocolError("every friend must be measured exactly once")
+        object.__setattr__(self, "measured", measured)
+        object.__setattr__(self, "undone", undone)
 
     def measure_position(self, friend: int) -> int:
-        return next(p for p, st in enumerate(self.steps, start=1)
-                    if st.kind == "measure" and st.friend == friend)
+        return self.measured[friend]
 
     def undo_position(self, friend: int) -> int | None:
-        for p, st in enumerate(self.steps, start=1):
-            if st.kind == "undo" and st.friend == friend:
-                return p
-        return None
+        return self.undone.get(friend)
 
 
 def build_protocol(n: int) -> Protocol:

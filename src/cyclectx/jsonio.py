@@ -3,12 +3,15 @@
 The stock ``json`` module renders floats with shortest-roundtrip repr, which
 is stable but does not pin a digit count. Reports here are meant to be
 byte-comparable across runs, so floats are always rendered with 17
-significant digits and dictionaries keep insertion order.
+significant digits and dictionaries keep insertion order. JSON has no
+literal for infinity or NaN, so ``dumps`` writes non-finite floats as
+``null``; ``render_float`` (used for CSV and text) keeps ``inf``/``nan``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any
 
@@ -64,7 +67,7 @@ def _scalar(v: Any) -> str:
     if isinstance(v, bool) or v is None:
         return json.dumps(v)
     if isinstance(v, float):
-        return render_float(v)
+        return render_float(v) if math.isfinite(v) else "null"
     if isinstance(v, int):
         return str(v)
     return json.dumps(v)

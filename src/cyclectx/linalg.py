@@ -77,7 +77,3 @@ def normalized(v) -> np.ndarray:
         raise ValueError("cannot normalize the zero vector")
     return s / n
 
-
-def is_normalized(v, tol: float = ALG_TOL) -> bool:
-    s = as_state(v)
-    return abs(float(np.linalg.norm(s) ** 2) - 1.0) <= tol

@@ -126,11 +126,32 @@ class TestSearch:
         monkeypatch.setenv("CYCLECTX_SEED", "not-a-number")
         assert main(["search", "--n", "4"]) == 2
 
+    @pytest.mark.parametrize("n, dim", [(5, 3), (4, 4)])
+    def test_parity_default_dim(self, tmp_path, n, dim):
+        code, payload = run(tmp_path, ["search", "--n", str(n), "--format", "json"])
+        assert code == 0
+        assert json.loads(payload)["dim"] == dim
+
+    def test_nonfinite_objective_is_null_in_json(self, tmp_path):
+        # with no iterations the search never evaluates a start
+        code, payload = run(tmp_path, ["search", "--n", "5", "--budget", "0",
+                                       "--format", "json"])
+        assert code == 1
+        doc = json.loads(payload)
+        assert doc["success"] is False
+        assert doc["best_objective"] is None
+
 
 class TestVerifyAll:
     def test_nmax_guard(self):
         assert main(["verify-all", "--n-max", "13"]) == 2
         assert main(["verify-all", "--n-max", "3"]) == 2
+
+    def test_env_seed_override(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CYCLECTX_SEED", "3")
+        code, payload = run(tmp_path, ["verify-all", "--n-max", "5", "--format", "json"])
+        assert code == 0
+        assert json.loads(payload)["seed"] == 3
 
     def test_small_run_passes(self, tmp_path):
         code, payload = run(tmp_path, ["verify-all", "--n-max", "5",
@@ -166,6 +187,21 @@ class TestUsage:
 
     def test_negative_tolerance_rejected(self):
         assert main(["demo5", "--tol-prob", "-1"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--n", "3"],
+        ["search", "--seed", "-1"],
+        ["verify-all", "--seed", "-1"],
+        ["demo5", "--eps", "0"],
+        ["search", "--n", "5", "--dim", "1"],
+        ["search", "--n", "5", "--dim", "-3"],
+    ])
+    def test_command_checks_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
         ["demo5", "--tol-alg", "1e-3"],
