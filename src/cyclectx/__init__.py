@@ -35,6 +35,7 @@ from .quantum import (
     verify_compatibility,
 )
 from .ewf import (
+    BranchLimitError,
     ParadoxReport,
     Protocol,
     SimulationTrace,
@@ -50,6 +51,7 @@ from .ewf import (
 from .oracles import (
     OracleResult,
     dense_commutation_certificates,
+    dense_simulate,
     enumerate_contextuality,
     exhaustive_support_check,
     measurement_unitary,

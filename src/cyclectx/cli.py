@@ -2,7 +2,7 @@
 
 Exit codes follow a CI-friendly contract: 0 when every requested check
 passes, 1 when some check fails, 2 on usage errors and on requests too
-large to report (``EnumerationLimitError``). Identical
+large to report (``EnumerationLimitError``, ``BranchLimitError``). Identical
 configurations (including the seed) produce byte-identical reports; no
 timestamps or timings enter any output document. The ``CYCLECTX_SEED``
 environment variable overrides ``--seed`` for the commands that take it
@@ -14,12 +14,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 import numpy as np
 
 from . import jsonio
 from .ewf import (
+    BranchLimitError,
     build_measure_undo_protocol,
     commutation_certificates,
     paradox_report,
@@ -110,8 +112,9 @@ def _frac(x: float) -> str:
 
 
 def cmd_demo5(args: argparse.Namespace) -> int:
-    if min(args.tol_prob, args.eps) <= 0:
-        raise UsageError("tolerances must be strictly positive")
+    for flag, value in (("--tol-prob", args.tol_prob), ("--eps", args.eps)):
+        if not (math.isfinite(value) and value > 0):
+            raise UsageError(f"{flag} must be finite and strictly positive, got {value}")
     rep = paradox_report(kcbs_realization(), 5, tol=args.tol_prob, eps=args.eps)
     doc = report_to_doc(rep)
     lines = [f"five-friend record protocol, convention {rep.convention}", ""]
@@ -129,6 +132,8 @@ def cmd_demo5(args: argparse.Namespace) -> int:
     for e in rep.certificates.entries:
         if e.must_commute:
             lines.append(f"  {e.label}: {e.norm:.3e}")
+    lines.append(f"truncation bounds: probability {rep.probability_bound:.3e}, "
+                 f"block {rep.block_bound:.3e}")
     lines.append(f"verdict: {'contradiction certified' if rep.verdict else 'NOT certified'}")
     _emit(args, doc, "\n".join(lines) + "\n")
     return EXIT_PASS if rep.verdict else EXIT_CHECK_FAILURE
@@ -443,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except EnumerationLimitError as exc:
+    except (EnumerationLimitError, BranchLimitError) as exc:
         print(f"too large: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

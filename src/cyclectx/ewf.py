@@ -22,30 +22,57 @@ is the sanctioned route to that correlation, and
 ``commutation_certificates`` checks the commutation facts that make the
 relocation statistically irrelevant.
 
-Every gate is ``1 + P_i (x) (X_i - 1)``, and all X-strings on the records
-commute with each other. A product of gates, the whole intervening block
-included, is therefore ``sum_f B_f (x) X^f`` over record bit strings f,
-with d x d system blocks B_f, and the X-strings are Frobenius-orthogonal
-with ``||X^f||_F^2 = 2^n``. The certificates use this to stay in the
-system space:
+Branch form. Every state here is ``sum_f v_f (x) |f>`` over record strings
+f, and every product of gates is ``sum_f B_f (x) X^f`` with d x d system
+blocks B_f. Both are held as ``Branches``: a map from f to v_f (one column)
+or to B_f (d columns), with f an arbitrary-precision int whose bit n - i is
+record i, i.e. the record part of the dense index. ``_record_gate`` is the
+one kernel. A gate on friend i sends v_f to ``(1 - P_i) v_f`` at f and
+``P_i v_f`` at ``f ^ e_i``, sums coincident keys, and drops every branch of
+norm <= ``BRANCH_FLOOR``. When the context gates commute almost every term
+cancels: the schedules keep a handful of branches at any n, where the dense
+register holds d 2^n amplitudes. A non-commuting realization makes the
+count grow instead, and more than ``BRANCH_CAP`` branches raise
+``BranchLimitError``; the cap is 2^16, so no input with n <= 16 reaches it.
+
+The truncation is certified. Gates are unitary, so if delta is the sum over
+gates of the norm dropped at that gate, the kept state is within delta of
+the exact one, and so is every projection of it. Every record probability p
+read from the kept branches is therefore within ``2 delta + delta^2`` of the
+exact value (``ParadoxReport.probability_bound``), and more sharply
+``sqrt(p_exact) <= sqrt(p) + delta``. ``paradox_report`` uses the sharp
+form: a forbidden read passes only if ``(sqrt(p) + delta)^2 <= tol``, the
+counterfactual read only if ``max(sqrt(p) - delta, 0)^2 >= eps``. Both are
+never looser than ``p + 2 delta + delta^2 <= tol`` and ``p - 2 delta -
+delta^2 >= eps``, and a simulated zero still passes a 1e-20 threshold.
+
+The certificates stay in the system space, since the X-strings are
+Frobenius-orthogonal with ``||X^f||_F^2 = 2^n``:
 
 * a pair of gates commutes up to ``[P_i, P_j] (x) (X_i - 1)(X_j - 1)``, so
-  its commutator norm on system (x) A_i (x) A_j is ``4 ||[P_i, P_j]||_F``;
-* the block is held as its coefficient tensor ``T[a, f, b] = (B_f)_ab``,
-  built with the same record-gate kernel that ``simulate`` applies to
-  states. Its certificate is ``||[block, M_n]||_F / sqrt(2^n)``, which is
+  its commutator norm on system (x) A_i (x) A_j is ``4 ||[P_i, P_j]||_F``.
+  The O(n^2) non-context pairs are computed in batches of stacked
+  projectors;
+* the block's branches ``B_f`` are built from the identity with the same
+  kernel that ``simulate`` applies to states. Its certificate is
+  ``||[block, M_n]||_F / sqrt(2^n)``, which is
   ``sqrt(2 sum_f ||[B_f, P_n]||_F^2)`` because the block never touches
   record n. Dividing out ``sqrt(2^n)``, the norm of one X-string, keeps the
   value on the scale of the d x d blocks: the unnormalized norm grows with
   the register, and its rounding residue alone crosses ALG_TOL near n = 15
-  on a correct realization.
+  on a correct realization. If Delta is the Frobenius norm dropped from the
+  block (per X-string), the exact certificate is within ``2 sqrt(2) Delta``
+  of the computed one, and that bound is added before the comparison with
+  ALG_TOL.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,12 +185,116 @@ def build_measure_undo_protocol(n: int) -> Protocol:
     return Protocol(n, tuple(steps), kind="measure-undo")
 
 
+BRANCH_FLOOR = 1e-15
+BRANCH_CAP = 2 ** 16
+
+
+class BranchLimitError(RuntimeError):
+    """More record branches than ``BRANCH_CAP``: the gates do not cancel."""
+
+
+class Branches(NamedTuple):
+    """``sum_f v_f (x) |f>``, or a block's ``sum_f B_f (x) X^f``.
+
+    ``keys[j]`` is the record string f, record i on bit n - i. Row j of
+    ``values`` holds the columns of v_f (or B_f) one after another, each of
+    length d. ``norm2`` is the summed squared norm of the rows.
+    """
+    keys: tuple[int, ...]
+    values: np.ndarray
+    norm2: float
+
+    def weights(self) -> list[float]:
+        """Squared norm of each branch."""
+        real = self.values.view(np.float64)
+        return np.add.reduce(real * real, 1).tolist()
+
+
+def _record_gate(b: Branches, op: np.ndarray, bit: int) -> tuple[Branches, float]:
+    """Apply ``1 + op (x) (X - 1)`` on the record at ``bit``.
+
+    Branches f and f ^ bit form a pair (u0, u1), u0 the one with the bit
+    clear and a missing one zero. The gate sends the pair to (u0 - m, u1 + m)
+    with m = op (u0 - u1), which is (1 - op) v_f at f plus op v_f at
+    f ^ bit, coincident keys summed. Branches of norm <= BRANCH_FLOOR are
+    dropped. Returns the new branches and the norm of the dropped part.
+    """
+    d = op.shape[0]
+    pairs: dict[int, int] = {}
+    side, slot = [], []
+    for k in b.keys:
+        side.append(k & bit)
+        slot.append(pairs.setdefault(k & ~bit, len(pairs)))
+    npairs = len(pairs)
+    u = np.zeros((2 * npairs, b.values.shape[1]), dtype=complex)
+    u0, u1 = u[:npairs], u[npairs:]
+    if any(side):
+        u[[npairs + t if s else t for s, t in zip(side, slot)]] = b.values
+        moved = ((u0 - u1).reshape(-1, d) @ op.T).reshape(npairs, -1)
+        u0 -= moved
+        u1 += moved
+    else:       # no branch holds the record yet, so every u1 is zero
+        u1[...] = (b.values.reshape(-1, d) @ op.T).reshape(npairs, -1)
+        np.subtract(b.values, u1, out=u0)
+    real = u.view(np.float64)
+    floor2 = BRANCH_FLOOR ** 2
+    bases = list(pairs)
+    keep, keys, norm2, dropped2 = [], [], 0.0, 0.0
+    for j, w in enumerate(np.add.reduce(real * real, 1).tolist()):
+        if w > floor2:
+            keep.append(j)
+            keys.append(bases[j] if j < npairs else bases[j - npairs] | bit)
+            norm2 += w
+        else:
+            dropped2 += w
+    if len(keep) > BRANCH_CAP:
+        raise BranchLimitError(
+            f"{len(keep)} record branches exceed the cap of {BRANCH_CAP}; "
+            "the gates do not cancel")
+    if len(keep) < len(u):
+        u = u[keep]
+    return Branches(tuple(keys), u, norm2), math.sqrt(dropped2)
+
+
+def _run_gates(b: Branches, r: QuantumRealization, n: int, steps: Sequence[GateStep]):
+    """Yield (step, branches after it, norm dropped by it) for each step."""
+    proj = {}
+    for st in steps:
+        if st.friend not in proj:
+            proj[st.friend] = r.projector(st.friend)
+        op = proj[st.friend]
+        b, dropped = _record_gate(b, op.conj().T if st.kind == "undo" else op,
+                                  1 << (n - st.friend))
+        yield st, b, dropped
+
+
+class _DenseStates(Sequence):
+    """The flat d 2^n state of each stage, built when it is read."""
+
+    def __init__(self, stages: tuple[Branches, ...], n: int, dim: int):
+        self._stages, self._n, self._dim = stages, n, dim
+
+    def __len__(self) -> int:
+        return len(self._stages)
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        b = self._stages[k]
+        dense = np.zeros((self._dim, 2 ** self._n), dtype=complex)
+        dense[:, list(b.keys)] = b.values.T
+        return dense.reshape(-1)
+
+
 @dataclass(frozen=True)
 class SimulationTrace:
     protocol: Protocol
     dim: int
-    states: tuple[np.ndarray, ...]            # one per stage, index 0 = initial
+    stages: tuple[Branches, ...]              # one per stage, index 0 = initial
     stage_index: Mapping[str, int]
+    truncation: float                         # delta: norm dropped over the run
+
+    @property
+    def states(self) -> Sequence[np.ndarray]:
+        return _DenseStates(self.stages, self.protocol.n, self.dim)
 
     def state_at(self, stage: str) -> np.ndarray:
         if stage not in self.stage_index:
@@ -171,43 +302,25 @@ class SimulationTrace:
         return self.states[self.stage_index[stage]]
 
 
-def _apply_record_gate(tensor: np.ndarray, p1: np.ndarray, axis: int,
-                       dagger: bool = False) -> np.ndarray:
-    """Apply the record gate (or its inverse) on (system axis 0, record axis).
-
-    The gate is ``1 + P (x) (X - 1)``: the outcome-1 branch of the system
-    sees its record flipped. Trailing axes ride along, so the same kernel
-    acts on state tensors and on operator coefficient tensors.
-    """
-    op1 = p1.conj().T if dagger else p1
-    return tensor + np.tensordot(op1, np.flip(tensor, axis=axis) - tensor,
-                                 axes=([1], [0]))
-
-
 def simulate(p: Protocol, r: QuantumRealization) -> SimulationTrace:
     """Run the schedule from state (x) |0...0> and keep every stage."""
     missing = [i for i in range(1, p.n + 1) if i not in r.frames]
     if missing:
         raise ProtocolError(f"realization has no measurement for friends {missing}")
-    d = r.dim
-    shape = (d,) + (2,) * p.n
-    tensor = np.zeros(shape, dtype=complex)
-    tensor[(slice(None),) + (0,) * p.n] = r.state
-    states = [tensor.reshape(-1)]
+    state = np.array(r.state, dtype=complex).reshape(1, r.dim)
+    stages = [Branches((0,), state, float(np.vdot(state, state).real))]
     stage_index = {"initial": 0}
-    for pos, st in enumerate(p.steps, start=1):
-        tensor = _apply_record_gate(tensor, r.projector(st.friend), st.friend,
-                                    dagger=(st.kind == "undo"))
-        flat = tensor.reshape(-1)
-        norm2 = float(np.linalg.norm(flat) ** 2)
-        if abs(norm2 - 1.0) > ALG_TOL:
-            raise ProtocolError(f"norm drifted to {norm2} at step {st.label}")
-        states.append(flat)
+    delta = 0.0
+    for pos, (st, b, dropped) in enumerate(_run_gates(stages[0], r, p.n, p.steps), start=1):
+        delta += dropped
+        if abs(b.norm2 - 1.0) > ALG_TOL:
+            raise ProtocolError(f"norm drifted to {b.norm2} at step {st.label}")
+        stages.append(b)
         stage_index[f"after {st.label}"] = pos
     if p.kind == "counterfactual":
         stage_index["before U"] = p.measure_position(p.n)
     stage_index["final"] = len(p.steps)
-    return SimulationTrace(p, d, tuple(states), stage_index)
+    return SimulationTrace(p, r.dim, tuple(stages), stage_index, delta)
 
 
 def register_marginal(t: SimulationTrace, stage: str,
@@ -220,22 +333,20 @@ def register_marginal(t: SimulationTrace, stage: str,
     """
     if stage not in t.stage_index:
         raise UnknownStageError(stage)
-    pos = t.stage_index[stage]
-    p = t.protocol
+    b = t.stages[t.stage_index[stage]]
+    n = t.protocol.n
     for rec in records:
-        if not 1 <= rec <= p.n:
-            raise ProtocolError(f"record {rec} outside 1..{p.n}")
-    tensor = t.states[pos].reshape((t.dim,) + (2,) * p.n)
-    weights = np.abs(tensor) ** 2
-    drop = [0] + [ax for ax in range(1, p.n + 1) if ax not in records]
-    marg = weights.sum(axis=tuple(drop))
-    # marginal axes follow ascending record label; reorder to argument order
+        if not 1 <= rec <= n:
+            raise ProtocolError(f"record {rec} outside 1..{n}")
+    # keys enumerate bits in ascending record label, reordered to argument order
     sorted_recs = sorted(records)
     dist = {}
-    for idx in np.ndindex(marg.shape):
+    for idx in itertools.product((0, 1), repeat=len(sorted_recs)):
         by_label = dict(zip(sorted_recs, idx))
-        key = tuple(by_label[rec] for rec in records)
-        dist[key] = float(marg[idx])
+        dist[tuple(by_label[rec] for rec in records)] = 0.0
+    bits = [1 << (n - rec) for rec in records]
+    for k, w in zip(b.keys, b.weights()):
+        dist[tuple(1 if k & bit else 0 for bit in bits)] += w
     return dist
 
 
@@ -278,6 +389,7 @@ class CertificateEntry:
     pair: tuple[str, str]
     norm: float
     must_commute: bool
+    bound: float = 0.0          # added to norm before the comparison with tol
 
 
 @dataclass(frozen=True)
@@ -288,7 +400,7 @@ class CertificateReport:
 
     @property
     def passed(self) -> bool:
-        return all(e.norm <= self.tol for e in self.entries if e.must_commute)
+        return all(e.norm + e.bound <= self.tol for e in self.entries if e.must_commute)
 
     def entry(self, label: str) -> CertificateEntry:
         for e in self.entries:
@@ -306,21 +418,37 @@ def _gate_pair_norm(pi: np.ndarray, pj: np.ndarray) -> float:
     return 4.0 * float(np.linalg.norm(pi @ pj - pj @ pi))
 
 
-def _block_coefficients(r: QuantumRealization, n: int) -> np.ndarray:
-    """Coefficient tensor T[a, f_1, ..., f_n, b] = (B_f)_ab of the block.
+PAIR_CHUNK = 4096
+
+
+def _gate_pair_norms(proj: np.ndarray, a: Sequence[int], b: Sequence[int]) -> list[float]:
+    """``_gate_pair_norm`` for each pair (a[k], b[k]) of the stacked projectors.
+
+    Commutators are formed PAIR_CHUNK pairs at a time.
+    """
+    out: list[float] = []
+    for lo in range(0, len(a), PAIR_CHUNK):
+        pa, pb = proj[a[lo:lo + PAIR_CHUNK]], proj[b[lo:lo + PAIR_CHUNK]]
+        comm = pa @ pb - pb @ pa
+        out.extend((4.0 * np.linalg.norm(comm, axis=(1, 2))).tolist())
+    return out
+
+
+def _block_coefficients(r: QuantumRealization, n: int) -> tuple[Branches, float]:
+    """The blocks B_f of the intervening block, and the norm dropped from them.
 
     The intervening block of the standard schedule, M2 U1 M3 ... U_{n-2},
-    equals sum_f B_f (x) X^f. Multiplying a gate on the left acts on the
-    first system axis and the record axes exactly as it acts on a state, so
-    ``_apply_record_gate`` builds T from the identity.
+    equals sum_f B_f (x) X^f. Multiplying a gate on the left acts on each
+    column of every B_f exactly as it acts on a state, so ``_record_gate``
+    builds the branches from the identity. The dropped norm is per X-string,
+    sum over gates of sqrt(sum of the dropped ||B_f||_F^2).
     """
     d = r.dim
-    tensor = np.zeros((d,) + (2,) * n + (d,), dtype=complex)
-    tensor[(slice(None),) + (0,) * n + (slice(None),)] = np.eye(d)
-    for st in build_protocol(n).steps[1:-1]:
-        tensor = _apply_record_gate(tensor, r.projector(st.friend), st.friend,
-                                    dagger=(st.kind == "undo"))
-    return tensor
+    b = Branches((0,), np.eye(d, dtype=complex).reshape(1, d * d), float(d))
+    dropped = 0.0
+    for _, b, gate_dropped in _run_gates(b, r, n, build_protocol(n).steps[1:-1]):
+        dropped += gate_dropped
+    return b, dropped
 
 
 def commutation_certificates(r: QuantumRealization, n: int,
@@ -331,7 +459,8 @@ def commutation_certificates(r: QuantumRealization, n: int,
     the closing pair, on the minimal shared registers), each undo against
     the measurement performed just before it, and the full intervening
     block against the final measurement on the complete register space,
-    reported per X-string as ||[block, M_n]||_F / sqrt(2^n). Non-context
+    reported per X-string as ||[block, M_n]||_F / sqrt(2^n) with the
+    truncation bound 2 sqrt(2) Delta as the entry's ``bound``. Non-context
     pairs are reported as expected-noncommuting information. Everything is
     computed from d x d system blocks; see the module docstring.
     """
@@ -347,20 +476,24 @@ def commutation_certificates(r: QuantumRealization, n: int,
             _gate_pair_norm(proj[k].conj().T, proj[k + 1]), True))
     # [M_n, block] = sum_f [P_n, B_f] (x) (X^{f+e_n} - X^f). The block leaves
     # record n alone (f_n = 0), so no two of these X-strings coincide and
-    # ||[M_n, block]||_F^2 = 2^n * 2 sum_f ||[P_n, B_f]||_F^2.
-    coeffs = _block_coefficients(r, n)
-    comm = np.tensordot(proj[n], coeffs, axes=([1], [0]))
-    comm -= np.tensordot(coeffs, proj[n], axes=([n + 1], [0]))
+    # ||[M_n, block]||_F^2 = 2^n * 2 sum_f ||[P_n, B_f]||_F^2. Row j of the
+    # branch values holds the columns of B_f, i.e. the rows of B_f^T.
+    block, dropped = _block_coefficients(r, n)
+    cols = block.values.reshape(-1, r.dim, r.dim)
+    pt = proj[n].T
+    comm = cols @ pt - pt @ cols
     entries.append(CertificateEntry(
         f"block U vs M{n}", ("U", f"M{n}"),
-        float(np.sqrt(2.0) * np.linalg.norm(comm)), True))
+        float(np.sqrt(2.0) * np.linalg.norm(comm)), True,
+        2.0 * math.sqrt(2.0) * dropped))
     ctx_set = {tuple(sorted(c)) for c in contexts}
-    for a, b in itertools.combinations(range(1, n + 1), 2):
-        if (a, b) in ctx_set:
-            continue
+    pairs = [(a, b) for a, b in itertools.combinations(range(1, n + 1), 2)
+             if (a, b) not in ctx_set]
+    stacked = np.stack([proj[i] for i in range(1, n + 1)])
+    norms = _gate_pair_norms(stacked, [a - 1 for a, _ in pairs], [b - 1 for _, b in pairs])
+    for (a, b), norm in zip(pairs, norms):
         entries.append(CertificateEntry(
-            f"M{a} vs M{b} (non-context)", (f"M{a}", f"M{b}"),
-            _gate_pair_norm(proj[a], proj[b]), False))
+            f"M{a} vs M{b} (non-context)", (f"M{a}", f"M{b}"), norm, False))
     return CertificateReport(n, tol, tuple(entries))
 
 
@@ -395,6 +528,17 @@ class ParadoxReport:
     counterfactual: CounterfactualCheck
     certificates: CertificateReport
     verdict: bool
+    truncation: float          # delta, the larger of the two schedules' dropped norms
+
+    @property
+    def probability_bound(self) -> float:
+        """Largest distance of any record read from its exact value."""
+        return 2.0 * self.truncation + self.truncation ** 2
+
+    @property
+    def block_bound(self) -> float:
+        """2 sqrt(2) Delta, added to the block certificate before it is compared."""
+        return self.certificates.entry(f"block U vs M{self.n}").bound
 
 
 def default_paradox_target(n: int) -> PossibilisticBehavior:
@@ -413,8 +557,9 @@ def paradox_report(r: QuantumRealization, n: int, tol: float = PROB_TOL,
     i); every tuple the target forbids there must come out below tol. The
     closing-pair correlation is read from the counterfactual schedule only,
     at the stage before the relocated block, and its required tuple must
-    exceed eps. The implication chain seeded by the required tuple is
-    attached for reference.
+    exceed eps. Both comparisons include the truncation bound (see the
+    module docstring). The implication chain seeded by the required tuple
+    is attached for reference.
     """
     if target is None:
         target = default_paradox_target(n)
@@ -422,10 +567,14 @@ def paradox_report(r: QuantumRealization, n: int, tol: float = PROB_TOL,
         raise ValueError("paradox target must designate a required-possible tuple")
     certs = commutation_certificates(r, n)
     if not certs.passed:
-        bad = [e.label for e in certs.entries if e.must_commute and e.norm > certs.tol]
+        bad = [e.label for e in certs.entries
+               if e.must_commute and e.norm + e.bound > certs.tol]
         raise CertificateError(f"commutation certificates failed: {bad}")
 
     trace = simulate(build_protocol(n), r)
+    cf_trace = simulate(build_counterfactual_protocol(n), r)
+    # sqrt(p_exact) lies within delta of sqrt(p) read from the kept branches
+    delta = max(trace.truncation, cf_trace.truncation)
     pairwise = []
     for i in range(1, n):
         ctx = (i, i + 1)
@@ -433,21 +582,21 @@ def paradox_report(r: QuantumRealization, n: int, tol: float = PROB_TOL,
         dist = record_distribution(trace, stage, [i, i + 1])
         for t in sorted(set(itertools.product((0, 1), repeat=2)) - set(target.supports[ctx])):
             val = dist[t]
-            pairwise.append(PairwiseCheck(ctx, stage, t, val,
-                                          dict(dist.probabilities), val <= tol))
+            pairwise.append(PairwiseCheck(ctx, stage, t, val, dict(dist.probabilities),
+                                          (math.sqrt(val) + delta) ** 2 <= tol))
 
     req_ctx, req_tuple = target.required
     seed_value = req_tuple[req_ctx.index(1)]
     chain = propagate_chain(target, 1, seed_value)
 
-    cf_trace = simulate(build_counterfactual_protocol(n), r)
     cf_dist = record_distribution(cf_trace, "before U", [1, n])
     cf_val = cf_dist[req_tuple]
-    counterfactual = CounterfactualCheck((1, n), req_tuple, cf_val, eps, cf_val >= eps)
+    counterfactual = CounterfactualCheck(
+        (1, n), req_tuple, cf_val, eps, max(math.sqrt(cf_val) - delta, 0.0) ** 2 >= eps)
 
     verdict = all(c.passed for c in pairwise) and counterfactual.passed
     return ParadoxReport(n, "flip-on-outcome-1", tuple(pairwise), chain,
-                         counterfactual, certs, verdict)
+                         counterfactual, certs, verdict, delta)
 
 
 def report_to_doc(rep: ParadoxReport) -> dict:
@@ -476,5 +625,10 @@ def report_to_doc(rep: ParadoxReport) -> dict:
             {"pair": e.label, "norm": e.norm, "must_commute": e.must_commute}
             for e in rep.certificates.entries
         ],
+        "truncation": {
+            "state_norm": rep.truncation,
+            "probability_bound": rep.probability_bound,
+            "block_bound": rep.block_bound,
+        },
         "verdict": rep.verdict,
     }

@@ -16,6 +16,10 @@ global assignments, sharing no code with the transfer-matrix decision in
 and fates (materialized as a tuple) on cycle scenarios, and also decides
 scenarios that are not cycles.
 
+``dense_simulate`` runs a schedule on the full d 2^n state tensor with a
+dense record-gate kernel and keeps every stage, sharing no code with the
+branch kernel of ``ewf.simulate``; its memory grows as d 2^n per stage.
+
 ``dense_commutation_certificates`` recomputes the commutation certificates
 of ``ewf.commutation_certificates`` from dense Kronecker-built gates on the
 full register space, sharing no code with the system-space path. Its block
@@ -35,6 +39,7 @@ import numpy as np
 from .ewf import (
     CertificateEntry,
     CertificateReport,
+    Protocol,
     ProtocolError,
     build_protocol,
 )
@@ -167,6 +172,53 @@ def enumerate_contextuality(pb: PossibilisticBehavior) -> ContextualityVerdict:
                 fates.append(AssignmentFate(full, killer))
             return ContextualityVerdict(True, Witness(c, t, tuple(fates)))
     return ContextualityVerdict(False, None)
+
+
+@dataclass(frozen=True)
+class DenseTrace:
+    protocol: Protocol
+    dim: int
+    states: tuple[np.ndarray, ...]            # one per stage, index 0 = initial
+    stage_index: Mapping[str, int]
+
+
+def _apply_record_gate(tensor: np.ndarray, p1: np.ndarray, axis: int,
+                       dagger: bool = False) -> np.ndarray:
+    """Apply the record gate (or its inverse) on (system axis 0, record axis).
+
+    The gate is ``1 + P (x) (X - 1)``: the outcome-1 branch of the system
+    sees its record flipped. Trailing axes ride along, so the same kernel
+    acts on state tensors and on operator coefficient tensors.
+    """
+    op1 = p1.conj().T if dagger else p1
+    return tensor + np.tensordot(op1, np.flip(tensor, axis=axis) - tensor,
+                                 axes=([1], [0]))
+
+
+def dense_simulate(p: Protocol, r: QuantumRealization) -> DenseTrace:
+    """Run the schedule from state (x) |0...0> and keep every stage."""
+    missing = [i for i in range(1, p.n + 1) if i not in r.frames]
+    if missing:
+        raise ProtocolError(f"realization has no measurement for friends {missing}")
+    d = r.dim
+    shape = (d,) + (2,) * p.n
+    tensor = np.zeros(shape, dtype=complex)
+    tensor[(slice(None),) + (0,) * p.n] = r.state
+    states = [tensor.reshape(-1)]
+    stage_index = {"initial": 0}
+    for pos, st in enumerate(p.steps, start=1):
+        tensor = _apply_record_gate(tensor, r.projector(st.friend), st.friend,
+                                    dagger=(st.kind == "undo"))
+        flat = tensor.reshape(-1)
+        norm2 = float(np.linalg.norm(flat) ** 2)
+        if abs(norm2 - 1.0) > ALG_TOL:
+            raise ProtocolError(f"norm drifted to {norm2} at step {st.label}")
+        states.append(flat)
+        stage_index[f"after {st.label}"] = pos
+    if p.kind == "counterfactual":
+        stage_index["before U"] = p.measure_position(p.n)
+    stage_index["final"] = len(p.steps)
+    return DenseTrace(p, d, tuple(states), stage_index)
 
 
 def measurement_unitary(r: QuantumRealization, i: int, n: int) -> np.ndarray:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from cyclectx import cli
 from cyclectx.cli import main
+from cyclectx.ewf import BranchLimitError
 
 
 def run(tmp_path, argv, name="out.json"):
@@ -201,6 +203,27 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage error: ")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ["--tol-prob", "--eps"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_tolerances_rejected(self, flag, value, capsys):
+        assert main(["demo5", f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert flag in captured.err and value in captured.err
+
+    def test_branch_cap_is_too_large(self, monkeypatch, capsys):
+        def outgrown(*args, **kwargs):
+            raise BranchLimitError("131072 record branches exceed the cap of 65536")
+
+        monkeypatch.setattr(cli, "paradox_report", outgrown)
+        assert main(["demo5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("too large: ")
         assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [

@@ -1,9 +1,12 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cyclectx.ewf import (
+    BRANCH_CAP,
+    BranchLimitError,
     CertificateError,
     GateStep,
     Protocol,
@@ -14,6 +17,8 @@ from cyclectx.ewf import (
     build_measure_undo_protocol,
     build_protocol,
     commutation_certificates,
+    _gate_pair_norm,
+    _gate_pair_norms,
     paradox_report,
     record_distribution,
     register_marginal,
@@ -28,6 +33,17 @@ from cyclectx.scenario import make_cycle_scenario
 
 def steps_of(p):
     return [s.label for s in p.steps]
+
+
+def random_rank1(n, dim, seed):
+    """Seeded random state and rank-1 measurements: no two of them commute."""
+    rng = np.random.default_rng(seed)
+
+    def unit(shape):
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return v / np.linalg.norm(v)
+
+    return QuantumRealization(dim, unit(dim), {i: unit((dim, 1)) for i in range(1, n + 1)})
 
 
 class TestMeasurementUnitary:
@@ -126,6 +142,20 @@ class TestSimulate:
         t = simulate(build_protocol(5), kcbs)
         d = record_distribution(t, "after M1", [1])
         assert abs(d[(1,)] - 1 / 9) < 1e-12 and abs(d[(0,)] - 8 / 9) < 1e-12
+
+    def test_branch_cap_reached_not_passed_at_16(self):
+        # measuring 16 fresh records on a non-commuting realization doubles
+        # the branches every step: 2^16 is the most any n <= 16 can have
+        r = random_rank1(16, 3, 31)
+        t = simulate(Protocol(16, tuple(GateStep("measure", i) for i in range(1, 17))), r)
+        assert len(t.stages[-1].keys) == 2 ** 16 == BRANCH_CAP
+
+    def test_noncommuting_growth_raises(self):
+        r = random_rank1(20, 3, 31)
+        with pytest.raises(BranchLimitError):
+            simulate(build_protocol(20), r)
+        with pytest.raises(BranchLimitError):
+            commutation_certificates(r, 20)
 
     def test_missing_frame_rejected(self, kcbs):
         frames = {i: kcbs.frames[i] for i in range(1, 5)}
@@ -242,6 +272,15 @@ class TestCertificates:
         assert not e.must_commute
         assert e.norm > 0.1
 
+    def test_batched_pair_norms_match_pair_formula(self):
+        # n = 200 gives 19900 pairs, more than one batch
+        r = random_rank1(200, 3, 8)
+        proj = np.stack([r.projector(i) for i in range(1, 201)])
+        pairs = list(itertools.combinations(range(200), 2))
+        batched = _gate_pair_norms(proj, [a for a, _ in pairs], [b for _, b in pairs])
+        for (a, b), norm in zip(pairs, batched):
+            assert abs(norm - _gate_pair_norm(proj[a], proj[b])) <= 1e-15
+
     def test_block_telescopes(self, kcbs):
         # the intervening block collapses to U_{n-1} U_1^dag
         gates = {i: measurement_unitary(kcbs, i, 5) for i in range(1, 6)}
@@ -333,3 +372,21 @@ class TestParadoxReport:
         rep = paradox_report(r, n)
         assert rep.verdict
         assert rep.certificates.passed
+
+    def test_reach_with_branch_kernel(self):
+        # a dense state at n = 41, d = 3 would hold 3 * 2^41 amplitudes; the
+        # branch kernel keeps a handful and certifies its truncation
+        n = 41
+        r = find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n),
+                                     3, seed=1)
+        tracemalloc.start()
+        try:
+            rep = paradox_report(r, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict
+        assert rep.certificates.passed
+        assert peak < 16 * 2**20
+        assert rep.probability_bound <= 1e-12
+        assert rep.block_bound <= 1e-12

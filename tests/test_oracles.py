@@ -20,6 +20,7 @@ from cyclectx.ewf import (
 from cyclectx.oracles import (
     OracleResult,
     dense_commutation_certificates,
+    dense_simulate,
     enumerate_contextuality,
     exhaustive_support_check,
     measurement_unitary,
@@ -234,3 +235,38 @@ class TestDenseCommutationCertificates:
             g = measurement_unitary(kcbs, st.friend, 5)
             state = (g.conj().T if st.kind == "undo" else g) @ state
         np.testing.assert_allclose(trace.states[-1], state, rtol=0, atol=1e-12)
+
+
+SCHEDULES = (build_protocol, build_counterfactual_protocol, build_measure_undo_protocol)
+SIMULATION_CASES = (
+    [("kcbs", 5, 3)]
+    + [("searched", n, dim) for n in range(5, 13) for dim in (3, 4) if (n, dim) != (12, 3)]
+    + [("random", n, 3) for n in range(5, 13)]
+)
+
+
+class TestDenseSimulate:
+    # the d = 3 search fails at n = 12; every other searched case is a
+    # commuting realization, and the random ones are not
+    @pytest.mark.parametrize("kind, n, dim", SIMULATION_CASES,
+                             ids=[f"{k}-n{n}-d{d}" for k, n, d in SIMULATION_CASES])
+    def test_branches_match_dense_states(self, kind, n, dim):
+        if kind == "kcbs":
+            r = kcbs_realization()
+        elif kind == "searched":
+            r = searched_realization(n, dim)
+            assert isinstance(r, QuantumRealization)
+        else:
+            r = random_realization(n, dim, 23)
+        for build in SCHEDULES:
+            p = build(n)
+            fast, dense = simulate(p, r), dense_simulate(p, r)
+            assert fast.stage_index == dense.stage_index
+            assert len(fast.states) == len(dense.states) == len(p.steps) + 1
+            for got, want in zip(fast.states, dense.states):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert fast.truncation <= 1e-12
+        if kind == "random":
+            # nothing cancels: the branches outgrow any commuting schedule's handful
+            widest = max(len(b.keys) for b in simulate(build_protocol(n), r).stages)
+            assert widest >= 2 ** (n - 2)
