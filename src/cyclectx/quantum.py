@@ -24,12 +24,19 @@ and ``_PenaltyProblem.residual`` returns it with its analytic Jacobian. A
 Levenberg-Marquardt loop (Gauss-Newton steps with adaptive damping)
 minimizes ||r||^2 from each start and renormalizes the state after every
 accepted step; each of its iterations counts against the search budget.
-Deterministic structured starting points (a planar construction for odd
-cycles, a two-qubit product ansatz for even cycles), ordered by their
-initial ||r||^2, are tried before random restarts. The residual is never
-the acceptance signal: every candidate is re-verified through
-``behavior_from_realization`` and ``possibilistic_collapse`` against the
-target.
+
+At most one kind of structured start precedes the seeded random restarts.
+A target that is an outcome relabeling of the unified ladder, with n >= 5
+and dim >= 3, gets one exact chain start: adjacent-orthogonal real vectors
+in R^3 (the planar chain for odd n; for even n the chain for n - 1 with
+v_n = v_1), each frame the vector or its orthocomplement according to the
+label's parity and flip. Its ||r||^2 sits at rounding level, so descent
+from it has little or nothing to do. The 4-cycle,
+where dim 4 is the minimum and no chain exists, gets two-qubit product
+starts ordered by their initial ||r||^2; any other target starts with the
+restarts. The residual is never the acceptance signal: every candidate is
+re-verified through ``behavior_from_realization`` and
+``possibilistic_collapse`` against the target.
 """
 
 from __future__ import annotations
@@ -41,12 +48,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .linalg import ALG_TOL, commutator_norm, normalized
+from .ncycle import FlipMask, relabel, unified_ncycle_behavior
 from .scenario import (
     Behavior,
     Context,
     OutcomeTuple,
     PossibilisticBehavior,
     Scenario,
+    make_cycle_scenario,
     possibilistic_collapse,
     supports_within,
 )
@@ -419,34 +428,34 @@ def _odd_plane_vectors(n: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
 
     Vectors 2k and 2k+1 form an orthonormal basis of a plane through the
     state, which pins the alternating joint zeros; vector 1 is normal to its
-    two neighbors. A small deterministic parameter grid picks the variant
-    with the largest overlap between vector 1 and the state.
+    two neighbors. A small deterministic parameter grid, evaluated as one
+    array computation, picks the variant with the largest overlap between
+    vector 1 and the state.
     """
     assert n % 2 == 1 and n >= 5
     half = (n - 1) // 2
     psi = np.array([0.0, 0.0, 1.0])
-    best = None
-    for theta0 in np.linspace(0.3, 1.2, 10):
-        for delta in np.linspace(1.0, 2.8, 10):
-            vs: dict[int, np.ndarray] = {}
-            th = theta0
-            for k in range(half):
-                phi = k * delta
-                w = np.array([np.cos(phi), np.sin(phi), 0.0])
-                vs[2 * k + 2] = np.cos(th) * psi + np.sin(th) * w
-                vs[2 * k + 3] = -np.sin(th) * psi + np.cos(th) * w
-                if k + 1 < half:
-                    th = np.arctan2(np.tan(th), np.cos(delta))
-            v1 = np.cross(vs[2], vs[n])
-            norm = np.linalg.norm(v1)
-            if norm < 1e-9:
-                continue
-            vs[1] = v1 / norm
-            margin = abs(vs[1] @ psi) ** 2
-            if best is None or margin > best[0]:
-                best = (margin, dict(vs))
-    assert best is not None
-    return psi, best[1]
+    # one row per grid point (theta0, delta), theta0-major
+    theta0, delta = (g.ravel() for g in np.meshgrid(
+        np.linspace(0.3, 1.2, 10), np.linspace(1.0, 2.8, 10), indexing="ij"))
+    ths = [theta0]
+    for _ in range(half - 1):
+        ths.append(np.arctan2(np.tan(ths[-1]), np.cos(delta)))
+    th = np.stack(ths, axis=1)[..., None]
+    phi = np.arange(half) * delta[:, None]
+    w = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
+    even = np.cos(th) * psi + np.sin(th) * w        # vectors 2k + 2
+    odd = -np.sin(th) * psi + np.cos(th) * w        # vectors 2k + 3
+    v1 = np.cross(even[:, 0], odd[:, -1])
+    norms = np.sqrt(np.sum(v1 * v1, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margins = np.where(norms < 1e-9, -np.inf, (v1[:, 2] / norms) ** 2)
+    best = int(np.argmax(margins))       # the first of equal maxima
+    assert np.isfinite(margins[best])
+    vs = {1: v1[best] / np.linalg.norm(v1[best])}
+    for k in range(half):
+        vs[2 * k + 2], vs[2 * k + 3] = even[best, k], odd[best, k]
+    return psi, vs
 
 
 def _embed(vec: np.ndarray, dim: int) -> np.ndarray:
@@ -463,48 +472,69 @@ def _complement_frame(vec: np.ndarray, dim: int) -> np.ndarray:
     return u[:, : dim - 1]
 
 
-def _candidate_starts(prob: _PenaltyProblem, n: int, dim: int, seed: int):
-    """Deterministic structured candidates, then seeded random restarts.
+def _ladder_flips(target: PossibilisticBehavior) -> tuple[bool, ...] | None:
+    """Per-label outcome flips that carry the unified ladder onto the target.
 
-    Yields (ranks, x0) pairs. Structured candidates of the wrong shape for
-    the target simply start at a high ||r||^2 and lose to better ones.
+    The unified ladder forbids (0, 1) on every context (i, i+1), so a flip of
+    label i shows in the first slot of that context's one forbidden tuple
+    and a flip of i+1 in the second. Returns None unless the target equals
+    ``relabel(unified_ncycle_behavior(n), mask)`` for the flips so read,
+    required tuple included.
     """
-    structured: list[tuple[tuple[int, ...], np.ndarray]] = []
-    if n % 2 == 1 and n >= 5 and dim >= 3:
-        psi, vs = _odd_plane_vectors(n)
-        state = _embed(psi, dim)
-        # rank-1 everywhere: alternating-zero pattern
-        ranks1 = tuple([1] * n)
-        zs1 = [_embed(vs[i], dim).reshape(dim, 1) for i in range(1, n + 1)]
-        structured.append((ranks1, prob.pack(state, zs1)))
-        # outcome labels of odd measurements swapped: complement frames
-        ranks2 = tuple(dim - 1 if i % 2 == 1 else 1 for i in range(1, n + 1))
-        zs2 = [
-            _complement_frame(vs[i], dim) if i % 2 == 1 else _embed(vs[i], dim).reshape(dim, 1)
-            for i in range(1, n + 1)
-        ]
-        structured.append((ranks2, prob.pack(state, zs2)))
-    if n % 2 == 0 and dim >= 4:
-        # two-qubit product ansatz: odd labels act on the first qubit,
-        # even labels on the second, embedded in the first four dimensions
-        rng = np.random.default_rng([abs(seed), 2])
-        e = np.eye(2, dtype=complex)
-        for _ in range(6):
-            zs = []
-            for i in range(1, n + 1):
-                q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                q /= np.linalg.norm(q)
-                cols = ([np.kron(q, e[:, 0]), np.kron(q, e[:, 1])] if i % 2 == 1
-                        else [np.kron(e[:, 0], q), np.kron(e[:, 1], q)])
-                zs.append(np.column_stack([_embed(c, dim) for c in cols]))
-            sr = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            state = _embed(sr / np.linalg.norm(sr), dim)
-            ranks = tuple([2] * n)
-            structured.append((ranks, prob.pack(state, zs)))
+    s = target.scenario
+    n = s.n
+    if s != make_cycle_scenario(n):
+        return None
+    forbidden = []
+    for i in range(1, n):
+        missing = set(s.tuples((i, i + 1))) - target.supports[(i, i + 1)]
+        if len(missing) != 1:
+            return None
+        forbidden.append(missing.pop())
+    flips = tuple(a == 1 for a, _ in forbidden) + (forbidden[-1][1] == 0,)
+    ladder = relabel(unified_ncycle_behavior(n), FlipMask(dict(enumerate(flips, start=1))))
+    if ladder != target or ladder.required != target.required:
+        return None
+    return flips
 
-    # evaluate structured candidates and order by initial ||r||^2
+
+def _chain_start(prob: _PenaltyProblem, n: int, dim: int,
+                 flips: Sequence[bool]) -> tuple[tuple[int, ...], np.ndarray]:
+    """The exact adjacent-orthogonal chain start for a relabeled unified ladder.
+
+    Odd n uses the planar chain; even n uses the chain for n - 1 with
+    v_n = v_1, since the closing pair needs v_n parallel or orthogonal to
+    v_1 and orthogonality kills the required tuple. Frame i is the
+    orthocomplement of v_i when (i odd) XOR flip_i, else v_i itself.
+    """
+    psi, vs = _odd_plane_vectors(n if n % 2 == 1 else n - 1)
+    if n % 2 == 0:
+        vs[n] = vs[1]
+    zs = [_complement_frame(vs[i], dim) if (i % 2 == 1) != flips[i - 1]
+          else _embed(vs[i], dim).reshape(dim, 1) for i in range(1, n + 1)]
+    return tuple(z.shape[1] for z in zs), prob.pack(_embed(psi, dim), zs)
+
+
+def _two_qubit_starts(prob: _PenaltyProblem, dim: int, seed: int):
+    """Random two-qubit product starts for the 4-cycle, best ||r||^2 first.
+
+    Odd labels act on the first qubit and even labels on the second, all
+    embedded in the first four dimensions.
+    """
+    rng = np.random.default_rng([abs(seed), 2])
+    e = np.eye(2, dtype=complex)
     scored = []
-    for ranks, x0 in structured:
+    for _ in range(6):
+        zs = []
+        for i in range(1, prob.n + 1):
+            q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            q /= np.linalg.norm(q)
+            cols = ([np.kron(q, e[:, 0]), np.kron(q, e[:, 1])] if i % 2 == 1
+                    else [np.kron(e[:, 0], q), np.kron(e[:, 1], q)])
+            zs.append(np.column_stack([_embed(c, dim) for c in cols]))
+        sr = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        ranks = tuple([2] * prob.n)
+        x0 = prob.pack(_embed(sr / np.linalg.norm(sr), dim), zs)
         try:
             r, _ = replace(prob, ranks=ranks).residual(x0)
             val = float(r @ r)
@@ -512,8 +542,23 @@ def _candidate_starts(prob: _PenaltyProblem, n: int, dim: int, seed: int):
             val = np.inf
         scored.append((val, ranks, x0))
     scored.sort(key=lambda t: t[0])
-    for _, ranks, x0 in scored:
-        yield ranks, x0
+    return [(ranks, x0) for _, ranks, x0 in scored]
+
+
+def _candidate_starts(prob: _PenaltyProblem, target: PossibilisticBehavior,
+                      dim: int, seed: int):
+    """One structured start when there is one, then seeded random restarts.
+
+    Yields (ranks, x0) pairs. A relabeled unified ladder with n >= 5 in
+    dim >= 3 gets the exact chain start; the 4-cycle in dim >= 4 gets the
+    two-qubit product starts; any other target starts with the restarts.
+    """
+    n = prob.n
+    flips = _ladder_flips(target) if n >= 5 and dim >= 3 else None
+    if flips is not None:
+        yield _chain_start(prob, n, dim, flips)
+    elif n == 4 and dim >= 4:
+        yield from _two_qubit_starts(prob, dim, seed)
 
     # random restarts over a small set of rank patterns
     patterns: list[tuple[int, ...]] = [tuple([1] * n)]
@@ -588,7 +633,7 @@ def find_quantum_realization(
     best = (np.inf, np.inf, np.inf, 0.0)
     used = 0
     attempts = 0
-    for ranks, x0 in _candidate_starts(base, n, dim, seed):
+    for ranks, x0 in _candidate_starts(base, target, dim, seed):
         if used >= budget or attempts >= MAX_RESTARTS:
             break
         attempts += 1

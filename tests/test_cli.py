@@ -109,6 +109,13 @@ class TestSearch:
         assert code == 0
         assert json.loads(payload)["success"] is True
 
+    def test_even_cycle_dim3_from_chain_start(self, tmp_path):
+        code, payload = run(tmp_path, ["search", "--n", "12", "--dim", "3",
+                                       "--budget", "1", "--format", "json"])
+        assert code == 0
+        doc = json.loads(payload)
+        assert doc["success"] is True and doc["dim"] == 3
+
     def test_dim2_failure(self, tmp_path):
         code, payload = run(tmp_path, ["search", "--n", "5", "--dim", "2",
                                        "--seed", "1", "--budget", "1200",

@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
 
+from cyclectx.ewf import paradox_report
 from cyclectx.ncycle import (
+    FlipMask,
     even_ncycle_behavior,
+    even_to_unified_mask,
     odd_ncycle_behavior,
+    odd_to_unified_mask,
+    relabel,
     unified_ncycle_behavior,
 )
 from cyclectx.quantum import (
     _PenaltyProblem,
+    _candidate_starts,
+    _ladder_flips,
     _levenberg_marquardt,
+    _odd_plane_vectors,
     SearchFailure,
     behavior_from_realization,
     find_quantum_realization,
@@ -111,10 +119,16 @@ class TestFind:
         assert out.attempts >= 1
 
     def test_budget_bounds_every_iteration(self):
-        out = find_quantum_realization(make_cycle_scenario(6), unified_ncycle_behavior(6), 4,
+        # the 4-cycle has no exact start, so its descent needs iterations
+        out = find_quantum_realization(make_cycle_scenario(4), unified_ncycle_behavior(4), 4,
                                        seed=1, budget=1)
         assert isinstance(out, SearchFailure)
         assert out.iterations_used <= 1
+
+    def test_exact_start_needs_one_iteration(self):
+        out = find_quantum_realization(make_cycle_scenario(6), unified_ncycle_behavior(6), 4,
+                                       seed=1, budget=1)
+        assert not isinstance(out, SearchFailure)
 
     def test_infeasible_target_rejected_in_preprocessing(self):
         s = make_cycle_scenario(4)
@@ -144,3 +158,64 @@ class TestFind:
         with pytest.raises(RealizationError):
             find_quantum_realization(make_cycle_scenario(4),
                                      unified_ncycle_behavior(5), 3)
+
+
+def ladder_targets(n):
+    """Unified, the parity pattern and two seeded relabelings of unified."""
+    parity = odd_ncycle_behavior(n) if n % 2 == 1 else even_ncycle_behavior(n)
+    targets = [unified_ncycle_behavior(n), parity]
+    for k in range(2):
+        rng = np.random.default_rng([n, k])
+        mask = FlipMask({i: bool(rng.integers(2)) for i in range(1, n + 1)})
+        targets.append(relabel(unified_ncycle_behavior(n), mask))
+    return targets
+
+
+class TestChainStart:
+    @pytest.mark.parametrize("n", range(5, 17))
+    def test_every_relabeled_ladder_in_one_iteration(self, n):
+        s = make_cycle_scenario(n)
+        for target in ladder_targets(n):
+            for dim in (3, 4):
+                r = find_quantum_realization(s, target, dim, seed=1, budget=1)
+                assert not isinstance(r, SearchFailure), (target.kind, dim)
+                pb = possibilistic_collapse(behavior_from_realization(r, s))
+                assert supports_within(pb, target)
+                assert pb.possible(*target.required)
+                assert paradox_report(r, n, target=target).verdict
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_flips_read_from_the_target(self, n):
+        assert _ladder_flips(unified_ncycle_behavior(n)) == (False,) * n
+        if n % 2 == 1:
+            parity, mask = odd_ncycle_behavior(n), odd_to_unified_mask(n)
+        else:
+            parity, mask = even_ncycle_behavior(n), even_to_unified_mask(n)
+        assert _ladder_flips(parity) == tuple(mask.flipped(i) for i in range(1, n + 1))
+
+    def test_non_relabeling_target_gets_no_structured_start(self):
+        n, dim = 7, 3
+        unified = unified_ncycle_behavior(n)
+        wrong_required = PossibilisticBehavior(unified.scenario, unified.supports,
+                                               required=((1, n), (1, 0)))
+        closed = dict(unified.supports)
+        closed[(1, n)] = unified.supports[(1, n)] - {(1, 1)}
+        closing_forbids = PossibilisticBehavior(unified.scenario, closed,
+                                                required=unified.required)
+        prob = unified_problem(n, dim, (1,) * n)
+        starts = _candidate_starts(prob, unified, dim, 1)
+        next(starts)
+        first_restart = next(starts)
+        for target in (wrong_required, closing_forbids):
+            assert _ladder_flips(target) is None
+            ranks, x0 = next(_candidate_starts(prob, target, dim, 1))
+            assert ranks == first_restart[0]
+            assert np.array_equal(x0, first_restart[1])
+
+    @pytest.mark.parametrize("n, overlap", [(5, 0.10981425186881437),
+                                            (7, 0.1971376680059133),
+                                            (9, 0.2475840776323348),
+                                            (11, 0.291486729217675)])
+    def test_grid_overlap_matches_loop(self, n, overlap):
+        psi, vs = _odd_plane_vectors(n)
+        assert abs(abs(vs[1] @ psi) ** 2 - overlap) <= 1e-15
