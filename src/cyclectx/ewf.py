@@ -45,6 +45,9 @@ form: a forbidden read passes only if ``(sqrt(p) + delta)^2 <= tol``, the
 counterfactual read only if ``max(sqrt(p) - delta, 0)^2 >= eps``. Both are
 never looser than ``p + 2 delta + delta^2 <= tol`` and ``p - 2 delta -
 delta^2 >= eps``, and a simulated zero still passes a 1e-20 threshold.
+The report reads the counterfactual schedule only at "before U", so it runs
+that schedule only up to there; its delta is the norm dropped up to the
+stage read, which bounds that read and is never larger than the full run's.
 
 The certificates stay in the system space, since the X-strings are
 Frobenius-orthogonal with ``||X^f||_F^2 = 2^n``:
@@ -258,11 +261,8 @@ def _record_gate(b: Branches, op: np.ndarray, bit: int) -> tuple[Branches, float
 
 def _run_gates(b: Branches, r: QuantumRealization, n: int, steps: Sequence[GateStep]):
     """Yield (step, branches after it, norm dropped by it) for each step."""
-    proj = {}
     for st in steps:
-        if st.friend not in proj:
-            proj[st.friend] = r.projector(st.friend)
-        op = proj[st.friend]
+        op = r.projector(st.friend)
         b, dropped = _record_gate(b, op.conj().T if st.kind == "undo" else op,
                                   1 << (n - st.friend))
         yield st, b, dropped
@@ -304,6 +304,15 @@ class SimulationTrace:
 
 def simulate(p: Protocol, r: QuantumRealization) -> SimulationTrace:
     """Run the schedule from state (x) |0...0> and keep every stage."""
+    return _simulate_through(p, r, len(p.steps))
+
+
+def _simulate_through(p: Protocol, r: QuantumRealization, last: int) -> SimulationTrace:
+    """Run the first ``last`` steps of the schedule as ``simulate`` does.
+
+    The trace holds the stages up to that step and its delta counts only
+    those steps; "final" is a stage only when every step ran.
+    """
     missing = [i for i in range(1, p.n + 1) if i not in r.frames]
     if missing:
         raise ProtocolError(f"realization has no measurement for friends {missing}")
@@ -311,15 +320,17 @@ def simulate(p: Protocol, r: QuantumRealization) -> SimulationTrace:
     stages = [Branches((0,), state, float(np.vdot(state, state).real))]
     stage_index = {"initial": 0}
     delta = 0.0
-    for pos, (st, b, dropped) in enumerate(_run_gates(stages[0], r, p.n, p.steps), start=1):
+    for pos, (st, b, dropped) in enumerate(
+            _run_gates(stages[0], r, p.n, p.steps[:last]), start=1):
         delta += dropped
         if abs(b.norm2 - 1.0) > ALG_TOL:
             raise ProtocolError(f"norm drifted to {b.norm2} at step {st.label}")
         stages.append(b)
         stage_index[f"after {st.label}"] = pos
-    if p.kind == "counterfactual":
+    if p.kind == "counterfactual" and p.measure_position(p.n) <= last:
         stage_index["before U"] = p.measure_position(p.n)
-    stage_index["final"] = len(p.steps)
+    if last == len(p.steps):
+        stage_index["final"] = last
     return SimulationTrace(p, r.dim, tuple(stages), stage_index, delta)
 
 
@@ -572,7 +583,9 @@ def paradox_report(r: QuantumRealization, n: int, tol: float = PROB_TOL,
         raise CertificateError(f"commutation certificates failed: {bad}")
 
     trace = simulate(build_protocol(n), r)
-    cf_trace = simulate(build_counterfactual_protocol(n), r)
+    # only "before U" of the counterfactual schedule is read, so it runs that far
+    cf = build_counterfactual_protocol(n)
+    cf_trace = _simulate_through(cf, r, cf.measure_position(n))
     # sqrt(p_exact) lies within delta of sqrt(p) read from the kept branches
     delta = max(trace.truncation, cf_trace.truncation)
     pairwise = []

@@ -20,10 +20,18 @@ vector r(x) holds every constraint:
     the entries of the commutator [P_i, P_j] of each context,
     the hinge max(0, margin - p(s|C)) of each required tuple,
 
-and ``_PenaltyProblem.residual`` returns it with its analytic Jacobian. A
-Levenberg-Marquardt loop (Gauss-Newton steps with adaptive damping)
-minimizes ||r||^2 from each start and renormalizes the state after every
-accepted step; each of its iterations counts against the search budget.
+and ``_PenaltyProblem.residual`` returns it with its analytic Jacobian,
+or without it when asked. A Levenberg-Marquardt loop (Gauss-Newton steps
+with adaptive damping) minimizes ||r||^2 from each start and renormalizes
+the state after every accepted step; each of its iterations counts against
+the search budget. Trial points cost r alone, and the Jacobian is built only
+at an accepted point from which a step is taken. The loop stops once
+||r||^2 <= 1e-30 len(r), every entry at rounding level on average.
+
+A ``QuantumRealization`` validates its state and frames (finite,
+normalized, orthonormal), keeps a read-only copy of the frames and builds
+each outcome projector P_i and 1 - P_i from it once, as read-only arrays,
+for every caller to share.
 
 At most one kind of structured start precedes the seeded random restarts.
 A target that is an outcome relabeling of the unified ladder, with n >= 5
@@ -42,7 +50,8 @@ re-verified through ``behavior_from_realization`` and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -82,6 +91,10 @@ class QuantumRealization:
     dim: int
     state: np.ndarray                      # (dim,) unit vector
     frames: Mapping[int, np.ndarray]       # label -> (dim, k) orthonormal columns
+    # label -> (1 - P_i, P_i), built once from the validated frames; frames
+    # are stored as a read-only copy, so the two cannot drift apart
+    _outcomes: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 2:
@@ -89,15 +102,27 @@ class QuantumRealization:
         s = np.asarray(self.state, dtype=complex)
         if s.shape != (self.dim,):
             raise RealizationError(f"state must have shape ({self.dim},)")
+        if not np.all(np.isfinite(s)):
+            raise RealizationError("state has non-finite entries")
         if abs(np.linalg.norm(s) ** 2 - 1.0) > ALG_TOL:
             raise RealizationError("state is not normalized")
+        frames, outcomes = {}, {}
         for i, f in self.frames.items():
-            f = np.asarray(f, dtype=complex)
+            f = np.array(f, dtype=complex)
             if f.ndim != 2 or f.shape[0] != self.dim or not 1 <= f.shape[1] <= self.dim:
                 raise RealizationError(f"frame {i} has invalid shape {f.shape}")
+            if not np.all(np.isfinite(f)):
+                raise RealizationError(f"frame {i} has non-finite entries")
             gram = f.conj().T @ f
             if np.linalg.norm(gram - np.eye(f.shape[1])) > ALG_TOL:
                 raise RealizationError(f"frame {i} is not orthonormal")
+            p = f @ f.conj().T
+            q = np.eye(self.dim) - p
+            for a in (f, p, q):
+                a.setflags(write=False)
+            frames[i], outcomes[i] = f, (q, p)
+        object.__setattr__(self, "frames", MappingProxyType(frames))
+        object.__setattr__(self, "_outcomes", outcomes)
 
     @property
     def labels(self) -> tuple[int, ...]:
@@ -114,12 +139,12 @@ class QuantumRealization:
         return {i: np.asarray(self.frames[i], dtype=complex)[:, 0] for i in self.frames}
 
     def projector(self, i: int) -> np.ndarray:
-        f = np.asarray(self.frames[i], dtype=complex)
-        return f @ f.conj().T
+        """P_i = F F^dag, read-only."""
+        return self._outcomes[i][1]
 
     def outcome_projector(self, i: int, outcome: int) -> np.ndarray:
-        p = self.projector(i)
-        return p if outcome == 1 else np.eye(self.dim) - p
+        """P_i for outcome 1, 1 - P_i otherwise; read-only."""
+        return self._outcomes[i][1 if outcome == 1 else 0]
 
 
 @dataclass(frozen=True)
@@ -286,16 +311,17 @@ class _PenaltyProblem:
         zs = [take(d * k).reshape(d, k) for k in self.ranks]
         return s, zs
 
-    def residual(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """r(x) and its Jacobian dr/dx.
+    def residual(self, x: np.ndarray,
+                 jacobian: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """r(x) and its Jacobian dr/dx (None when ``jacobian`` is false).
 
         With psi the normalized state, P_i the projector of frame i and Q
         its outcome projector (P for outcome 1, 1 - P for outcome 0), r
         stacks the real and imaginary parts of Q_b Q_a psi for every
         forbidden tuple (a, b) of context (i, j), then those of [P_i, P_j]
         for every context, then max(0, margin - ||Q_b Q_a psi||^2) for every
-        required tuple. Raises ``FloatingPointError`` at a degenerate state
-        or frame.
+        required tuple. r is computed by the same operations either way.
+        Raises ``FloatingPointError`` at a degenerate state or frame.
         """
         d, size = self.dim, len(x)
         eye = np.eye(d)
@@ -306,8 +332,9 @@ class _PenaltyProblem:
         psi = s / ns
         # one row per parameter: the derivative of psi, and of each P_i,
         # along that parameter (dP = A + A^dag, A = (1 - P) dZ (Z^dag Z)^{-1} Z^dag)
-        dpsi = np.concatenate([eye - np.outer(psi.real, psi),
-                               1j * eye - np.outer(psi.imag, psi)]) / ns
+        if jacobian:
+            dpsi = np.concatenate([eye - np.outer(psi.real, psi),
+                                   1j * eye - np.outer(psi.imag, psi)]) / ns
         projs, dprojs, spans = [], [], []
         pos = 2 * d
         for z in zs:
@@ -316,12 +343,13 @@ class _PenaltyProblem:
                 raise FloatingPointError("degenerate frame")
             w = np.linalg.solve(gram, z.conj().T).conj().T
             p = w @ z.conj().T
-            a = np.einsum("xp,yq->pqxy", eye - p, w.conj()).reshape(-1, d, d)
-            a = np.concatenate([a, 1j * a])
             projs.append(p)
-            dprojs.append(a + a.conj().transpose(0, 2, 1))
-            spans.append(slice(pos, pos + len(a)))
-            pos += len(a)
+            if jacobian:
+                a = np.einsum("xp,yq->pqxy", eye - p, w.conj()).reshape(-1, d, d)
+                a = np.concatenate([a, 1j * a])
+                dprojs.append(a + a.conj().transpose(0, 2, 1))
+                spans.append(slice(pos, pos + len(a)))
+                pos += len(a)
 
         def pair(ctx, ab):
             (i, j), (a, b) = ctx, ab
@@ -329,6 +357,8 @@ class _PenaltyProblem:
             qb = projs[j - 1] if b == 1 else eye - projs[j - 1]
             u = qa @ psi
             v = qb @ u
+            if not jacobian:
+                return v, None
             dv = np.zeros((size, d), dtype=complex)
             dv[:2 * d] = dpsi @ (qb @ qa).T
             dv[spans[i - 1]] += (1 if a == 1 else -1) * (dprojs[i - 1] @ psi) @ qb.T
@@ -339,21 +369,24 @@ class _PenaltyProblem:
         for ctx, ab in self.forbidden:
             v, dv = pair(ctx, ab)
             rows += [v.real, v.imag]
-            jac += [dv.real.T, dv.imag.T]
+            if jacobian:
+                jac += [dv.real.T, dv.imag.T]
         for i, j in self.contexts:
             pi, pj = projs[i - 1], projs[j - 1]
             k = pi @ pj - pj @ pi
-            dk = np.zeros((size, d, d), dtype=complex)
-            dk[spans[i - 1]] += dprojs[i - 1] @ pj - pj @ dprojs[i - 1]
-            dk[spans[j - 1]] += pi @ dprojs[j - 1] - dprojs[j - 1] @ pi
             rows += [k.real.ravel(), k.imag.ravel()]
-            jac += [dk.real.reshape(size, -1).T, dk.imag.reshape(size, -1).T]
+            if jacobian:
+                dk = np.zeros((size, d, d), dtype=complex)
+                dk[spans[i - 1]] += dprojs[i - 1] @ pj - pj @ dprojs[i - 1]
+                dk[spans[j - 1]] += pi @ dprojs[j - 1] - dprojs[j - 1] @ pi
+                jac += [dk.real.reshape(size, -1).T, dk.imag.reshape(size, -1).T]
         for ctx, ab in self.required:
             v, dv = pair(ctx, ab)
             hinge = self.margin - float(np.vdot(v, v).real)
             rows.append([max(0.0, hinge)])
-            jac.append((-2.0 * (dv @ v.conj()).real if hinge > 0 else np.zeros(size))[None])
-        return np.concatenate(rows), np.concatenate(jac)
+            if jacobian:
+                jac.append((-2.0 * (dv @ v.conj()).real if hinge > 0 else np.zeros(size))[None])
+        return np.concatenate(rows), np.concatenate(jac) if jacobian else None
 
     def measures(self, r: np.ndarray) -> tuple[float, float, float]:
         """(fmax, cmax, rmin) read from a residual vector.
@@ -378,35 +411,41 @@ def _levenberg_marquardt(prob: _PenaltyProblem, x0: np.ndarray, max_iters: int):
 
     Every trial step, accepted or rejected, is one iteration. Each trial
     point's raw state is renormalized before it is evaluated, so every
-    accepted point carries a unit state. The loop stops once ||r||^2 falls
-    to 1e-30, after ``max_iters`` iterations, or after 30 iterations in a
-    row that do not cut ||r||^2 by a tenth. Returns (point, residual, log
-    of accepted ||r||^2 values, iterations); the log is non-increasing by
-    construction and the residual is None when the start itself is
-    degenerate.
+    accepted point carries a unit state. Trial points cost r alone; the
+    Jacobian is built only at an accepted point from which a step is taken,
+    so a start that is already converged never builds one. The loop stops
+    once ||r||^2 falls to 1e-30 len(r) (every entry at rounding level),
+    after ``max_iters`` iterations, or after 30 iterations in a row that do
+    not cut ||r||^2 by a tenth. Returns (point, residual, log of accepted
+    ||r||^2 values, iterations); the log is non-increasing by construction
+    and the residual is None when the start itself is degenerate.
     """
     d = prob.dim
     x = x0.copy()
     try:
-        r, jac = prob.residual(x)
+        r, _ = prob.residual(x, jacobian=False)
     except FloatingPointError:
         return x, None, [np.inf], 0
     val = float(r @ r)
     log = [val]
+    floor = 1e-30 * len(r)
+    jac = None
     lam, ref, stale, it = 1e-3, val, 0, 0
-    while it < max_iters and val > 1e-30 and stale < 30:
+    while it < max_iters and val > floor and stale < 30:
+        if jac is None:
+            _, jac = prob.residual(x)
         it += 1
         grad = jac.T @ r
         step = np.linalg.solve(jac.T @ jac + lam * np.eye(len(x)), -grad)
         xn = x + step
         xn[:2 * d] /= max(np.linalg.norm(xn[:2 * d]), 1e-300)
         try:
-            rn, jn = prob.residual(xn)
+            rn, _ = prob.residual(xn, jacobian=False)
             vn = float(rn @ rn)
         except FloatingPointError:
             vn = np.inf
         if vn < val:
-            x, r, jac, val = xn, rn, jn, vn
+            x, r, jac, val = xn, rn, None, vn
             log.append(val)
             # the floor keeps the solve regular along the directions that
             # leave r unchanged (state scale, frame gauge Z -> Z M)
@@ -536,7 +575,7 @@ def _two_qubit_starts(prob: _PenaltyProblem, dim: int, seed: int):
         ranks = tuple([2] * prob.n)
         x0 = prob.pack(_embed(sr / np.linalg.norm(sr), dim), zs)
         try:
-            r, _ = replace(prob, ranks=ranks).residual(x0)
+            r, _ = replace(prob, ranks=ranks).residual(x0, jacobian=False)
             val = float(r @ r)
         except FloatingPointError:
             val = np.inf

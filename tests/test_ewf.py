@@ -1,5 +1,7 @@
 import itertools
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from cyclectx.ewf import (
     commutation_certificates,
     _gate_pair_norm,
     _gate_pair_norms,
+    _simulate_through,
     paradox_report,
     record_distribution,
     register_marginal,
@@ -27,8 +30,25 @@ from cyclectx.ewf import (
 from cyclectx.linalg import commutator_norm, is_unitary
 from cyclectx.ncycle import unified_ncycle_behavior
 from cyclectx.oracles import measurement_unitary
-from cyclectx.quantum import QuantumRealization, born_pair, find_quantum_realization
+from cyclectx.quantum import (
+    QuantumRealization,
+    born_pair,
+    find_quantum_realization,
+    kcbs_realization,
+    realization_from_doc,
+)
 from cyclectx.scenario import make_cycle_scenario
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "realizations.json"
+
+
+def fixture_cases():
+    """(realization, n, target) for the frozen unified-ladder fixtures, n = 5..15, and KCBS."""
+    doc = json.loads(FIXTURES.read_text(encoding="utf-8"))["realizations"]
+    cases = [(realization_from_doc(doc[str(n)]), n, unified_ncycle_behavior(n))
+             for n in range(5, 16)]
+    return cases + [(kcbs_realization(), 5, None)]
 
 
 def steps_of(p):
@@ -156,6 +176,19 @@ class TestSimulate:
             simulate(build_protocol(20), r)
         with pytest.raises(BranchLimitError):
             commutation_certificates(r, 20)
+
+    def test_partial_run_keeps_the_leading_stages(self, kcbs):
+        p = build_counterfactual_protocol(5)
+        full = simulate(p, kcbs)
+        part = _simulate_through(p, kcbs, p.measure_position(5))
+        assert set(part.stage_index) == {"initial", "after M1", "after M5", "before U"}
+        assert len(part.stages) == 3
+        for k, b in enumerate(part.stages):
+            assert b.keys == full.stages[k].keys
+            assert np.array_equal(b.values, full.stages[k].values)
+        assert part.truncation <= full.truncation
+        with pytest.raises(UnknownStageError):
+            record_distribution(part, "final", [5])
 
     def test_missing_frame_rejected(self, kcbs):
         frames = {i: kcbs.frames[i] for i in range(1, 5)}
@@ -299,6 +332,17 @@ class TestParadoxReport:
         assert rep.counterfactual.outcome_tuple == (1, 0)
         assert all(c.passed for c in rep.pairwise)
         assert rep.convention == "flip-on-outcome-1"
+
+    @pytest.mark.parametrize("case", fixture_cases(), ids=lambda c: f"n{c[1]}")
+    def test_counterfactual_read_matches_full_run(self, case):
+        r, n, target = case
+        rep = paradox_report(r, n, target=target)
+        assert rep.verdict
+        full = simulate(build_counterfactual_protocol(n), r)
+        read = record_distribution(full, "before U", [1, n])
+        assert rep.counterfactual.value == read[rep.counterfactual.outcome_tuple]
+        std = simulate(build_protocol(n), r)
+        assert rep.truncation <= max(std.truncation, full.truncation)
 
     def test_chain(self, kcbs):
         rep = paradox_report(kcbs, 5)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -139,12 +141,70 @@ class TestRealizationValidation:
         with pytest.raises(RealizationError):
             QuantumRealization(3, np.array([1.0, 0, 0]), {1: f})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_nonfinite_state_rejected(self, kcbs, bad):
+        state = kcbs.state.copy()
+        state[0] = bad
+        with pytest.raises(RealizationError, match="non-finite"):
+            QuantumRealization(3, state, dict(kcbs.frames))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0)])
+    def test_nonfinite_frame_rejected(self, kcbs, bad):
+        frames = dict(kcbs.frames)
+        frames[2] = np.array(frames[2], dtype=complex)
+        frames[2][1, 0] = bad
+        with pytest.raises(RealizationError, match="frame 2 has non-finite"):
+            QuantumRealization(3, kcbs.state, frames)
+
+    @pytest.mark.parametrize("where", ["state", "vectors"])
+    def test_nan_in_json_doc_rejected(self, kcbs, where):
+        doc = realization_to_doc(kcbs)
+        if where == "state":
+            doc["state"][1][0] = float("nan")
+        else:
+            doc["vectors"]["3"][2][1] = float("nan")
+        text = json.dumps(doc)
+        assert "NaN" in text
+        with pytest.raises(RealizationError, match="non-finite"):
+            realization_from_doc(json.loads(text))
+
     def test_vectors_view_requires_rank_one(self, kcbs):
         frames = dict(kcbs.frames)
         frames[1] = np.eye(3, dtype=complex)[:, :2]
         r = QuantumRealization(3, kcbs.state, frames)
         with pytest.raises(RealizationError):
             _ = r.vectors
+
+
+class TestProjectors:
+    def test_built_once_and_read_only(self, kcbs):
+        frames = dict(kcbs.frames)
+        frames[1] = np.eye(3, dtype=complex)[:, :2]
+        r = QuantumRealization(3, kcbs.state, frames)
+        for i in r.labels:
+            f = np.asarray(r.frames[i], dtype=complex)
+            p = r.projector(i)
+            assert np.array_equal(p, f @ f.conj().T)
+            assert r.projector(i) is p and r.outcome_projector(i, 1) is p
+            assert np.array_equal(r.outcome_projector(i, 0), np.eye(3) - p)
+            for q in (p, r.outcome_projector(i, 0)):
+                with pytest.raises(ValueError):
+                    q[0, 0] = 0.5
+
+    def test_frames_are_a_read_only_copy(self):
+        f = np.eye(3, dtype=complex)[:, :1]
+        r = QuantumRealization(3, np.array([0, 1.0, 0]), {1: f})
+        f[:, 0] = [0, 1, 0]
+        assert np.array_equal(r.frames[1], np.eye(3)[:, :1])
+        with pytest.raises(ValueError):
+            r.frames[1][0, 0] = 0.5
+        with pytest.raises(TypeError):
+            r.frames[1] = f
+        assert np.array_equal(r.projector(1), r.frames[1] @ r.frames[1].conj().T)
+
+    def test_missing_label_is_key_error(self, kcbs):
+        with pytest.raises(KeyError):
+            kcbs.projector(6)
 
 
 class TestSerialization:

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cyclectx import quantum
 from cyclectx.ewf import paradox_report
 from cyclectx.ncycle import (
     FlipMask,
@@ -30,12 +33,39 @@ from cyclectx.scenario import (
 )
 
 
-def unified_problem(n, dim, ranks):
+def unified_problem(n, dim, ranks, margin=0.5):
     # a wide margin keeps the required-tuple hinge active at random points
     forb = tuple(((i, i + 1), (0, 1)) for i in range(1, n))
     req = (((1, n), (0, 1)),)
     ctxs = tuple((i, i + 1) for i in range(1, n)) + ((1, n),)
-    return _PenaltyProblem(n, dim, ranks, forb, req, ctxs, margin=0.5)
+    return _PenaltyProblem(n, dim, ranks, forb, req, ctxs, margin=margin)
+
+
+class CountingProblem:
+    """Wraps a problem and counts the residual evaluations that build a Jacobian."""
+
+    def __init__(self, prob):
+        self.prob, self.dim, self.jacobians = prob, prob.dim, 0
+
+    def residual(self, x, jacobian=True):
+        self.jacobians += jacobian
+        return self.prob.residual(x, jacobian)
+
+
+@pytest.fixture
+def lm_calls(monkeypatch):
+    """Per ``_levenberg_marquardt`` call of a search: (Jacobians built, log, iterations)."""
+    calls = []
+    lm = quantum._levenberg_marquardt
+
+    def counted(prob, x0, max_iters):
+        wrapped = CountingProblem(prob)
+        x, r, log, it = lm(wrapped, x0, max_iters)
+        calls.append((wrapped.jacobians, log, it))
+        return x, r, log, it
+
+    monkeypatch.setattr(quantum, "_levenberg_marquardt", counted)
+    return calls
 
 
 class TestGradient:
@@ -63,6 +93,46 @@ class TestDescent:
         _, r, log, _ = _levenberg_marquardt(prob, x0, 300)
         assert len(log) > 1 and log[-1] == float(r @ r)
         assert all(log[k + 1] <= log[k] for k in range(len(log) - 1))
+
+    @pytest.mark.parametrize("dim,ranks", [(3, (1, 1, 1, 1, 1)), (4, (2, 1, 2, 1, 3))])
+    def test_residual_without_jacobian_is_bit_identical(self, dim, ranks):
+        prob = unified_problem(5, dim, ranks)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            x = rng.standard_normal(prob.num_params())
+            r, jac = prob.residual(x)
+            r_only, none = prob.residual(x, jacobian=False)
+            assert jac is not None and none is None
+            assert np.array_equal(r, r_only)
+
+    def test_exact_start_builds_no_jacobian(self, lm_calls):
+        r = find_quantum_realization(make_cycle_scenario(6), unified_ncycle_behavior(6), 4,
+                                     seed=1)
+        assert not isinstance(r, SearchFailure)
+        assert [(jacobians, it) for jacobians, _, it in lm_calls] == [(0, 0)]
+
+    def test_jacobian_only_where_a_step_is_taken(self, lm_calls):
+        r = find_quantum_realization(make_cycle_scenario(4), unified_ncycle_behavior(4), 4,
+                                     seed=1)
+        assert not isinstance(r, SearchFailure)
+        assert sum(it for _, _, it in lm_calls) > 0
+        for jacobians, log, it in lm_calls:
+            assert jacobians <= min(len(log), it)
+
+    def test_floor_scales_with_residual_length(self):
+        # at n = 100 the exact chain start sits at rounding level, above
+        # 1e-30 in total but far below 1e-30 per residual entry
+        n, dim = 100, 3
+        target = unified_ncycle_behavior(n)
+        base = unified_problem(n, dim, (1,) * n, margin=quantum.REQUIRED_MARGIN)
+        ranks, x0 = next(_candidate_starts(base, target, dim, 1))
+        prob = CountingProblem(replace(base, ranks=ranks))
+        _, r, log, it = _levenberg_marquardt(prob, x0, 100)
+        assert 1e-30 < log[0] <= 1e-30 * len(r)
+        assert (it, prob.jacobians) == (0, 0)
+        found = find_quantum_realization(make_cycle_scenario(n), target, dim, seed=1)
+        assert not isinstance(found, SearchFailure)
+        assert paradox_report(found, n, target=target).verdict
 
     def test_iteration_budget_respected(self):
         prob = unified_problem(5, 3, (1, 1, 1, 1, 1))
