@@ -1,7 +1,7 @@
 """Cycle contextuality behaviors, quantum realizations, and a unitary
 friend/superobserver record protocol, with brute-force cross checks."""
 
-from .linalg import ALG_TOL, PROB_TOL, commutator_norm, is_unitary, kron
+from .linalg import ALG_TOL, PROB_TOL, commutator_norm
 from .scenario import (
     Behavior,
     ChainResult,
@@ -9,7 +9,6 @@ from .scenario import (
     PossibilisticBehavior,
     Scenario,
     check_no_disturbance,
-    enumerate_global_assignments,
     is_logically_contextual,
     make_cycle_scenario,
     possibilistic_collapse,
@@ -32,7 +31,6 @@ from .quantum import (
     born_pair,
     find_quantum_realization,
     kcbs_realization,
-    verify_compatibility,
 )
 from .ewf import (
     BranchLimitError,

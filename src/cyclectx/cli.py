@@ -435,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if hasattr(args, "seed"):
+        if hasattr(args, "seed"):       # --seed and --budget come together
             env_seed = os.environ.get("CYCLECTX_SEED")
             if env_seed is not None:
                 try:
@@ -444,6 +444,8 @@ def main(argv: list[str] | None = None) -> int:
                     raise UsageError(f"CYCLECTX_SEED must be an integer, got {env_seed!r}")
             if args.seed < 0:
                 raise UsageError("seed must be nonnegative")
+            if args.budget < 0:
+                raise UsageError(f"--budget must be nonnegative, got {args.budget}")
         return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -53,9 +53,11 @@ The certificates stay in the system space, since the X-strings are
 Frobenius-orthogonal with ``||X^f||_F^2 = 2^n``:
 
 * a pair of gates commutes up to ``[P_i, P_j] (x) (X_i - 1)(X_j - 1)``, so
-  its commutator norm on system (x) A_i (x) A_j is ``4 ||[P_i, P_j]||_F``.
-  The O(n^2) non-context pairs are computed in batches of stacked
-  projectors;
+  its commutator norm on system (x) A_i (x) A_j is ``4 ||[P_i, P_j]||_F``
+  (``P_k^dag`` in place of ``P_k`` for an undo). Every pair entry, the n
+  context pairs, the n - 2 undo pairs and the O(n^2) non-context pairs, is
+  computed in one batched call over the stacked projectors and their
+  conjugate transposes;
 * the block's branches ``B_f`` are built from the identity with the same
   kernel that ``simulate`` applies to states. Its certificate is
   ``||[block, M_n]||_F / sqrt(2^n)``, which is
@@ -86,6 +88,7 @@ from .scenario import (
     POSSIBILITY_EPS,
     ChainResult,
     PossibilisticBehavior,
+    make_cycle_scenario,
     propagate_chain,
 )
 
@@ -296,11 +299,6 @@ class SimulationTrace:
     def states(self) -> Sequence[np.ndarray]:
         return _DenseStates(self.stages, self.protocol.n, self.dim)
 
-    def state_at(self, stage: str) -> np.ndarray:
-        if stage not in self.stage_index:
-            raise UnknownStageError(stage)
-        return self.states[self.stage_index[stage]]
-
 
 def simulate(p: Protocol, r: QuantumRealization) -> SimulationTrace:
     """Run the schedule from state (x) |0...0> and keep every stage."""
@@ -420,26 +418,20 @@ class CertificateReport:
         raise KeyError(label)
 
 
-def _gate_pair_norm(pi: np.ndarray, pj: np.ndarray) -> float:
-    """||[1 + P_i (x) (X_i - 1), 1 + P_j (x) (X_j - 1)]||_F on system (x) A_i (x) A_j.
-
-    The commutator is [P_i, P_j] (x) (X_i - 1) (x) (X_j - 1), and each
-    ||X - 1||_F is 2.
-    """
-    return 4.0 * float(np.linalg.norm(pi @ pj - pj @ pi))
-
-
 PAIR_CHUNK = 4096
 
 
-def _gate_pair_norms(proj: np.ndarray, a: Sequence[int], b: Sequence[int]) -> list[float]:
-    """``_gate_pair_norm`` for each pair (a[k], b[k]) of the stacked projectors.
+def _gate_pair_norms(ops: np.ndarray, a: Sequence[int], b: Sequence[int]) -> list[float]:
+    """Gate commutator norms for each pair (a[k], b[k]) of the stacked operators.
 
+    For gates ``1 + A (x) (X_i - 1)`` and ``1 + B (x) (X_j - 1)`` on
+    system (x) A_i (x) A_j the commutator is [A, B] (x) (X_i - 1) (x)
+    (X_j - 1), and each ||X - 1||_F is 2, so the norm is 4 ||[A, B]||_F.
     Commutators are formed PAIR_CHUNK pairs at a time.
     """
     out: list[float] = []
     for lo in range(0, len(a), PAIR_CHUNK):
-        pa, pb = proj[a[lo:lo + PAIR_CHUNK]], proj[b[lo:lo + PAIR_CHUNK]]
+        pa, pb = ops[a[lo:lo + PAIR_CHUNK]], ops[b[lo:lo + PAIR_CHUNK]]
         comm = pa @ pb - pb @ pa
         out.extend((4.0 * np.linalg.norm(comm, axis=(1, 2))).tolist())
     return out
@@ -462,8 +454,7 @@ def _block_coefficients(r: QuantumRealization, n: int) -> tuple[Branches, float]
     return b, dropped
 
 
-def commutation_certificates(r: QuantumRealization, n: int,
-                             tol: float = ALG_TOL) -> CertificateReport:
+def commutation_certificates(r: QuantumRealization, n: int) -> CertificateReport:
     """Commutator norms backing the schedule's observability claims.
 
     Checked at tolerance: every context pair of gates (adjacent pairs and
@@ -473,39 +464,40 @@ def commutation_certificates(r: QuantumRealization, n: int,
     reported per X-string as ||[block, M_n]||_F / sqrt(2^n) with the
     truncation bound 2 sqrt(2) Delta as the entry's ``bound``. Non-context
     pairs are reported as expected-noncommuting information. Everything is
-    computed from d x d system blocks; see the module docstring.
+    computed from d x d system blocks, every gate pair in one batch; see the
+    module docstring. Certificates pass at ALG_TOL.
     """
-    proj = {i: r.projector(i) for i in range(1, n + 1)}
-    entries: list[CertificateEntry] = []
+    # rows 0..n-1 hold P_1..P_n, rows n..2n-1 their conjugate transposes
+    proj = np.stack([r.projector(i) for i in range(1, n + 1)])
+    ops = np.concatenate([proj, proj.conj().transpose(0, 2, 1)])
     contexts = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    for i, j in contexts:
-        entries.append(CertificateEntry(
-            f"M{i} vs M{j}", (f"M{i}", f"M{j}"), _gate_pair_norm(proj[i], proj[j]), True))
-    for k in range(1, n - 1):
-        entries.append(CertificateEntry(
-            f"U{k}† vs M{k + 1}", (f"U{k}†", f"M{k + 1}"),
-            _gate_pair_norm(proj[k].conj().T, proj[k + 1]), True))
+    ctx_set = {tuple(sorted(c)) for c in contexts}
+    others = [(a, b) for a, b in itertools.combinations(range(1, n + 1), 2)
+              if (a, b) not in ctx_set]
+    # operator indices of each pair: contexts, undos (P_k^dag vs P_{k+1}), others
+    pairs = ([(i - 1, j - 1) for i, j in contexts]
+             + [(n + k - 1, k) for k in range(1, n - 1)]
+             + [(a - 1, b - 1) for a, b in others])
+    norms = _gate_pair_norms(ops, [a for a, _ in pairs], [b for _, b in pairs])
+    entries = [CertificateEntry(f"M{i} vs M{j}", (f"M{i}", f"M{j}"), norm, True)
+               for (i, j), norm in zip(contexts, norms)]
+    entries += [CertificateEntry(f"U{k}† vs M{k + 1}", (f"U{k}†", f"M{k + 1}"), norm, True)
+                for k, norm in zip(range(1, n - 1), norms[n:])]
     # [M_n, block] = sum_f [P_n, B_f] (x) (X^{f+e_n} - X^f). The block leaves
     # record n alone (f_n = 0), so no two of these X-strings coincide and
     # ||[M_n, block]||_F^2 = 2^n * 2 sum_f ||[P_n, B_f]||_F^2. Row j of the
     # branch values holds the columns of B_f, i.e. the rows of B_f^T.
     block, dropped = _block_coefficients(r, n)
     cols = block.values.reshape(-1, r.dim, r.dim)
-    pt = proj[n].T
+    pt = proj[n - 1].T
     comm = cols @ pt - pt @ cols
     entries.append(CertificateEntry(
         f"block U vs M{n}", ("U", f"M{n}"),
         float(np.sqrt(2.0) * np.linalg.norm(comm)), True,
         2.0 * math.sqrt(2.0) * dropped))
-    ctx_set = {tuple(sorted(c)) for c in contexts}
-    pairs = [(a, b) for a, b in itertools.combinations(range(1, n + 1), 2)
-             if (a, b) not in ctx_set]
-    stacked = np.stack([proj[i] for i in range(1, n + 1)])
-    norms = _gate_pair_norms(stacked, [a - 1 for a, _ in pairs], [b - 1 for _, b in pairs])
-    for (a, b), norm in zip(pairs, norms):
-        entries.append(CertificateEntry(
-            f"M{a} vs M{b} (non-context)", (f"M{a}", f"M{b}"), norm, False))
-    return CertificateReport(n, tol, tuple(entries))
+    entries += [CertificateEntry(f"M{a} vs M{b} (non-context)", (f"M{a}", f"M{b}"), norm, False)
+                for (a, b), norm in zip(others, norms[2 * n - 2:])]
+    return CertificateReport(n, ALG_TOL, tuple(entries))
 
 
 # --- the paradox report -------------------------------------------------------
@@ -570,12 +562,22 @@ def paradox_report(r: QuantumRealization, n: int, tol: float = PROB_TOL,
     at the stage before the relocated block, and its required tuple must
     exceed eps. Both comparisons include the truncation bound (see the
     module docstring). The implication chain seeded by the required tuple
-    is attached for reference.
+    is attached for reference. A target that does not live on the n-cycle,
+    or whose required tuple is not an outcome of the closing context
+    (1, n), raises ``ValueError``.
     """
     if target is None:
         target = default_paradox_target(n)
     if target.required is None:
         raise ValueError("paradox target must designate a required-possible tuple")
+    if target.scenario != make_cycle_scenario(n):
+        raise ValueError(f"paradox target must live on the {n}-cycle scenario")
+    req_ctx, req_tuple = target.required
+    if req_ctx != (1, n):
+        raise ValueError(f"paradox target requires a tuple of context {req_ctx}, "
+                         f"but the counterfactual read is of the closing context (1, {n})")
+    if req_tuple not in target.scenario.tuples(req_ctx):
+        raise ValueError(f"required tuple {req_tuple} is not an outcome of context (1, {n})")
     certs = commutation_certificates(r, n)
     if not certs.passed:
         bad = [e.label for e in certs.entries
@@ -598,9 +600,7 @@ def paradox_report(r: QuantumRealization, n: int, tol: float = PROB_TOL,
             pairwise.append(PairwiseCheck(ctx, stage, t, val, dict(dist.probabilities),
                                           (math.sqrt(val) + delta) ** 2 <= tol))
 
-    req_ctx, req_tuple = target.required
-    seed_value = req_tuple[req_ctx.index(1)]
-    chain = propagate_chain(target, 1, seed_value)
+    chain = propagate_chain(target, 1, req_tuple[0])
 
     cf_dist = record_distribution(cf_trace, "before U", [1, n])
     cf_val = cf_dist[req_tuple]

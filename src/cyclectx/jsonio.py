@@ -24,17 +24,18 @@ def render_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
-    """Serialize to JSON with deterministic float rendering and key order."""
+def dumps(obj: Any) -> str:
+    """Serialize to JSON, two-space indented, with deterministic float
+    rendering and key order."""
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    closepad = " " * (indent * level)
+def _emit(obj: Any, out: list[str], level: int) -> None:
+    pad = "  " * (level + 1)
+    closepad = "  " * level
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -42,7 +43,7 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
         out.append("{\n")
         for k, (key, val) in enumerate(obj.items()):
             out.append(pad + json.dumps(str(key)) + ": ")
-            _emit(val, out, indent, level + 1)
+            _emit(val, out, level + 1)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(closepad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -56,7 +57,7 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for k, val in enumerate(seq):
             out.append(pad)
-            _emit(val, out, indent, level + 1)
+            _emit(val, out, level + 1)
             out.append(",\n" if k < len(seq) - 1 else "\n")
         out.append(closepad + "]")
     else:
@@ -73,10 +74,10 @@ def _scalar(v: Any) -> str:
     return json.dumps(v)
 
 
-def as_fraction_text(x: float, max_den: int = 100, tol: float = 1e-12) -> str:
-    """Render ``x`` as p/q when it is within tol of a fraction with q <= max_den."""
-    fr = Fraction(x).limit_denominator(max_den)
-    if abs(x - float(fr)) <= tol:
+def as_fraction_text(x: float) -> str:
+    """Render ``x`` as p/q when it is within 1e-12 of a fraction with q <= 100."""
+    fr = Fraction(x).limit_denominator(100)
+    if abs(x - float(fr)) <= 1e-12:
         if fr.denominator == 1:
             return str(fr.numerator)
         return f"{fr.numerator}/{fr.denominator}"

@@ -1,9 +1,8 @@
-"""Minimal dense complex linear algebra.
+"""Tolerances and the few dense complex helpers the package shares.
 
 Everything downstream works with plain numpy ``complex128`` arrays in
 row-major order: matrices of shape (rows, cols) and state vectors of shape
-(dim,). Hilbert spaces stay small (at most a qudit times a dozen qubits), so
-dense arithmetic is exact enough and trivially reproducible.
+(dim,).
 
 Two default tolerances are used throughout the package: ALG_TOL for
 algebraic identities (unitarity, commutation, normalization) and PROB_TOL
@@ -26,38 +25,9 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def as_state(v) -> np.ndarray:
-    s = np.asarray(v, dtype=complex).ravel()
-    if not np.all(np.isfinite(s.view(float))):
-        raise ValueError("state amplitudes must be finite")
-    return s
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(np.asarray(a, dtype=complex), -1, -2))
-
-
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def is_unitary(u, tol: float = ALG_TOL) -> bool:
-    """True iff ||u^dag u - 1||_F <= tol. Raises ShapeError off square input."""
-    m = as_matrix(u)
-    r, c = m.shape
-    if r != c:
-        raise ShapeError(f"unitarity is only defined for square matrices, got {r}x{c}")
-    return frobenius(dagger(m) @ m - np.eye(r)) <= tol
 
 
 def commutator_norm(a, b) -> float:
@@ -67,13 +37,14 @@ def commutator_norm(a, b) -> float:
         raise ShapeError("commutator requires square matrices")
     if ma.shape != mb.shape:
         raise ShapeError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    return frobenius(ma @ mb - mb @ ma)
+    return float(np.linalg.norm(ma @ mb - mb @ ma))
 
 
 def normalized(v) -> np.ndarray:
-    s = as_state(v)
+    s = np.asarray(v, dtype=complex).ravel()
+    if not np.all(np.isfinite(s.view(float))):
+        raise ValueError("state amplitudes must be finite")
     n = np.linalg.norm(s)
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return s / n
-

@@ -43,10 +43,9 @@ from .ewf import (
     ProtocolError,
     build_protocol,
 )
-from .linalg import ALG_TOL, kron
+from .linalg import ALG_TOL
 from .quantum import QuantumRealization, behavior_from_realization
 from .scenario import (
-    ENUMERATION_GUARD,
     AssignmentFate,
     Context,
     ContextualityVerdict,
@@ -57,6 +56,8 @@ from .scenario import (
     Witness,
     closing_context,
 )
+
+ENUMERATION_GUARD = 2**24
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
@@ -104,8 +105,7 @@ def projection_sequential(r: QuantumRealization, sequence: Sequence[int]) -> dic
     return {outcomes: weight for outcomes, state, weight in branches}
 
 
-def exhaustive_support_check(r: QuantumRealization, s: Scenario,
-                             eps: float = 1e-9) -> OracleResult:
+def exhaustive_support_check(r: QuantumRealization, s: Scenario) -> OracleResult:
     """Recompute every context table via Tr(product of projectors rho)."""
     for c in s.contexts:
         if len(c) > 3:
@@ -230,17 +230,17 @@ def measurement_unitary(r: QuantumRealization, i: int, n: int) -> np.ndarray:
     flip = np.eye(1, dtype=complex)
     keep = np.eye(1, dtype=complex)
     for k in range(1, n + 1):
-        flip = kron(flip, _X if k == i else _I2)
-        keep = kron(keep, _I2)
-    return kron(p1, flip) + kron(p0, keep)
+        flip = np.kron(flip, _X if k == i else _I2)
+        keep = np.kron(keep, _I2)
+    return np.kron(p1, flip) + np.kron(p0, keep)
 
 
 def _pair_gates(r: QuantumRealization, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Gates for measurements i and j embedded on system (x) A_i (x) A_j."""
     d = r.dim
     pi, pj = r.projector(i), r.projector(j)
-    ui = kron(kron(pi, _X), _I2) + kron(kron(np.eye(d) - pi, _I2), _I2)
-    uj = kron(kron(pj, _I2), _X) + kron(kron(np.eye(d) - pj, _I2), _I2)
+    ui = np.kron(np.kron(pi, _X), _I2) + np.kron(np.kron(np.eye(d) - pi, _I2), _I2)
+    uj = np.kron(np.kron(pj, _I2), _X) + np.kron(np.kron(np.eye(d) - pj, _I2), _I2)
     return ui, uj
 
 

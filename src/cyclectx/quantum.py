@@ -60,8 +60,6 @@ from .linalg import ALG_TOL, commutator_norm, normalized
 from .ncycle import FlipMask, relabel, unified_ncycle_behavior
 from .scenario import (
     Behavior,
-    Context,
-    OutcomeTuple,
     PossibilisticBehavior,
     Scenario,
     make_cycle_scenario,
@@ -124,10 +122,6 @@ class QuantumRealization:
         object.__setattr__(self, "frames", MappingProxyType(frames))
         object.__setattr__(self, "_outcomes", outcomes)
 
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(sorted(self.frames))
-
     def rank(self, i: int) -> int:
         return int(np.asarray(self.frames[i]).shape[1])
 
@@ -188,17 +182,17 @@ def kcbs_realization() -> QuantumRealization:
     return QuantumRealization(3, eta, {i: v.reshape(3, 1) for i, v in vecs.items()})
 
 
-def born_pair(r: QuantumRealization, i: int, j: int,
-              comm_tol: float = ALG_TOL) -> PairDistribution:
+def born_pair(r: QuantumRealization, i: int, j: int) -> PairDistribution:
     """Joint outcome distribution for the compatible pair (i, j).
 
     Probabilities come from products of the commuting outcome projectors
-    applied to the prepared state, keyed (a_i, a_j) in argument order.
+    applied to the prepared state, keyed (a_i, a_j) in argument order. A
+    pair whose commutator norm exceeds ALG_TOL raises ``NoncommutingError``.
     """
     c = commutator_norm(r.projector(i), r.projector(j))
-    if c > comm_tol:
+    if c > ALG_TOL:
         raise NoncommutingError(
-            f"measurements {i} and {j} do not commute (norm {c:.3e} > {comm_tol:.1e})")
+            f"measurements {i} and {j} do not commute (norm {c:.3e} > {ALG_TOL:.1e})")
     probs = {}
     for a, b in itertools.product((0, 1), repeat=2):
         v = r.outcome_projector(j, b) @ (r.outcome_projector(i, a) @ r.state)
@@ -206,46 +200,14 @@ def born_pair(r: QuantumRealization, i: int, j: int,
     return PairDistribution((i, j), probs)
 
 
-def behavior_from_realization(r: QuantumRealization, s: Scenario,
-                              comm_tol: float = ALG_TOL) -> Behavior:
+def behavior_from_realization(r: QuantumRealization, s: Scenario) -> Behavior:
     """Fill every context table of the scenario from the realization."""
     tables = {}
     for c in s.contexts:
         if len(c) != 2:
             raise RealizationError("only two-measurement contexts are supported here")
-        tables[c] = dict(born_pair(r, c[0], c[1], comm_tol).probabilities)
+        tables[c] = dict(born_pair(r, c[0], c[1]).probabilities)
     return Behavior(s, tables)
-
-
-@dataclass(frozen=True)
-class CompatibilityReport:
-    context_norms: Mapping[tuple[int, int], float]
-    noncontext_norms: Mapping[tuple[int, int], float]
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return all(v <= self.tol for v in self.context_norms.values())
-
-
-def verify_compatibility(r: QuantumRealization, s: Scenario,
-                         tol: float = ALG_TOL) -> CompatibilityReport:
-    """Commutator norms for all context pairs, plus the remaining pairs.
-
-    Non-context pairs are reported for information only; for the pentagon
-    realization they are expected to be strictly nonzero.
-    """
-    ctx_pairs = set()
-    for c in s.contexts:
-        for a, b in itertools.combinations(sorted(c), 2):
-            ctx_pairs.add((a, b))
-    context_norms = {p: commutator_norm(r.projector(p[0]), r.projector(p[1]))
-                     for p in sorted(ctx_pairs)}
-    noncontext_norms = {}
-    for a, b in itertools.combinations(sorted(s.measurements), 2):
-        if (a, b) not in ctx_pairs:
-            noncontext_norms[(a, b)] = commutator_norm(r.projector(a), r.projector(b))
-    return CompatibilityReport(context_norms, noncontext_norms, tol)
 
 
 # --- realization search -----------------------------------------------------

@@ -27,12 +27,11 @@ import operator
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 Context = tuple[int, ...]
 OutcomeTuple = tuple[int, ...]
 
-ENUMERATION_GUARD = 2**24
 POSSIBILITY_EPS = 1e-9
 
 
@@ -122,14 +121,6 @@ class PossibilisticBehavior:
 
     def possible(self, context: Context, t: OutcomeTuple) -> bool:
         return t in self.supports[context]
-
-    def indicator_behavior(self) -> Behavior:
-        """Uniform distribution over each context's support."""
-        tables = {}
-        for c in self.scenario.contexts:
-            sup = sorted(self.supports[c])
-            tables[c] = {t: 1.0 / len(sup) for t in sup}
-        return Behavior(self.scenario, tables)
 
 
 @dataclass(frozen=True)
@@ -271,28 +262,19 @@ def check_no_disturbance(b: Behavior, tol: float = 1e-12) -> bool:
     return True
 
 
-def possibilistic_collapse(b: Behavior, eps: float = POSSIBILITY_EPS) -> PossibilisticBehavior:
-    """Keep the support: a tuple is possible iff its probability exceeds eps.
+def possibilistic_collapse(b: Behavior) -> PossibilisticBehavior:
+    """Keep the support: a tuple is possible iff its probability exceeds
+    ``POSSIBILITY_EPS``.
 
-    eps separates genuine support from floating-point dust; quantum-computed
-    zeros land many orders below it, genuine supports well above.
+    The threshold separates genuine support from floating-point dust;
+    quantum-computed zeros land many orders below it, genuine supports well
+    above.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
     supports = {
-        c: frozenset(t for t, p in table.items() if p > eps)
+        c: frozenset(t for t, p in table.items() if p > POSSIBILITY_EPS)
         for c, table in b.tables.items()
     }
     return PossibilisticBehavior(b.scenario, supports)
-
-
-def enumerate_global_assignments(s: Scenario) -> Iterator[dict[int, int]]:
-    """All outcome assignments to the measurement set, lexicographic order."""
-    size = len(s.outcomes) ** s.n
-    if size > ENUMERATION_GUARD:
-        raise EnumerationLimitError(f"{size} assignments exceed the enumeration guard")
-    for values in itertools.product(s.outcomes, repeat=s.n):
-        yield dict(zip(s.measurements, values))
 
 
 _BoolMatrix = tuple[tuple[bool, bool], tuple[bool, bool]]
@@ -411,18 +393,6 @@ def _tuple_key(t: OutcomeTuple) -> str:
     return ",".join(str(v) for v in t)
 
 
-def behavior_to_doc(b: Behavior) -> dict:
-    s = b.scenario
-    return {
-        "n": s.n,
-        "contexts": [list(c) for c in s.contexts],
-        "tables": {
-            _ctx_key(c): {_tuple_key(t): float(b.tables[c][t]) for t in sorted(b.tables[c])}
-            for c in s.contexts
-        },
-    }
-
-
 def possibilistic_to_doc(pb: PossibilisticBehavior) -> dict:
     s = pb.scenario
     doc: dict = {
@@ -436,14 +406,3 @@ def possibilistic_to_doc(pb: PossibilisticBehavior) -> dict:
     if pb.kind is not None:
         doc["kind"] = pb.kind
     return doc
-
-
-def behavior_from_doc(doc: Mapping) -> Behavior:
-    contexts = tuple(tuple(c) for c in doc["contexts"])
-    n = int(doc["n"])
-    s = Scenario(tuple(range(1, n + 1)), contexts)
-    tables = {}
-    for ck, table in doc["tables"].items():
-        c = tuple(int(x) for x in ck.split(","))
-        tables[c] = {tuple(int(x) for x in tk.split(",")): float(p) for tk, p in table.items()}
-    return Behavior(s, tables)

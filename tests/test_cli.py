@@ -204,6 +204,8 @@ class TestUsage:
         ["demo5", "--eps", "0"],
         ["search", "--n", "5", "--dim", "1"],
         ["search", "--n", "5", "--dim", "-3"],
+        ["search", "--budget", "-1"],
+        ["verify-all", "--budget", "-3"],
     ])
     def test_command_checks_are_usage_errors(self, argv, capsys):
         assert main(argv) == 2
@@ -211,6 +213,11 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err.startswith("usage error: ")
         assert len(captured.err.splitlines()) == 1
+
+    def test_zero_budget_is_not_a_usage_error(self, capsys):
+        # the search runs and finds nothing with no iterations to spend
+        assert main(["search", "--n", "5", "--budget", "0"]) == 1
+        assert "usage error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--tol-prob", "--eps"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

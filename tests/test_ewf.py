@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -19,7 +20,6 @@ from cyclectx.ewf import (
     build_measure_undo_protocol,
     build_protocol,
     commutation_certificates,
-    _gate_pair_norm,
     _gate_pair_norms,
     _simulate_through,
     paradox_report,
@@ -27,8 +27,8 @@ from cyclectx.ewf import (
     register_marginal,
     simulate,
 )
-from cyclectx.linalg import commutator_norm, is_unitary
-from cyclectx.ncycle import unified_ncycle_behavior
+from cyclectx.linalg import commutator_norm
+from cyclectx.ncycle import odd_ncycle_behavior, unified_ncycle_behavior
 from cyclectx.oracles import measurement_unitary
 from cyclectx.quantum import (
     QuantumRealization,
@@ -69,7 +69,8 @@ def random_rank1(n, dim, seed):
 class TestMeasurementUnitary:
     def test_unitarity(self, kcbs):
         for i in range(1, 6):
-            assert is_unitary(measurement_unitary(kcbs, i, 5), 1e-12)
+            u = measurement_unitary(kcbs, i, 5)
+            assert np.linalg.norm(u.conj().T @ u - np.eye(96)) <= 1e-12
         u = measurement_unitary(kcbs, 1, 5)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(96), atol=1e-12)
 
@@ -304,6 +305,8 @@ class TestCertificates:
         e = certs.entry("M1 vs M3 (non-context)")
         assert not e.must_commute
         assert e.norm > 0.1
+        assert {e.label for e in certs.entries if not e.must_commute} == {
+            f"M{a} vs M{b} (non-context)" for a, b in [(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)]}
 
     def test_batched_pair_norms_match_pair_formula(self):
         # n = 200 gives 19900 pairs, more than one batch
@@ -312,7 +315,23 @@ class TestCertificates:
         pairs = list(itertools.combinations(range(200), 2))
         batched = _gate_pair_norms(proj, [a for a, _ in pairs], [b for _, b in pairs])
         for (a, b), norm in zip(pairs, batched):
-            assert abs(norm - _gate_pair_norm(proj[a], proj[b])) <= 1e-15
+            assert abs(norm - 4 * commutator_norm(proj[a], proj[b])) <= 1e-15
+
+    @pytest.mark.parametrize("case", fixture_cases(), ids=lambda c: f"n{c[1]}")
+    def test_pair_entries_match_commutator_norm(self, case):
+        # every pair entry is 4 ||[A, B]||_F of its two gates' operators,
+        # P_k^dag for the undo U_k
+        r, n, _ = case
+
+        def operator(name):
+            p = r.projector(int(name[1:].rstrip("†")))
+            return p.conj().T if name.startswith("U") else p
+
+        entries = [e for e in commutation_certificates(r, n).entries if e.pair[0] != "U"]
+        assert len(entries) == n * (n - 1) // 2 + n - 2
+        for e in entries:
+            want = 4 * commutator_norm(operator(e.pair[0]), operator(e.pair[1]))
+            assert abs(e.norm - want) <= 1e-15, e.label
 
     def test_block_telescopes(self, kcbs):
         # the intervening block collapses to U_{n-1} U_1^dag
@@ -343,6 +362,16 @@ class TestParadoxReport:
         assert rep.counterfactual.value == read[rep.counterfactual.outcome_tuple]
         std = simulate(build_protocol(n), r)
         assert rep.truncation <= max(std.truncation, full.truncation)
+
+    @pytest.mark.parametrize("target, cause", [
+        (dataclasses.replace(odd_ncycle_behavior(5), required=((1, 2), (0, 0))), "context"),
+        (dataclasses.replace(odd_ncycle_behavior(5), required=((2, 3), (0, 1))), "context"),
+        (dataclasses.replace(odd_ncycle_behavior(5), required=((1, 5), (2, 0))), "outcome"),
+        (unified_ncycle_behavior(6), "5-cycle"),
+    ], ids=["context-1-2", "context-2-3", "tuple", "6-cycle"])
+    def test_malformed_target_rejected(self, kcbs, target, cause):
+        with pytest.raises(ValueError, match=cause):
+            paradox_report(kcbs, 5, target=target)
 
     def test_chain(self, kcbs):
         rep = paradox_report(kcbs, 5)

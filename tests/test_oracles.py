@@ -33,6 +33,7 @@ from cyclectx.quantum import (
     kcbs_realization,
 )
 from cyclectx.scenario import (
+    EnumerationLimitError,
     PossibilisticBehavior,
     Scenario,
     is_logically_contextual,
@@ -167,6 +168,13 @@ class TestEnumerateContextuality:
         supports = {(1, 2): frozenset({(0, 0)}), (2, 3): frozenset({(1, 1)})}
         v = enumerate_contextuality(PossibilisticBehavior(s, supports))
         assert v.contextual and v.witness.context == (1, 2)
+
+    def test_guard(self):
+        # 2^25 global assignments exceed the 2^24 enumeration guard
+        s = make_cycle_scenario(25)
+        pb = PossibilisticBehavior(s, {c: frozenset(s.tuples(c)) for c in s.contexts})
+        with pytest.raises(EnumerationLimitError):
+            enumerate_contextuality(pb)
 
 
 def random_realization(n, dim, seed):

@@ -14,10 +14,8 @@ from cyclectx.quantum import (
     kcbs_realization,
     realization_from_doc,
     realization_to_doc,
-    verify_compatibility,
 )
 from cyclectx.scenario import (
-    Scenario,
     check_no_disturbance,
     make_cycle_scenario,
     possibilistic_collapse,
@@ -99,23 +97,6 @@ class TestBehaviorFromRealization:
             assert abs(sum(b.tables[c].values()) - 1) < 1e-12
 
 
-class TestVerifyCompatibility:
-    def test_kcbs_contexts_commute(self, kcbs, cycle5):
-        rep = verify_compatibility(kcbs, cycle5)
-        assert rep.passed
-        assert all(v <= 1e-12 for v in rep.context_norms.values())
-
-    def test_noncontext_pairs_reported(self, kcbs, cycle5):
-        rep = verify_compatibility(kcbs, cycle5)
-        assert rep.noncontext_norms[(1, 3)] > 0.1
-        assert set(rep.noncontext_norms) == {(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)}
-
-    def test_single_measurement_scenario(self, kcbs):
-        s = Scenario((1,), ((1,),))
-        rep = verify_compatibility(kcbs, s)
-        assert rep.passed and rep.context_norms == {} and rep.noncontext_norms == {}
-
-
 class TestPairDistribution:
     def test_tiny_negative_clamped(self):
         d = PairDistribution((1, 2), {(0, 0): 1.0, (0, 1): -1e-16, (1, 0): 0.0, (1, 1): 0.0})
@@ -181,7 +162,7 @@ class TestProjectors:
         frames = dict(kcbs.frames)
         frames[1] = np.eye(3, dtype=complex)[:, :2]
         r = QuantumRealization(3, kcbs.state, frames)
-        for i in r.labels:
+        for i in sorted(r.frames):
             f = np.asarray(r.frames[i], dtype=complex)
             p = r.projector(i)
             assert np.array_equal(p, f @ f.conj().T)
