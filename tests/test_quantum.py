@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from cyclectx.linalg import commutator_norm
 from cyclectx.ncycle import odd_ncycle_behavior
 from cyclectx.quantum import (
     NoncommutingError,
@@ -95,6 +97,27 @@ class TestBehaviorFromRealization:
         b = behavior_from_realization(kcbs, cycle5)
         for c in cycle5.contexts:
             assert abs(sum(b.tables[c].values()) - 1) < 1e-12
+
+
+def _pair_norms(r, s):
+    """Commutator norms of the projector pairs inside and outside contexts."""
+    ctx_pairs = {tuple(sorted(c)) for c in s.contexts}
+    norms = {p: commutator_norm(r.projector(p[0]), r.projector(p[1]))
+             for p in itertools.combinations(sorted(s.measurements), 2)}
+    return ({p: v for p, v in norms.items() if p in ctx_pairs},
+            {p: v for p, v in norms.items() if p not in ctx_pairs})
+
+
+class TestVerifyCompatibility:
+    def test_kcbs_contexts_commute(self, kcbs, cycle5):
+        context_norms, _ = _pair_norms(kcbs, cycle5)
+        assert len(context_norms) == 5
+        assert all(v <= 1e-12 for v in context_norms.values())
+
+    def test_noncontext_pairs_reported(self, kcbs, cycle5):
+        _, noncontext_norms = _pair_norms(kcbs, cycle5)
+        assert noncontext_norms[(1, 3)] > 0.1
+        assert set(noncontext_norms) == {(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)}
 
 
 class TestPairDistribution:
