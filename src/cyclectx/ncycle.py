@@ -121,10 +121,22 @@ def relabel(pb: PossibilisticBehavior, mask: FlipMask) -> PossibilisticBehavior:
     if set(mask.flips) != set(s.measurements):
         raise ScenarioError("flip mask domain must equal the measurement set")
 
-    def move(c: Context, t: OutcomeTuple) -> OutcomeTuple:
-        return tuple(1 - v if mask.flipped(m) else v for m, v in zip(c, t))
+    flip = {m: mask.flipped(m) for m in s.measurements}
 
-    supports = {c: frozenset(move(c, t) for t in pb.supports[c]) for c in s.contexts}
+    def move(c: Context, t: OutcomeTuple) -> OutcomeTuple:
+        return tuple(1 - v if flip[m] else v for m, v in zip(c, t))
+
+    supports = {}
+    for c in s.contexts:
+        sup = pb.supports[c]
+        if len(c) != 2:
+            supports[c] = frozenset(move(c, t) for t in sup)
+            continue
+        fa, fb = flip[c[0]], flip[c[1]]
+        if fa or fb:
+            supports[c] = frozenset((1 - a if fa else a, 1 - b if fb else b) for a, b in sup)
+        else:
+            supports[c] = sup
     required = None
     if pb.required is not None:
         rc, rt = pb.required

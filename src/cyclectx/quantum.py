@@ -50,6 +50,7 @@ re-verified through ``behavior_from_realization`` and
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -150,6 +151,8 @@ class PairDistribution:
         probs = {}
         total = 0.0
         for t, p in self.probabilities.items():
+            if not math.isfinite(p):
+                raise RealizationError(f"non-finite probability {p} at {t}")
             if p < -1e-15:
                 raise RealizationError(f"negative probability {p} at {t}")
             p = max(p, 0.0)

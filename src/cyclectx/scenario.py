@@ -14,14 +14,17 @@ context's measurements in ascending label order, so the closing context is
 stored as the ordered pair (1, n).
 
 ``is_logically_contextual`` decides binary n-cycles in O(n) with products
-of 2x2 boolean transfer matrices, one per context, and reports the witness's
-2^(n-2) dead extensions as a lazy sequence. ``oracles.enumerate_contextuality``
-keeps the exhaustive enumeration of global assignments as its cross-check
-and decides any other scenario.
+of 2x2 boolean transfer matrices, one per context, each packed into the four
+low bits of an int (bit 2a + b set when the walked tuple (a, b) is
+possible), and reports the witness's 2^(n-2) dead extensions as a lazy
+sequence. ``oracles.enumerate_contextuality`` keeps the exhaustive
+enumeration of global assignments as its cross-check and decides any other
+scenario.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import sys
@@ -93,7 +96,7 @@ class Behavior:
             for t, p in table.items():
                 if len(t) != len(c):
                     raise ScenarioError(f"tuple {t} has wrong arity for context {c}")
-                if p < -1e-15 or p > 1 + 1e-12:
+                if not -1e-15 <= p <= 1 + 1e-12:     # also false for NaN
                     raise ScenarioError(f"probability {p} outside [0,1] in context {c}")
                 total += p
             if abs(total - 1.0) > 1e-12:
@@ -219,8 +222,13 @@ class ChainResult:
         return self.conflict is not None
 
 
+@functools.lru_cache(typed=True)
 def make_cycle_scenario(n: int) -> Scenario:
-    """n binary measurements with contexts {i, i+1} for i < n plus {n, 1}."""
+    """n binary measurements with contexts {i, i+1} for i < n plus {n, 1}.
+
+    The scenario is immutable, so a call with a recently used n returns the
+    instance built and validated then.
+    """
     if n < 3:
         raise ScenarioError(f"a cycle needs at least 3 measurements, got {n}")
     return Scenario(tuple(range(1, n + 1)), _cycle_contexts(n))
@@ -277,13 +285,15 @@ def possibilistic_collapse(b: Behavior) -> PossibilisticBehavior:
     return PossibilisticBehavior(b.scenario, supports)
 
 
-_BoolMatrix = tuple[tuple[bool, bool], tuple[bool, bool]]
-_IDENTITY: _BoolMatrix = ((True, False), (False, True))
+_IDENTITY = 0b1001                       # packed 2x2 identity: bits [0][0] and [1][1]
 
 
-def _bool_product(x: _BoolMatrix, y: _BoolMatrix) -> _BoolMatrix:
-    return tuple(tuple(any(x[i][k] and y[k][j] for k in (0, 1)) for j in (0, 1))
-                 for i in (0, 1))
+def _packed_product(x: int, y: int) -> int:
+    """Boolean product of two packed 2x2 matrices (bit 2i + j holds entry [i][j])."""
+    lo, hi = y & 3, y >> 2
+    r0 = (lo if x & 1 else 0) | (hi if x & 2 else 0)
+    r1 = (lo if x & 4 else 0) | (hi if x & 8 else 0)
+    return r0 | r1 << 2
 
 
 def _is_binary_cycle(s: Scenario) -> bool:
@@ -298,11 +308,14 @@ def is_logically_contextual(pb: PossibilisticBehavior) -> ContextualityVerdict:
     An assignment survives when its restriction to every context is possible.
     On the binary n-cycle, walking m_1 -> m_2 -> ... -> m_n -> m_1 turns each
     context into a 2x2 boolean support matrix M_k (the closing context (1, n)
-    is walked from m_n to m_1, so its matrix is the transposed support). A
-    tuple (a, b) of context k, in walking order, extends to a surviving
-    assignment exactly when the product of the other n-1 matrices, taken
-    from the context's end around the cycle back to its start, is true at
-    [b][a]; prefix and suffix products give every such product in O(n).
+    is walked from m_n to m_1, so its matrix is the transposed support),
+    packed into a 4-bit int whose bit 2a + b holds entry [a][b]. A tuple
+    (a, b) of context k, in walking order, extends to a surviving assignment
+    exactly when the product of the other n-1 matrices, taken from the
+    context's end around the cycle back to its start, is true at [b][a]
+    (bit 2b + a); prefix and suffix products give every such product in
+    O(n). A support tuple with a value outside {0, 1} raises
+    ``ScenarioError``.
 
     Contexts are scanned starting from the cycle-closing one, then in
     scenario order, tuples in sorted order, so on the cycle behaviors the
@@ -315,27 +328,32 @@ def is_logically_contextual(pb: PossibilisticBehavior) -> ContextualityVerdict:
         raise ScenarioError("is_logically_contextual decides binary n-cycle scenarios "
                             "only; use oracles.enumerate_contextuality for others")
     n = s.n
-
-    def walked(k: int, t: OutcomeTuple) -> OutcomeTuple:
-        return (t[1], t[0]) if k == n - 1 else t
-
-    mats = [tuple(tuple(walked(k, (a, b)) in pb.supports[c] for b in (0, 1))
-                  for a in (0, 1))
-            for k, c in enumerate(s.contexts)]
+    mats = []
+    for k, c in enumerate(s.contexts):
+        sup = pb.supports[c]
+        # bit 2a + b is set when the walked tuple (a, b) is possible
+        m = ((0, 0) in sup) | ((1, 1) in sup) << 3
+        if k == n - 1:
+            m |= ((1, 0) in sup) << 1 | ((0, 1) in sup) << 2
+        else:
+            m |= ((0, 1) in sup) << 1 | ((1, 0) in sup) << 2
+        if m.bit_count() != len(sup):
+            raise ScenarioError(f"support of context {c} holds a tuple outside {{0, 1}}^2")
+        mats.append(m)
     prefix = [_IDENTITY]                 # prefix[k] = M_0 ... M_{k-1}
     for m in mats:
-        prefix.append(_bool_product(prefix[-1], m))
+        prefix.append(_packed_product(prefix[-1], m))
     suffix = [_IDENTITY]                 # suffix[k] = M_k ... M_{n-1}, built from the end
     for m in reversed(mats):
-        suffix.append(_bool_product(m, suffix[-1]))
+        suffix.append(_packed_product(m, suffix[-1]))
     suffix.reverse()
 
     for k in [n - 1, *range(n - 1)]:
         c = s.contexts[k]
-        back = _bool_product(suffix[k + 1], prefix[k])
+        back = _packed_product(suffix[k + 1], prefix[k])
         for t in sorted(pb.supports[c]):
-            a, b = walked(k, t)
-            if not back[b][a]:
+            a, b = (t[1], t[0]) if k == n - 1 else t
+            if not back >> (2 * b + a) & 1:
                 return ContextualityVerdict(True, Witness(c, t, WitnessFates(pb, c, t)))
     return ContextualityVerdict(False, None)
 
@@ -358,10 +376,13 @@ def propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
     while changed:
         changed = False
         for c in s.contexts:
-            allowed = [
-                t for t in pb.supports[c]
-                if all(m not in fixed or t[k] == fixed[m] for k, m in enumerate(c))
-            ]
+            pinned = [k for k, m in enumerate(c) if m in fixed]
+            if pinned:
+                get = operator.itemgetter(*pinned)
+                want = get([fixed.get(m) for m in c])
+                allowed = [t for t in pb.supports[c] if get(t) == want]
+            else:
+                allowed = list(pb.supports[c])
             if not allowed:
                 return ChainResult(dict(fixed), tuple(steps), ChainConflict(c, dict(fixed)))
             for k, m in enumerate(c):

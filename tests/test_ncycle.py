@@ -14,7 +14,12 @@ from cyclectx.ncycle import (
     relabel,
     unified_ncycle_behavior,
 )
-from cyclectx.scenario import ScenarioError, is_logically_contextual
+from cyclectx.scenario import (
+    PossibilisticBehavior,
+    Scenario,
+    ScenarioError,
+    is_logically_contextual,
+)
 
 ALL = set(itertools.product((0, 1), repeat=2))
 
@@ -136,6 +141,19 @@ class TestRelabel:
         mask = FlipMask({i: bool(rng.integers(0, 2)) for i in range(1, n + 1)})
         pb = unified_ncycle_behavior(n)
         assert relabel(relabel(pb, mask), mask) == pb
+
+    @pytest.mark.parametrize("flips", [
+        {1: np.bool_(True), 2: np.bool_(False), 3: np.bool_(True), 4: np.bool_(True)},
+        {1: 1, 2: 0, 3: 1, 4: 1},
+    ], ids=["numpy-bool", "int"])
+    def test_generic_contexts_and_mask_values(self, flips):
+        s = Scenario((1, 2, 3, 4), ((1, 2, 3), (3, 4)))
+        pb = PossibilisticBehavior(s, {(1, 2, 3): frozenset({(0, 0, 1), (0, 1, 1), (1, 1, 0)}),
+                                       (3, 4): frozenset({(1, 0), (0, 1)})})
+        out = relabel(pb, FlipMask(flips))
+        assert out.supports == {(1, 2, 3): {(1, 0, 0), (1, 1, 0), (0, 1, 1)},
+                                (3, 4): {(0, 1), (1, 0)}}
+        assert all(type(v) is int for sup in out.supports.values() for t in sup for v in t)
 
     def test_support_cardinalities_preserved(self):
         pb = even_ncycle_behavior(8)

@@ -36,6 +36,7 @@ from cyclectx.scenario import (
     EnumerationLimitError,
     PossibilisticBehavior,
     Scenario,
+    _packed_product,
     is_logically_contextual,
     make_cycle_scenario,
 )
@@ -161,6 +162,25 @@ class TestEnumerateContextuality:
                 pb = relabel(generator(n), mask)
                 assert is_logically_contextual(pb).contextual
                 assert_same_verdict(pb)
+
+    def test_every_three_cycle_support(self):
+        s = make_cycle_scenario(3)
+        subsets = [frozenset(t) for r in range(1, 5)
+                   for t in itertools.combinations(itertools.product((0, 1), repeat=2), r)]
+        verdicts = set()
+        for combo in itertools.product(subsets, repeat=3):
+            pb = PossibilisticBehavior(s, dict(zip(s.contexts, combo)))
+            assert_same_verdict(pb)
+            verdicts.add(is_logically_contextual(pb).contextual)
+        assert len(subsets) == 15 and verdicts == {True, False}
+
+    def test_packed_product_is_the_boolean_matrix_product(self):
+        def unpack(x):
+            return np.array([[x >> (2 * i + j) & 1 for j in (0, 1)] for i in (0, 1)])
+
+        for x, y in itertools.product(range(16), repeat=2):
+            want = (unpack(x) @ unpack(y)) > 0
+            assert (unpack(_packed_product(x, y)) > 0).tolist() == want.tolist()
 
     def test_decides_non_cycles(self):
         # a path, not a cycle: m2 is 0 in one context and 1 in the other

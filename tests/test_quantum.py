@@ -133,6 +133,11 @@ class TestPairDistribution:
         with pytest.raises(RealizationError):
             PairDistribution((1, 2), {(0, 0): 0.5, (0, 1): 0.1})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(RealizationError, match="non-finite"):
+            PairDistribution((1, 2), {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.0, (1, 1): bad})
+
 
 class TestRealizationValidation:
     def test_unnormalized_state(self):

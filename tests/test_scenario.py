@@ -56,6 +56,13 @@ class TestScenario:
         with pytest.raises(ScenarioError):
             make_cycle_scenario(2)
 
+    def test_cycle_scenario_is_shared(self):
+        assert make_cycle_scenario(7) is make_cycle_scenario(7)
+        # a failed call is not remembered: it raises every time
+        for _ in range(2):
+            with pytest.raises(ScenarioError):
+                make_cycle_scenario(2)
+
     def test_maximality_enforced(self):
         with pytest.raises(ScenarioError):
             Scenario((1, 2, 3), ((1, 2), (1, 2, 3)))
@@ -108,6 +115,15 @@ class TestNoDisturbance:
         tables[(1, 2)] = {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.0, (1, 1): 0.0}
         tables[(1, 4)] = {(1, 0): 0.5, (1, 1): 0.5, (0, 0): 0.0, (0, 1): 0.0}
         assert not check_no_disturbance(Behavior(s, tables), 1e-12)
+
+
+class TestBehaviorValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_probability_rejected(self, bad):
+        s = make_cycle_scenario(3)
+        table = {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.0, (1, 1): bad}
+        with pytest.raises(ScenarioError):
+            Behavior(s, {c: dict(table) for c in s.contexts})
 
 
 class TestCollapse:
@@ -164,6 +180,13 @@ class TestLogicalContextuality:
         pb = PossibilisticBehavior(s, {c: frozenset({(0, 0)}) for c in s.contexts})
         with pytest.raises(ScenarioError, match="enumerate_contextuality"):
             is_logically_contextual(pb)
+
+    def test_non_binary_tuple_rejected(self):
+        pb = all_possible(4)
+        supports = dict(pb.supports)
+        supports[(2, 3)] = frozenset({(0, 0), (0, 2)})
+        with pytest.raises(ScenarioError, match="outside"):
+            is_logically_contextual(PossibilisticBehavior(pb.scenario, supports))
 
 
 def assert_genuine(pb, w, fate):
@@ -243,6 +266,32 @@ class TestPropagateChain:
     def test_unknown_measurement(self):
         with pytest.raises(ScenarioError):
             propagate_chain(all_possible(5), 9, 0)
+
+    @pytest.mark.parametrize("seed, steps", [
+        ((1, 1), ((1, 1), (2, 1), (3, 0), (4, 1))),
+        ((2, 0), ((2, 0), (1, 0), (3, 1), (4, 0))),
+        ((2, 1), ((2, 1),)),
+        ((4, 0), ((4, 0), (3, 1), (1, 0))),
+    ])
+    def test_three_measurement_context(self, seed, steps):
+        s = Scenario((1, 2, 3, 4), ((1, 2, 3), (3, 4)))
+        pb = PossibilisticBehavior(s, {(1, 2, 3): frozenset({(0, 0, 1), (0, 1, 1), (1, 1, 0)}),
+                                       (3, 4): frozenset({(1, 0), (0, 1)})})
+        res = propagate_chain(pb, *seed)
+        assert res.steps == steps and res.forced == dict(steps)
+        assert not res.conflicted
+
+    @pytest.mark.parametrize("seed, steps, context", [
+        ((1, 0), ((1, 0), (2, 0)), (2, 3)),
+        ((1, 1), ((1, 1),), (1, 2)),
+        ((3, 1), ((3, 1), (1, 0), (2, 0)), (2, 3)),
+    ])
+    def test_path_conflicts(self, seed, steps, context):
+        s = Scenario((1, 2, 3), ((1, 2), (2, 3)))
+        pb = PossibilisticBehavior(s, {(1, 2): frozenset({(0, 0)}), (2, 3): frozenset({(1, 1)})})
+        res = propagate_chain(pb, *seed)
+        assert res.steps == steps and res.forced == dict(steps)
+        assert res.conflict.context == context and res.conflict.fixed == dict(steps)
 
 
 class TestVerdictInvariance:
