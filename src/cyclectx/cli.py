@@ -129,9 +129,8 @@ def cmd_demo5(args: argparse.Namespace) -> int:
                  f"{_frac(cf.value)} (threshold {cf.threshold:g}) "
                  f"[{'ok' if cf.passed else 'FAIL'}]")
     lines.append("commutation certificates:")
-    for e in rep.certificates.entries:
-        if e.must_commute:
-            lines.append(f"  {e.label}: {e.norm:.3e}")
+    for e in rep.certificates.required:
+        lines.append(f"  {e.label}: {e.norm:.3e}")
     lines.append(f"truncation bounds: probability {rep.probability_bound:.3e}, "
                  f"block {rep.block_bound:.3e}")
     lines.append(f"verdict: {'contradiction certified' if rep.verdict else 'NOT certified'}")
@@ -284,7 +283,7 @@ def _crit_certificates() -> dict:
     noncontext13 = certs.entry("M1 vs M3 (non-context)").norm
     ok = certs.passed and noncontext13 > 0.1
     return {"status": "pass" if ok else "fail",
-            "max_required_norm": max(e.norm for e in certs.entries if e.must_commute),
+            "max_required_norm": max(e.norm for e in certs.required),
             "noncontext_pair_1_3": noncontext13}
 
 

@@ -29,7 +29,9 @@ or to B_f (d columns), with f an arbitrary-precision int whose bit n - i is
 record i, i.e. the record part of the dense index. ``_record_gate`` is the
 one kernel. A gate on friend i sends v_f to ``(1 - P_i) v_f`` at f and
 ``P_i v_f`` at ``f ^ e_i``, sums coincident keys, and drops every branch of
-norm <= ``BRANCH_FLOOR``. When the context gates commute almost every term
+norm <= ``BRANCH_FLOOR``. The squared norm it computes for that test is
+kept as the branch's weight (``Branches.weights``), and record reads sum
+those weights. When the context gates commute almost every term
 cancels: the schedules keep a handful of branches at any n, where the dense
 register holds d 2^n amplitudes. A non-commuting realization makes the
 count grow instead, and more than ``BRANCH_CAP`` branches raise
@@ -54,10 +56,12 @@ Frobenius-orthogonal with ``||X^f||_F^2 = 2^n``:
 
 * a pair of gates commutes up to ``[P_i, P_j] (x) (X_i - 1)(X_j - 1)``, so
   its commutator norm on system (x) A_i (x) A_j is ``4 ||[P_i, P_j]||_F``
-  (``P_k^dag`` in place of ``P_k`` for an undo). Every pair entry, the n
-  context pairs, the n - 2 undo pairs and the O(n^2) non-context pairs, is
-  computed in one batched call over the stacked projectors and their
-  conjugate transposes;
+  (``P_k^dag`` in place of ``P_k`` for an undo). The n context pairs and
+  the n - 2 undo pairs are computed in one batched call over the stacked
+  projectors and their conjugate transposes. The O(n^2) non-context pairs
+  only inform, so their norms and entries are built in a second batch on
+  the first read of ``CertificateReport.entries``; ``passed``, the
+  required entries and ``paradox_report`` never build them;
 * the block's branches ``B_f`` are built from the identity with the same
   kernel that ``simulate`` applies to states. Its certificate is
   ``||[block, M_n]||_F / sqrt(2^n)``, which is
@@ -75,8 +79,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -173,11 +179,15 @@ def build_protocol(n: int) -> Protocol:
 
 def build_counterfactual_protocol(n: int) -> Protocol:
     """M1, Mn first; the whole intervening block is appended afterwards."""
-    if n < 5:
-        raise ProtocolError(f"the schedule needs at least 5 friends, got {n}")
-    steps = [GateStep("measure", 1), GateStep("measure", n)]
-    block = build_protocol(n).steps[1:-1]   # everything between M1 and Mn
-    return Protocol(n, tuple(steps) + tuple(block), kind="counterfactual")
+    return _counterfactual(build_protocol(n))
+
+
+def _counterfactual(std: Protocol) -> Protocol:
+    """The counterfactual schedule of a standard one."""
+    n = std.n
+    steps = (GateStep("measure", 1), GateStep("measure", n))
+    block = std.steps[1:-1]   # everything between M1 and Mn
+    return Protocol(n, steps + block, kind="counterfactual")
 
 
 def build_measure_undo_protocol(n: int) -> Protocol:
@@ -204,16 +214,24 @@ class Branches(NamedTuple):
 
     ``keys[j]`` is the record string f, record i on bit n - i. Row j of
     ``values`` holds the columns of v_f (or B_f) one after another, each of
-    length d. ``norm2`` is the summed squared norm of the rows.
+    length d. ``weights[j]`` is the squared norm of row j, and ``norm2``
+    their sum.
     """
     keys: tuple[int, ...]
     values: np.ndarray
     norm2: float
+    weights: tuple[float, ...]
 
-    def weights(self) -> list[float]:
-        """Squared norm of each branch."""
-        real = self.values.view(np.float64)
-        return np.add.reduce(real * real, 1).tolist()
+
+def _row_weights(values: np.ndarray) -> list[float]:
+    """Squared norm of each row of a complex array."""
+    real = values.view(np.float64)
+    return np.add.reduce(real * real, 1).tolist()
+
+
+def _single_branch(values: np.ndarray, norm2: float) -> Branches:
+    """The one branch at key 0, with empty records."""
+    return Branches((0,), values, norm2, tuple(_row_weights(values)))
 
 
 def _record_gate(b: Branches, op: np.ndarray, bit: int) -> tuple[Branches, float]:
@@ -226,30 +244,38 @@ def _record_gate(b: Branches, op: np.ndarray, bit: int) -> tuple[Branches, float
     dropped. Returns the new branches and the norm of the dropped part.
     """
     d = op.shape[0]
-    pairs: dict[int, int] = {}
-    side, slot = [], []
+    width = b.values.shape[1]
+    fresh = True
     for k in b.keys:
-        side.append(k & bit)
-        slot.append(pairs.setdefault(k & ~bit, len(pairs)))
-    npairs = len(pairs)
-    u = np.zeros((2 * npairs, b.values.shape[1]), dtype=complex)
-    u0, u1 = u[:npairs], u[npairs:]
-    if any(side):
-        u[[npairs + t if s else t for s, t in zip(side, slot)]] = b.values
+        if k & bit:
+            fresh = False
+            break
+    if fresh:   # no branch holds the record yet: every u1 is zero, u1 = op v
+        bases = b.keys
+        npairs = len(bases)
+        u = np.empty((2 * npairs, width), dtype=complex)
+        u0, u1 = u[:npairs], u[npairs:]
+        np.matmul(b.values.reshape(-1, d), op.T, out=u1.reshape(-1, d))
+        np.subtract(b.values, u1, out=u0)
+    else:
+        pairs: dict[int, int] = {}
+        slot = [pairs.setdefault(k & ~bit, len(pairs)) for k in b.keys]
+        bases = tuple(pairs)
+        npairs = len(bases)
+        u = np.zeros((2 * npairs, width), dtype=complex)
+        u0, u1 = u[:npairs], u[npairs:]
+        u[np.array([npairs + t if k & bit else t for k, t in zip(b.keys, slot)],
+                   dtype=np.intp)] = b.values
         moved = ((u0 - u1).reshape(-1, d) @ op.T).reshape(npairs, -1)
         u0 -= moved
         u1 += moved
-    else:       # no branch holds the record yet, so every u1 is zero
-        u1[...] = (b.values.reshape(-1, d) @ op.T).reshape(npairs, -1)
-        np.subtract(b.values, u1, out=u0)
-    real = u.view(np.float64)
     floor2 = BRANCH_FLOOR ** 2
-    bases = list(pairs)
-    keep, keys, norm2, dropped2 = [], [], 0.0, 0.0
-    for j, w in enumerate(np.add.reduce(real * real, 1).tolist()):
+    keep, keys, weights, norm2, dropped2 = [], [], [], 0.0, 0.0
+    for j, w in enumerate(_row_weights(u)):
         if w > floor2:
             keep.append(j)
             keys.append(bases[j] if j < npairs else bases[j - npairs] | bit)
+            weights.append(w)
             norm2 += w
         else:
             dropped2 += w
@@ -258,16 +284,15 @@ def _record_gate(b: Branches, op: np.ndarray, bit: int) -> tuple[Branches, float
             f"{len(keep)} record branches exceed the cap of {BRANCH_CAP}; "
             "the gates do not cancel")
     if len(keep) < len(u):
-        u = u[keep]
-    return Branches(tuple(keys), u, norm2), math.sqrt(dropped2)
+        u = u.take(keep, axis=0)
+    return Branches(tuple(keys), u, norm2, tuple(weights)), math.sqrt(dropped2)
 
 
 def _run_gates(b: Branches, r: QuantumRealization, n: int, steps: Sequence[GateStep]):
     """Yield (step, branches after it, norm dropped by it) for each step."""
     for st in steps:
-        op = r.projector(st.friend)
-        b, dropped = _record_gate(b, op.conj().T if st.kind == "undo" else op,
-                                  1 << (n - st.friend))
+        op = r.adjoint_projector(st.friend) if st.kind == "undo" else r.projector(st.friend)
+        b, dropped = _record_gate(b, op, 1 << (n - st.friend))
         yield st, b, dropped
 
 
@@ -315,7 +340,7 @@ def _simulate_through(p: Protocol, r: QuantumRealization, last: int) -> Simulati
     if missing:
         raise ProtocolError(f"realization has no measurement for friends {missing}")
     state = np.array(r.state, dtype=complex).reshape(1, r.dim)
-    stages = [Branches((0,), state, float(np.vdot(state, state).real))]
+    stages = [_single_branch(state, float(np.vdot(state, state).real))]
     stage_index = {"initial": 0}
     delta = 0.0
     for pos, (st, b, dropped) in enumerate(
@@ -348,13 +373,29 @@ def register_marginal(t: SimulationTrace, stage: str,
         if not 1 <= rec <= n:
             raise ProtocolError(f"record {rec} outside 1..{n}")
     # keys enumerate bits in ascending record label, reordered to argument order
+    if len(records) == 2 and records[0] != records[1]:
+        first, second = 1 << (n - records[0]), 1 << (n - records[1])
+        w00 = w01 = w10 = w11 = 0.0
+        for k, w in zip(b.keys, b.weights):
+            if k & first:
+                if k & second:
+                    w11 += w
+                else:
+                    w10 += w
+            elif k & second:
+                w01 += w
+            else:
+                w00 += w
+        if records[0] < records[1]:
+            return {(0, 0): w00, (0, 1): w01, (1, 0): w10, (1, 1): w11}
+        return {(0, 0): w00, (1, 0): w10, (0, 1): w01, (1, 1): w11}
     sorted_recs = sorted(records)
     dist = {}
     for idx in itertools.product((0, 1), repeat=len(sorted_recs)):
         by_label = dict(zip(sorted_recs, idx))
         dist[tuple(by_label[rec] for rec in records)] = 0.0
     bits = [1 << (n - rec) for rec in records]
-    for k, w in zip(b.keys, b.weights()):
+    for k, w in zip(b.keys, b.weights):
         dist[tuple(1 if k & bit else 0 for bit in bits)] += w
     return dist
 
@@ -403,15 +444,31 @@ class CertificateEntry:
 
 @dataclass(frozen=True)
 class CertificateReport:
+    """The commutation certificates of a realization's n friends.
+
+    ``required`` holds the entries that must commute, in order: the context
+    pairs, the undo pairs and the block. ``entries`` appends the
+    informational non-context pairs, O(n^2) of them, which
+    ``noncontext`` builds on first access; ``passed``, ``required`` and
+    ``entry`` of a required label never build them.
+    """
     n: int
     tol: float
-    entries: tuple[CertificateEntry, ...]
+    required: tuple[CertificateEntry, ...]
+    noncontext: Callable[[], Sequence[CertificateEntry]] = field(repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
-        return all(e.norm + e.bound <= self.tol for e in self.entries if e.must_commute)
+        return all(e.norm + e.bound <= self.tol for e in self.required)
+
+    @cached_property
+    def entries(self) -> tuple[CertificateEntry, ...]:
+        return self.required + tuple(self.noncontext())
 
     def entry(self, label: str) -> CertificateEntry:
+        for e in self.required:
+            if e.label == label:
+                return e
         for e in self.entries:
             if e.label == label:
                 return e
@@ -437,7 +494,7 @@ def _gate_pair_norms(ops: np.ndarray, a: Sequence[int], b: Sequence[int]) -> lis
     return out
 
 
-def _block_coefficients(r: QuantumRealization, n: int) -> tuple[Branches, float]:
+def _block_coefficients(r: QuantumRealization, std: Protocol) -> tuple[Branches, float]:
     """The blocks B_f of the intervening block, and the norm dropped from them.
 
     The intervening block of the standard schedule, M2 U1 M3 ... U_{n-2},
@@ -447,9 +504,9 @@ def _block_coefficients(r: QuantumRealization, n: int) -> tuple[Branches, float]
     sum over gates of sqrt(sum of the dropped ||B_f||_F^2).
     """
     d = r.dim
-    b = Branches((0,), np.eye(d, dtype=complex).reshape(1, d * d), float(d))
+    b = _single_branch(np.eye(d, dtype=complex).reshape(1, d * d), float(d))
     dropped = 0.0
-    for _, b, gate_dropped in _run_gates(b, r, n, build_protocol(n).steps[1:-1]):
+    for _, b, gate_dropped in _run_gates(b, r, std.n, std.steps[1:-1]):
         dropped += gate_dropped
     return b, dropped
 
@@ -463,21 +520,23 @@ def commutation_certificates(r: QuantumRealization, n: int) -> CertificateReport
     block against the final measurement on the complete register space,
     reported per X-string as ||[block, M_n]||_F / sqrt(2^n) with the
     truncation bound 2 sqrt(2) Delta as the entry's ``bound``. Non-context
-    pairs are reported as expected-noncommuting information. Everything is
-    computed from d x d system blocks, every gate pair in one batch; see the
-    module docstring. Certificates pass at ALG_TOL.
+    pairs are reported as expected-noncommuting information, computed when
+    ``entries`` is first read. Everything is computed from d x d system
+    blocks, each group of gate pairs in one batch; see the module
+    docstring. Certificates pass at ALG_TOL.
     """
+    return _certificates(r, build_protocol(n))
+
+
+def _certificates(r: QuantumRealization, std: Protocol) -> CertificateReport:
+    """``commutation_certificates`` for the friends of a standard schedule."""
+    n = std.n
     # rows 0..n-1 hold P_1..P_n, rows n..2n-1 their conjugate transposes
-    proj = np.stack([r.projector(i) for i in range(1, n + 1)])
-    ops = np.concatenate([proj, proj.conj().transpose(0, 2, 1)])
+    labels = range(1, n + 1)
+    ops = np.stack([r.projector(i) for i in labels] + [r.adjoint_projector(i) for i in labels])
     contexts = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    ctx_set = {tuple(sorted(c)) for c in contexts}
-    others = [(a, b) for a, b in itertools.combinations(range(1, n + 1), 2)
-              if (a, b) not in ctx_set]
-    # operator indices of each pair: contexts, undos (P_k^dag vs P_{k+1}), others
-    pairs = ([(i - 1, j - 1) for i, j in contexts]
-             + [(n + k - 1, k) for k in range(1, n - 1)]
-             + [(a - 1, b - 1) for a, b in others])
+    # operator indices of each pair: contexts, then undos (P_k^dag vs P_{k+1})
+    pairs = [(i - 1, j - 1) for i, j in contexts] + [(n + k - 1, k) for k in range(1, n - 1)]
     norms = _gate_pair_norms(ops, [a for a, _ in pairs], [b for _, b in pairs])
     entries = [CertificateEntry(f"M{i} vs M{j}", (f"M{i}", f"M{j}"), norm, True)
                for (i, j), norm in zip(contexts, norms)]
@@ -487,17 +546,24 @@ def commutation_certificates(r: QuantumRealization, n: int) -> CertificateReport
     # record n alone (f_n = 0), so no two of these X-strings coincide and
     # ||[M_n, block]||_F^2 = 2^n * 2 sum_f ||[P_n, B_f]||_F^2. Row j of the
     # branch values holds the columns of B_f, i.e. the rows of B_f^T.
-    block, dropped = _block_coefficients(r, n)
+    block, dropped = _block_coefficients(r, std)
     cols = block.values.reshape(-1, r.dim, r.dim)
-    pt = proj[n - 1].T
+    pt = ops[n - 1].T
     comm = cols @ pt - pt @ cols
     entries.append(CertificateEntry(
         f"block U vs M{n}", ("U", f"M{n}"),
         float(np.sqrt(2.0) * np.linalg.norm(comm)), True,
         2.0 * math.sqrt(2.0) * dropped))
-    entries += [CertificateEntry(f"M{a} vs M{b} (non-context)", (f"M{a}", f"M{b}"), norm, False)
-                for (a, b), norm in zip(others, norms[2 * n - 2:])]
-    return CertificateReport(n, ALG_TOL, tuple(entries))
+
+    def noncontext() -> list[CertificateEntry]:
+        ctx_set = {tuple(sorted(c)) for c in contexts}
+        others = [(a, b) for a, b in itertools.combinations(labels, 2)
+                  if (a, b) not in ctx_set]
+        norms = _gate_pair_norms(ops, [a - 1 for a, _ in others], [b - 1 for _, b in others])
+        return [CertificateEntry(f"M{a} vs M{b} (non-context)", (f"M{a}", f"M{b}"), norm, False)
+                for (a, b), norm in zip(others, norms)]
+
+    return CertificateReport(n, ALG_TOL, tuple(entries), noncontext)
 
 
 # --- the paradox report -------------------------------------------------------
@@ -578,15 +644,15 @@ def paradox_report(r: QuantumRealization, n: int, tol: float = PROB_TOL,
                          f"but the counterfactual read is of the closing context (1, {n})")
     if req_tuple not in target.scenario.tuples(req_ctx):
         raise ValueError(f"required tuple {req_tuple} is not an outcome of context (1, {n})")
-    certs = commutation_certificates(r, n)
+    std = build_protocol(n)
+    certs = _certificates(r, std)
     if not certs.passed:
-        bad = [e.label for e in certs.entries
-               if e.must_commute and e.norm + e.bound > certs.tol]
+        bad = [e.label for e in certs.required if e.norm + e.bound > certs.tol]
         raise CertificateError(f"commutation certificates failed: {bad}")
 
-    trace = simulate(build_protocol(n), r)
+    trace = simulate(std, r)
     # only "before U" of the counterfactual schedule is read, so it runs that far
-    cf = build_counterfactual_protocol(n)
+    cf = _counterfactual(std)
     cf_trace = _simulate_through(cf, r, cf.measure_position(n))
     # sqrt(p_exact) lies within delta of sqrt(p) read from the kept branches
     delta = max(trace.truncation, cf_trace.truncation)
@@ -594,10 +660,10 @@ def paradox_report(r: QuantumRealization, n: int, tol: float = PROB_TOL,
     for i in range(1, n):
         ctx = (i, i + 1)
         stage = f"after M{i + 1}"
-        dist = record_distribution(trace, stage, [i, i + 1])
+        probs = MappingProxyType(record_distribution(trace, stage, [i, i + 1]).probabilities)
         for t in sorted(set(itertools.product((0, 1), repeat=2)) - set(target.supports[ctx])):
-            val = dist[t]
-            pairwise.append(PairwiseCheck(ctx, stage, t, val, dict(dist.probabilities),
+            val = probs[t]
+            pairwise.append(PairwiseCheck(ctx, stage, t, val, probs,
                                           (math.sqrt(val) + delta) ** 2 <= tol))
 
     chain = propagate_chain(target, 1, req_tuple[0])

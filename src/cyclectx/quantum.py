@@ -30,8 +30,9 @@ at an accepted point from which a step is taken. The loop stops once
 
 A ``QuantumRealization`` validates its state and frames (finite,
 normalized, orthonormal), keeps a read-only copy of the frames and builds
-each outcome projector P_i and 1 - P_i from it once, as read-only arrays,
-for every caller to share.
+each outcome projector P_i and 1 - P_i, and the adjoint P_i^dag that the
+undo gates apply, from it once, as read-only arrays, for every caller to
+share.
 
 At most one kind of structured start precedes the seeded random restarts.
 A target that is an outcome relabeling of the unified ladder, with n >= 5
@@ -90,9 +91,9 @@ class QuantumRealization:
     dim: int
     state: np.ndarray                      # (dim,) unit vector
     frames: Mapping[int, np.ndarray]       # label -> (dim, k) orthonormal columns
-    # label -> (1 - P_i, P_i), built once from the validated frames; frames
-    # are stored as a read-only copy, so the two cannot drift apart
-    _outcomes: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+    # label -> (1 - P_i, P_i, P_i^dag), built once from the validated frames;
+    # frames are stored as a read-only copy, so they cannot drift apart
+    _outcomes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -117,9 +118,10 @@ class QuantumRealization:
                 raise RealizationError(f"frame {i} is not orthonormal")
             p = f @ f.conj().T
             q = np.eye(self.dim) - p
-            for a in (f, p, q):
+            pdag = p.conj().T
+            for a in (f, p, q, pdag):
                 a.setflags(write=False)
-            frames[i], outcomes[i] = f, (q, p)
+            frames[i], outcomes[i] = f, (q, p, pdag)
         object.__setattr__(self, "frames", MappingProxyType(frames))
         object.__setattr__(self, "_outcomes", outcomes)
 
@@ -136,6 +138,10 @@ class QuantumRealization:
     def projector(self, i: int) -> np.ndarray:
         """P_i = F F^dag, read-only."""
         return self._outcomes[i][1]
+
+    def adjoint_projector(self, i: int) -> np.ndarray:
+        """P_i^dag, exactly ``projector(i).conj().T``; read-only."""
+        return self._outcomes[i][2]
 
     def outcome_projector(self, i: int, outcome: int) -> np.ndarray:
         """P_i for outcome 1, 1 - P_i otherwise; read-only."""

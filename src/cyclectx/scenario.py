@@ -81,6 +81,12 @@ class Scenario:
     def tuples(self, context: Context) -> list[OutcomeTuple]:
         return list(itertools.product(self.outcomes, repeat=len(context)))
 
+    @functools.cached_property
+    def _tuple_sets(self) -> dict[int, frozenset[OutcomeTuple]]:
+        """Every outcome tuple of each context arity, built on first use."""
+        return {k: frozenset(itertools.product(self.outcomes, repeat=k))
+                for k in {len(c) for c in self.contexts}}
+
 
 @dataclass(frozen=True)
 class Behavior:
@@ -115,12 +121,19 @@ class PossibilisticBehavior:
         s = self.scenario
         if set(self.supports) != set(s.contexts):
             raise ScenarioError("supports must cover exactly the contexts")
+        valid = s._tuple_sets
         for c, sup in self.supports.items():
             if not sup:
                 raise ScenarioError(f"context {c} has empty support")
+            tuples = valid[len(c)]
+            if tuples.issuperset(sup):
+                continue
             for t in sup:
                 if len(t) != len(c):
                     raise ScenarioError(f"tuple {t} has wrong arity for context {c}")
+                if t not in tuples:
+                    raise ScenarioError(f"tuple {t} of context {c} has a value outside "
+                                        f"the outcomes {s.outcomes}")
 
     def possible(self, context: Context, t: OutcomeTuple) -> bool:
         return t in self.supports[context]

@@ -1,15 +1,19 @@
 import dataclasses
 import itertools
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cyclectx import ewf
 from cyclectx.ewf import (
     BRANCH_CAP,
+    BRANCH_FLOOR,
     BranchLimitError,
+    Branches,
     CertificateError,
     GateStep,
     Protocol,
@@ -21,6 +25,7 @@ from cyclectx.ewf import (
     build_protocol,
     commutation_certificates,
     _gate_pair_norms,
+    _record_gate,
     _simulate_through,
     paradox_report,
     record_distribution,
@@ -29,7 +34,7 @@ from cyclectx.ewf import (
 )
 from cyclectx.linalg import commutator_norm
 from cyclectx.ncycle import odd_ncycle_behavior, unified_ncycle_behavior
-from cyclectx.oracles import measurement_unitary
+from cyclectx.oracles import dense_commutation_certificates, measurement_unitary
 from cyclectx.quantum import (
     QuantumRealization,
     born_pair,
@@ -64,6 +69,138 @@ def random_rank1(n, dim, seed):
         return v / np.linalg.norm(v)
 
     return QuantumRealization(dim, unit(dim), {i: unit((dim, 1)) for i in range(1, n + 1)})
+
+
+def reference_record_gate(keys, values, op, bit):
+    """The list-based record gate the branch kernel must reproduce bit for bit.
+
+    Returns (keys, values, norm2, dropped norm, squared norm of each kept row).
+    """
+    d = op.shape[0]
+    pairs = {}
+    side, slot = [], []
+    for k in keys:
+        side.append(k & bit)
+        slot.append(pairs.setdefault(k & ~bit, len(pairs)))
+    npairs = len(pairs)
+    u = np.zeros((2 * npairs, values.shape[1]), dtype=complex)
+    u0, u1 = u[:npairs], u[npairs:]
+    if any(side):
+        u[[npairs + t if s else t for s, t in zip(side, slot)]] = values
+        moved = ((u0 - u1).reshape(-1, d) @ op.T).reshape(npairs, -1)
+        u0 -= moved
+        u1 += moved
+    else:
+        u1[...] = (values.reshape(-1, d) @ op.T).reshape(npairs, -1)
+        np.subtract(values, u1, out=u0)
+    real = u.view(np.float64)
+    floor2 = BRANCH_FLOOR ** 2
+    bases = list(pairs)
+    keep, out_keys, kept_w, norm2, dropped2 = [], [], [], 0.0, 0.0
+    for j, w in enumerate(np.add.reduce(real * real, 1).tolist()):
+        if w > floor2:
+            keep.append(j)
+            out_keys.append(bases[j] if j < npairs else bases[j - npairs] | bit)
+            kept_w.append(w)
+            norm2 += w
+        else:
+            dropped2 += w
+    if len(keep) < len(u):
+        u = u[keep]
+    return tuple(out_keys), u, norm2, math.sqrt(dropped2), kept_w
+
+
+def random_branch_case(rng, n, d, width):
+    """A seeded branch set and gate mixing every case the kernel separates.
+
+    Keys come in coincident pairs (f and f ^ bit both present), one-sided
+    pairs and, with probability 1/3, no key holding the bit at all (a fresh
+    record). Rows are random, in the kernel or the range of the projector,
+    or scaled to BRANCH_FLOOR or below it.
+    """
+    bit = 1 << (n - int(rng.integers(1, n + 1)))
+    rank = int(rng.integers(1, d))
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, _ = np.linalg.qr(z)
+    p = q[:, :rank] @ q[:, :rank].conj().T
+    if rng.integers(0, 2):      # an undo applies P^dag
+        p = p.conj().T.copy()
+    fresh = rng.integers(0, 3) == 0
+    size = int(rng.integers(1, 10))
+    keys = []
+    while len(keys) < size:
+        k = sum(int(v) << e for e, v in enumerate(rng.integers(0, 2, n))) & ~bit
+        if k in keys or (k | bit) in keys:
+            continue
+        kind = int(rng.integers(0, 3)) if not fresh else 0
+        if kind in (0, 2):
+            keys.append(k)
+        if kind in (1, 2):
+            keys.append(k | bit)
+    rows = []
+    for _ in keys:
+        cols = []
+        for _ in range(width // d):
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            kind = int(rng.integers(0, 5))
+            if kind == 1:
+                v = v - p @ v           # op v at rounding level
+            elif kind == 2:
+                v = p @ v               # (1 - op) v at rounding level
+            elif kind == 3:
+                v = BRANCH_FLOOR * v / np.linalg.norm(v) / math.sqrt(width // d)
+            elif kind == 4:
+                v = 0.3 * BRANCH_FLOOR * v / np.linalg.norm(v)
+            cols.append(v)
+        rows.append(np.concatenate(cols))
+    values = np.array(rows, dtype=complex)
+    real = values.view(np.float64)
+    w = np.add.reduce(real * real, 1)
+    return Branches(tuple(keys), values, float(w.sum()), tuple(w.tolist())), p, bit
+
+
+class TestRecordGateKernel:
+    @pytest.mark.parametrize("n", [7, 40, 200])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("square", [False, True], ids=["state", "block"])
+    def test_matches_list_reference_bit_for_bit(self, n, d, square):
+        rng = np.random.default_rng([n, d, square])
+        width = d * d if square else d
+        kinds = set()
+        for _ in range(60):
+            b, op, bit = random_branch_case(rng, n, d, width)
+            got, dropped = _record_gate(b, op, bit)
+            keys, values, norm2, ref_dropped, ref_w = reference_record_gate(
+                b.keys, b.values, op, bit)
+            assert got.keys == keys
+            assert np.array_equal(got.values, values)
+            assert got.norm2 == norm2
+            assert dropped == ref_dropped
+            assert list(got.weights) == ref_w
+            real = got.values.view(np.float64)
+            for j, w in enumerate(got.weights):
+                assert w == float(np.add.reduce(real[j] * real[j]))
+            kinds.add(("fresh" if all(not k & bit for k in b.keys) else "paired",
+                       dropped > 0, max(b.keys) >= 2 ** 63))
+        assert {k[:2] for k in kinds} >= {("fresh", True), ("paired", True), ("paired", False)}
+        if n == 200:
+            assert any(big for _, _, big in kinds)
+
+    def test_stage_weights_are_row_norms(self, kcbs):
+        t = simulate(build_measure_undo_protocol(5), kcbs)
+        for b in t.stages:
+            real = b.values.view(np.float64)
+            assert list(b.weights) == np.add.reduce(real * real, 1).tolist()
+
+    def test_adjoint_projector_is_read_only_conjugate_transpose(self):
+        r = random_rank1(6, 4, 5)
+        for i in range(1, 7):
+            pdag = r.adjoint_projector(i)
+            assert np.array_equal(pdag, r.projector(i).conj().T)
+            assert not pdag.flags.writeable
+            assert r.adjoint_projector(i) is pdag
+            with pytest.raises(ValueError):
+                pdag[0, 0] = 0
 
 
 class TestMeasurementUnitary:
@@ -332,6 +469,52 @@ class TestCertificates:
         for e in entries:
             want = 4 * commutator_norm(operator(e.pair[0]), operator(e.pair[1]))
             assert abs(e.norm - want) <= 1e-15, e.label
+
+    def test_noncontext_entries_built_on_first_access(self, monkeypatch):
+        r, n, _ = fixture_cases()[4]
+        batches = []
+        real = ewf._gate_pair_norms
+
+        def counted(ops, a, b):
+            batches.append(len(a))
+            return real(ops, a, b)
+
+        monkeypatch.setattr(ewf, "_gate_pair_norms", counted)
+        rep = paradox_report(r, n)
+        certs = rep.certificates
+        assert certs.passed and rep.block_bound <= 1e-12
+        for e in certs.required:
+            assert certs.entry(e.label) is e
+        assert batches == [2 * n - 2]
+        entries = certs.entries
+        assert batches == [2 * n - 2, n * (n - 1) // 2 - n]
+        assert certs.entries is entries
+        assert entries[:len(certs.required)] == certs.required
+        assert certs.entry("M1 vs M3 (non-context)") is entries[2 * n - 1]
+
+    def test_split_batches_match_one_batch(self):
+        # the required and the non-context pair norms, formed in two batches,
+        # equal the norms of all pairs formed in one
+        r, n, _ = fixture_cases()[10]
+        entries = commutation_certificates(r, n).entries
+        ops = np.stack([r.projector(i) for i in range(1, n + 1)]
+                       + [r.adjoint_projector(i) for i in range(1, n + 1)])
+
+        def index(name):
+            k = int(name[1:].rstrip("†")) - 1
+            return k + n if name.startswith("U") else k
+
+        pairs = [e.pair for e in entries if e.pair[0] != "U"]
+        norms = _gate_pair_norms(ops, [index(a) for a, _ in pairs], [index(b) for _, b in pairs])
+        assert [e.norm for e in entries if e.pair[0] != "U"] == norms
+
+    def test_entries_after_report_match_dense_oracle(self, kcbs):
+        certs = paradox_report(kcbs, 5).certificates
+        dense = dense_commutation_certificates(kcbs, 5)
+        assert [e.label for e in certs.entries] == [e.label for e in dense.entries]
+        assert [e.must_commute for e in certs.entries] == \
+            [e.must_commute for e in dense.entries]
+        assert [e.label for e in certs.required] == [e.label for e in dense.required]
 
     def test_block_telescopes(self, kcbs):
         # the intervening block collapses to U_{n-1} U_1^dag

@@ -126,6 +126,39 @@ class TestBehaviorValidation:
             Behavior(s, {c: dict(table) for c in s.contexts})
 
 
+class TestPossibilisticValidation:
+    def test_value_outside_outcomes_rejected(self):
+        pb = all_possible(5)
+        supports = dict(pb.supports)
+        supports[(3, 4)] = frozenset({(0, 0), (0, 2)})
+        with pytest.raises(ScenarioError, match=r"\(0, 2\) of context \(3, 4\)"):
+            PossibilisticBehavior(pb.scenario, supports)
+
+    def test_contextuality_keeps_its_own_value_check(self):
+        pb = all_possible(4)
+        pb.supports[(2, 3)] = frozenset({(0, 0), (0, 2)})   # edited after validation
+        with pytest.raises(ScenarioError, match="outside"):
+            is_logically_contextual(pb)
+
+    def test_wrong_arity_still_rejected(self):
+        s = make_cycle_scenario(3)
+        with pytest.raises(ScenarioError, match="wrong arity for context"):
+            PossibilisticBehavior(s, {c: frozenset({(0, 1, 1)}) for c in s.contexts})
+
+    def test_non_binary_scenario_takes_its_outcomes(self):
+        s = Scenario((1, 2, 3), ((1, 2), (2, 3)), outcomes=(0, 1, 2))
+        pb = PossibilisticBehavior(s, {c: frozenset({(0, 2), (2, 1)}) for c in s.contexts})
+        assert pb.possible((1, 2), (0, 2))
+
+    def test_relabel_and_chain_still_accepted(self):
+        mask = FlipMask({m: m % 3 == 0 for m in range(1, 10)})
+        pb = relabel(unified_ncycle_behavior(9), mask)
+        assert relabel(pb, mask) == unified_ncycle_behavior(9)
+        res = propagate_chain(pb, 1, 0)
+        assert not res.conflicted
+        assert res.forced == {m: int(mask.flipped(m)) for m in range(1, 10)}
+
+
 class TestCollapse:
     def test_uniform_all_possible(self):
         s = make_cycle_scenario(4)
