@@ -57,8 +57,9 @@ Frobenius-orthogonal with ``||X^f||_F^2 = 2^n``:
 * a pair of gates commutes up to ``[P_i, P_j] (x) (X_i - 1)(X_j - 1)``, so
   its commutator norm on system (x) A_i (x) A_j is ``4 ||[P_i, P_j]||_F``
   (``P_k^dag`` in place of ``P_k`` for an undo). The n context pairs and
-  the n - 2 undo pairs are computed in one batched call over the stacked
-  projectors and their conjugate transposes. The O(n^2) non-context pairs
+  the n - 2 undo pairs are computed in one batched call over the
+  projectors and their conjugate transposes, taken from the realization's
+  stored stacks with one fancy index. The O(n^2) non-context pairs
   only inform, so their norms and entries are built in a second batch on
   the first read of ``CertificateReport.entries``; ``passed``, the
   required entries and ``paradox_report`` never build them;
@@ -533,7 +534,8 @@ def _certificates(r: QuantumRealization, std: Protocol) -> CertificateReport:
     n = std.n
     # rows 0..n-1 hold P_1..P_n, rows n..2n-1 their conjugate transposes
     labels = range(1, n + 1)
-    ops = np.stack([r.projector(i) for i in labels] + [r.adjoint_projector(i) for i in labels])
+    rows = [r._rows[i] for i in labels]
+    ops = r._stacks[[1] * n + [2] * n, rows + rows]
     contexts = [(i, i + 1) for i in range(1, n)] + [(1, n)]
     # operator indices of each pair: contexts, then undos (P_k^dag vs P_{k+1})
     pairs = [(i - 1, j - 1) for i, j in contexts] + [(n + k - 1, k) for k in range(1, n - 1)]

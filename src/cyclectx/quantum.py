@@ -10,7 +10,10 @@ Pair statistics for compatible (commuting) measurements are computed from
 products of the commuting projectors, i.e. from the joint coarse-graining of
 the simultaneously diagonalizable measurement. No state-update rule enters
 anywhere in this module; the textbook sequential-update computation lives in
-``oracles`` purely as a cross-check.
+``oracles`` purely as a cross-check. ``born_pair`` and
+``behavior_from_realization`` share one pass over all requested pairs: one
+batched product forms every commutator [P_i, P_j] (the first pair above
+ALG_TOL raises), and two stacked products form every amplitude Q_b Q_a psi.
 
 ``find_quantum_realization`` searches for a realization of a possibilistic
 cycle target by least squares over the state and the frames. One residual
@@ -28,11 +31,18 @@ the search budget. Trial points cost r alone, and the Jacobian is built only
 at an accepted point from which a step is taken. The loop stops once
 ||r||^2 <= 1e-30 len(r), every entry at rounding level on average.
 
-A ``QuantumRealization`` validates its state and frames (finite,
-normalized, orthonormal), keeps a read-only copy of the frames and builds
-each outcome projector P_i and 1 - P_i, and the adjoint P_i^dag that the
-undo gates apply, from it once, as read-only arrays, for every caller to
-share.
+A ``QuantumRealization`` validates its state and frames (shape, then
+finite, then orthonormal, frame by frame in the caller's order) and keeps a
+read-only copy of the frames. From them it builds, once and with one stacked
+product per rank, three read-only (n, dim, dim) stacks in sorted-label
+order: 1 - P_i, P_i, and the adjoint P_i^dag that the undo gates apply. The
+accessors return fixed row views of these stacks, and the certificates take
+their operators from them with one fancy index.
+
+The search works on the same stacked form: the residual projects all frames
+of one rank with one gram, condition and solve, forms the amplitudes and the
+context commutators in stacked products, and an accepted point's frames are
+orthonormalized with one QR per rank.
 
 At most one kind of structured start precedes the seeded random restarts.
 A target that is an outcome relabeling of the unified ladder, with n >= 5
@@ -58,7 +68,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import ALG_TOL, commutator_norm, normalized
+from .linalg import ALG_TOL, normalized
 from .ncycle import FlipMask, relabel, unified_ncycle_behavior
 from .scenario import (
     Behavior,
@@ -91,39 +101,69 @@ class QuantumRealization:
     dim: int
     state: np.ndarray                      # (dim,) unit vector
     frames: Mapping[int, np.ndarray]       # label -> (dim, k) orthonormal columns
-    # label -> (1 - P_i, P_i, P_i^dag), built once from the validated frames;
-    # frames are stored as a read-only copy, so they cannot drift apart
-    _outcomes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+    # (3, n, dim, dim): 1 - P_i, P_i and P_i^dag stacked in sorted-label
+    # order, built once per rank group from the validated frames; frames are
+    # stored as a read-only copy, so they cannot drift apart. ``_rows`` maps
+    # a label to its row; ``ewf`` reads both for its certificate batch.
+    _stacks: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: Mapping[int, int] = field(init=False, repr=False, compare=False)
+    # label -> read-only row views (1 - P_i, P_i, P_i^dag) of the stacks
+    _views: Mapping[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim < 2:
+        d = self.dim
+        if d < 2:
             raise RealizationError("dimension must be at least 2")
         s = np.asarray(self.state, dtype=complex)
-        if s.shape != (self.dim,):
-            raise RealizationError(f"state must have shape ({self.dim},)")
+        if s.shape != (d,):
+            raise RealizationError(f"state must have shape ({d},)")
         if not np.all(np.isfinite(s)):
             raise RealizationError("state has non-finite entries")
         if abs(np.linalg.norm(s) ** 2 - 1.0) > ALG_TOL:
             raise RealizationError("state is not normalized")
-        frames, outcomes = {}, {}
+        # each frame's first failing check, in the order shape, finiteness,
+        # orthonormality; the first failing frame in the caller's order raises
+        failure: dict[int, str] = {}
+        groups: dict[int, list[int]] = {}       # rank -> labels, caller order
+        given = {}
         for i, f in self.frames.items():
-            f = np.array(f, dtype=complex)
-            if f.ndim != 2 or f.shape[0] != self.dim or not 1 <= f.shape[1] <= self.dim:
-                raise RealizationError(f"frame {i} has invalid shape {f.shape}")
-            if not np.all(np.isfinite(f)):
-                raise RealizationError(f"frame {i} has non-finite entries")
-            gram = f.conj().T @ f
-            if np.linalg.norm(gram - np.eye(f.shape[1])) > ALG_TOL:
-                raise RealizationError(f"frame {i} is not orthonormal")
-            p = f @ f.conj().T
-            q = np.eye(self.dim) - p
-            pdag = p.conj().T
-            for a in (f, p, q, pdag):
-                a.setflags(write=False)
-            frames[i], outcomes[i] = f, (q, p, pdag)
-        object.__setattr__(self, "frames", MappingProxyType(frames))
-        object.__setattr__(self, "_outcomes", outcomes)
+            f = given[i] = np.asarray(f)
+            if f.ndim != 2 or f.shape[0] != d or not 1 <= f.shape[1] <= d:
+                failure[i] = f"frame {i} has invalid shape {f.shape}"
+            else:
+                groups.setdefault(f.shape[1], []).append(i)
+        labels = sorted(given)
+        rows = {i: k for k, i in enumerate(labels)}
+        stacks = np.empty((3, len(labels), d, d), dtype=complex)
+        frames = {}
+        for k, group in groups.items():
+            f = np.array([given[i] for i in group], dtype=complex)
+            finite = np.isfinite(f).all(axis=(1, 2))
+            if not finite.all():
+                failure.update((i, f"frame {i} has non-finite entries")
+                               for i, ok in zip(group, finite) if not ok)
+                group, f = [i for i, ok in zip(group, finite) if ok], f[finite]
+            gram = f.conj().transpose(0, 2, 1) @ f
+            deviation = np.linalg.norm(gram - np.eye(k), axis=(1, 2))
+            failure.update((i, f"frame {i} is not orthonormal")
+                           for i, dev in zip(group, deviation) if dev > ALG_TOL)
+            if failure:
+                continue
+            stacks[1, [rows[i] for i in group]] = f @ f.conj().transpose(0, 2, 1)
+            f.setflags(write=False)
+            frames.update(zip(group, f))
+        for i in self.frames:
+            if i in failure:
+                raise RealizationError(failure[i])
+        stacks[0] = np.eye(d) - stacks[1]
+        stacks[2] = stacks[1].conj().transpose(0, 2, 1)
+        stacks.setflags(write=False)
+        q, p, pdag = stacks
+        object.__setattr__(self, "frames", MappingProxyType({i: frames[i] for i in self.frames}))
+        object.__setattr__(self, "_stacks", stacks)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_views", {i: (q[k], p[k], pdag[k]) for i, k in rows.items()})
 
     def rank(self, i: int) -> int:
         return int(np.asarray(self.frames[i]).shape[1])
@@ -137,15 +177,15 @@ class QuantumRealization:
 
     def projector(self, i: int) -> np.ndarray:
         """P_i = F F^dag, read-only."""
-        return self._outcomes[i][1]
+        return self._views[i][1]
 
     def adjoint_projector(self, i: int) -> np.ndarray:
         """P_i^dag, exactly ``projector(i).conj().T``; read-only."""
-        return self._outcomes[i][2]
+        return self._views[i][2]
 
     def outcome_projector(self, i: int, outcome: int) -> np.ndarray:
         """P_i for outcome 1, 1 - P_i otherwise; read-only."""
-        return self._outcomes[i][1 if outcome == 1 else 0]
+        return self._views[i][1 if outcome == 1 else 0]
 
 
 @dataclass(frozen=True)
@@ -191,6 +231,33 @@ def kcbs_realization() -> QuantumRealization:
     return QuantumRealization(3, eta, {i: v.reshape(3, 1) for i, v in vecs.items()})
 
 
+def _pair_distributions(r: QuantumRealization,
+                        pairs: Sequence[tuple[int, int]]) -> list[PairDistribution]:
+    """Joint outcome distributions of compatible pairs, all in one pass.
+
+    Every commutator [P_i, P_j] is formed in one batched product; the first
+    pair in the given order whose norm exceeds ALG_TOL raises
+    ``NoncommutingError``. The amplitudes Q_b Q_a psi of all pairs then take
+    two stacked products, and each probability is ||Q_b Q_a psi||^2, rounded
+    as the square of the norm.
+    """
+    i = [r._rows[a] for a, _ in pairs]
+    j = [r._rows[b] for _, b in pairs]
+    pi, pj = r._stacks[1, i], r._stacks[1, j]
+    norms = np.linalg.norm(pi @ pj - pj @ pi, axis=(1, 2))
+    bad = np.flatnonzero(norms > ALG_TOL)
+    if len(bad):
+        (a, b), c = pairs[bad[0]], norms[bad[0]]
+        raise NoncommutingError(
+            f"measurements {a} and {b} do not commute (norm {c:.3e} > {ALG_TOL:.1e})")
+    u = r._stacks[:2, i] @ r.state                          # [a, pair]
+    v = r._stacks[None, :2, j] @ u[:, None, :, :, None]     # [a, b, pair]
+    norm2 = np.add.reduce(v.real * v.real, 3) + np.add.reduce(v.imag * v.imag, 3)
+    probs = (np.sqrt(norm2[..., 0]) ** 2).transpose(2, 0, 1).tolist()
+    return [PairDistribution(pair, {(0, 0): p0[0], (0, 1): p0[1], (1, 0): p1[0], (1, 1): p1[1]})
+            for pair, (p0, p1) in zip(pairs, probs)]
+
+
 def born_pair(r: QuantumRealization, i: int, j: int) -> PairDistribution:
     """Joint outcome distribution for the compatible pair (i, j).
 
@@ -198,25 +265,15 @@ def born_pair(r: QuantumRealization, i: int, j: int) -> PairDistribution:
     applied to the prepared state, keyed (a_i, a_j) in argument order. A
     pair whose commutator norm exceeds ALG_TOL raises ``NoncommutingError``.
     """
-    c = commutator_norm(r.projector(i), r.projector(j))
-    if c > ALG_TOL:
-        raise NoncommutingError(
-            f"measurements {i} and {j} do not commute (norm {c:.3e} > {ALG_TOL:.1e})")
-    probs = {}
-    for a, b in itertools.product((0, 1), repeat=2):
-        v = r.outcome_projector(j, b) @ (r.outcome_projector(i, a) @ r.state)
-        probs[(a, b)] = float(np.linalg.norm(v) ** 2)
-    return PairDistribution((i, j), probs)
+    return _pair_distributions(r, [(i, j)])[0]
 
 
 def behavior_from_realization(r: QuantumRealization, s: Scenario) -> Behavior:
     """Fill every context table of the scenario from the realization."""
-    tables = {}
-    for c in s.contexts:
-        if len(c) != 2:
-            raise RealizationError("only two-measurement contexts are supported here")
-        tables[c] = dict(born_pair(r, c[0], c[1]).probabilities)
-    return Behavior(s, tables)
+    if any(len(c) != 2 for c in s.contexts):
+        raise RealizationError("only two-measurement contexts are supported here")
+    dists = _pair_distributions(r, s.contexts)
+    return Behavior(s, {c: dict(d.probabilities) for c, d in zip(s.contexts, dists)})
 
 
 # --- realization search -----------------------------------------------------
@@ -240,6 +297,20 @@ class SearchFailure:
     message: str
 
 
+def _projectors(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P = Z (Z^dag Z)^{-1} Z^dag of each frame in a stack of equal rank, and
+    W = Z (Z^dag Z)^{-1}, from one stacked gram, condition and solve.
+
+    Raises ``FloatingPointError`` when some gram matrix is near-singular.
+    """
+    zh = z.conj().transpose(0, 2, 1)
+    gram = zh @ z
+    if np.any(np.linalg.cond(gram) > 1e12):
+        raise FloatingPointError("degenerate frame")
+    w = np.linalg.solve(gram, zh).conj().transpose(0, 2, 1)
+    return w @ zh, w
+
+
 @dataclass
 class _PenaltyProblem:
     """Residual vector r(x) over (state, frames), with its analytic Jacobian.
@@ -249,6 +320,7 @@ class _PenaltyProblem:
     each split into real and imaginary parts. The frame's projector is
     computed exactly as Z (Z^dag Z)^{-1} Z^dag, which makes the probability
     formulas exact at every iterate without an orthonormality constraint.
+    Frames of equal rank are read from x and projected as one stack.
     """
 
     n: int
@@ -258,6 +330,33 @@ class _PenaltyProblem:
     required: Sequence[tuple[tuple[int, int], tuple[int, int]]]
     contexts: Sequence[tuple[int, int]]
     margin: float = REQUIRED_MARGIN
+    # label - 1 -> the slice of x holding its frame
+    _spans: list[slice] = field(init=False, repr=False, compare=False)
+    # per rank: the labels - 1 and the positions in x of the real and
+    # imaginary parts of their frames, shaped (labels, dim, rank)
+    _groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False)
+    # (i, j, a, b) of the forbidden tuples and then the required ones, and
+    # (i, j) of the contexts, as index arrays with labels - 1
+    _tuples: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _contexts: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        d, pos, starts = self.dim, 2 * self.dim, []
+        for k in self.ranks:
+            starts.append(pos)
+            pos += 2 * d * k
+        self._spans = [slice(a, a + 2 * d * k) for a, k in zip(starts, self.ranks)]
+        by_rank: dict[int, list[int]] = {}
+        for label, k in enumerate(self.ranks):
+            by_rank.setdefault(k, []).append(label)
+        self._groups = []
+        for k, labels in by_rank.items():
+            re = (np.array([starts[i] for i in labels])[:, None] + np.arange(d * k)).reshape(-1, d, k)
+            self._groups.append((np.array(labels), re, re + d * k))
+        tuples = [(i - 1, j - 1, a, b) for (i, j), (a, b) in (*self.forbidden, *self.required)]
+        self._tuples = tuple(np.array(tuples, dtype=np.intp).reshape(-1, 4).T)
+        self._contexts = tuple(np.array(self.contexts, dtype=np.intp).reshape(-1, 2).T - 1)
 
     def num_params(self) -> int:
         return 2 * self.dim + sum(2 * self.dim * k for k in self.ranks)
@@ -269,18 +368,11 @@ class _PenaltyProblem:
             parts.append(np.concatenate([f.real, f.imag]))
         return np.concatenate(parts)
 
-    def unpack(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        d, pos = self.dim, 0
-
-        def take(m):
-            nonlocal pos
-            v = x[pos:pos + m] + 1j * x[pos + m:pos + 2 * m]
-            pos += 2 * m
-            return v
-
-        s = take(d)
-        zs = [take(d * k).reshape(d, k) for k in self.ranks]
-        return s, zs
+    def frame_stacks(self, x: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """The raw state and, per rank, the labels - 1 with their stacked frames."""
+        d = self.dim
+        s = x[:d] + 1j * x[d:2 * d]
+        return s, [(labels, x[re] + 1j * x[im]) for labels, re, im in self._groups]
 
     def residual(self, x: np.ndarray,
                  jacobian: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
@@ -291,73 +383,72 @@ class _PenaltyProblem:
         stacks the real and imaginary parts of Q_b Q_a psi for every
         forbidden tuple (a, b) of context (i, j), then those of [P_i, P_j]
         for every context, then max(0, margin - ||Q_b Q_a psi||^2) for every
-        required tuple. r is computed by the same operations either way.
-        Raises ``FloatingPointError`` at a degenerate state or frame.
+        required tuple. The projectors of each rank, the amplitudes and the
+        commutators are each formed in stacked products, r from them either
+        way, and the Jacobian rows read the same stacked values. Raises
+        ``FloatingPointError`` at a degenerate state or frame.
         """
         d, size = self.dim, len(x)
         eye = np.eye(d)
-        s, zs = self.unpack(x)
+        s, groups = self.frame_stacks(x)
         ns = np.linalg.norm(s)
         if ns < 1e-12:
             raise FloatingPointError("degenerate state")
         psi = s / ns
-        # one row per parameter: the derivative of psi, and of each P_i,
-        # along that parameter (dP = A + A^dag, A = (1 - P) dZ (Z^dag Z)^{-1} Z^dag)
-        if jacobian:
-            dpsi = np.concatenate([eye - np.outer(psi.real, psi),
-                                   1j * eye - np.outer(psi.imag, psi)]) / ns
-        projs, dprojs, spans = [], [], []
-        pos = 2 * d
-        for z in zs:
-            gram = z.conj().T @ z
-            if np.linalg.cond(gram) > 1e12:
-                raise FloatingPointError("degenerate frame")
-            w = np.linalg.solve(gram, z.conj().T).conj().T
-            p = w @ z.conj().T
-            projs.append(p)
+        projs = np.empty((self.n, d, d), dtype=complex)
+        # per label, the derivative of P_i along each of its parameters
+        # (dP = A + A^dag, A = (1 - P) dZ (Z^dag Z)^{-1} Z^dag)
+        dprojs: list[np.ndarray] = [None] * self.n
+        for labels, z in groups:
+            p, w = _projectors(z)
+            projs[labels] = p
             if jacobian:
-                a = np.einsum("xp,yq->pqxy", eye - p, w.conj()).reshape(-1, d, d)
-                a = np.concatenate([a, 1j * a])
-                dprojs.append(a + a.conj().transpose(0, 2, 1))
-                spans.append(slice(pos, pos + len(a)))
-                pos += len(a)
+                a = np.einsum("mxp,myq->mpqxy", eye - p, w.conj()).reshape(len(labels), -1, d, d)
+                a = np.concatenate([a, 1j * a], axis=1)
+                dprojs_k = a + a.conj().transpose(0, 1, 3, 2)
+                for label, dp in zip(labels, dprojs_k):
+                    dprojs[label] = dp
 
-        def pair(ctx, ab):
-            (i, j), (a, b) = ctx, ab
-            qa = projs[i - 1] if a == 1 else eye - projs[i - 1]
-            qb = projs[j - 1] if b == 1 else eye - projs[j - 1]
-            u = qa @ psi
-            v = qb @ u
-            if not jacobian:
-                return v, None
+        ti, tj, ta, tb = self._tuples
+        outcome = np.stack([eye - projs, projs])
+        qa, qb = outcome[ta, ti], outcome[tb, tj]
+        u = qa @ psi
+        v = (qb @ u[..., None])[..., 0]
+        ci, cj = self._contexts
+        pi, pj = projs[ci], projs[cj]
+        comm = pi @ pj - pj @ pi
+        nf, nc = len(self.forbidden), len(ci)
+        hinges = [self.margin - float(np.vdot(vt, vt).real) for vt in v[nf:]]
+        r = np.concatenate([
+            np.concatenate([v[:nf].real, v[:nf].imag], axis=1).ravel(),
+            np.concatenate([comm.real.reshape(nc, d * d), comm.imag.reshape(nc, d * d)],
+                           axis=1).ravel(),
+            [max(0.0, h) for h in hinges]])
+        if not jacobian:
+            return r, None
+
+        # one row per parameter: the derivative of psi, and of each amplitude
+        dpsi = np.concatenate([eye - np.outer(psi.real, psi),
+                               1j * eye - np.outer(psi.imag, psi)]) / ns
+        dv_psi = dpsi @ (qb @ qa).transpose(0, 2, 1)
+        forb, req = [], []
+        for t, (i, j, a, b) in enumerate(zip(ti, tj, ta, tb)):
             dv = np.zeros((size, d), dtype=complex)
-            dv[:2 * d] = dpsi @ (qb @ qa).T
-            dv[spans[i - 1]] += (1 if a == 1 else -1) * (dprojs[i - 1] @ psi) @ qb.T
-            dv[spans[j - 1]] += (1 if b == 1 else -1) * (dprojs[j - 1] @ u)
-            return v, dv
-
-        rows, jac = [], []
-        for ctx, ab in self.forbidden:
-            v, dv = pair(ctx, ab)
-            rows += [v.real, v.imag]
-            if jacobian:
-                jac += [dv.real.T, dv.imag.T]
-        for i, j in self.contexts:
-            pi, pj = projs[i - 1], projs[j - 1]
-            k = pi @ pj - pj @ pi
-            rows += [k.real.ravel(), k.imag.ravel()]
-            if jacobian:
-                dk = np.zeros((size, d, d), dtype=complex)
-                dk[spans[i - 1]] += dprojs[i - 1] @ pj - pj @ dprojs[i - 1]
-                dk[spans[j - 1]] += pi @ dprojs[j - 1] - dprojs[j - 1] @ pi
-                jac += [dk.real.reshape(size, -1).T, dk.imag.reshape(size, -1).T]
-        for ctx, ab in self.required:
-            v, dv = pair(ctx, ab)
-            hinge = self.margin - float(np.vdot(v, v).real)
-            rows.append([max(0.0, hinge)])
-            if jacobian:
-                jac.append((-2.0 * (dv @ v.conj()).real if hinge > 0 else np.zeros(size))[None])
-        return np.concatenate(rows), np.concatenate(jac) if jacobian else None
+            dv[:2 * d] = dv_psi[t]
+            dv[self._spans[i]] += (1 if a == 1 else -1) * (dprojs[i] @ psi) @ qb[t].T
+            dv[self._spans[j]] += (1 if b == 1 else -1) * (dprojs[j] @ u[t])
+            if t < nf:
+                forb += [dv.real.T, dv.imag.T]
+            else:
+                hinge = hinges[t - nf]
+                req.append((-2.0 * (dv @ v[t].conj()).real if hinge > 0 else np.zeros(size))[None])
+        comms = []
+        for i, j, p_i, p_j in zip(ci, cj, pi, pj):
+            dk = np.zeros((size, d, d), dtype=complex)
+            dk[self._spans[i]] += dprojs[i] @ p_j - p_j @ dprojs[i]
+            dk[self._spans[j]] += p_i @ dprojs[j] - dprojs[j] @ p_i
+            comms += [dk.real.reshape(size, -1).T, dk.imag.reshape(size, -1).T]
+        return r, np.concatenate(forb + comms + req)
 
     def measures(self, r: np.ndarray) -> tuple[float, float, float]:
         """(fmax, cmax, rmin) read from a residual vector.
@@ -469,17 +560,16 @@ def _odd_plane_vectors(n: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
 
 
 def _embed(vec: np.ndarray, dim: int) -> np.ndarray:
-    out = np.zeros(dim, dtype=complex)
-    out[: len(vec)] = vec
+    out = np.zeros(vec.shape[:-1] + (dim,), dtype=complex)
+    out[..., : vec.shape[-1]] = vec
     return out
 
 
-def _complement_frame(vec: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of the orthocomplement of a unit vector."""
-    v = _embed(vec, dim)
-    proj = np.eye(dim) - np.outer(v, v.conj())
-    u, sv, _ = np.linalg.svd(proj)
-    return u[:, : dim - 1]
+def _complement_frames(vecs: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the orthocomplements of stacked unit vectors."""
+    proj = np.eye(vecs.shape[1]) - vecs[:, :, None] * vecs.conj()[:, None, :]
+    u, _, _ = np.linalg.svd(proj)
+    return u[:, :, :-1]
 
 
 def _ladder_flips(target: PossibilisticBehavior) -> tuple[bool, ...] | None:
@@ -520,8 +610,10 @@ def _chain_start(prob: _PenaltyProblem, n: int, dim: int,
     psi, vs = _odd_plane_vectors(n if n % 2 == 1 else n - 1)
     if n % 2 == 0:
         vs[n] = vs[1]
-    zs = [_complement_frame(vs[i], dim) if (i % 2 == 1) != flips[i - 1]
-          else _embed(vs[i], dim).reshape(dim, 1) for i in range(1, n + 1)]
+    vecs = _embed(np.array([vs[i] for i in range(1, n + 1)]), dim)
+    complement = [(i % 2 == 1) != flips[i - 1] for i in range(1, n + 1)]
+    comps = iter(_complement_frames(vecs[complement]))
+    zs = [next(comps) if c else v[:, None] for c, v in zip(complement, vecs)]
     return tuple(z.shape[1] for z in zs), prob.pack(_embed(psi, dim), zs)
 
 
@@ -585,16 +677,16 @@ def _candidate_starts(prob: _PenaltyProblem, target: PossibilisticBehavior,
         yield ranks, prob.pack(state / np.linalg.norm(state), zs)
 
 
-def _canonical_frame(z: np.ndarray) -> np.ndarray:
-    """Orthonormalize and fix column phases so serialization is stable."""
+def _canonical_frames(z: np.ndarray) -> np.ndarray:
+    """Orthonormalize a stack of frames and fix column phases so serialization
+    is stable: each column's first entry above 1e-8 in modulus is made real
+    and positive."""
     q, _ = np.linalg.qr(z)
-    q = q[:, : z.shape[1]].copy()
-    for c in range(q.shape[1]):
-        col = q[:, c]
-        pivot = np.argmax(np.abs(col) > 1e-8)
-        ph = col[pivot] / abs(col[pivot])
-        q[:, c] = col * np.conj(ph)
-    return q
+    pivot = np.argmax(np.abs(q) > 1e-8, axis=1)
+    top = np.take_along_axis(q, pivot[:, None, :], axis=1)
+    # hypot, not np.abs: the vectorized complex abs rounds differently in
+    # the last bit, which would change the serialized frames
+    return q * np.conj(top / np.hypot(top.real, top.imag))
 
 
 def find_quantum_realization(
@@ -659,11 +751,13 @@ def find_quantum_realization(
             best = (val, fmax, cmax, rmin)
         if fmax > FORBIDDEN_TOL or cmax > COMM_TOL or rmin < REQUIRED_MARGIN:
             continue
-        state, zs = prob.unpack(x)
+        state, groups = prob.frame_stacks(x)
+        frames = {}
+        for labels, z in groups:
+            frames.update(zip(labels.tolist(), _canonical_frames(z)))
         try:
-            cand = QuantumRealization(
-                dim, normalized(state),
-                {i + 1: _canonical_frame(zs[i]) for i in range(n)})
+            cand = QuantumRealization(dim, normalized(state),
+                                      {i + 1: frames[i] for i in range(n)})
             collapse = possibilistic_collapse(behavior_from_realization(cand, s))
         except (RealizationError, NoncommutingError):
             continue

@@ -4,7 +4,7 @@ import pytest
 
 from cyclectx import cli
 from cyclectx.cli import main
-from cyclectx.ewf import BranchLimitError
+from cyclectx.ewf import BranchLimitError, CertificateError
 
 
 def run(tmp_path, argv, name="out.json"):
@@ -188,6 +188,28 @@ class TestVerifyAll:
         c5 = next(c for c in doc["criteria"] if c["id"] == "C5")
         assert c5["status"] == "fail"
         assert [c["status"] for c in c5["cases"]] == ["skip"]
+
+    def test_certificate_failure_is_reported(self, tmp_path, monkeypatch):
+        # a found realization whose certificates fail fails C5; the run
+        # still reports every criterion
+        real = cli.paradox_report
+
+        def failing_at_6(r, n, *args, **kwargs):
+            if n == 6:
+                raise CertificateError("commutation certificates failed: ['M1 vs M2']")
+            return real(r, n, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "paradox_report", failing_at_6)
+        code, payload = run(tmp_path, ["verify-all", "--n-max", "7", "--format", "json"])
+        assert code == 1
+        doc = json.loads(payload)
+        assert doc["passed"] is False
+        assert [c["id"] for c in doc["criteria"]] == \
+            ["C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8"]
+        assert [c["id"] for c in doc["criteria"] if c["status"] == "fail"] == ["C5"]
+        c5 = next(c for c in doc["criteria"] if c["id"] == "C5")
+        assert [(c["n"], c["status"]) for c in c5["cases"]] == [(6, "fail"), (7, "pass")]
+        assert "M1 vs M2" in c5["cases"][0]["notice"]
 
 
 class TestUsage:

@@ -1,11 +1,13 @@
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cyclectx.linalg import commutator_norm
 from cyclectx.ncycle import odd_ncycle_behavior
+from cyclectx.oracles import projection_sequential
 from cyclectx.quantum import (
     NoncommutingError,
     PairDistribution,
@@ -235,3 +237,106 @@ class TestSerialization:
         back = realization_from_doc(doc)
         np.testing.assert_allclose(back.projector(1), r.projector(1), atol=1e-15)
         np.testing.assert_allclose(back.projector(2), r.projector(2), atol=1e-15)
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "realizations.json"
+
+
+def random_unitary(dim, rng):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def conjugated(r, seed, n):
+    """The realization in a seeded random basis, as the benchmark builds it."""
+    v = random_unitary(r.dim, np.random.default_rng([seed, n]))
+    return QuantumRealization(r.dim, v @ r.state,
+                              {i: v @ np.asarray(f) for i, f in r.frames.items()})
+
+
+def mixed_rank_realization(dim=4, seed=5):
+    """Ranks 1, 2, dim - 1 and dim on one eigenbasis, labels given out of order.
+
+    Every pair of projectors commutes, so all pairs of the 4-cycle have
+    statistics.
+    """
+    rng = np.random.default_rng(seed)
+    u = random_unitary(dim, rng)
+    state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    frames = {3: u[:, 1:2], 1: u[:, 2:4], 4: u[:, :dim - 1], 2: u}
+    return QuantumRealization(dim, state / np.linalg.norm(state), frames)
+
+
+def pair_cases():
+    doc = json.loads(FIXTURES.read_text(encoding="utf-8"))["realizations"]
+    cases = [kcbs_realization(), mixed_rank_realization()]
+    for seed in (1, 7, 33):
+        cases += [conjugated(realization_from_doc(doc[str(n)]), seed, n) for n in range(5, 16)]
+    return cases
+
+
+def per_pair_formula(r, i, j):
+    """One context's table computed pair by pair, as before batching."""
+    return {(a, b): float(np.linalg.norm(
+                r.outcome_projector(j, b) @ (r.outcome_projector(i, a) @ r.state)) ** 2)
+            for a, b in itertools.product((0, 1), repeat=2)}
+
+
+class TestBatchedRealization:
+    def test_mixed_rank_projectors(self):
+        r = mixed_rank_realization()
+        assert [r.rank(i) for i in r.frames] == [1, 2, 3, 4]
+        for i in r.frames:
+            f = r.frames[i]
+            p = r.projector(i)
+            assert np.array_equal(p, f @ f.conj().T)
+            assert np.array_equal(r.outcome_projector(i, 0), np.eye(r.dim) - p)
+            assert np.array_equal(r.adjoint_projector(i), p.conj().T)
+            for get in (lambda: r.projector(i), lambda: r.outcome_projector(i, 0),
+                        lambda: r.adjoint_projector(i), lambda: r.frames[i]):
+                a = get()
+                assert get() is a
+                with pytest.raises(ValueError):
+                    a[0, 0] = 0.5
+            assert r.outcome_projector(i, 1) is p
+
+    def test_tables_match_born_pair_formula_and_oracle(self):
+        for r in pair_cases():
+            s = make_cycle_scenario(len(r.frames))
+            b = behavior_from_realization(r, s)
+            for c in s.contexts:
+                table = born_pair(r, *c).probabilities
+                assert b.tables[c] == table
+                formula = per_pair_formula(r, *c)
+                oracle = projection_sequential(r, c)
+                for t, p in table.items():
+                    assert abs(p - formula[t]) <= 1e-15
+                    assert abs(p - oracle[t]) <= 1e-12
+
+    def test_first_noncommuting_context_is_named(self, kcbs):
+        # a generic vector 3 breaks contexts (2, 3) and (3, 4)
+        frames = dict(kcbs.frames)
+        frames[3] = np.array([[0.6], [0.0], [0.8]], dtype=complex)
+        r = QuantumRealization(3, kcbs.state, frames)
+        with pytest.raises(NoncommutingError, match="measurements 2 and 3 do not commute"):
+            behavior_from_realization(r, make_cycle_scenario(5))
+        with pytest.raises(NoncommutingError, match="measurements 4 and 3 do not commute"):
+            born_pair(r, 4, 3)
+
+    @pytest.mark.parametrize("first, second, message", [
+        ("nonfinite", "skew", "frame 4 has non-finite entries"),
+        ("skew", "nonfinite", "frame 4 is not orthonormal"),
+        ("skew", "shape", "frame 4 is not orthonormal"),
+        ("shape", "nonfinite", r"frame 4 has invalid shape \(3, 4\)"),
+        ("nonfinite", "nonfinite", "frame 4 has non-finite entries"),
+    ])
+    def test_first_bad_frame_in_caller_order(self, kcbs, first, second, message):
+        bad = {"nonfinite": np.array([[np.inf], [0], [0]], dtype=complex),
+               "skew": np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex),
+               "shape": np.zeros((3, 4), dtype=complex)}
+        # the first bad frame in the caller's order is not the lowest label
+        frames = {1: kcbs.frames[1], 4: bad[first], 3: kcbs.frames[3], 2: bad[second],
+                  5: kcbs.frames[5]}
+        with pytest.raises(RealizationError, match=message):
+            QuantumRealization(3, kcbs.state, frames)

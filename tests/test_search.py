@@ -289,3 +289,87 @@ class TestChainStart:
     def test_grid_overlap_matches_loop(self, n, overlap):
         psi, vs = _odd_plane_vectors(n)
         assert abs(abs(vs[1] @ psi) ** 2 - overlap) <= 1e-15
+
+
+def old_frames(prob, x):
+    """The frames read from x one label at a time, as the unbatched residual did."""
+    d, pos, zs = prob.dim, 2 * prob.dim, []
+    for k in prob.ranks:
+        m = d * k
+        zs.append((x[pos:pos + m] + 1j * x[pos + m:pos + 2 * m]).reshape(d, k))
+        pos += 2 * m
+    return zs
+
+
+def old_canonical_frame(z):
+    """The per-frame phase fix that the batched one replaces."""
+    q, _ = np.linalg.qr(z)
+    q = q[:, : z.shape[1]].copy()
+    for c in range(q.shape[1]):
+        col = q[:, c]
+        pivot = np.argmax(np.abs(col) > 1e-8)
+        ph = col[pivot] / abs(col[pivot])
+        q[:, c] = col * np.conj(ph)
+    return q
+
+
+MIXED_RANKS = [(4, (2, 1, 3, 4, 1, 2, 3)), (3, (1, 2, 3, 2, 1)), (5, (4, 1, 2, 5, 4))]
+
+
+class TestBatchedSearchAlgebra:
+    @pytest.mark.parametrize("dim,ranks", MIXED_RANKS)
+    def test_projectors_match_per_frame_formula(self, dim, ranks):
+        prob = unified_problem(len(ranks), dim, ranks)
+        x = np.random.default_rng(21).standard_normal(prob.num_params())
+        zs = old_frames(prob, x)
+        state, groups = prob.frame_stacks(x)
+        assert np.array_equal(state, x[:dim] + 1j * x[dim:2 * dim])
+        assert sorted(i for labels, _ in groups for i in labels) == list(range(len(ranks)))
+        for labels, z in groups:
+            p, _ = quantum._projectors(z)
+            for label, z_k, p_k in zip(labels, z, p):
+                assert np.array_equal(z_k, zs[label])
+                w = np.linalg.solve(z_k.conj().T @ z_k, z_k.conj().T).conj().T
+                assert np.array_equal(p_k, w @ z_k.conj().T)
+
+    def test_degenerate_frame_in_a_stack(self):
+        z = np.random.default_rng(2).standard_normal((3, 4, 2)).astype(complex)
+        z[1, :, 1] = z[1, :, 0]
+        with pytest.raises(FloatingPointError, match="degenerate frame"):
+            quantum._projectors(z)
+
+    @pytest.mark.parametrize("dim,ranks", MIXED_RANKS)
+    def test_canonical_frames_match_per_frame_fix(self, dim, ranks):
+        rng = np.random.default_rng([dim, len(ranks)])
+        for k in sorted(set(ranks)):
+            z = rng.standard_normal((4, dim, k)) + 1j * rng.standard_normal((4, dim, k))
+            z[1, 0] = 0.0       # a zero leading row moves the phase pivot down
+            got = quantum._canonical_frames(z)
+            assert np.array_equal(got, np.array([old_canonical_frame(f) for f in z]))
+
+    @pytest.mark.parametrize("n,dim", [(7, 3), (8, 4), (8, 3)])
+    def test_chain_start_frames(self, n, dim):
+        # the complement frames, from one stacked SVD, equal the per-vector SVD's
+        base = unified_problem(n, dim, (1,) * n, margin=quantum.REQUIRED_MARGIN)
+        ranks, x0 = quantum._chain_start(base, n, dim, (False,) * n)
+        psi, vs = _odd_plane_vectors(n if n % 2 == 1 else n - 1)
+        if n % 2 == 0:
+            vs[n] = vs[1]
+        for i, z in enumerate(old_frames(replace(base, ranks=ranks), x0), start=1):
+            v = np.zeros(dim, dtype=complex)
+            v[:3] = vs[i]
+            if i % 2 == 1:
+                u, _, _ = np.linalg.svd(np.eye(dim) - np.outer(v, v.conj()))
+                assert np.array_equal(z, u[:, :dim - 1])
+            else:
+                assert np.array_equal(z, v[:, None])
+
+    def test_found_frames_are_the_canonical_chain_frames(self):
+        n, dim = 8, 4
+        found = find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n),
+                                         dim, seed=1)
+        base = unified_problem(n, dim, (1,) * n, margin=quantum.REQUIRED_MARGIN)
+        ranks, x0 = quantum._chain_start(base, n, dim, (False,) * n)
+        assert [found.rank(i) for i in range(1, n + 1)] == list(ranks)
+        for i, z in enumerate(old_frames(replace(base, ranks=ranks), x0), start=1):
+            assert np.array_equal(found.frames[i], old_canonical_frame(z))
