@@ -58,8 +58,8 @@ Frobenius-orthogonal with ``||X^f||_F^2 = 2^n``:
   its commutator norm on system (x) A_i (x) A_j is ``4 ||[P_i, P_j]||_F``
   (``P_k^dag`` in place of ``P_k`` for an undo). The n context pairs and
   the n - 2 undo pairs are computed in one batched call over the
-  projectors and their conjugate transposes, taken from the realization's
-  stored stacks with one fancy index. The O(n^2) non-context pairs
+  projectors and their conjugate transposes, read through the
+  realization's accessors into one stack. The O(n^2) non-context pairs
   only inform, so their norms and entries are built in a second batch on
   the first read of ``CertificateReport.entries``; ``passed``, the
   required entries and ``paradox_report`` never build them;
@@ -78,6 +78,7 @@ Frobenius-orthogonal with ``||X^f||_F^2 = 2^n``:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable, Mapping, Sequence
@@ -90,7 +91,7 @@ import numpy as np
 
 from .linalg import ALG_TOL, PROB_TOL
 from .ncycle import odd_ncycle_behavior, unified_ncycle_behavior
-from .quantum import PairDistribution, QuantumRealization
+from .quantum import QuantumRealization
 from .scenario import (
     POSSIBILITY_EPS,
     ChainResult,
@@ -134,9 +135,9 @@ class Protocol:
     n: int
     steps: tuple[GateStep, ...]
     kind: str = field(default="custom", compare=False)
-    # friend -> 1-based step position of its measurement / its undo
-    measured: dict[int, int] = field(init=False, compare=False, repr=False)
-    undone: dict[int, int] = field(init=False, compare=False, repr=False)
+    # read-only maps friend -> 1-based step position of its measurement / its undo
+    measured: Mapping[int, int] = field(init=False, compare=False, repr=False)
+    undone: Mapping[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         measured: dict[int, int] = {}
@@ -156,16 +157,11 @@ class Protocol:
                 undone[st.friend] = pos
         if set(measured) != set(range(1, self.n + 1)):
             raise ProtocolError("every friend must be measured exactly once")
-        object.__setattr__(self, "measured", measured)
-        object.__setattr__(self, "undone", undone)
-
-    def measure_position(self, friend: int) -> int:
-        return self.measured[friend]
-
-    def undo_position(self, friend: int) -> int | None:
-        return self.undone.get(friend)
+        object.__setattr__(self, "measured", MappingProxyType(measured))
+        object.__setattr__(self, "undone", MappingProxyType(undone))
 
 
+@functools.lru_cache(typed=True)
 def build_protocol(n: int) -> Protocol:
     """M1, M2, then alternately undo friend k and measure friend k+2."""
     if n < 5:
@@ -178,16 +174,11 @@ def build_protocol(n: int) -> Protocol:
     return Protocol(n, tuple(steps), kind="standard")
 
 
+@functools.lru_cache(typed=True)
 def build_counterfactual_protocol(n: int) -> Protocol:
     """M1, Mn first; the whole intervening block is appended afterwards."""
-    return _counterfactual(build_protocol(n))
-
-
-def _counterfactual(std: Protocol) -> Protocol:
-    """The counterfactual schedule of a standard one."""
-    n = std.n
+    block = build_protocol(n).steps[1:-1]   # everything between M1 and Mn
     steps = (GateStep("measure", 1), GateStep("measure", n))
-    block = std.steps[1:-1]   # everything between M1 and Mn
     return Protocol(n, steps + block, kind="counterfactual")
 
 
@@ -347,12 +338,12 @@ def _simulate_through(p: Protocol, r: QuantumRealization, last: int) -> Simulati
     for pos, (st, b, dropped) in enumerate(
             _run_gates(stages[0], r, p.n, p.steps[:last]), start=1):
         delta += dropped
-        if abs(b.norm2 - 1.0) > ALG_TOL:
+        if not abs(b.norm2 - 1.0) <= ALG_TOL:   # a NaN norm fails too
             raise ProtocolError(f"norm drifted to {b.norm2} at step {st.label}")
         stages.append(b)
         stage_index[f"after {st.label}"] = pos
-    if p.kind == "counterfactual" and p.measure_position(p.n) <= last:
-        stage_index["before U"] = p.measure_position(p.n)
+    if p.kind == "counterfactual" and p.measured[p.n] <= last:
+        stage_index["before U"] = p.measured[p.n]
     if last == len(p.steps):
         stage_index["final"] = last
     return SimulationTrace(p, r.dim, tuple(stages), stage_index, delta)
@@ -401,34 +392,28 @@ def register_marginal(t: SimulationTrace, stage: str,
     return dist
 
 
-def record_distribution(t: SimulationTrace, stage: str, records: Sequence[int]):
+def record_distribution(t: SimulationTrace, stage: str, records: Sequence[int]) -> dict:
     """Computational-basis marginal of the listed record qubits at a stage.
 
-    No collapse is applied; squared amplitudes are grouped by record bits.
-    Each record must hold an outcome at the stage, i.e. its measurement has
-    happened and its undo has not: reads outside that window are refused
-    rather than silently returning register statistics that no observer
-    could associate with outcomes.
+    ``register_marginal`` restricted to records that hold an outcome at the
+    stage, i.e. whose measurement has happened and whose undo has not:
+    reads outside that window are refused rather than silently returning
+    register statistics that no observer could associate with outcomes.
     """
-    if stage not in t.stage_index:
-        raise UnknownStageError(stage)
-    pos = t.stage_index[stage]
+    pos = t.stage_index.get(stage)
     p = t.protocol
     for rec in records:
-        if not 1 <= rec <= p.n:
-            raise ProtocolError(f"record {rec} outside 1..{p.n}")
-        gen = p.measure_position(rec)
-        undo = p.undo_position(rec)
-        if gen > pos:
+        # an unknown stage or a record outside 1..n raises in register_marginal
+        if pos is None or rec not in p.measured:
+            break
+        if p.measured[rec] > pos:
             raise RecordNotReadableError(
                 f"record A{rec} holds no outcome yet at stage {stage!r}")
+        undo = p.undone.get(rec)
         if undo is not None and undo <= pos:
             raise RecordNotReadableError(
                 f"record A{rec} was erased at step {undo}, before stage {stage!r}")
-    dist = register_marginal(t, stage, records)
-    if len(records) == 2:
-        return PairDistribution((records[0], records[1]), dist)
-    return dist
+    return register_marginal(t, stage, records)
 
 
 # --- commutation certificates ------------------------------------------------
@@ -451,16 +436,15 @@ class CertificateReport:
     pairs, the undo pairs and the block. ``entries`` appends the
     informational non-context pairs, O(n^2) of them, which
     ``noncontext`` builds on first access; ``passed``, ``required`` and
-    ``entry`` of a required label never build them.
+    ``entry`` of a required label never build them. Every required entry
+    passes at ALG_TOL.
     """
-    n: int
-    tol: float
     required: tuple[CertificateEntry, ...]
     noncontext: Callable[[], Sequence[CertificateEntry]] = field(repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
-        return all(e.norm + e.bound <= self.tol for e in self.required)
+        return all(e.norm + e.bound <= ALG_TOL for e in self.required)
 
     @cached_property
     def entries(self) -> tuple[CertificateEntry, ...]:
@@ -526,16 +510,10 @@ def commutation_certificates(r: QuantumRealization, n: int) -> CertificateReport
     blocks, each group of gate pairs in one batch; see the module
     docstring. Certificates pass at ALG_TOL.
     """
-    return _certificates(r, build_protocol(n))
-
-
-def _certificates(r: QuantumRealization, std: Protocol) -> CertificateReport:
-    """``commutation_certificates`` for the friends of a standard schedule."""
-    n = std.n
+    std = build_protocol(n)
     # rows 0..n-1 hold P_1..P_n, rows n..2n-1 their conjugate transposes
     labels = range(1, n + 1)
-    rows = [r._rows[i] for i in labels]
-    ops = r._stacks[[1] * n + [2] * n, rows + rows]
+    ops = np.stack([r.projector(i) for i in labels] + [r.adjoint_projector(i) for i in labels])
     contexts = [(i, i + 1) for i in range(1, n)] + [(1, n)]
     # operator indices of each pair: contexts, then undos (P_k^dag vs P_{k+1})
     pairs = [(i - 1, j - 1) for i, j in contexts] + [(n + k - 1, k) for k in range(1, n - 1)]
@@ -565,7 +543,7 @@ def _certificates(r: QuantumRealization, std: Protocol) -> CertificateReport:
         return [CertificateEntry(f"M{a} vs M{b} (non-context)", (f"M{a}", f"M{b}"), norm, False)
                 for (a, b), norm in zip(others, norms)]
 
-    return CertificateReport(n, ALG_TOL, tuple(entries), noncontext)
+    return CertificateReport(tuple(entries), noncontext)
 
 
 # --- the paradox report -------------------------------------------------------
@@ -646,23 +624,22 @@ def paradox_report(r: QuantumRealization, n: int, tol: float = PROB_TOL,
                          f"but the counterfactual read is of the closing context (1, {n})")
     if req_tuple not in target.scenario.tuples(req_ctx):
         raise ValueError(f"required tuple {req_tuple} is not an outcome of context (1, {n})")
-    std = build_protocol(n)
-    certs = _certificates(r, std)
+    certs = commutation_certificates(r, n)
     if not certs.passed:
-        bad = [e.label for e in certs.required if e.norm + e.bound > certs.tol]
+        bad = [e.label for e in certs.required if e.norm + e.bound > ALG_TOL]
         raise CertificateError(f"commutation certificates failed: {bad}")
 
-    trace = simulate(std, r)
+    trace = simulate(build_protocol(n), r)
     # only "before U" of the counterfactual schedule is read, so it runs that far
-    cf = _counterfactual(std)
-    cf_trace = _simulate_through(cf, r, cf.measure_position(n))
+    cf = build_counterfactual_protocol(n)
+    cf_trace = _simulate_through(cf, r, cf.measured[n])
     # sqrt(p_exact) lies within delta of sqrt(p) read from the kept branches
     delta = max(trace.truncation, cf_trace.truncation)
     pairwise = []
     for i in range(1, n):
         ctx = (i, i + 1)
         stage = f"after M{i + 1}"
-        probs = MappingProxyType(record_distribution(trace, stage, [i, i + 1]).probabilities)
+        probs = MappingProxyType(record_distribution(trace, stage, [i, i + 1]))
         for t in sorted(set(itertools.product((0, 1), repeat=2)) - set(target.supports[ctx])):
             val = probs[t]
             pairwise.append(PairwiseCheck(ctx, stage, t, val, probs,

@@ -216,7 +216,7 @@ def dense_simulate(p: Protocol, r: QuantumRealization) -> DenseTrace:
         states.append(flat)
         stage_index[f"after {st.label}"] = pos
     if p.kind == "counterfactual":
-        stage_index["before U"] = p.measure_position(p.n)
+        stage_index["before U"] = p.measured[p.n]
     stage_index["final"] = len(p.steps)
     return DenseTrace(p, d, tuple(states), stage_index)
 
@@ -283,4 +283,4 @@ def dense_commutation_certificates(r: QuantumRealization, n: int) -> Certificate
         others.append(CertificateEntry(
             f"M{a} vs M{b} (non-context)", (f"M{a}", f"M{b}"),
             _comm_norm(ua, ub), False))
-    return CertificateReport(n, ALG_TOL, tuple(required), lambda: others)
+    return CertificateReport(tuple(required), lambda: others)

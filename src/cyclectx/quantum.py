@@ -36,8 +36,8 @@ finite, then orthonormal, frame by frame in the caller's order) and keeps a
 read-only copy of the frames. From them it builds, once and with one stacked
 product per rank, three read-only (n, dim, dim) stacks in sorted-label
 order: 1 - P_i, P_i, and the adjoint P_i^dag that the undo gates apply. The
-accessors return fixed row views of these stacks, and the certificates take
-their operators from them with one fancy index.
+accessors return fixed row views of these stacks; the stack layout is
+private to this module.
 
 The search works on the same stacked form: the residual projects all frames
 of one rank with one gram, condition and solve, forms the amplitudes and the
@@ -104,7 +104,8 @@ class QuantumRealization:
     # (3, n, dim, dim): 1 - P_i, P_i and P_i^dag stacked in sorted-label
     # order, built once per rank group from the validated frames; frames are
     # stored as a read-only copy, so they cannot drift apart. ``_rows`` maps
-    # a label to its row; ``ewf`` reads both for its certificate batch.
+    # a label to its row; the pair statistics below read both, and every
+    # other module goes through the accessors.
     _stacks: np.ndarray = field(init=False, repr=False, compare=False)
     _rows: Mapping[int, int] = field(init=False, repr=False, compare=False)
     # label -> read-only row views (1 - P_i, P_i, P_i^dag) of the stacks
@@ -793,15 +794,34 @@ def realization_to_doc(r: QuantumRealization) -> dict:
     return doc
 
 
+def _complex_entries(where: str, pairs) -> np.ndarray:
+    try:
+        return np.array([complex(a, b) for a, b in pairs], dtype=complex)
+    except (TypeError, ValueError):
+        raise RealizationError(f"{where}: every entry must be a pair [re, im] of numbers") from None
+
+
 def realization_from_doc(doc: Mapping) -> QuantumRealization:
+    """Rebuild a realization from the form ``realization_to_doc`` writes.
+
+    A label that is not an integer, an entry that is not a pair of numbers
+    or a vector or frame column whose length is not ``dim`` raises
+    ``RealizationError`` naming the label.
+    """
     dim = int(doc["dim"])
-    state = np.array([complex(a, b) for a, b in doc["state"]])
+    state = _complex_entries("state", doc["state"])
     frames = {}
-    if "vectors" in doc:
-        for k, vec in doc["vectors"].items():
-            frames[int(k)] = np.array([complex(a, b) for a, b in vec]).reshape(dim, 1)
-    else:
-        for k, cols in doc["frames"].items():
-            frames[int(k)] = np.column_stack(
-                [np.array([complex(a, b) for a, b in col]) for col in cols])
+    rank_one = "vectors" in doc
+    for key, value in doc["vectors" if rank_one else "frames"].items():
+        try:
+            label = int(key)
+        except (TypeError, ValueError):
+            raise RealizationError(f"measurement label {key!r} is not an integer") from None
+        cols = [_complex_entries(f"measurement {label}", col)
+                for col in ([value] if rank_one else value)]
+        lengths = sorted({len(col) for col in cols})
+        if lengths != [dim]:
+            raise RealizationError(f"measurement {label} has columns of length {lengths}, "
+                                   f"expected {dim}")
+        frames[label] = np.column_stack(cols)
     return QuantumRealization(dim, state, frames)

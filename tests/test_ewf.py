@@ -32,7 +32,7 @@ from cyclectx.ewf import (
     register_marginal,
     simulate,
 )
-from cyclectx.linalg import commutator_norm
+from cyclectx.linalg import ALG_TOL, commutator_norm
 from cyclectx.ncycle import odd_ncycle_behavior, unified_ncycle_behavior
 from cyclectx.oracles import dense_commutation_certificates, measurement_unitary
 from cyclectx.quantum import (
@@ -258,6 +258,25 @@ class TestProtocols:
         with pytest.raises(ProtocolError):
             build_counterfactual_protocol(4)
 
+    def test_schedules_built_once_per_n(self):
+        for build in (build_protocol, build_counterfactual_protocol):
+            assert build(7) is build(7)
+            assert build(7) is not build(8)
+
+    def test_float_n_still_rejected(self):
+        with pytest.raises(TypeError):
+            build_protocol(5.0)
+        with pytest.raises(TypeError):
+            build_counterfactual_protocol(5.0)
+
+    def test_positions_are_read_only(self):
+        p = build_protocol(5)
+        assert p.measured[3] == 4 and p.undone[1] == 3 and 5 not in p.undone
+        with pytest.raises(TypeError):
+            p.measured[3] = 1
+        with pytest.raises(TypeError):
+            p.undone[5] = 9
+
     def test_wellformedness_guards(self):
         with pytest.raises(ProtocolError):
             Protocol(2, (GateStep("undo", 1), GateStep("measure", 1),
@@ -318,7 +337,7 @@ class TestSimulate:
     def test_partial_run_keeps_the_leading_stages(self, kcbs):
         p = build_counterfactual_protocol(5)
         full = simulate(p, kcbs)
-        part = _simulate_through(p, kcbs, p.measure_position(5))
+        part = _simulate_through(p, kcbs, p.measured[5])
         assert set(part.stage_index) == {"initial", "after M1", "after M5", "before U"}
         assert len(part.stages) == 3
         for k, b in enumerate(part.stages):
@@ -327,6 +346,19 @@ class TestSimulate:
         assert part.truncation <= full.truncation
         with pytest.raises(UnknownStageError):
             record_distribution(part, "final", [5])
+
+    def test_nan_norm_rejected(self, kcbs, monkeypatch):
+        # NaN fails every comparison, so the drift check must be written so
+        # that a NaN norm does not pass it
+        real = ewf._record_gate
+
+        def poisoned(b, op, bit):
+            out, dropped = real(b, op, bit)
+            return out._replace(norm2=math.nan), dropped
+
+        monkeypatch.setattr(ewf, "_record_gate", poisoned)
+        with pytest.raises(ProtocolError, match="nan"):
+            simulate(build_protocol(5), kcbs)
 
     def test_missing_frame_rejected(self, kcbs):
         frames = {i: kcbs.frames[i] for i in range(1, 5)}
@@ -351,6 +383,19 @@ class TestReadabilityGate:
         with pytest.raises(UnknownStageError):
             record_distribution(t, "after M9", [1])
 
+    @pytest.mark.parametrize("records", [[4], [4, 5], [5, 4], [3, 5, 4]])
+    def test_read_is_the_plain_register_marginal(self, records):
+        # an allowed read is the register marginal itself, a plain dict in
+        # the same key order
+        r, n, _ = fixture_cases()[2]
+        plain = Protocol(n, tuple(GateStep("measure", i) for i in range(1, n + 1)))
+        t = simulate(plain, r)
+        for stage in ("after M5", "after M6", "final"):
+            dist = record_distribution(t, stage, records)
+            assert type(dist) is dict
+            assert dist == register_marginal(t, stage, records)
+            assert list(dist) == list(register_marginal(t, stage, records))
+
 
 class TestRecordInvariance:
     def test_undo_commutes_past_its_context_partner(self, kcbs):
@@ -365,7 +410,7 @@ class TestRecordInvariance:
         np.testing.assert_allclose(t_std.states[-1], t_swapped.states[-1], atol=1e-12)
         a = record_distribution(t_std, "after M3", [2, 3])
         b = record_distribution(t_swapped, "after M3", [2, 3])
-        for key in a.probabilities:
+        for key in a:
             assert abs(a[key] - b[key]) < 1e-12
 
     def test_undo_blocks_are_what_restores_born_pairs(self, kcbs):
@@ -384,7 +429,7 @@ class TestRecordInvariance:
         t = simulate(plain, kcbs)
         early = record_distribution(t, "after M2", [1, 2])
         late = record_distribution(t, "final", [1, 2])
-        for key in early.probabilities:
+        for key in early:
             assert abs(early[key] - late[key]) < 1e-12
 
 
@@ -492,6 +537,21 @@ class TestCertificates:
         assert entries[:len(certs.required)] == certs.required
         assert certs.entry("M1 vs M3 (non-context)") is entries[2 * n - 1]
 
+    def test_report_computes_certificates_once(self, kcbs, monkeypatch):
+        calls = []
+        real = ewf.commutation_certificates
+
+        def counted(r, n):
+            calls.append(n)
+            return real(r, n)
+
+        monkeypatch.setattr(ewf, "commutation_certificates", counted)
+        paradox_report(kcbs, 5)
+        assert calls == [5]
+        r, n, target = fixture_cases()[3]
+        paradox_report(r, n, target=target)
+        assert calls == [5, n]
+
     def test_split_batches_match_one_batch(self):
         # the required and the non-context pair norms, formed in two batches,
         # equal the norms of all pairs formed in one
@@ -583,7 +643,7 @@ class TestParadoxReport:
         certs = commutation_certificates(r, 5)
         assert not certs.passed
         failing = {e.label for e in certs.entries
-                   if e.must_commute and e.norm > certs.tol}
+                   if e.must_commute and e.norm > ALG_TOL}
         assert {"M1 vs M2", "M1 vs M5"} <= failing
         with pytest.raises(CertificateError):
             paradox_report(r, 5)

@@ -238,6 +238,33 @@ class TestSerialization:
         np.testing.assert_allclose(back.projector(1), r.projector(1), atol=1e-15)
         np.testing.assert_allclose(back.projector(2), r.projector(2), atol=1e-15)
 
+    def test_short_vector_rejected(self, kcbs):
+        doc = realization_to_doc(kcbs)
+        doc["vectors"]["3"] = doc["vectors"]["3"][:2]
+        with pytest.raises(RealizationError, match="measurement 3 .*length"):
+            realization_from_doc(doc)
+
+    def test_short_frame_column_rejected(self, kcbs):
+        frames = dict(kcbs.frames)
+        frames[1] = np.eye(3, dtype=complex)[:, :2]
+        doc = realization_to_doc(QuantumRealization(3, kcbs.state, frames))
+        doc["frames"]["1"][1] = doc["frames"]["1"][1][:2]
+        with pytest.raises(RealizationError, match="measurement 1 .*length"):
+            realization_from_doc(doc)
+
+    @pytest.mark.parametrize("entry", [[0.5], [0.5, 0.0, 1.0], ["a", 0.0], None])
+    def test_entry_not_a_complex_pair_rejected(self, kcbs, entry):
+        doc = realization_to_doc(kcbs)
+        doc["vectors"]["4"][1] = entry
+        with pytest.raises(RealizationError, match="measurement 4: .*pair"):
+            realization_from_doc(doc)
+
+    def test_non_integer_label_rejected(self, kcbs):
+        doc = realization_to_doc(kcbs)
+        doc["vectors"]["x2"] = doc["vectors"].pop("2")
+        with pytest.raises(RealizationError, match="label 'x2'"):
+            realization_from_doc(doc)
+
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "realizations.json"
 
