@@ -52,6 +52,7 @@ from .oracles import (
     dense_simulate,
     enumerate_contextuality,
     exhaustive_support_check,
+    fixpoint_propagate_chain,
     measurement_unitary,
     projection_sequential,
 )

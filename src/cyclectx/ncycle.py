@@ -31,6 +31,7 @@ from .scenario import (
     PossibilisticBehavior,
     Scenario,
     ScenarioError,
+    flip_outcomes,
     make_cycle_scenario,
 )
 
@@ -116,29 +117,8 @@ def identity_mask(n: int) -> FlipMask:
 
 
 def relabel(pb: PossibilisticBehavior, mask: FlipMask) -> PossibilisticBehavior:
-    """Swap outcome labels of the flipped measurements in every support."""
-    s = pb.scenario
-    if set(mask.flips) != set(s.measurements):
+    """Swap outcome labels of the flipped measurements in every support
+    (``scenario.flip_outcomes``)."""
+    if set(mask.flips) != set(pb.scenario.measurements):
         raise ScenarioError("flip mask domain must equal the measurement set")
-
-    flip = {m: mask.flipped(m) for m in s.measurements}
-
-    def move(c: Context, t: OutcomeTuple) -> OutcomeTuple:
-        return tuple(1 - v if flip[m] else v for m, v in zip(c, t))
-
-    supports = {}
-    for c in s.contexts:
-        sup = pb.supports[c]
-        if len(c) != 2:
-            supports[c] = frozenset(move(c, t) for t in sup)
-            continue
-        fa, fb = flip[c[0]], flip[c[1]]
-        if fa or fb:
-            supports[c] = frozenset((1 - a if fa else a, 1 - b if fb else b) for a, b in sup)
-        else:
-            supports[c] = sup
-    required = None
-    if pb.required is not None:
-        rc, rt = pb.required
-        required = (rc, move(rc, rt))
-    return PossibilisticBehavior(s, supports, kind=None, required=required)
+    return flip_outcomes(pb, mask.flips)

@@ -16,6 +16,12 @@ global assignments, sharing no code with the transfer-matrix decision in
 and fates (materialized as a tuple) on cycle scenarios, and also decides
 scenarios that are not cycles.
 
+``fixpoint_propagate_chain`` runs unit propagation by rescanning every
+context in scenario order until a full pass changes nothing, restricting
+tuple sets throughout. It shares no code with the worklist and mask tables
+of ``scenario.propagate_chain`` and returns the same ``ChainResult``, steps
+in the same order; a chain forced against the scan order costs it O(n^2).
+
 ``dense_simulate`` runs a schedule on the full d 2^n state tensor with a
 dense record-gate kernel and keeps every stage, sharing no code with the
 branch kernel of ``ewf.simulate``; its memory grows as d 2^n per stage.
@@ -31,6 +37,7 @@ small n.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -47,12 +54,15 @@ from .linalg import ALG_TOL
 from .quantum import QuantumRealization, behavior_from_realization
 from .scenario import (
     AssignmentFate,
+    ChainConflict,
+    ChainResult,
     Context,
     ContextualityVerdict,
     EnumerationLimitError,
     OutcomeTuple,
     PossibilisticBehavior,
     Scenario,
+    ScenarioError,
     Witness,
     closing_context,
 )
@@ -172,6 +182,45 @@ def enumerate_contextuality(pb: PossibilisticBehavior) -> ContextualityVerdict:
                 fates.append(AssignmentFate(full, killer))
             return ContextualityVerdict(True, Witness(c, t, tuple(fates)))
     return ContextualityVerdict(False, None)
+
+
+def fixpoint_propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
+                             seed_value: int) -> ChainResult:
+    """Unit propagation by rescanning every context until a fixpoint.
+
+    Starting from the seeded value, whenever the support of some context
+    restricted to the currently fixed values leaves a single option for an
+    unfixed measurement, that value is forced. Stops at a fixpoint, or at
+    the first context whose restricted support becomes empty.
+    """
+    s = pb.scenario
+    if seed_measurement not in s.measurements:
+        raise ScenarioError(f"unknown measurement {seed_measurement}")
+    fixed: dict[int, int] = {seed_measurement: seed_value}
+    steps: list[tuple[int, int]] = [(seed_measurement, seed_value)]
+    changed = True
+    while changed:
+        changed = False
+        for c in s.contexts:
+            pinned = [k for k, m in enumerate(c) if m in fixed]
+            if pinned:
+                get = operator.itemgetter(*pinned)
+                want = get([fixed.get(m) for m in c])
+                allowed = [t for t in pb.supports[c] if get(t) == want]
+            else:
+                allowed = list(pb.supports[c])
+            if not allowed:
+                return ChainResult(dict(fixed), tuple(steps), ChainConflict(c, dict(fixed)))
+            for k, m in enumerate(c):
+                if m in fixed:
+                    continue
+                vals = {t[k] for t in allowed}
+                if len(vals) == 1:
+                    v = vals.pop()
+                    fixed[m] = v
+                    steps.append((m, v))
+                    changed = True
+    return ChainResult(dict(fixed), tuple(steps), None)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -804,19 +805,29 @@ def _complex_entries(where: str, pairs) -> np.ndarray:
 def realization_from_doc(doc: Mapping) -> QuantumRealization:
     """Rebuild a realization from the form ``realization_to_doc`` writes.
 
-    A label that is not an integer, an entry that is not a pair of numbers
-    or a vector or frame column whose length is not ``dim`` raises
-    ``RealizationError`` naming the label.
+    A ``dim`` that is not an integer, a document with neither a
+    ``vectors`` nor a ``frames`` mapping, a label that is not an integer, a
+    ``frames`` entry that is not a list of columns, an entry that is not a
+    pair of numbers or a vector or frame column whose length is not ``dim``
+    raises ``RealizationError``, naming the label where there is one.
     """
-    dim = int(doc["dim"])
+    try:
+        dim = operator.index(doc["dim"])
+    except TypeError:
+        raise RealizationError(f"dim must be an integer, got {doc['dim']!r}") from None
     state = _complex_entries("state", doc["state"])
     frames = {}
     rank_one = "vectors" in doc
-    for key, value in doc["vectors" if rank_one else "frames"].items():
+    entries = doc.get("vectors" if rank_one else "frames")
+    if not isinstance(entries, Mapping):
+        raise RealizationError("a realization needs a 'vectors' or 'frames' mapping")
+    for key, value in entries.items():
         try:
             label = int(key)
         except (TypeError, ValueError):
             raise RealizationError(f"measurement label {key!r} is not an integer") from None
+        if not (rank_one or isinstance(value, list)):
+            raise RealizationError(f"measurement {label}: a frame must be a list of columns")
         cols = [_complex_entries(f"measurement {label}", col)
                 for col in ([value] if rank_one else value)]
         lengths = sorted({len(col) for col in cols})

@@ -13,18 +13,33 @@ is exercised on n-cycle scenarios (contexts {i, i+1} plus the closing pair
 context's measurements in ascending label order, so the closing context is
 stored as the ordered pair (1, n).
 
-``is_logically_contextual`` decides binary n-cycles in O(n) with products
-of 2x2 boolean transfer matrices, one per context, each packed into the four
-low bits of an int (bit 2a + b set when the walked tuple (a, b) is
-possible), and reports the witness's 2^(n-2) dead extensions as a lazy
-sequence. ``oracles.enumerate_contextuality`` keeps the exhaustive
-enumeration of global assignments as its cross-check and decides any other
-scenario.
+A support on a pair context with outcomes in {0, 1} is one of the 15
+non-empty subsets of {0, 1}^2. One table maps each to a mask in the four low
+bits of an int (bit 2a + b set when (a, b) is possible) and each mask back
+to one shared frozenset, and every binary n-cycle operation works on the
+masks:
+
+- ``is_logically_contextual`` reads one mask per context and decides the
+  cycle in O(n) with products of the 2x2 boolean transfer matrices the
+  masks pack (a 16 x 16 product table), reporting the witness's 2^(n-2)
+  dead extensions as a lazy sequence. ``oracles.enumerate_contextuality``
+  keeps the exhaustive enumeration of global assignments as its
+  cross-check and decides any other scenario.
+- ``flip_outcomes``, behind ``ncycle.relabel``, swaps the outcome labels of
+  a binary pair support by a table lookup.
+- ``propagate_chain`` is a worklist in (pass, scenario index) order that
+  re-evaluates a context only after another context fixed one of its
+  measurements, and reads the forcing of a binary pair context from a table
+  keyed by its mask and fixed values. On an n-cycle a chain costs
+  O(n log n) from any seed, and its steps come out in the order of the
+  fixpoint scan that ``oracles.fixpoint_propagate_chain`` keeps as its
+  cross-check.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import operator
 import sys
@@ -63,10 +78,7 @@ class Scenario:
                 raise ScenarioError(f"context {c} is not a subset of the measurement set")
         # a superset of c1 contains c1[0], so only those contexts are candidates
         sets = [set(c) for c in self.contexts]
-        containing: dict[int, list[int]] = {}
-        for k, c in enumerate(self.contexts):
-            for m in c:
-                containing.setdefault(m, []).append(k)
+        containing = self._containing
         everything = range(len(self.contexts))
         for c1, s1 in zip(self.contexts, sets):
             for k in (containing[c1[0]] if c1 else everything):
@@ -80,6 +92,15 @@ class Scenario:
 
     def tuples(self, context: Context) -> list[OutcomeTuple]:
         return list(itertools.product(self.outcomes, repeat=len(context)))
+
+    @functools.cached_property
+    def _containing(self) -> dict[int, list[int]]:
+        """Scenario indices of the contexts holding each measurement, ascending."""
+        containing: dict[int, list[int]] = {m: [] for m in self.measurements}
+        for k, c in enumerate(self.contexts):
+            for m in c:
+                containing[m].append(k)
+        return containing
 
     @functools.cached_property
     def _tuple_sets(self) -> dict[int, frozenset[OutcomeTuple]]:
@@ -298,6 +319,61 @@ def possibilistic_collapse(b: Behavior) -> PossibilisticBehavior:
     return PossibilisticBehavior(b.scenario, supports)
 
 
+# --- binary pair supports --------------------------------------------------
+
+_PAIR_TUPLES = ((0, 0), (0, 1), (1, 0), (1, 1))    # the tuple (a, b) of bit 2a + b
+_PAIR_SUPPORTS = tuple(frozenset(t for k, t in enumerate(_PAIR_TUPLES) if m >> k & 1)
+                       for m in range(16))          # mask -> the shared frozenset
+_PAIR_MASKS = {sup: m for m, sup in enumerate(_PAIR_SUPPORTS) if m}   # support -> mask
+_FIRST_TUPLE = (None,) + tuple(_PAIR_TUPLES[(m & -m).bit_length() - 1] for m in range(1, 16))
+_TRANSPOSED = tuple(m & 0b1001 | (m & 2) << 1 | (m & 4) >> 1 for m in range(16))
+
+
+def _flipped_mask(m: int, flip_first: bool, flip_second: bool) -> int:
+    if flip_first:
+        m = (m & 0b0011) << 2 | m >> 2
+    if flip_second:
+        m = (m & 0b0101) << 1 | (m & 0b1010) >> 1
+    return m
+
+
+_FLIPPED = {(fa, fb): {sup: _PAIR_SUPPORTS[_flipped_mask(m, fa, fb)]
+                       for sup, m in _PAIR_MASKS.items()}
+            for fa, fb in ((False, True), (True, False), (True, True))}
+
+
+def flip_outcomes(pb: PossibilisticBehavior,
+                  flip: Mapping[int, bool]) -> PossibilisticBehavior:
+    """Swap outcomes 0 <-> 1 of every measurement m with ``flip[m]`` true.
+
+    ``flip`` must name every measurement. A binary pair support becomes the
+    one frozenset shared by every support with the flipped tuples, read from
+    a table; a pair context with neither measurement flipped keeps its
+    support, and any other support is rebuilt tuple by tuple. The required
+    tuple moves with its context; the kind annotation is dropped.
+    """
+    flip = {m: bool(f) for m, f in flip.items()}
+
+    def move(c: Context, t: OutcomeTuple) -> OutcomeTuple:
+        return tuple(1 - v if flip[m] else v for m, v in zip(c, t))
+
+    supports = {}
+    for c in pb.scenario.contexts:
+        sup = pb.supports[c]
+        if len(c) == 2:
+            fa, fb = flip[c[0]], flip[c[1]]
+            shared = _FLIPPED[fa, fb].get(sup) if fa or fb else sup
+            if shared is not None:
+                supports[c] = shared
+                continue
+        supports[c] = frozenset(move(c, t) for t in sup)
+    required = None
+    if pb.required is not None:
+        rc, rt = pb.required
+        required = (rc, move(rc, rt))
+    return PossibilisticBehavior(pb.scenario, supports, kind=None, required=required)
+
+
 _IDENTITY = 0b1001                       # packed 2x2 identity: bits [0][0] and [1][1]
 
 
@@ -309,10 +385,14 @@ def _packed_product(x: int, y: int) -> int:
     return r0 | r1 << 2
 
 
+_PRODUCT = tuple(tuple(_packed_product(x, y) for y in range(16)) for x in range(16))
+
+
 def _is_binary_cycle(s: Scenario) -> bool:
-    return (s.n >= 3 and s.outcomes == (0, 1)
-            and s.measurements == tuple(range(1, s.n + 1))
-            and s.contexts == _cycle_contexts(s.n))
+    if s.n < 3 or s.outcomes != (0, 1):
+        return False
+    cycle = make_cycle_scenario(s.n)
+    return s.measurements == cycle.measurements and s.contexts == cycle.contexts
 
 
 def is_logically_contextual(pb: PossibilisticBehavior) -> ContextualityVerdict:
@@ -341,34 +421,65 @@ def is_logically_contextual(pb: PossibilisticBehavior) -> ContextualityVerdict:
         raise ScenarioError("is_logically_contextual decides binary n-cycle scenarios "
                             "only; use oracles.enumerate_contextuality for others")
     n = s.n
-    mats = []
-    for k, c in enumerate(s.contexts):
-        sup = pb.supports[c]
-        # bit 2a + b is set when the walked tuple (a, b) is possible
-        m = ((0, 0) in sup) | ((1, 1) in sup) << 3
-        if k == n - 1:
-            m |= ((1, 0) in sup) << 1 | ((0, 1) in sup) << 2
-        else:
-            m |= ((0, 1) in sup) << 1 | ((1, 0) in sup) << 2
-        if m.bit_count() != len(sup):
+    masks = []                           # bit 2a + b set when the keyed tuple (a, b) is possible
+    for c in s.contexts:
+        m = _PAIR_MASKS.get(pb.supports[c])
+        if m is None:
             raise ScenarioError(f"support of context {c} holds a tuple outside {{0, 1}}^2")
-        mats.append(m)
+        masks.append(m)
+    mats = masks[:-1] + [_TRANSPOSED[masks[-1]]]
     prefix = [_IDENTITY]                 # prefix[k] = M_0 ... M_{k-1}
     for m in mats:
-        prefix.append(_packed_product(prefix[-1], m))
+        prefix.append(_PRODUCT[prefix[-1]][m])
     suffix = [_IDENTITY]                 # suffix[k] = M_k ... M_{n-1}, built from the end
     for m in reversed(mats):
-        suffix.append(_packed_product(m, suffix[-1]))
+        suffix.append(_PRODUCT[m][suffix[-1]])
     suffix.reverse()
 
     for k in [n - 1, *range(n - 1)]:
-        c = s.contexts[k]
-        back = _packed_product(suffix[k + 1], prefix[k])
-        for t in sorted(pb.supports[c]):
-            a, b = (t[1], t[0]) if k == n - 1 else t
-            if not back >> (2 * b + a) & 1:
-                return ContextualityVerdict(True, Witness(c, t, WitnessFates(pb, c, t)))
+        back = _PRODUCT[suffix[k + 1]][prefix[k]]
+        # keyed tuple t is walked as (a, b) = t, or reversed on the closing
+        # context; it dies when back lacks bit 2b + a
+        dead = masks[k] & ~(back if k == n - 1 else _TRANSPOSED[back])
+        if dead:
+            c, t = s.contexts[k], _FIRST_TUPLE[dead]
+            return ContextualityVerdict(True, Witness(c, t, WitnessFates(pb, c, t)))
     return ContextualityVerdict(False, None)
+
+
+def _forced_values(c: Context, support: frozenset, fixed: Mapping[int, int]):
+    """What one context forces given the fixed values.
+
+    None when no tuple of the support agrees with the fixed measurements of
+    c; otherwise the (position in c, value) pairs of the free measurements
+    on which every agreeing tuple takes the same value.
+    """
+    pinned = [k for k, m in enumerate(c) if m in fixed]
+    if pinned:
+        get = operator.itemgetter(*pinned)
+        want = get([fixed.get(m) for m in c])
+        allowed = [t for t in support if get(t) == want]
+    else:
+        allowed = list(support)
+    if not allowed:
+        return None
+    forced = []
+    for k, m in enumerate(c):
+        if m in fixed:
+            continue
+        vals = {t[k] for t in allowed}
+        if len(vals) == 1:
+            forced.append((k, vals.pop()))
+    return tuple(forced)
+
+
+# (mask, fixed value of the first measurement, of the second; None if free)
+# -> what ``_forced_values`` gives for that binary pair support
+_PAIR_FORCED = {
+    (m, va, vb): _forced_values((0, 1), _PAIR_SUPPORTS[m],
+                                {k: v for k, v in ((0, va), (1, vb)) if v is not None})
+    for m in range(1, 16) for va in (None, 0, 1) for vb in (None, 0, 1)
+}
 
 
 def propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
@@ -379,34 +490,59 @@ def propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
     restricted to the currently fixed values leaves a single option for an
     unfixed measurement, that value is forced. Stops at a fixpoint, or at
     the first context whose restricted support becomes empty.
+
+    Contexts are evaluated in (pass, scenario index) order: the first pass
+    takes every context; after it a context is queued only when another
+    context fixes one of its measurements, for the current pass if it comes
+    later in scenario order and for the next pass otherwise (a context that
+    names a measurement twice is also queued for the next pass after fixing
+    it itself). Evaluating a context nothing has touched since would change
+    nothing, so ``steps``, ``forced`` and the conflict are those of
+    rescanning every context until nothing changes
+    (``oracles.fixpoint_propagate_chain``), at O(n log n) instead of O(n^2)
+    for a chain forced against the scan order. A pair context whose support
+    is a set of binary pairs reads its forcing from a table keyed by its
+    mask and fixed values; any other context, or a fixed value outside
+    {0, 1}, restricts the support's tuples.
     """
     s = pb.scenario
     if seed_measurement not in s.measurements:
         raise ScenarioError(f"unknown measurement {seed_measurement}")
     fixed: dict[int, int] = {seed_measurement: seed_value}
     steps: list[tuple[int, int]] = [(seed_measurement, seed_value)]
-    changed = True
-    while changed:
-        changed = False
-        for c in s.contexts:
-            pinned = [k for k, m in enumerate(c) if m in fixed]
-            if pinned:
-                get = operator.itemgetter(*pinned)
-                want = get([fixed.get(m) for m in c])
-                allowed = [t for t in pb.supports[c] if get(t) == want]
+    contexts, supports, containing = s.contexts, pb.supports, s._containing
+    # a context naming one measurement twice keeps to the tuple path
+    masks = [_PAIR_MASKS.get(supports[c]) if len(c) == 2 and c[0] != c[1] else None
+             for c in contexts]
+    queue = list(range(len(contexts)))   # this pass, as a heap of scenario indices
+    while queue:
+        later: set[int] = set()
+        last = -1
+        while queue:
+            i = heapq.heappop(queue)
+            if i == last:                # queued twice in this pass: pops twice in a row
+                continue
+            last = i
+            c = contexts[i]
+            key = (masks[i], fixed.get(c[0]), fixed.get(c[1])) if masks[i] else None
+            if key in _PAIR_FORCED:
+                forced = _PAIR_FORCED[key]
             else:
-                allowed = list(pb.supports[c])
-            if not allowed:
+                forced = _forced_values(c, supports[c], fixed)
+            if forced is None:
                 return ChainResult(dict(fixed), tuple(steps), ChainConflict(c, dict(fixed)))
-            for k, m in enumerate(c):
-                if m in fixed:
+            for k, v in forced:
+                m = c[k]
+                if m in fixed:           # named twice in c and forced at its first place
                     continue
-                vals = {t[k] for t in allowed}
-                if len(vals) == 1:
-                    v = vals.pop()
-                    fixed[m] = v
-                    steps.append((m, v))
-                    changed = True
+                fixed[m] = v
+                steps.append((m, v))
+                for j in containing[m]:
+                    if j > i:
+                        heapq.heappush(queue, j)
+                    elif j < i or c.count(m) > 1:   # naming m twice, c restricts itself
+                        later.add(j)
+        queue = sorted(later)
     return ChainResult(dict(fixed), tuple(steps), None)
 
 

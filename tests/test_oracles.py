@@ -23,6 +23,7 @@ from cyclectx.oracles import (
     dense_simulate,
     enumerate_contextuality,
     exhaustive_support_check,
+    fixpoint_propagate_chain,
     measurement_unitary,
     projection_sequential,
 )
@@ -36,9 +37,11 @@ from cyclectx.scenario import (
     EnumerationLimitError,
     PossibilisticBehavior,
     Scenario,
+    ScenarioError,
     _packed_product,
     is_logically_contextual,
     make_cycle_scenario,
+    propagate_chain,
 )
 
 
@@ -195,6 +198,138 @@ class TestEnumerateContextuality:
         pb = PossibilisticBehavior(s, {c: frozenset(s.tuples(c)) for c in s.contexts})
         with pytest.raises(EnumerationLimitError):
             enumerate_contextuality(pb)
+
+
+PAIRS = list(itertools.product((0, 1), repeat=2))
+
+
+def random_cycle_behavior(n, rng):
+    s = make_cycle_scenario(n)
+    supports = {}
+    for c in s.contexts:
+        keep = rng.random(4) < 0.6
+        keep[rng.integers(4)] = True
+        supports[c] = frozenset(t for t, k in zip(PAIRS, keep) if k)
+    return PossibilisticBehavior(s, supports)
+
+
+def random_flips(n, rng):
+    return FlipMask({m: bool(rng.integers(2)) for m in range(1, n + 1)})
+
+
+def reference_relabel(pb, mask):
+    """Flip outcome labels one tuple at a time."""
+    flip = {m: bool(f) for m, f in mask.flips.items()}
+    return {c: frozenset(tuple(1 - v if flip[m] else v for m, v in zip(c, t))
+                         for t in sup)
+            for c, sup in pb.supports.items()}
+
+
+def assert_same_chains(pb):
+    """The worklist and the fixpoint scan agree from every seed."""
+    for m in pb.scenario.measurements:
+        for v in (0, 1):
+            fast = propagate_chain(pb, m, v)
+            slow = fixpoint_propagate_chain(pb, m, v)
+            assert fast.steps == slow.steps
+            assert fast == slow
+
+
+THREE_MEASUREMENT_SUPPORTS = [
+    (Scenario((1, 2, 3, 4), ((1, 2, 3), (3, 4))),
+     {(1, 2, 3): frozenset({(0, 0, 1), (0, 1, 1), (1, 1, 0)}),
+      (3, 4): frozenset({(1, 0), (0, 1)})}),
+    (Scenario((1, 2, 3), ((1, 2), (2, 3))),
+     {(1, 2): frozenset({(0, 0)}), (2, 3): frozenset({(1, 1)})}),
+]
+
+
+class TestFixpointPropagateChain:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_random_cycle_supports(self, n):
+        rng = np.random.default_rng([13, n])
+        conflicts = 0
+        for _ in range(25):
+            pb = random_cycle_behavior(n, rng)
+            assert_same_chains(pb)
+            conflicts += propagate_chain(pb, 1, 0).conflicted
+        # the draw must reach both outcomes of a chain
+        assert 0 < conflicts < 25
+
+    @pytest.mark.parametrize("scenario, supports", THREE_MEASUREMENT_SUPPORTS,
+                             ids=["triple-and-pair", "path"])
+    def test_propagate_chain_scenarios(self, scenario, supports):
+        assert_same_chains(PossibilisticBehavior(scenario, supports))
+
+    def test_random_supports_with_a_triple_context(self):
+        s = THREE_MEASUREMENT_SUPPORTS[0][0]
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            supports = {}
+            for c in s.contexts:
+                tuples = list(itertools.product((0, 1), repeat=len(c)))
+                keep = rng.random(len(tuples)) < 0.5
+                keep[rng.integers(len(tuples))] = True
+                supports[c] = frozenset(t for t, k in zip(tuples, keep) if k)
+            assert_same_chains(PossibilisticBehavior(s, supports))
+
+    @pytest.mark.parametrize("contexts", [((1, 1), (2, 3)), ((1, 1, 2), (2, 3)),
+                                          ((1, 2), (3, 3))])
+    def test_context_naming_a_measurement_twice(self, contexts):
+        # fixing m at its first place empties the restriction at its second,
+        # which the scan finds on its next pass
+        s = Scenario((1, 2, 3), contexts)
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            supports = {}
+            for c in s.contexts:
+                tuples = list(itertools.product((0, 1), repeat=len(c)))
+                keep = rng.random(len(tuples)) < 0.5
+                keep[rng.integers(len(tuples))] = True
+                supports[c] = frozenset(t for t, k in zip(tuples, keep) if k)
+            assert_same_chains(PossibilisticBehavior(s, supports))
+
+    @pytest.mark.parametrize("value", [2, True, 1.0])
+    def test_seed_values_off_the_table(self, value):
+        rng = np.random.default_rng(31)
+        for n in range(3, 8):
+            pb = random_cycle_behavior(n, rng)
+            for m in pb.scenario.measurements:
+                assert propagate_chain(pb, m, value) == fixpoint_propagate_chain(pb, m, value)
+
+    @pytest.mark.parametrize("generator, sizes", [
+        (unified_ncycle_behavior, range(4, 17)),
+        (odd_ncycle_behavior, range(5, 17, 2)),
+        (even_ncycle_behavior, range(4, 17, 2)),
+    ], ids=["unified", "odd", "even"])
+    def test_generators_under_flip_masks(self, generator, sizes):
+        for n in sizes:
+            rng = np.random.default_rng([19, n])
+            assert_same_chains(generator(n))
+            for _ in range(3):
+                assert_same_chains(relabel(generator(n), random_flips(n, rng)))
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_relabel_and_decision_on_random_supports(self, n):
+        rng = np.random.default_rng([23, n])
+        for _ in range(12):
+            pb = random_cycle_behavior(n, rng)
+            mask = random_flips(n, rng)
+            out = relabel(pb, mask)
+            assert out.supports == reference_relabel(pb, mask)
+            assert relabel(out, mask) == pb
+            assert_same_verdict(out)
+
+    def test_backward_chain_order_at_small_n(self):
+        for n in range(4, 31):
+            pb = unified_ncycle_behavior(n)
+            res = fixpoint_propagate_chain(pb, n, 1)
+            assert res.steps == tuple((m, 1) for m in range(n, 0, -1))
+            assert propagate_chain(pb, n, 1) == res and not res.conflicted
+
+    def test_unknown_measurement(self):
+        with pytest.raises(ScenarioError):
+            fixpoint_propagate_chain(unified_ncycle_behavior(5), 9, 0)
 
 
 def random_realization(n, dim, seed):

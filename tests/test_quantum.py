@@ -259,6 +259,36 @@ class TestSerialization:
         with pytest.raises(RealizationError, match="measurement 4: .*pair"):
             realization_from_doc(doc)
 
+    @pytest.mark.parametrize("value", [5, None, 1.5])
+    def test_frame_not_a_list_of_columns_rejected(self, kcbs, value):
+        frames = dict(kcbs.frames)
+        frames[1] = np.eye(3, dtype=complex)[:, :2]
+        doc = realization_to_doc(QuantumRealization(3, kcbs.state, frames))
+        doc["frames"]["2"] = value
+        with pytest.raises(RealizationError, match="measurement 2: .*list of columns"):
+            realization_from_doc(doc)
+
+    @pytest.mark.parametrize("dim", ["x", 3.5, 3.0, "3", None])
+    def test_non_integer_dim_rejected(self, kcbs, dim):
+        doc = realization_to_doc(kcbs)
+        doc["dim"] = dim
+        with pytest.raises(RealizationError, match="dim must be an integer"):
+            realization_from_doc(doc)
+
+    def test_numpy_integer_dim_accepted(self, kcbs):
+        doc = realization_to_doc(kcbs)
+        doc["dim"] = np.int64(3)
+        assert realization_from_doc(doc).dim == 3
+
+    @pytest.mark.parametrize("edit", ["drop", "list"])
+    def test_missing_measurements_rejected(self, kcbs, edit):
+        doc = realization_to_doc(kcbs)
+        vectors = doc.pop("vectors")
+        if edit == "list":
+            doc["frames"] = [vectors["1"]]
+        with pytest.raises(RealizationError, match="'vectors' or 'frames' mapping"):
+            realization_from_doc(doc)
+
     def test_non_integer_label_rejected(self, kcbs):
         doc = realization_to_doc(kcbs)
         doc["vectors"]["x2"] = doc["vectors"].pop("2")

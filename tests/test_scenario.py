@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -325,6 +326,19 @@ class TestPropagateChain:
         res = propagate_chain(pb, *seed)
         assert res.steps == steps and res.forced == dict(steps)
         assert res.conflict.context == context and res.conflict.fixed == dict(steps)
+
+
+    def test_backward_chain_is_linear(self):
+        # forced against the scan order: one context per pass, m_n down to m_1;
+        # rescanning every context each pass takes about n^2/2 evaluations
+        n = 2000
+        pb = unified_ncycle_behavior(n)
+        t0 = time.perf_counter()
+        res = propagate_chain(pb, n, 1)
+        elapsed = time.perf_counter() - t0
+        assert res.steps == tuple((m, 1) for m in range(n, 0, -1))
+        assert not res.conflicted
+        assert elapsed < 1.0
 
 
 class TestVerdictInvariance:
