@@ -171,10 +171,10 @@ def cmd_contextuality(args: argparse.Namespace) -> int:
         doc["witness"] = {
             "context": list(w.context),
             "tuple": list(w.outcome_tuple),
-            "assignments_checked": len(w.fates),
+            "assignments_checked": w.fates.size,
         }
         text.append(f"witness: tuple {w.outcome_tuple} in context {w.context}; "
-                    f"all {len(w.fates)} extensions die")
+                    f"all {w.fates.size} extensions die")
     _emit(args, doc, "\n".join(text) + "\n")
     return EXIT_PASS if verdict.contextual else EXIT_CHECK_FAILURE
 

@@ -555,7 +555,6 @@ class PairwiseCheck:
     stage: str
     forbidden: tuple[int, int]
     value: float
-    distribution: Mapping[tuple[int, int], float]
     passed: bool
 
 
@@ -639,10 +638,10 @@ def paradox_report(r: QuantumRealization, n: int, tol: float = PROB_TOL,
     for i in range(1, n):
         ctx = (i, i + 1)
         stage = f"after M{i + 1}"
-        probs = MappingProxyType(record_distribution(trace, stage, [i, i + 1]))
+        probs = record_distribution(trace, stage, [i, i + 1])
         for t in sorted(set(itertools.product((0, 1), repeat=2)) - set(target.supports[ctx])):
             val = probs[t]
-            pairwise.append(PairwiseCheck(ctx, stage, t, val, probs,
+            pairwise.append(PairwiseCheck(ctx, stage, t, val,
                                           (math.sqrt(val) + delta) ** 2 <= tol))
 
     chain = propagate_chain(target, 1, req_tuple[0])

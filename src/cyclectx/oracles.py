@@ -20,15 +20,18 @@ scenarios that are not cycles.
 context in scenario order until a full pass changes nothing, restricting
 tuple sets throughout. It shares no code with the worklist and mask tables
 of ``scenario.propagate_chain`` and returns the same ``ChainResult``, steps
-in the same order; a chain forced against the scan order costs it O(n^2).
+in the same order, on the well-formed input that function accepts; a chain
+forced against the scan order costs it O(n^2).
 
-``dense_simulate`` runs a schedule on the full d 2^n state tensor with a
-dense record-gate kernel and keeps every stage, sharing no code with the
-branch kernel of ``ewf.simulate``; its memory grows as d 2^n per stage.
+``dense_simulate`` runs a schedule on the full d 2^n state tensor and keeps
+every stage; its memory grows as d 2^n per stage. It, the dense gates of
+``measurement_unitary`` and ``_pair_gates`` (the kernel applied to an
+identity tensor) and the certificates below share one record-gate kernel,
+``_apply_record_gate``, and no code with the branch kernel of ``ewf``.
 
 ``dense_commutation_certificates`` recomputes the commutation certificates
-of ``ewf.commutation_certificates`` from dense Kronecker-built gates on the
-full register space, sharing no code with the system-space path. Its block
+of ``ewf.commutation_certificates`` from those dense gates on the full
+register space, sharing no code with the system-space path. Its block
 entry is the unnormalized ``||[block, M_n]||_F``, which is ``sqrt(2^n)``
 times the pipeline's; the (d 2^n)^2 matrices it multiplies keep it to
 small n.
@@ -68,9 +71,6 @@ from .scenario import (
 )
 
 ENUMERATION_GUARD = 2**24
-
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -270,27 +270,28 @@ def dense_simulate(p: Protocol, r: QuantumRealization) -> DenseTrace:
     return DenseTrace(p, d, tuple(states), stage_index)
 
 
+def _identity_tensor(d: int, records: int) -> np.ndarray:
+    # rows split into the system axis and one axis per record; columns trail
+    size = d * 2 ** records
+    return np.eye(size, dtype=complex).reshape((d,) + (2,) * records + (size,))
+
+
+def _gate_matrix(p1: np.ndarray, axis: int, records: int) -> np.ndarray:
+    """The record gate on record ``axis`` of system (x) ``records`` qubits."""
+    size = p1.shape[0] * 2 ** records
+    return _apply_record_gate(_identity_tensor(p1.shape[0], records), p1, axis).reshape(size, size)
+
+
 def measurement_unitary(r: QuantumRealization, i: int, n: int) -> np.ndarray:
     """Full-space record gate for friend i among n record qubits."""
     if not 1 <= i <= n:
         raise ProtocolError(f"friend index {i} outside 1..{n}")
-    p1 = r.projector(i)
-    p0 = np.eye(r.dim) - p1
-    flip = np.eye(1, dtype=complex)
-    keep = np.eye(1, dtype=complex)
-    for k in range(1, n + 1):
-        flip = np.kron(flip, _X if k == i else _I2)
-        keep = np.kron(keep, _I2)
-    return np.kron(p1, flip) + np.kron(p0, keep)
+    return _gate_matrix(r.projector(i), i, n)
 
 
 def _pair_gates(r: QuantumRealization, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Gates for measurements i and j embedded on system (x) A_i (x) A_j."""
-    d = r.dim
-    pi, pj = r.projector(i), r.projector(j)
-    ui = np.kron(np.kron(pi, _X), _I2) + np.kron(np.kron(np.eye(d) - pi, _I2), _I2)
-    uj = np.kron(np.kron(pj, _I2), _X) + np.kron(np.kron(np.eye(d) - pj, _I2), _I2)
-    return ui, uj
+    return _gate_matrix(r.projector(i), 1, 2), _gate_matrix(r.projector(j), 2, 2)
 
 
 def _comm_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -301,8 +302,8 @@ def dense_commutation_certificates(r: QuantumRealization, n: int) -> Certificate
     """The certificates of ``ewf.commutation_certificates`` from dense gates.
 
     Same entries, labels and flags. Pair entries are commutator norms of
-    Kronecker-built gates on system (x) A_i (x) A_j; the block entry
-    multiplies the full-space gates of the intervening block and reports
+    dense gates on system (x) A_i (x) A_j; the block entry applies the
+    gates of the intervening block to the full-space identity and reports
     ||[block, M_n]||_F unnormalized. Memory grows as (d 2^n)^2.
     """
     required: list[CertificateEntry] = []
@@ -316,13 +317,14 @@ def dense_commutation_certificates(r: QuantumRealization, n: int) -> Certificate
         required.append(CertificateEntry(
             f"U{k}† vs M{k + 1}", (f"U{k}†", f"M{k + 1}"),
             _comm_norm(uk.conj().T, uk1), True))
-    gates = {i: measurement_unitary(r, i, n) for i in range(1, n + 1)}
-    block = np.eye(r.dim * 2 ** n, dtype=complex)
+    size = r.dim * 2 ** n
+    block = _identity_tensor(r.dim, n)
     for st in build_protocol(n).steps[1:-1]:
-        g = gates[st.friend]
-        block = (g.conj().T if st.kind == "undo" else g) @ block
+        block = _apply_record_gate(block, r.projector(st.friend), st.friend,
+                                   dagger=(st.kind == "undo"))
     required.append(CertificateEntry(
-        f"block U vs M{n}", ("U", f"M{n}"), _comm_norm(block, gates[n]), True))
+        f"block U vs M{n}", ("U", f"M{n}"),
+        _comm_norm(block.reshape(size, size), measurement_unitary(r, n, n)), True))
     ctx_set = {tuple(sorted(c)) for c in contexts}
     others: list[CertificateEntry] = []
     for a, b in itertools.combinations(range(1, n + 1), 2):

@@ -11,7 +11,9 @@ The types admit arbitrary finite scenarios, but everything in this package
 is exercised on n-cycle scenarios (contexts {i, i+1} plus the closing pair
 {n, 1}) with binary outcomes. Outcome tuples are always keyed by the
 context's measurements in ascending label order, so the closing context is
-stored as the ordered pair (1, n).
+stored as the ordered pair (1, n). Malformed input stops at the boundary
+with ``ScenarioError``: a context naming a measurement twice, and a support
+tuple or a chain seed with a value outside the outcomes.
 
 A support on a pair context with outcomes in {0, 1} is one of the 15
 non-empty subsets of {0, 1}^2. One table maps each to a mask in the four low
@@ -21,10 +23,10 @@ masks:
 
 - ``is_logically_contextual`` reads one mask per context and decides the
   cycle in O(n) with products of the 2x2 boolean transfer matrices the
-  masks pack (a 16 x 16 product table), reporting the witness's 2^(n-2)
-  dead extensions as a lazy sequence. ``oracles.enumerate_contextuality``
-  keeps the exhaustive enumeration of global assignments as its
-  cross-check and decides any other scenario.
+  masks pack (a 16 x 16 product table). The witness's 2^(n-2) dead
+  extensions are a frozen record that decodes each one on demand.
+  ``oracles.enumerate_contextuality`` keeps the exhaustive enumeration of
+  global assignments as its cross-check and decides any other scenario.
 - ``flip_outcomes``, behind ``ncycle.relabel``, swaps the outcome labels of
   a binary pair support by a table lookup.
 - ``propagate_chain`` is a worklist in (pass, scenario index) order that
@@ -72,6 +74,8 @@ class Scenario:
         if len(mset) != len(self.measurements):
             raise ScenarioError("duplicate measurement labels")
         for c in self.contexts:
+            if len(set(c)) != len(c):
+                raise ScenarioError(f"context {c} names a measurement twice")
             if tuple(sorted(c)) != c:
                 raise ScenarioError(f"context {c} must be stored in ascending order")
             if not set(c) <= mset:
@@ -166,64 +170,52 @@ class AssignmentFate:
     killed_by: Context
 
 
+@dataclass(frozen=True)
 class WitnessFates(Sequence):
-    """Where each global extension of a witness tuple dies, computed on demand.
+    """Where each global extension of a witness tuple dies, decoded on demand.
 
     Item k gives the measurements outside the witness context the bits of k,
     most significant first (``itertools.product`` order), and names the first
     context, in scenario order, whose support rejects that assignment. There
-    are 2^(n-2) items on a binary cycle, so none is stored; ``len`` raises
-    ``EnumerationLimitError`` once the count exceeds ``sys.maxsize``.
+    are ``size`` = 2^(n-2) items on a binary cycle, so none is stored; ``len``
+    raises ``EnumerationLimitError`` once the count exceeds ``sys.maxsize``.
     """
 
-    __slots__ = ("_n", "_fixed", "_free", "_checks", "_size")
+    scenario: Scenario
+    supports: tuple[frozenset[OutcomeTuple], ...]    # in scenario context order
+    context: Context
+    outcome_tuple: OutcomeTuple
 
-    def __init__(self, pb: PossibilisticBehavior, context: Context,
-                 outcome_tuple: OutcomeTuple):
-        s = pb.scenario
-        pos = {m: k for k, m in enumerate(s.measurements)}
-        self._n = s.n
-        self._fixed = tuple((pos[m], v) for m, v in zip(context, outcome_tuple))
-        self._free = tuple(pos[m] for m in s.measurements if m not in context)
-        self._checks = tuple((tuple(pos[m] for m in c), c, pb.supports[c])
-                             for c in s.contexts)
-        self._size = 2 ** len(self._free)
+    @property
+    def size(self) -> int:
+        """The number of fates, an exact int however large."""
+        return 2 ** (self.scenario.n - len(self.context))
 
     def __len__(self) -> int:
-        if self._size > sys.maxsize:
+        if self.size > sys.maxsize:
             raise EnumerationLimitError(
-                f"{self._size} witness extensions are more than len() can count")
-        return self._size
+                f"{self.size} witness extensions are more than len() can count")
+        return self.size
 
     def __getitem__(self, k):
+        size = self.size
         if isinstance(k, slice):
-            return tuple(self[i] for i in range(self._size)[k])
+            return tuple(self[i] for i in range(size)[k])
         k = operator.index(k)
         if k < 0:
-            k += self._size
-        if not 0 <= k < self._size:
-            raise IndexError(f"fate index out of range for {self._size} fates")
-        values = [0] * self._n
-        for p, v in self._fixed:
-            values[p] = v
-        for shift, p in enumerate(reversed(self._free)):
-            values[p] = (k >> shift) & 1
-        full = tuple(values)
-        for idx, c, support in self._checks:
-            if tuple(full[i] for i in idx) not in support:
+            k += size
+        if not 0 <= k < size:
+            raise IndexError(f"fate index out of range for {size} fates")
+        s = self.scenario
+        values = dict(zip(self.context, self.outcome_tuple))
+        free = [m for m in s.measurements if m not in values]
+        for shift, m in enumerate(reversed(free)):
+            values[m] = (k >> shift) & 1
+        full = tuple(values[m] for m in s.measurements)
+        for c, support in zip(s.contexts, self.supports):
+            if tuple(values[m] for m in c) not in support:
                 return AssignmentFate(full, c)
         raise ScenarioError(f"assignment {full} survives every context: not a witness")
-
-    def _key(self):
-        return self._n, self._fixed, self._checks
-
-    def __eq__(self, other):
-        if not isinstance(other, WitnessFates):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -421,9 +413,10 @@ def is_logically_contextual(pb: PossibilisticBehavior) -> ContextualityVerdict:
         raise ScenarioError("is_logically_contextual decides binary n-cycle scenarios "
                             "only; use oracles.enumerate_contextuality for others")
     n = s.n
+    supports = tuple(pb.supports[c] for c in s.contexts)
     masks = []                           # bit 2a + b set when the keyed tuple (a, b) is possible
-    for c in s.contexts:
-        m = _PAIR_MASKS.get(pb.supports[c])
+    for c, sup in zip(s.contexts, supports):
+        m = _PAIR_MASKS.get(sup)
         if m is None:
             raise ScenarioError(f"support of context {c} holds a tuple outside {{0, 1}}^2")
         masks.append(m)
@@ -443,7 +436,7 @@ def is_logically_contextual(pb: PossibilisticBehavior) -> ContextualityVerdict:
         dead = masks[k] & ~(back if k == n - 1 else _TRANSPOSED[back])
         if dead:
             c, t = s.contexts[k], _FIRST_TUPLE[dead]
-            return ContextualityVerdict(True, Witness(c, t, WitnessFates(pb, c, t)))
+            return ContextualityVerdict(True, Witness(c, t, WitnessFates(s, supports, c, t)))
     return ContextualityVerdict(False, None)
 
 
@@ -494,26 +487,26 @@ def propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
     Contexts are evaluated in (pass, scenario index) order: the first pass
     takes every context; after it a context is queued only when another
     context fixes one of its measurements, for the current pass if it comes
-    later in scenario order and for the next pass otherwise (a context that
-    names a measurement twice is also queued for the next pass after fixing
-    it itself). Evaluating a context nothing has touched since would change
-    nothing, so ``steps``, ``forced`` and the conflict are those of
-    rescanning every context until nothing changes
-    (``oracles.fixpoint_propagate_chain``), at O(n log n) instead of O(n^2)
-    for a chain forced against the scan order. A pair context whose support
-    is a set of binary pairs reads its forcing from a table keyed by its
-    mask and fixed values; any other context, or a fixed value outside
-    {0, 1}, restricts the support's tuples.
+    later in scenario order and for the next pass otherwise. Evaluating a
+    context nothing has touched since would change nothing, so ``steps``,
+    ``forced`` and the conflict are those of rescanning every context until
+    nothing changes (``oracles.fixpoint_propagate_chain``), at O(n log n)
+    instead of O(n^2) for a chain forced against the scan order. A pair
+    context whose support is a set of binary pairs reads its forcing from a
+    table keyed by its mask and fixed values; any other context, or a fixed
+    value outside {0, 1} in a scenario with more outcomes, restricts the
+    support's tuples. An unknown seed measurement, or a seed value not in
+    ``scenario.outcomes``, raises ``ScenarioError``.
     """
     s = pb.scenario
     if seed_measurement not in s.measurements:
         raise ScenarioError(f"unknown measurement {seed_measurement}")
+    if seed_value not in s.outcomes:
+        raise ScenarioError(f"seed value {seed_value!r} is not one of the outcomes {s.outcomes}")
     fixed: dict[int, int] = {seed_measurement: seed_value}
     steps: list[tuple[int, int]] = [(seed_measurement, seed_value)]
     contexts, supports, containing = s.contexts, pb.supports, s._containing
-    # a context naming one measurement twice keeps to the tuple path
-    masks = [_PAIR_MASKS.get(supports[c]) if len(c) == 2 and c[0] != c[1] else None
-             for c in contexts]
+    masks = [_PAIR_MASKS.get(supports[c]) if len(c) == 2 else None for c in contexts]
     queue = list(range(len(contexts)))   # this pass, as a heap of scenario indices
     while queue:
         later: set[int] = set()
@@ -533,14 +526,12 @@ def propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
                 return ChainResult(dict(fixed), tuple(steps), ChainConflict(c, dict(fixed)))
             for k, v in forced:
                 m = c[k]
-                if m in fixed:           # named twice in c and forced at its first place
-                    continue
                 fixed[m] = v
                 steps.append((m, v))
                 for j in containing[m]:
                     if j > i:
                         heapq.heappush(queue, j)
-                    elif j < i or c.count(m) > 1:   # naming m twice, c restricts itself
+                    elif j < i:
                         later.add(j)
         queue = sorted(later)
     return ChainResult(dict(fixed), tuple(steps), None)

@@ -86,13 +86,16 @@ class TestContextuality:
         assert doc["contextual"] is True
         assert doc["witness"]["assignments_checked"] == 2**23
 
-    def test_uncountable_witness_is_a_usage_error(self, tmp_path, capsys):
-        code, payload = run(tmp_path, ["contextuality", "--n", "70", "--format", "json"])
-        assert code == 2
-        assert payload == ""
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        assert "Traceback" not in err
+    @pytest.mark.parametrize("n, kind", [(65, "unified"), (70, "unified"), (101, "odd")])
+    def test_witness_count_past_maxsize(self, tmp_path, capsys, n, kind):
+        # 2^(n-2) is more than len() can return; the report counts it exactly
+        code, payload = run(tmp_path, ["contextuality", "--n", str(n), "--kind", kind,
+                                       "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads(payload)
+        assert doc["contextual"] is True
+        assert doc["witness"]["assignments_checked"] == 2 ** (n - 2)
 
 
 class TestSearch:

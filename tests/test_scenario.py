@@ -262,12 +262,34 @@ class TestLazyFates:
         # witnesses stay values: the same behavior gives an equal witness
         assert is_logically_contextual(unified_ncycle_behavior(8)).witness.fates == fates
 
+    def test_equal_behaviors_give_equal_fates(self):
+        fates = is_logically_contextual(unified_ncycle_behavior(9)).witness.fates
+        again = is_logically_contextual(unified_ncycle_behavior(9)).witness.fates
+        assert fates is not again
+        assert fates == again and hash(fates) == hash(again)
+        pb = unified_ncycle_behavior(9)
+        supports = dict(pb.supports)
+        supports[(4, 5)] = frozenset({(0, 0), (1, 1)})
+        other = is_logically_contextual(PossibilisticBehavior(pb.scenario, supports))
+        assert other.witness.context == (1, 9)
+        assert other.witness.fates != fates
+
+    def test_fates_keep_the_supports_of_the_verdict(self):
+        pb = unified_ncycle_behavior(7)
+        fates = is_logically_contextual(pb).witness.fates
+        before = tuple(fates)
+        for c in pb.supports:
+            pb.supports[c] = frozenset(itertools.product((0, 1), repeat=2))
+        assert tuple(fates) == before
+        assert all(f.killed_by for f in before)
+
     def test_len_beyond_maxsize(self):
         fates = is_logically_contextual(unified_ncycle_behavior(70)).witness.fates
         with pytest.raises(EnumerationLimitError):
             len(fates)
         # indexing still works past the count len() can return
         assert fates[-1].assignment[-1] == 1
+        assert fates.size == 2**68
 
 
 class TestPropagateChain:
