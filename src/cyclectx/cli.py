@@ -231,17 +231,6 @@ def _crit_kcbs_behavior(r: QuantumRealization) -> dict:
             "closing_pair": closing}
 
 
-def _chain_confirms(pb, witness) -> bool:
-    seed_m = witness.context[0]
-    seed_v = witness.outcome_tuple[0]
-    res = propagate_chain(pb, seed_m, seed_v)
-    if res.conflicted:
-        return True
-    partner = witness.context[-1]
-    forced = res.forced.get(partner)
-    return forced is not None and forced != witness.outcome_tuple[-1]
-
-
 def _crit_contextuality(n_max: int) -> dict:
     cases = []
     for n in (5, 7, 9, 11):
@@ -256,7 +245,9 @@ def _crit_contextuality(n_max: int) -> dict:
     ok = True
     for kind, n, pb in cases:
         v = is_logically_contextual(pb)
-        confirmed = v.contextual and v.witness is not None and _chain_confirms(pb, v.witness)
+        w = v.witness
+        confirmed = v.contextual and w is not None and propagate_chain(
+            pb, w.context[0], w.outcome_tuple[0]).refutes(w.context[-1], w.outcome_tuple[-1])
         ok = ok and confirmed
         results.append({"kind": kind, "n": n, "contextual": v.contextual,
                         "chain_confirms": confirmed})

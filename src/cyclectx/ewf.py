@@ -7,9 +7,8 @@ Friend i's measurement is a generalized CNOT
     U_i = P_i (x) X_{A_i}  +  (1 - P_i) (x) 1_{A_i}
 
 where P_i is the outcome-1 projector, so the record qubit flips to |1> on
-the outcome-1 branch and record bits equal outcome labels. The undo applies
-the inverse gate to the same pair of registers. Since P_i is Hermitian, U_i
-is Hermitian as well as unitary, hence an involution.
+the outcome-1 branch and record bits equal outcome labels. P_i is stored
+exactly Hermitian, so U_i is its own inverse bit for bit: the undo is U_i.
 
 The standard schedule measures M1, M2 and then alternates undoing friend k
 with measuring friend k+2, so the first n-2 records are erased. A record
@@ -18,9 +17,10 @@ refuses any stage at which the requested record was not yet generated or
 was already undone. The joint (a_1, a_n) statistics of the standard
 schedule are therefore unreachable by construction; the counterfactual
 schedule, which postpones the whole intervening block until after M_n,
-is the sanctioned route to that correlation, and
-``commutation_certificates`` checks the commutation facts that make the
-relocation statistically irrelevant.
+is the sanctioned route to that correlation. The paper's Commutation
+Irrelevance moves the block past M_n once the two commute, which the
+block-vs-M_n entry of ``commutation_certificates`` checks; its context and
+undo entries back the pairwise reads.
 
 Branch form. Every state here is ``sum_f v_f (x) |f>`` over record strings
 f, and every product of gates is ``sum_f B_f (x) X^f`` with d x d system
@@ -55,14 +55,13 @@ The certificates stay in the system space, since the X-strings are
 Frobenius-orthogonal with ``||X^f||_F^2 = 2^n``:
 
 * a pair of gates commutes up to ``[P_i, P_j] (x) (X_i - 1)(X_j - 1)``, so
-  its commutator norm on system (x) A_i (x) A_j is ``4 ||[P_i, P_j]||_F``
-  (``P_k^dag`` in place of ``P_k`` for an undo). The n context pairs and
-  the n - 2 undo pairs are computed in one batched call over the
-  projectors and their conjugate transposes, read through the
-  realization's accessors into one stack. The O(n^2) non-context pairs
-  only inform, so their norms and entries are built in a second batch on
-  the first read of ``CertificateReport.entries``; ``passed``, the
-  required entries and ``paradox_report`` never build them;
+  its commutator norm on system (x) A_i (x) A_j is ``4 ||[P_i, P_j]||_F``.
+  The n context pairs take one batched call over the projectors; the undo
+  U_k is the gate M_k, so its entry against M_{k+1} reuses the norm of the
+  context (k, k+1). The O(n^2) non-context pairs only inform, so their
+  norms and entries are built in a second batch on the first read of
+  ``CertificateReport.entries``; ``passed``, the required entries and
+  ``paradox_report`` never build them;
 * the block's branches ``B_f`` are built from the identity with the same
   kernel that ``simulate`` applies to states. Its certificate is
   ``||[block, M_n]||_F / sqrt(2^n)``, which is
@@ -281,10 +280,9 @@ def _record_gate(b: Branches, op: np.ndarray, bit: int) -> tuple[Branches, float
 
 
 def _run_gates(b: Branches, r: QuantumRealization, n: int, steps: Sequence[GateStep]):
-    """Yield (step, branches after it, norm dropped by it) for each step."""
+    """Yield (step, branches after it, norm dropped by it); an undo is its measurement's gate."""
     for st in steps:
-        op = r.adjoint_projector(st.friend) if st.kind == "undo" else r.projector(st.friend)
-        b, dropped = _record_gate(b, op, 1 << (n - st.friend))
+        b, dropped = _record_gate(b, r.projector(st.friend), 1 << (n - st.friend))
         yield st, b, dropped
 
 
@@ -501,8 +499,9 @@ def commutation_certificates(r: QuantumRealization, n: int) -> CertificateReport
 
     Checked at tolerance: every context pair of gates (adjacent pairs and
     the closing pair, on the minimal shared registers), each undo against
-    the measurement performed just before it, and the full intervening
-    block against the final measurement on the complete register space,
+    the measurement performed just before it (that context's norm), and
+    the full intervening block against the final measurement on the
+    complete register space,
     reported per X-string as ||[block, M_n]||_F / sqrt(2^n) with the
     truncation bound 2 sqrt(2) Delta as the entry's ``bound``. Non-context
     pairs are reported as expected-noncommuting information, computed when
@@ -511,17 +510,15 @@ def commutation_certificates(r: QuantumRealization, n: int) -> CertificateReport
     docstring. Certificates pass at ALG_TOL.
     """
     std = build_protocol(n)
-    # rows 0..n-1 hold P_1..P_n, rows n..2n-1 their conjugate transposes
     labels = range(1, n + 1)
-    ops = np.stack([r.projector(i) for i in labels] + [r.adjoint_projector(i) for i in labels])
+    ops = np.stack([r.projector(i) for i in labels])
     contexts = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    # operator indices of each pair: contexts, then undos (P_k^dag vs P_{k+1})
-    pairs = [(i - 1, j - 1) for i, j in contexts] + [(n + k - 1, k) for k in range(1, n - 1)]
-    norms = _gate_pair_norms(ops, [a for a, _ in pairs], [b for _, b in pairs])
+    norms = _gate_pair_norms(ops, [i - 1 for i, _ in contexts], [j - 1 for _, j in contexts])
     entries = [CertificateEntry(f"M{i} vs M{j}", (f"M{i}", f"M{j}"), norm, True)
                for (i, j), norm in zip(contexts, norms)]
+    # U_k is the gate M_k, so U_k^dag vs M_{k+1} is the context pair (k, k+1)
     entries += [CertificateEntry(f"U{k}† vs M{k + 1}", (f"U{k}†", f"M{k + 1}"), norm, True)
-                for k, norm in zip(range(1, n - 1), norms[n:])]
+                for k, norm in zip(range(1, n - 1), norms)]
     # [M_n, block] = sum_f [P_n, B_f] (x) (X^{f+e_n} - X^f). The block leaves
     # record n alone (f_n = 0), so no two of these X-strings coincide and
     # ||[M_n, block]||_F^2 = 2^n * 2 sum_f ||[P_n, B_f]||_F^2. Row j of the
@@ -606,10 +603,14 @@ def paradox_report(r: QuantumRealization, n: int, tol: float = PROB_TOL,
     closing-pair correlation is read from the counterfactual schedule only,
     at the stage before the relocated block, and its required tuple must
     exceed eps. Both comparisons include the truncation bound (see the
-    module docstring). The implication chain seeded by the required tuple
-    is attached for reference. A target that does not live on the n-cycle,
-    or whose required tuple is not an outcome of the closing context
-    (1, n), raises ``ValueError``.
+    module docstring). The certificates must pass: the context and undo
+    entries back the pairwise reads, and the block-vs-M_n entry is what
+    Commutation Irrelevance needs to move the block past M_n. The verdict
+    also needs the contradiction: the chain seeded by the required tuple's
+    first value must conflict or force M_n off its second value. A target
+    without one (full support everywhere, say) is no paradox and gets a
+    false verdict, not an error; one that does not live on the n-cycle, or
+    whose required tuple is not an outcome of (1, n), raises ``ValueError``.
     """
     if target is None:
         target = default_paradox_target(n)
@@ -651,7 +652,8 @@ def paradox_report(r: QuantumRealization, n: int, tol: float = PROB_TOL,
     counterfactual = CounterfactualCheck(
         (1, n), req_tuple, cf_val, eps, max(math.sqrt(cf_val) - delta, 0.0) ** 2 >= eps)
 
-    verdict = all(c.passed for c in pairwise) and counterfactual.passed
+    verdict = (all(c.passed for c in pairwise) and counterfactual.passed
+               and chain.refutes(n, req_tuple[1]))
     return ParadoxReport(n, "flip-on-outcome-1", tuple(pairwise), chain,
                          counterfactual, certs, verdict, delta)
 

@@ -31,10 +31,11 @@ identity tensor) and the certificates below share one record-gate kernel,
 
 ``dense_commutation_certificates`` recomputes the commutation certificates
 of ``ewf.commutation_certificates`` from those dense gates on the full
-register space, sharing no code with the system-space path. Its block
-entry is the unnormalized ``||[block, M_n]||_F``, which is ``sqrt(2^n)``
-times the pipeline's; the (d 2^n)^2 matrices it multiplies keep it to
-small n.
+register space, sharing no code with the system-space path; its undo
+gates use ``P.conj().T``, so agreement also checks that an undo is the
+measurement gate. Its block entry is the unnormalized
+``||[block, M_n]||_F``, which is ``sqrt(2^n)`` times the pipeline's; the
+(d 2^n)^2 matrices it multiplies keep it to small n.
 """
 
 from __future__ import annotations

@@ -34,10 +34,10 @@ at an accepted point from which a step is taken. The loop stops once
 A ``QuantumRealization`` validates its state and frames (shape, then
 finite, then orthonormal, frame by frame in the caller's order) and keeps a
 read-only copy of the frames. From them it builds, once and with one stacked
-product per rank, three read-only (n, dim, dim) stacks in sorted-label
-order: 1 - P_i, P_i, and the adjoint P_i^dag that the undo gates apply. The
-accessors return fixed row views of these stacks; the stack layout is
-private to this module.
+product per rank, two read-only (n, dim, dim) stacks in sorted-label order:
+1 - P_i and P_i, with P_i = F F^dag made exactly Hermitian (no bit changes
+where it already is), so a friend's record gate is its own inverse. The
+accessors return fixed row views; the stack layout is private to this module.
 
 The search works on the same stacked form: the residual projects all frames
 of one rank with one gram, condition and solve, forms the amplitudes and the
@@ -102,15 +102,15 @@ class QuantumRealization:
     dim: int
     state: np.ndarray                      # (dim,) unit vector
     frames: Mapping[int, np.ndarray]       # label -> (dim, k) orthonormal columns
-    # (3, n, dim, dim): 1 - P_i, P_i and P_i^dag stacked in sorted-label
-    # order, built once per rank group from the validated frames; frames are
-    # stored as a read-only copy, so they cannot drift apart. ``_rows`` maps
-    # a label to its row; the pair statistics below read both, and every
-    # other module goes through the accessors.
+    # (2, n, dim, dim): 1 - P_i and P_i stacked in sorted-label order,
+    # built once per rank group from the validated frames; frames are
+    # stored as a read-only copy, so they cannot drift apart. ``_rows``
+    # maps a label to its row; the pair statistics below read both, and
+    # every other module goes through the accessors.
     _stacks: np.ndarray = field(init=False, repr=False, compare=False)
     _rows: Mapping[int, int] = field(init=False, repr=False, compare=False)
-    # label -> read-only row views (1 - P_i, P_i, P_i^dag) of the stacks
-    _views: Mapping[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+    # label -> read-only row views (1 - P_i, P_i) of the stacks
+    _views: Mapping[int, tuple[np.ndarray, np.ndarray]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -137,7 +137,7 @@ class QuantumRealization:
                 groups.setdefault(f.shape[1], []).append(i)
         labels = sorted(given)
         rows = {i: k for k, i in enumerate(labels)}
-        stacks = np.empty((3, len(labels), d, d), dtype=complex)
+        stacks = np.empty((2, len(labels), d, d), dtype=complex)
         frames = {}
         for k, group in groups.items():
             f = np.array([given[i] for i in group], dtype=complex)
@@ -152,20 +152,20 @@ class QuantumRealization:
                            for i, dev in zip(group, deviation) if dev > ALG_TOL)
             if failure:
                 continue
-            stacks[1, [rows[i] for i in group]] = f @ f.conj().transpose(0, 2, 1)
+            p = f @ f.conj().transpose(0, 2, 1)
+            stacks[1, [rows[i] for i in group]] = (p + p.conj().transpose(0, 2, 1)) / 2
             f.setflags(write=False)
             frames.update(zip(group, f))
         for i in self.frames:
             if i in failure:
                 raise RealizationError(failure[i])
         stacks[0] = np.eye(d) - stacks[1]
-        stacks[2] = stacks[1].conj().transpose(0, 2, 1)
         stacks.setflags(write=False)
-        q, p, pdag = stacks
+        q, p = stacks
         object.__setattr__(self, "frames", MappingProxyType({i: frames[i] for i in self.frames}))
         object.__setattr__(self, "_stacks", stacks)
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_views", {i: (q[k], p[k], pdag[k]) for i, k in rows.items()})
+        object.__setattr__(self, "_views", {i: (q[k], p[k]) for i, k in rows.items()})
 
     def rank(self, i: int) -> int:
         return int(np.asarray(self.frames[i]).shape[1])
@@ -178,12 +178,8 @@ class QuantumRealization:
         return {i: np.asarray(self.frames[i], dtype=complex)[:, 0] for i in self.frames}
 
     def projector(self, i: int) -> np.ndarray:
-        """P_i = F F^dag, read-only."""
+        """P_i = F F^dag, exactly Hermitian; read-only."""
         return self._views[i][1]
-
-    def adjoint_projector(self, i: int) -> np.ndarray:
-        """P_i^dag, exactly ``projector(i).conj().T``; read-only."""
-        return self._views[i][2]
 
     def outcome_projector(self, i: int, outcome: int) -> np.ndarray:
         """P_i for outcome 1, 1 - P_i otherwise; read-only."""

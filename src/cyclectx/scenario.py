@@ -247,6 +247,11 @@ class ChainResult:
     def conflicted(self) -> bool:
         return self.conflict is not None
 
+    def refutes(self, measurement: int, value: int) -> bool:
+        """The chain conflicted, or forced ``measurement`` off ``value``."""
+        forced = self.forced.get(measurement)
+        return self.conflicted or (forced is not None and forced != value)
+
 
 @functools.lru_cache(typed=True)
 def make_cycle_scenario(n: int) -> Scenario:

@@ -42,7 +42,11 @@ from cyclectx.quantum import (
     kcbs_realization,
     realization_from_doc,
 )
-from cyclectx.scenario import make_cycle_scenario
+from cyclectx.scenario import (
+    PossibilisticBehavior,
+    is_logically_contextual,
+    make_cycle_scenario,
+)
 
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "realizations.json"
@@ -54,6 +58,15 @@ def fixture_cases():
     cases = [(realization_from_doc(doc[str(n)]), n, unified_ncycle_behavior(n))
              for n in range(5, 16)]
     return cases + [(kcbs_realization(), 5, None)]
+
+
+def rotated_case(n, seed):
+    """(realization, n, target) for fixture n in a seeded random basis."""
+    r, _, target = fixture_cases()[n - 5]
+    rng = np.random.default_rng([seed, n])
+    v, _ = np.linalg.qr(rng.normal(size=(r.dim, r.dim)) + 1j * rng.normal(size=(r.dim, r.dim)))
+    frames = {i: v @ np.asarray(f) for i, f in r.frames.items()}
+    return QuantumRealization(r.dim, v @ r.state, frames), n, target
 
 
 def steps_of(p):
@@ -192,15 +205,16 @@ class TestRecordGateKernel:
             real = b.values.view(np.float64)
             assert list(b.weights) == np.add.reduce(real * real, 1).tolist()
 
-    def test_adjoint_projector_is_read_only_conjugate_transpose(self):
+    def test_projector_is_read_only_and_hermitian(self):
+        # the one operator that both a measurement and its undo apply
         r = random_rank1(6, 4, 5)
         for i in range(1, 7):
-            pdag = r.adjoint_projector(i)
-            assert np.array_equal(pdag, r.projector(i).conj().T)
-            assert not pdag.flags.writeable
-            assert r.adjoint_projector(i) is pdag
+            p = r.projector(i)
+            assert np.array_equal(p, p.conj().T)
+            assert not p.flags.writeable
+            assert r.projector(i) is p
             with pytest.raises(ValueError):
-                pdag[0, 0] = 0
+                p[0, 0] = 0
 
 
 class TestMeasurementUnitary:
@@ -530,9 +544,9 @@ class TestCertificates:
         assert certs.passed and rep.block_bound <= 1e-12
         for e in certs.required:
             assert certs.entry(e.label) is e
-        assert batches == [2 * n - 2]
+        assert batches == [n]
         entries = certs.entries
-        assert batches == [2 * n - 2, n * (n - 1) // 2 - n]
+        assert batches == [n, n * (n - 1) // 2 - n]
         assert certs.entries is entries
         assert entries[:len(certs.required)] == certs.required
         assert certs.entry("M1 vs M3 (non-context)") is entries[2 * n - 1]
@@ -554,19 +568,27 @@ class TestCertificates:
 
     def test_split_batches_match_one_batch(self):
         # the required and the non-context pair norms, formed in two batches,
-        # equal the norms of all pairs formed in one
+        # equal the norms of all pairs formed in one; an undo U_k applies P_k
         r, n, _ = fixture_cases()[10]
         entries = commutation_certificates(r, n).entries
-        ops = np.stack([r.projector(i) for i in range(1, n + 1)]
-                       + [r.adjoint_projector(i) for i in range(1, n + 1)])
+        ops = np.stack([r.projector(i) for i in range(1, n + 1)])
 
         def index(name):
-            k = int(name[1:].rstrip("†")) - 1
-            return k + n if name.startswith("U") else k
+            return int(name[1:].rstrip("†")) - 1
 
         pairs = [e.pair for e in entries if e.pair[0] != "U"]
         norms = _gate_pair_norms(ops, [index(a) for a, _ in pairs], [index(b) for _, b in pairs])
         assert [e.norm for e in entries if e.pair[0] != "U"] == norms
+
+    @pytest.mark.parametrize("case", fixture_cases() + [rotated_case(5, 1)],
+                             ids=[f"n{n}" for n in range(5, 16)] + ["kcbs", "rotated-n5"])
+    def test_undo_entries_reuse_context_norms(self, case):
+        # U_k is the gate M_k, so each undo entry is the context entry (k, k+1)
+        r, n, _ = case
+        certs = commutation_certificates(r, n)
+        for k in range(1, n - 1):
+            assert certs.entry(f"U{k}† vs M{k + 1}").norm == \
+                certs.entry(f"M{k} vs M{k + 1}").norm
 
     def test_entries_after_report_match_dense_oracle(self, kcbs):
         certs = paradox_report(kcbs, 5).certificates
@@ -619,6 +641,21 @@ class TestParadoxReport:
     def test_chain(self, kcbs):
         rep = paradox_report(kcbs, 5)
         assert rep.chain.steps == ((1, 1), (2, 0), (3, 1), (4, 0), (5, 1))
+        assert rep.chain.refutes(5, 0)
+
+    def test_target_without_contradiction_is_no_paradox(self, kcbs):
+        # full support on every context forbids nothing, so every read
+        # passes, but the chain from a_1 = 1 forces nothing and the verdict
+        # must not claim a contradiction
+        s = make_cycle_scenario(5)
+        target = PossibilisticBehavior(s, {c: frozenset(s.tuples(c)) for c in s.contexts},
+                                       required=((1, 5), (1, 0)))
+        assert not is_logically_contextual(target).contextual
+        rep = paradox_report(kcbs, 5, target=target)
+        assert rep.pairwise == ()
+        assert rep.counterfactual.passed
+        assert not rep.chain.conflicted and rep.chain.forced == {1: 1}
+        assert not rep.verdict
 
     def test_wrong_state_fails_pairwise_check(self, kcbs):
         # preparing vector 4 itself keeps every certificate green but puts

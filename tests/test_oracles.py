@@ -359,12 +359,21 @@ def searched_realization(n, dim):
                                     dim, seed=1)
 
 
+def rotated(r, seed):
+    """The realization in a seeded random basis."""
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.normal(size=(r.dim, r.dim)) + 1j * rng.normal(size=(r.dim, r.dim)))
+    return QuantumRealization(r.dim, v @ r.state, {i: v @ f for i, f in r.frames.items()})
+
+
 CERTIFICATE_CASES = [
     ("kcbs", 5, lambda: kcbs_cycled(5)),
     ("kcbs", 6, lambda: kcbs_cycled(6)),
     ("kcbs", 7, lambda: kcbs_cycled(7)),
     ("searched", 6, lambda: searched_realization(6, 4)),
     ("searched", 7, lambda: searched_realization(7, 3)),
+    # rank-2 frames whose F F^dag is not bitwise Hermitian in this basis
+    ("rotated", 5, lambda: rotated(searched_realization(5, 3), 1)),
     ("random", 5, lambda: random_realization(5, 3, 17)),
     ("random", 6, lambda: random_realization(6, 4, 17)),
     ("random", 7, lambda: random_realization(7, 3, 17)),
@@ -408,6 +417,10 @@ class TestDenseCommutationCertificates:
                              ids=[f"{k}-n{n}" for k, n, _ in CERTIFICATE_CASES])
     def test_system_space_matches_dense(self, kind, n, make):
         r = make()
+        if kind == "rotated":
+            # the oracle's undo gates use P.conj().T, the pipeline applies P
+            raw = [f @ f.conj().T for f in r.frames.values()]
+            assert not all(np.array_equal(p, p.conj().T) for p in raw)
         fast, dense = commutation_certificates(r, n), dense_commutation_certificates(r, n)
         assert [e.label for e in fast.entries] == [e.label for e in dense.entries]
         assert [e.must_commute for e in fast.entries] == \

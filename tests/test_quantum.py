@@ -347,16 +347,39 @@ class TestBatchedRealization:
         for i in r.frames:
             f = r.frames[i]
             p = r.projector(i)
-            assert np.array_equal(p, f @ f.conj().T)
+            ff = f @ f.conj().T
+            assert np.array_equal(p, (ff + ff.conj().T) / 2)
             assert np.array_equal(r.outcome_projector(i, 0), np.eye(r.dim) - p)
-            assert np.array_equal(r.adjoint_projector(i), p.conj().T)
             for get in (lambda: r.projector(i), lambda: r.outcome_projector(i, 0),
-                        lambda: r.adjoint_projector(i), lambda: r.frames[i]):
+                        lambda: r.frames[i]):
                 a = get()
                 assert get() is a
                 with pytest.raises(ValueError):
                     a[0, 0] = 0.5
             assert r.outcome_projector(i, 1) is p
+
+    @pytest.mark.parametrize("case", ["kcbs", "fixtures", "rotated"])
+    def test_projectors_are_exactly_hermitian(self, case):
+        # the n = 15 fixture and the rotated n = 5 fixture have an F F^dag
+        # that is not bitwise Hermitian, so the symmetrization is exercised
+        doc = json.loads(FIXTURES.read_text(encoding="utf-8"))["realizations"]
+        realizations, skewed = {
+            "kcbs": ({5: kcbs_realization()}, None),
+            "fixtures": ({int(n): realization_from_doc(d) for n, d in doc.items()}, 15),
+            "rotated": ({n: conjugated(realization_from_doc(doc[str(n)]), 1, n)
+                         for n in (5, 6, 7)}, 5),
+        }[case]
+        for n, r in realizations.items():
+            raw_hermitian = True
+            for i, f in r.frames.items():
+                p, q, ff = r.projector(i), r.outcome_projector(i, 0), f @ f.conj().T
+                assert np.array_equal(p, p.conj().T) and np.array_equal(q, q.conj().T)
+                assert np.abs(p - ff).max() <= 1e-15
+                raw_hermitian &= np.array_equal(ff, ff.conj().T)
+            if n == skewed:
+                assert not raw_hermitian
+            elif case == "kcbs":
+                assert raw_hermitian
 
     def test_tables_match_born_pair_formula_and_oracle(self):
         for r in pair_cases():

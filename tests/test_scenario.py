@@ -323,6 +323,17 @@ class TestPropagateChain:
         with pytest.raises(ScenarioError):
             propagate_chain(all_possible(5), 9, 0)
 
+    def test_refutes(self, cycle5):
+        # a conflict refutes every value; a forced value refutes only the others
+        conflict = propagate_chain(PossibilisticBehavior(
+            cycle5, {c: frozenset(v) for c, v in KCBS_SUPPORTS.items()}), 1, 1)
+        assert conflict.refutes(5, 0) and conflict.refutes(5, 1)
+        forced = propagate_chain(unified_ncycle_behavior(7), 1, 0)
+        assert forced.refutes(7, 1) and not forced.refutes(7, 0)
+        free = propagate_chain(all_possible(5), 3, 1)
+        assert not free.refutes(5, 0) and not free.refutes(5, 1)
+        assert free.refutes(3, 0) and not free.refutes(3, 1)
+
     @pytest.mark.parametrize("seed, steps", [
         ((1, 1), ((1, 1), (2, 1), (3, 0), (4, 1))),
         ((2, 0), ((2, 0), (1, 0), (3, 1), (4, 0))),
