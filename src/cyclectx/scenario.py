@@ -12,8 +12,9 @@ is exercised on n-cycle scenarios (contexts {i, i+1} plus the closing pair
 {n, 1}) with binary outcomes. Outcome tuples are always keyed by the
 context's measurements in ascending label order, so the closing context is
 stored as the ordered pair (1, n). Malformed input stops at the boundary
-with ``ScenarioError``: a context naming a measurement twice, and a support
-tuple or a chain seed with a value outside the outcomes.
+with ``ScenarioError``: a context naming a measurement twice, a support that
+is not a frozenset, a support tuple or a chain seed with a value outside the
+outcomes, and a flip mask that does not name exactly the measurements.
 
 A support on a pair context with outcomes in {0, 1} is one of the 15
 non-empty subsets of {0, 1}^2. One table maps each to a mask in the four low
@@ -21,6 +22,11 @@ bits of an int (bit 2a + b set when (a, b) is possible) and each mask back
 to one shared frozenset, and every binary n-cycle operation works on the
 masks:
 
+- ``PossibilisticBehavior`` accepts the supports of a scenario whose
+  contexts are all binary pairs with one set test against the 15 shared
+  supports, after comparing the contexts with a set cached on the
+  ``Scenario``; only a support that fails it is checked tuple by tuple, to
+  name the first bad context.
 - ``is_logically_contextual`` reads one mask per context and decides the
   cycle in O(n) with products of the 2x2 boolean transfer matrices the
   masks pack (a 16 x 16 product table). The witness's 2^(n-2) dead
@@ -28,14 +34,16 @@ masks:
   ``oracles.enumerate_contextuality`` keeps the exhaustive enumeration of
   global assignments as its cross-check and decides any other scenario.
 - ``flip_outcomes``, behind ``ncycle.relabel``, swaps the outcome labels of
-  a binary pair support by a table lookup.
+  a binary pair support by a table lookup that returns the shared
+  frozenset.
 - ``propagate_chain`` is a worklist in (pass, scenario index) order that
   re-evaluates a context only after another context fixed one of its
   measurements, and reads the forcing of a binary pair context from a table
-  keyed by its mask and fixed values. On an n-cycle a chain costs
-  O(n log n) from any seed, and its steps come out in the order of the
-  fixpoint scan that ``oracles.fixpoint_propagate_chain`` keeps as its
-  cross-check.
+  keyed by its mask and fixed values. The first pass, which takes every
+  context, walks the scenario in order without a heap; later passes pop a
+  heap. On an n-cycle a chain costs O(n log n) from any seed, and its steps
+  come out in the order of the fixpoint scan that
+  ``oracles.fixpoint_propagate_chain`` keeps as its cross-check.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ import heapq
 import itertools
 import operator
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -112,6 +120,19 @@ class Scenario:
         return {k: frozenset(itertools.product(self.outcomes, repeat=k))
                 for k in {len(c) for c in self.contexts}}
 
+    @functools.cached_property
+    def _measurement_set(self) -> frozenset[int]:
+        return frozenset(self.measurements)
+
+    @functools.cached_property
+    def _context_set(self) -> frozenset[Context]:
+        return frozenset(self.contexts)
+
+    @functools.cached_property
+    def _binary_pairs(self) -> bool:
+        """Every context is a pair over the outcomes (0, 1)."""
+        return self.outcomes == (0, 1) and all(len(c) == 2 for c in self.contexts)
+
 
 @dataclass(frozen=True)
 class Behavior:
@@ -144,10 +165,18 @@ class PossibilisticBehavior:
 
     def __post_init__(self):
         s = self.scenario
-        if set(self.supports) != set(s.contexts):
+        supports = self.supports
+        if supports.keys() != s._context_set:
             raise ScenarioError("supports must cover exactly the contexts")
+        # a set would fail the first hash lookup, a list every comparison
+        for c, sup in supports.items():
+            if not isinstance(sup, frozenset):
+                raise ScenarioError(f"support of context {c} is a {type(sup).__name__}, "
+                                    "not a frozenset")
+        if s._binary_pairs and _PAIR_SUPPORT_SET.issuperset(supports.values()):
+            return
         valid = s._tuple_sets
-        for c, sup in self.supports.items():
+        for c, sup in supports.items():
             if not sup:
                 raise ScenarioError(f"context {c} has empty support")
             tuples = valid[len(c)]
@@ -322,6 +351,7 @@ _PAIR_TUPLES = ((0, 0), (0, 1), (1, 0), (1, 1))    # the tuple (a, b) of bit 2a 
 _PAIR_SUPPORTS = tuple(frozenset(t for k, t in enumerate(_PAIR_TUPLES) if m >> k & 1)
                        for m in range(16))          # mask -> the shared frozenset
 _PAIR_MASKS = {sup: m for m, sup in enumerate(_PAIR_SUPPORTS) if m}   # support -> mask
+_PAIR_SUPPORT_SET = frozenset(_PAIR_MASKS)
 _FIRST_TUPLE = (None,) + tuple(_PAIR_TUPLES[(m & -m).bit_length() - 1] for m in range(1, 16))
 _TRANSPOSED = tuple(m & 0b1001 | (m & 2) << 1 | (m & 4) >> 1 for m in range(16))
 
@@ -334,41 +364,46 @@ def _flipped_mask(m: int, flip_first: bool, flip_second: bool) -> int:
     return m
 
 
-_FLIPPED = {(fa, fb): {sup: _PAIR_SUPPORTS[_flipped_mask(m, fa, fb)]
-                       for sup, m in _PAIR_MASKS.items()}
-            for fa, fb in ((False, True), (True, False), (True, True))}
+# 2 * (first flipped) + (second flipped) -> support -> the shared flipped support;
+# entry 0 maps a support to the shared frozenset equal to it
+_FLIPPED = tuple({sup: _PAIR_SUPPORTS[_flipped_mask(m, k >> 1, k & 1)]
+                  for sup, m in _PAIR_MASKS.items()} for k in range(4))
+
+
+def _moved(flip: Mapping[int, bool], c: Context, t: OutcomeTuple) -> OutcomeTuple:
+    return tuple(1 - v if flip[m] else v for m, v in zip(c, t))
 
 
 def flip_outcomes(pb: PossibilisticBehavior,
                   flip: Mapping[int, bool]) -> PossibilisticBehavior:
     """Swap outcomes 0 <-> 1 of every measurement m with ``flip[m]`` true.
 
-    ``flip`` must name every measurement. A binary pair support becomes the
-    one frozenset shared by every support with the flipped tuples, read from
-    a table; a pair context with neither measurement flipped keeps its
-    support, and any other support is rebuilt tuple by tuple. The required
-    tuple moves with its context; the kind annotation is dropped.
+    ``flip`` must name exactly the measurements, or ``ScenarioError`` is
+    raised. A binary pair support becomes the one frozenset shared by every
+    support with the flipped tuples, read from a table, also when neither of
+    its measurements is flipped; any other support is rebuilt tuple by
+    tuple. The required tuple moves with its context; the kind annotation is
+    dropped.
     """
-    flip = {m: bool(f) for m, f in flip.items()}
-
-    def move(c: Context, t: OutcomeTuple) -> OutcomeTuple:
-        return tuple(1 - v if flip[m] else v for m, v in zip(c, t))
-
+    s = pb.scenario
+    if flip.keys() != s._measurement_set:
+        raise ScenarioError("flip mask domain must equal the measurement set")
+    old = pb.supports
     supports = {}
-    for c in pb.scenario.contexts:
-        sup = pb.supports[c]
+    for c in s.contexts:
+        sup = old[c]
         if len(c) == 2:
-            fa, fb = flip[c[0]], flip[c[1]]
-            shared = _FLIPPED[fa, fb].get(sup) if fa or fb else sup
+            k = (2 if flip[c[0]] else 0) | (1 if flip[c[1]] else 0)
+            shared = _FLIPPED[k].get(sup)
             if shared is not None:
                 supports[c] = shared
                 continue
-        supports[c] = frozenset(move(c, t) for t in sup)
+        supports[c] = frozenset(_moved(flip, c, t) for t in sup)
     required = None
     if pb.required is not None:
         rc, rt = pb.required
-        required = (rc, move(rc, rt))
-    return PossibilisticBehavior(pb.scenario, supports, kind=None, required=required)
+        required = (rc, _moved(flip, rc, rt))
+    return PossibilisticBehavior(s, supports, kind=None, required=required)
 
 
 _IDENTITY = 0b1001                       # packed 2x2 identity: bits [0][0] and [1][1]
@@ -418,13 +453,11 @@ def is_logically_contextual(pb: PossibilisticBehavior) -> ContextualityVerdict:
         raise ScenarioError("is_logically_contextual decides binary n-cycle scenarios "
                             "only; use oracles.enumerate_contextuality for others")
     n = s.n
-    supports = tuple(pb.supports[c] for c in s.contexts)
-    masks = []                           # bit 2a + b set when the keyed tuple (a, b) is possible
-    for c, sup in zip(s.contexts, supports):
-        m = _PAIR_MASKS.get(sup)
-        if m is None:
-            raise ScenarioError(f"support of context {c} holds a tuple outside {{0, 1}}^2")
-        masks.append(m)
+    supports = tuple(map(pb.supports.__getitem__, s.contexts))
+    masks = [_PAIR_MASKS.get(sup) for sup in supports]   # bit 2a + b: keyed tuple (a, b) possible
+    if None in masks:
+        c = s.contexts[masks.index(None)]
+        raise ScenarioError(f"support of context {c} holds a tuple outside {{0, 1}}^2")
     mats = masks[:-1] + [_TRANSPOSED[masks[-1]]]
     prefix = [_IDENTITY]                 # prefix[k] = M_0 ... M_{k-1}
     for m in mats:
@@ -478,6 +511,7 @@ _PAIR_FORCED = {
                                 {k: v for k, v in ((0, va), (1, vb)) if v is not None})
     for m in range(1, 16) for va in (None, 0, 1) for vb in (None, 0, 1)
 }
+_OFF_TABLE = object()                    # a key _PAIR_FORCED lacks; its values include None
 
 
 def propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
@@ -490,9 +524,11 @@ def propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
     the first context whose restricted support becomes empty.
 
     Contexts are evaluated in (pass, scenario index) order: the first pass
-    takes every context; after it a context is queued only when another
-    context fixes one of its measurements, for the current pass if it comes
-    later in scenario order and for the next pass otherwise. Evaluating a
+    takes every context, walking the scenario in order without a heap,
+    since a context it would queue for later in the pass is already
+    pending; after it a context is queued only when another context fixes
+    one of its measurements, on the current pass's heap if it comes later
+    in scenario order and for the next pass otherwise. Evaluating a
     context nothing has touched since would change nothing, so ``steps``,
     ``forced`` and the conflict are those of rescanning every context until
     nothing changes (``oracles.fixpoint_propagate_chain``), at O(n log n)
@@ -512,20 +548,16 @@ def propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
     steps: list[tuple[int, int]] = [(seed_measurement, seed_value)]
     contexts, supports, containing = s.contexts, pb.supports, s._containing
     masks = [_PAIR_MASKS.get(supports[c]) if len(c) == 2 else None for c in contexts]
-    queue = list(range(len(contexts)))   # this pass, as a heap of scenario indices
-    while queue:
+    heap: list[int] | None = None        # the first pass queues every context: no heap
+    order: Iterable[int] = range(len(contexts))
+    while True:
         later: set[int] = set()
-        last = -1
-        while queue:
-            i = heapq.heappop(queue)
-            if i == last:                # queued twice in this pass: pops twice in a row
-                continue
-            last = i
+        for i in order:
             c = contexts[i]
-            key = (masks[i], fixed.get(c[0]), fixed.get(c[1])) if masks[i] else None
-            if key in _PAIR_FORCED:
-                forced = _PAIR_FORCED[key]
-            else:
+            mask = masks[i]
+            forced = (_PAIR_FORCED.get((mask, fixed.get(c[0]), fixed.get(c[1])), _OFF_TABLE)
+                      if mask else _OFF_TABLE)
+            if forced is _OFF_TABLE:
                 forced = _forced_values(c, supports[c], fixed)
             if forced is None:
                 return ChainResult(dict(fixed), tuple(steps), ChainConflict(c, dict(fixed)))
@@ -535,11 +567,24 @@ def propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
                 steps.append((m, v))
                 for j in containing[m]:
                     if j > i:
-                        heapq.heappush(queue, j)
+                        if heap is not None:
+                            heapq.heappush(heap, j)
                     elif j < i:
                         later.add(j)
-        queue = sorted(later)
-    return ChainResult(dict(fixed), tuple(steps), None)
+        if not later:
+            return ChainResult(dict(fixed), tuple(steps), None)
+        heap = sorted(later)             # the next pass, as a heap of scenario indices
+        order = _drained(heap)
+
+
+def _drained(heap: list[int]) -> Iterator[int]:
+    """Pop a heap that grows while it is read, yielding each index once in a row."""
+    last = -1
+    while heap:
+        i = heapq.heappop(heap)
+        if i != last:                    # queued twice in this pass: pops twice in a row
+            last = i
+            yield i
 
 
 def supports_within(inner: PossibilisticBehavior, outer: PossibilisticBehavior) -> bool:

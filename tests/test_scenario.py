@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclectx.ncycle import FlipMask, relabel, unified_ncycle_behavior
+from cyclectx.ncycle import FlipMask, identity_mask, relabel, unified_ncycle_behavior
 from cyclectx.quantum import behavior_from_realization
 from cyclectx.scenario import (
     Behavior,
@@ -14,6 +14,7 @@ from cyclectx.scenario import (
     Scenario,
     ScenarioError,
     check_no_disturbance,
+    flip_outcomes,
     is_logically_contextual,
     make_cycle_scenario,
     possibilistic_collapse,
@@ -150,6 +151,47 @@ class TestPossibilisticValidation:
         s = Scenario((1, 2, 3), ((1, 2), (2, 3)), outcomes=(0, 1, 2))
         pb = PossibilisticBehavior(s, {c: frozenset({(0, 2), (2, 1)}) for c in s.contexts})
         assert pb.possible((1, 2), (0, 2))
+
+    @pytest.mark.parametrize("kind", [set, list])
+    def test_support_that_is_not_a_frozenset_rejected(self, kind):
+        s = make_cycle_scenario(5)
+        supports = {c: frozenset({(0, 0), (1, 1)}) for c in s.contexts}
+        supports[(2, 3)] = kind({(0, 0), (1, 1)})
+        with pytest.raises(ScenarioError,
+                           match=rf"support of context \(2, 3\) is a {kind.__name__}, not a frozenset"):
+            PossibilisticBehavior(s, supports)
+
+    def test_empty_support_on_a_binary_cycle(self):
+        pb = all_possible(5)
+        supports = dict(pb.supports)
+        supports[(2, 3)] = frozenset()
+        with pytest.raises(ScenarioError, match=r"context \(2, 3\) has empty support"):
+            PossibilisticBehavior(pb.scenario, supports)
+
+    @pytest.mark.parametrize("edit", ["missing", "extra"])
+    def test_contexts_covered_exactly_on_a_binary_cycle(self, edit):
+        pb = all_possible(5)
+        supports = dict(pb.supports)
+        if edit == "missing":
+            del supports[(3, 4)]
+        else:
+            supports[(1, 3)] = frozenset({(0, 0)})
+        with pytest.raises(ScenarioError, match="supports must cover exactly the contexts"):
+            PossibilisticBehavior(pb.scenario, supports)
+
+    def test_fresh_frozenset_equal_to_a_shared_support(self):
+        s = make_cycle_scenario(5)
+        fresh = PossibilisticBehavior(s, {c: frozenset([(1, 1), (0, 0)]) for c in s.contexts})
+        shared = relabel(fresh, identity_mask(5))     # the table's own frozensets
+        assert fresh == shared
+        assert is_logically_contextual(fresh) == is_logically_contextual(shared)
+        assert propagate_chain(fresh, 2, 1) == propagate_chain(shared, 2, 1)
+
+    @pytest.mark.parametrize("flip", [{1: True}, {m: False for m in range(1, 7)}],
+                             ids=["missing", "extra"])
+    def test_flip_domain_checked(self, flip):
+        with pytest.raises(ScenarioError, match="domain must equal the measurement set"):
+            flip_outcomes(unified_ncycle_behavior(5), flip)
 
     def test_relabel_and_chain_still_accepted(self):
         mask = FlipMask({m: m % 3 == 0 for m in range(1, 10)})
