@@ -6,13 +6,20 @@ large to report (``EnumerationLimitError``, ``BranchLimitError``). Identical
 configurations (including the seed) produce byte-identical reports; no
 timestamps or timings enter any output document. The ``CYCLECTX_SEED``
 environment variable overrides ``--seed`` for the commands that take it
-(``search`` and ``verify-all``).
+(``search`` and ``verify-all``), and is read on every call of ``main``.
+
+The argument parser is built once per process, on the first call of
+``main``; parsing leaves it unchanged, so repeated in-process calls print
+the same bytes as fresh processes. The library caches only pure
+constructions of their arguments (the KCBS realization, the search's chain
+start, the record schedules), and every check runs on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import os
@@ -388,6 +395,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
 # --- argument parsing ---------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cyclectx",

@@ -181,6 +181,7 @@ def build_counterfactual_protocol(n: int) -> Protocol:
     return Protocol(n, steps + block, kind="counterfactual")
 
 
+@functools.lru_cache(typed=True)
 def build_measure_undo_protocol(n: int) -> Protocol:
     """Each measurement immediately reversed: M1, U1, M2, U2, ..., Mn, Un."""
     if n < 1:

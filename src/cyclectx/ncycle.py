@@ -17,15 +17,21 @@ Flipping the outcome labels of all odd measurements turns the odd pattern
 into the unified one; flipping the first n/2 measurements does the same for
 the even pattern. These transforms are exact support bijections, so all
 contextuality verdicts are preserved.
+
+Nothing here is cached: each call builds a fresh behavior, since a caller
+may edit its supports. What is built once is shared and immutable: the
+cycle scenario per n (``make_cycle_scenario``) and the 15 binary pair
+supports, of which every support here is one.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
 from .scenario import (
+    _PAIR_BITS,
+    _PAIR_SUPPORTS,
     Context,
     OutcomeTuple,
     PossibilisticBehavior,
@@ -51,12 +57,10 @@ def _behavior_from_constraints(
     required: tuple[Context, OutcomeTuple],
     kind: str,
 ) -> PossibilisticBehavior:
-    supports = {}
-    for c in s.contexts:
-        tuples = set(itertools.product(s.outcomes, repeat=len(c)))
-        if c in forbidden:
-            tuples.discard(forbidden[c])
-        supports[c] = frozenset(tuples)
+    # s is a cycle scenario, so each support is a shared binary pair support
+    full = 0b1111
+    supports = {c: _PAIR_SUPPORTS[full ^ _PAIR_BITS[forbidden[c]] if c in forbidden else full]
+                for c in s.contexts}
     ctx, t = required
     if t not in supports[ctx]:
         raise ScenarioError(f"required tuple {t} in {ctx} clashes with the forbidden set")

@@ -32,9 +32,11 @@ at an accepted point from which a step is taken. The loop stops once
 ||r||^2 <= 1e-30 len(r), every entry at rounding level on average.
 
 A ``QuantumRealization`` validates its state and frames (shape, then
-finite, then orthonormal, frame by frame in the caller's order) and keeps a
-read-only copy of the frames. From them it builds, once and with one stacked
-product per rank, two read-only (n, dim, dim) stacks in sorted-label order:
+finite, then orthonormal, frame by frame in the caller's order) and keeps
+read-only copies of both, the state as complex, so a realization never
+changes after construction. From the frames it builds, once and with one
+stacked product per rank, two read-only (n, dim, dim) stacks in sorted-label
+order:
 1 - P_i and P_i, with P_i = F F^dag made exactly Hermitian (no bit changes
 where it already is), so a friend's record gate is its own inverse. The
 accessors return fixed row views; the stack layout is private to this module.
@@ -56,10 +58,18 @@ starts ordered by their initial ||r||^2; any other target starts with the
 restarts. The residual is never the acceptance signal: every candidate is
 re-verified through ``behavior_from_realization`` and
 ``possibilistic_collapse`` against the target.
+
+Two fixed inputs are built once per process: ``kcbs_realization`` returns
+one shared realization, and the chain start's ranks and packed point (a
+read-only array) are cached per (n, dim, flips). Only such pure
+constructions of their arguments are cached; every search still descends
+from its starts and re-verifies its candidate, and every statistic is
+computed on each call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -100,7 +110,7 @@ class NoncommutingError(ValueError):
 @dataclass(frozen=True)
 class QuantumRealization:
     dim: int
-    state: np.ndarray                      # (dim,) unit vector
+    state: np.ndarray                      # (dim,) unit vector; a read-only complex copy
     frames: Mapping[int, np.ndarray]       # label -> (dim, k) orthonormal columns
     # (2, n, dim, dim): 1 - P_i and P_i stacked in sorted-label order,
     # built once per rank group from the validated frames; frames are
@@ -117,7 +127,7 @@ class QuantumRealization:
         d = self.dim
         if d < 2:
             raise RealizationError("dimension must be at least 2")
-        s = np.asarray(self.state, dtype=complex)
+        s = np.array(self.state, dtype=complex)         # a copy, read-only below
         if s.shape != (d,):
             raise RealizationError(f"state must have shape ({d},)")
         if not np.all(np.isfinite(s)):
@@ -161,7 +171,9 @@ class QuantumRealization:
                 raise RealizationError(failure[i])
         stacks[0] = np.eye(d) - stacks[1]
         stacks.setflags(write=False)
+        s.setflags(write=False)
         q, p = stacks
+        object.__setattr__(self, "state", s)
         object.__setattr__(self, "frames", MappingProxyType({i: frames[i] for i in self.frames}))
         object.__setattr__(self, "_stacks", stacks)
         object.__setattr__(self, "_rows", rows)
@@ -210,12 +222,14 @@ class PairDistribution:
         return self.probabilities[t]
 
 
+@functools.cache
 def kcbs_realization() -> QuantumRealization:
     """The qutrit pentagon realization of the 5-cycle behavior.
 
     State (1,1,1)/sqrt(3) and five unit vectors with every cyclically
     adjacent pair orthogonal; outcome 1 of measurement i projects onto
-    vector i.
+    vector i. A realization is immutable, so every call returns the one
+    instance built on the first.
     """
     r3, r2 = np.sqrt(3.0), np.sqrt(2.0)
     eta = np.array([1, 1, 1], dtype=complex) / r3
@@ -359,7 +373,8 @@ class _PenaltyProblem:
     def num_params(self) -> int:
         return 2 * self.dim + sum(2 * self.dim * k for k in self.ranks)
 
-    def pack(self, state: np.ndarray, zs: Sequence[np.ndarray]) -> np.ndarray:
+    @staticmethod
+    def pack(state: np.ndarray, zs: Sequence[np.ndarray]) -> np.ndarray:
         parts = [np.concatenate([state.real, state.imag])]
         for z in zs:
             f = np.asarray(z, dtype=complex).ravel()
@@ -596,14 +611,17 @@ def _ladder_flips(target: PossibilisticBehavior) -> tuple[bool, ...] | None:
     return flips
 
 
-def _chain_start(prob: _PenaltyProblem, n: int, dim: int,
-                 flips: Sequence[bool]) -> tuple[tuple[int, ...], np.ndarray]:
+@functools.lru_cache(typed=True)
+def _chain_start(n: int, dim: int,
+                 flips: tuple[bool, ...]) -> tuple[tuple[int, ...], np.ndarray]:
     """The exact adjacent-orthogonal chain start for a relabeled unified ladder.
 
     Odd n uses the planar chain; even n uses the chain for n - 1 with
     v_n = v_1, since the closing pair needs v_n parallel or orthogonal to
     v_1 and orthogonality kills the required tuple. Frame i is the
     orthocomplement of v_i when (i odd) XOR flip_i, else v_i itself.
+    Returns the ranks and the packed point, read-only, built once per
+    (n, dim, flips).
     """
     psi, vs = _odd_plane_vectors(n if n % 2 == 1 else n - 1)
     if n % 2 == 0:
@@ -612,7 +630,9 @@ def _chain_start(prob: _PenaltyProblem, n: int, dim: int,
     complement = [(i % 2 == 1) != flips[i - 1] for i in range(1, n + 1)]
     comps = iter(_complement_frames(vecs[complement]))
     zs = [next(comps) if c else v[:, None] for c, v in zip(complement, vecs)]
-    return tuple(z.shape[1] for z in zs), prob.pack(_embed(psi, dim), zs)
+    x0 = _PenaltyProblem.pack(_embed(psi, dim), zs)
+    x0.setflags(write=False)
+    return tuple(z.shape[1] for z in zs), x0
 
 
 def _two_qubit_starts(prob: _PenaltyProblem, dim: int, seed: int):
@@ -656,7 +676,7 @@ def _candidate_starts(prob: _PenaltyProblem, target: PossibilisticBehavior,
     n = prob.n
     flips = _ladder_flips(target) if n >= 5 and dim >= 3 else None
     if flips is not None:
-        yield _chain_start(prob, n, dim, flips)
+        yield _chain_start(n, dim, flips)
     elif n == 4 and dim >= 4:
         yield from _two_qubit_starts(prob, dim, seed)
 

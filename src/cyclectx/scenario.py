@@ -22,6 +22,9 @@ bits of an int (bit 2a + b set when (a, b) is possible) and each mask back
 to one shared frozenset, and every binary n-cycle operation works on the
 masks:
 
+- ``possibilistic_collapse`` and the ``ncycle`` generators take each
+  binary pair support from the table, so every later lookup of it finds
+  the shared frozenset by identity instead of comparing tuples.
 - ``PossibilisticBehavior`` accepts the supports of a scenario whose
   contexts are all binary pairs with one set test against the 15 shared
   supports, after comparing the contexts with a set cached on the
@@ -336,18 +339,31 @@ def possibilistic_collapse(b: Behavior) -> PossibilisticBehavior:
 
     The threshold separates genuine support from floating-point dust;
     quantum-computed zeros land many orders below it, genuine supports well
-    above.
+    above. On binary pair contexts the support is the shared frozenset of
+    its mask; a table with a tuple outside {0, 1}^2 takes the general path,
+    whose validation names it.
     """
+    s = b.scenario
+    if s._binary_pairs:
+        try:
+            supports = {c: _PAIR_SUPPORTS[sum(_PAIR_BITS[t] for t, p in table.items()
+                                              if p > POSSIBILITY_EPS)]
+                        for c, table in b.tables.items()}
+        except KeyError:
+            pass
+        else:
+            return PossibilisticBehavior(s, supports)
     supports = {
         c: frozenset(t for t, p in table.items() if p > POSSIBILITY_EPS)
         for c, table in b.tables.items()
     }
-    return PossibilisticBehavior(b.scenario, supports)
+    return PossibilisticBehavior(s, supports)
 
 
 # --- binary pair supports --------------------------------------------------
 
 _PAIR_TUPLES = ((0, 0), (0, 1), (1, 0), (1, 1))    # the tuple (a, b) of bit 2a + b
+_PAIR_BITS = {t: 1 << k for k, t in enumerate(_PAIR_TUPLES)}   # tuple -> its bit
 _PAIR_SUPPORTS = tuple(frozenset(t for k, t in enumerate(_PAIR_TUPLES) if m >> k & 1)
                        for m in range(16))          # mask -> the shared frozenset
 _PAIR_MASKS = {sup: m for m, sup in enumerate(_PAIR_SUPPORTS) if m}   # support -> mask

@@ -1,4 +1,9 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -276,3 +281,67 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def call(argv):
+    """stdout, stderr and exit code of one in-process ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return out.getvalue(), err.getvalue(), code
+
+
+def fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop("CYCLECTX_SEED", None)
+    proc = subprocess.run([sys.executable, "-m", "cyclectx.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+class TestRepeatedCalls:
+    """The parser and the fixed inputs are built once per process; repeated
+    calls must print exactly what the first call and a fresh process print."""
+
+    SEQUENCE = (
+        ["demo5", "--format", "json"],
+        ["verify-all", "--n-max", "8", "--seed", "1", "--format", "json"],
+        ["search", "--n", "7", "--format", "json"],
+        ["verify-all", "--n-max", "13"],            # a command's usage error
+        ["search", "--n", "4", "--bogus"],          # a parser usage error
+        ["demo5", "--format", "text"],
+    )
+
+    def test_sequence_is_byte_identical_when_repeated(self, monkeypatch):
+        monkeypatch.delenv("CYCLECTX_SEED", raising=False)
+        first = [call(argv) for argv in self.SEQUENCE]
+        assert [code for _, _, code in first] == [0, 0, 0, 2, ("exit", 2), 0]
+        assert [call(argv) for argv in self.SEQUENCE] == first
+
+    @pytest.mark.parametrize("argv", [SEQUENCE[0], SEQUENCE[1]])
+    def test_in_process_matches_a_fresh_process(self, argv, monkeypatch):
+        monkeypatch.delenv("CYCLECTX_SEED", raising=False)
+        call(argv)
+        out, err, code = call(argv)
+        assert fresh_process(argv) == (out, err, code)
+
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_env_seed_read_on_every_call(self, monkeypatch):
+        argv = ["search", "--n", "5", "--budget", "0", "--format", "json"]
+        seeds = []
+        for env_seed in ("3", "5", None):
+            if env_seed is None:
+                monkeypatch.delenv("CYCLECTX_SEED")
+            else:
+                monkeypatch.setenv("CYCLECTX_SEED", env_seed)
+            out, _, code = call(argv)
+            assert code == 1
+            seeds.append(json.loads(out)["seed"])
+        assert seeds == [3, 5, 1]
+        monkeypatch.setenv("CYCLECTX_SEED", "x")
+        assert call(argv)[1:] == ("usage error: CYCLECTX_SEED must be an integer, got 'x'\n", 2)

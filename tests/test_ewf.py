@@ -273,7 +273,8 @@ class TestProtocols:
             build_counterfactual_protocol(4)
 
     def test_schedules_built_once_per_n(self):
-        for build in (build_protocol, build_counterfactual_protocol):
+        for build in (build_protocol, build_counterfactual_protocol,
+                      build_measure_undo_protocol):
             assert build(7) is build(7)
             assert build(7) is not build(8)
 
@@ -282,6 +283,8 @@ class TestProtocols:
             build_protocol(5.0)
         with pytest.raises(TypeError):
             build_counterfactual_protocol(5.0)
+        with pytest.raises(TypeError):
+            build_measure_undo_protocol(5.0)
 
     def test_positions_are_read_only(self):
         p = build_protocol(5)

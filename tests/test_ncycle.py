@@ -15,6 +15,7 @@ from cyclectx.ncycle import (
     unified_ncycle_behavior,
 )
 from cyclectx.scenario import (
+    _PAIR_SUPPORTS,
     PossibilisticBehavior,
     Scenario,
     ScenarioError,
@@ -45,6 +46,19 @@ class TestUnified:
     def test_guard(self):
         with pytest.raises(ScenarioError):
             unified_ncycle_behavior(3)
+
+
+@pytest.mark.parametrize("generate, sizes", [
+    (unified_ncycle_behavior, range(4, 20)),
+    (odd_ncycle_behavior, range(5, 20, 2)),
+    (even_ncycle_behavior, range(4, 20, 2)),
+])
+def test_supports_are_the_shared_pair_supports(generate, sizes):
+    for n in sizes:
+        pb = generate(n)
+        assert all(any(sup is shared for shared in _PAIR_SUPPORTS)
+                   for sup in pb.supports.values())
+        assert generate(n) is not pb
 
 
 class TestOdd:

@@ -48,6 +48,17 @@ class TestKcbsRealization:
             got = abs(np.vdot(kcbs.vectors[i], kcbs.state)) ** 2
             assert abs(got - want) < 1e-12
 
+    def test_one_shared_read_only_instance(self):
+        r = kcbs_realization()
+        assert kcbs_realization() is r
+        assert not r.state.flags.writeable
+        assert all(not f.flags.writeable for f in r.frames.values())
+        assert all(not v.flags.writeable for v in r.vectors.values())
+        with pytest.raises(ValueError, match="read-only"):
+            r.state[0] = 5
+        with pytest.raises(TypeError):
+            r.frames[1] = np.eye(3)[:, :1]
+
 
 class TestBornPair:
     def test_forbidden_entries(self, kcbs):
@@ -178,6 +189,17 @@ class TestRealizationValidation:
         assert "NaN" in text
         with pytest.raises(RealizationError, match="non-finite"):
             realization_from_doc(json.loads(text))
+
+    def test_state_is_a_read_only_complex_copy(self, kcbs):
+        s = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
+        r = QuantumRealization(3, s, dict(kcbs.frames))
+        s[0] = 5.0
+        assert r.state is not s
+        assert r.state.dtype == complex
+        assert r.state.tolist() == [1 / np.sqrt(3.0)] * 3
+        assert not r.state.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            r.state[0] = 5
 
     def test_vectors_view_requires_rank_one(self, kcbs):
         frames = dict(kcbs.frames)

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from cyclectx.ncycle import FlipMask, identity_mask, relabel, unified_ncycle_behavior
 from cyclectx.quantum import behavior_from_realization
 from cyclectx.scenario import (
+    _PAIR_BITS,
+    _PAIR_SUPPORTS,
     Behavior,
     EnumerationLimitError,
     PossibilisticBehavior,
@@ -220,6 +222,29 @@ class TestCollapse:
                   for c in cycle5.contexts}
         again = possibilistic_collapse(Behavior(cycle5, tables))
         assert again.supports == pb.supports
+
+    def test_binary_supports_are_the_shared_pair_supports(self, kcbs, cycle5):
+        pb = possibilistic_collapse(behavior_from_realization(kcbs, cycle5))
+        for sup in pb.supports.values():
+            assert sup is _PAIR_SUPPORTS[sum(_PAIR_BITS[t] for t in sup)]
+
+    def test_three_outcome_scenario_collapses(self):
+        s = Scenario((1, 2, 3), ((1, 2), (2, 3), (1, 3)), outcomes=(0, 1, 2))
+        tables = {c: {t: (0.0 if t[0] == t[1] else 1 / 6) for t in s.tuples(c)}
+                  for c in s.contexts}
+        tables[(2, 3)][(2, 0)] = 0.5e-9
+        tables[(2, 3)][(0, 2)] = 1 / 3 - 0.5e-9
+        pb = possibilistic_collapse(Behavior(s, tables))
+        off_diagonal = {t for t in s.tuples((1, 2)) if t[0] != t[1]}
+        assert pb.supports == {(1, 2): off_diagonal, (1, 3): off_diagonal,
+                               (2, 3): off_diagonal - {(2, 0)}}
+
+    def test_binary_table_with_an_outside_value_is_named(self):
+        s = make_cycle_scenario(3)
+        tables = {c: {(0, 0): 0.5, (1, 1): 0.5} for c in s.contexts}
+        tables[(2, 3)] = {(0, 0): 0.5, (0, 2): 0.5}
+        with pytest.raises(ScenarioError, match=r"tuple \(0, 2\) of context \(2, 3\)"):
+            possibilistic_collapse(Behavior(s, tables))
 
 
 class TestLogicalContextuality:

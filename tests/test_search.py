@@ -351,7 +351,7 @@ class TestBatchedSearchAlgebra:
     def test_chain_start_frames(self, n, dim):
         # the complement frames, from one stacked SVD, equal the per-vector SVD's
         base = unified_problem(n, dim, (1,) * n, margin=quantum.REQUIRED_MARGIN)
-        ranks, x0 = quantum._chain_start(base, n, dim, (False,) * n)
+        ranks, x0 = quantum._chain_start(n, dim, (False,) * n)
         psi, vs = _odd_plane_vectors(n if n % 2 == 1 else n - 1)
         if n % 2 == 0:
             vs[n] = vs[1]
@@ -369,7 +369,28 @@ class TestBatchedSearchAlgebra:
         found = find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n),
                                          dim, seed=1)
         base = unified_problem(n, dim, (1,) * n, margin=quantum.REQUIRED_MARGIN)
-        ranks, x0 = quantum._chain_start(base, n, dim, (False,) * n)
+        ranks, x0 = quantum._chain_start(n, dim, (False,) * n)
         assert [found.rank(i) for i in range(1, n + 1)] == list(ranks)
         for i, z in enumerate(old_frames(replace(base, ranks=ranks), x0), start=1):
             assert np.array_equal(found.frames[i], old_canonical_frame(z))
+
+
+class TestChainStartCache:
+    def test_built_once_and_read_only(self):
+        _, x0 = quantum._chain_start(7, 3, (False,) * 7)
+        assert quantum._chain_start(7, 3, (False,) * 7)[1] is x0
+        assert not x0.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x0[0] = 1.0
+        assert quantum._chain_start(7, 3, (True,) + (False,) * 6)[1] is not x0
+
+    def test_seeds_accept_the_same_chain_start(self):
+        # the chain start precedes every seeded restart, and is accepted at once
+        n, dim = 7, 3
+        s, target = make_cycle_scenario(n), unified_ncycle_behavior(n)
+        found = [find_quantum_realization(s, target, dim, seed=seed) for seed in (1, 2)]
+        assert realization_to_doc(found[0]) == realization_to_doc(found[1])
+        ranks, x0 = quantum._chain_start(n, dim, _ladder_flips(target))
+        base = unified_problem(n, dim, (1,) * n, margin=quantum.REQUIRED_MARGIN)
+        for i, z in enumerate(old_frames(replace(base, ranks=ranks), x0), start=1):
+            assert np.array_equal(found[1].frames[i], old_canonical_frame(z))
