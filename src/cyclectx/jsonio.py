@@ -3,9 +3,11 @@
 The stock ``json`` module renders floats with shortest-roundtrip repr, which
 is stable but does not pin a digit count. Reports here are meant to be
 byte-comparable across runs, so floats are always rendered with 17
-significant digits and dictionaries keep insertion order. JSON has no
-literal for infinity or NaN, so ``dumps`` writes non-finite floats as
-``null``; ``render_float`` (used for CSV and text) keeps ``inf``/``nan``.
+significant digits and dictionaries keep insertion order. Keys and strings
+are quoted by ``json``'s own ASCII encoder, as ``json.dumps`` quotes a
+``str`` by default. JSON has no literal for infinity or NaN, so ``dumps``
+writes non-finite floats as ``null``; ``render_float`` (used for CSV and
+text) keeps ``inf``/``nan``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 
@@ -42,7 +45,7 @@ def _emit(obj: Any, out: list[str], level: int) -> None:
             return
         out.append("{\n")
         for k, (key, val) in enumerate(obj.items()):
-            out.append(pad + json.dumps(str(key)) + ": ")
+            out.append(pad + encode_basestring_ascii(str(key)) + ": ")
             _emit(val, out, level + 1)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(closepad + "}")
@@ -65,13 +68,17 @@ def _emit(obj: Any, out: list[str], level: int) -> None:
 
 
 def _scalar(v: Any) -> str:
-    if isinstance(v, bool) or v is None:
-        return json.dumps(v)
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
     if isinstance(v, float):
         return render_float(v) if math.isfinite(v) else "null"
     if isinstance(v, int):
         return str(v)
-    return json.dumps(v)
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    return json.dumps(v)        # raises TypeError for what JSON cannot hold
 
 
 def as_fraction_text(x: float) -> str:

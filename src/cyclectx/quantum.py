@@ -51,20 +51,26 @@ A target that is an outcome relabeling of the unified ladder, with n >= 5
 and dim >= 3, gets one exact chain start: adjacent-orthogonal real vectors
 in R^3 (the planar chain for odd n; for even n the chain for n - 1 with
 v_n = v_1), each frame the vector or its orthocomplement according to the
-label's parity and flip. Its ||r||^2 sits at rounding level, so descent
-from it has little or nothing to do. The 4-cycle,
-where dim 4 is the minimum and no chain exists, gets two-qubit product
-starts ordered by their initial ||r||^2; any other target starts with the
-restarts. The residual is never the acceptance signal: every candidate is
-re-verified through ``behavior_from_realization`` and
-``possibilistic_collapse`` against the target.
+label's parity and flip. With a budget above 0, the chain start itself is
+the first candidate: its realization goes through the acceptance test
+before any residual is formed, and only a rejected start is descended
+from. The 4-cycle, where dim 4 is the minimum and no chain exists, gets
+two-qubit product starts ordered by their initial ||r||^2; any other
+target starts with the restarts. The residual is never the acceptance
+signal, only the rank of a failure: every candidate, the chain start or a
+descended point, passes one acceptance test. Its ``behavior_from_realization``
+tables must hold every forbidden probability <= ``FORBIDDEN_TOL`` and the
+required one >= ``REQUIRED_MARGIN`` (a non-commuting context rejects it),
+and its ``possibilistic_collapse`` must lie within the target and contain
+the required tuple.
 
-Two fixed inputs are built once per process: ``kcbs_realization`` returns
-one shared realization, and the chain start's ranks and packed point (a
-read-only array) are cached per (n, dim, flips). Only such pure
-constructions of their arguments are cached; every search still descends
-from its starts and re-verifies its candidate, and every statistic is
-computed on each call.
+Three fixed inputs are built once per process: ``kcbs_realization``
+returns one shared realization, and per (n, dim, flips) the chain start's
+ranks and packed point and its candidate (the normalized state and the
+canonical frames) are cached as read-only arrays. Only such pure
+constructions of their arguments are cached; every search still builds
+and re-verifies its candidate, and every statistic is computed on each
+call.
 """
 
 from __future__ import annotations
@@ -92,7 +98,6 @@ from .scenario import (
 
 # Success thresholds for the realization search.
 FORBIDDEN_TOL = 1e-10
-COMM_TOL = 1e-8
 REQUIRED_MARGIN = 1e-3
 
 MAX_RESTARTS = 50
@@ -707,6 +712,59 @@ def _canonical_frames(z: np.ndarray) -> np.ndarray:
     return q * np.conj(top / np.hypot(top.real, top.imag))
 
 
+def _canonical_point(prob: _PenaltyProblem,
+                     x: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The normalized state and the canonical frames, keyed by label, at x."""
+    state, groups = prob.frame_stacks(x)
+    frames = {}
+    for labels, z in groups:
+        frames.update(zip(labels.tolist(), _canonical_frames(z)))
+    return normalized(state), {i + 1: frames[i] for i in range(prob.n)}
+
+
+@functools.lru_cache(typed=True)
+def _chain_candidate(n: int, dim: int,
+                     flips: tuple[bool, ...]) -> tuple[np.ndarray, Mapping[int, np.ndarray]]:
+    """The chain start's normalized state and canonical frames, read-only,
+    built once per (n, dim, flips): what a descent that stops at once
+    would make of ``_chain_start(n, dim, flips)``."""
+    ranks, x0 = _chain_start(n, dim, flips)
+    state, frames = _canonical_point(_PenaltyProblem(n, dim, ranks, (), (), ()), x0)
+    for a in (state, *frames.values()):
+        a.setflags(write=False)
+    return state, MappingProxyType(frames)
+
+
+def _accepted(s: Scenario, target: PossibilisticBehavior, dim: int, state: np.ndarray,
+              frames: Mapping[int, np.ndarray]) -> QuantumRealization | None:
+    """The realization of (state, frames) if it passes the search's one
+    acceptance test, else None.
+
+    Its ``behavior_from_realization`` tables must hold every tuple the
+    target forbids at <= ``FORBIDDEN_TOL`` and the required tuple at
+    >= ``REQUIRED_MARGIN``; a non-commuting context or a state or frame
+    that is not a valid realization rejects it. Its support collapse must
+    lie within the target and contain the required tuple.
+    """
+    try:
+        cand = QuantumRealization(dim, state, frames)
+        b = behavior_from_realization(cand, s)
+    except (RealizationError, NoncommutingError):
+        return None
+    req = target.required
+    for c in s.contexts:
+        allowed = target.supports[c]
+        if any(p > FORBIDDEN_TOL for t, p in b.tables[c].items() if t not in allowed):
+            return None
+    if req is not None and b.tables[req[0]][req[1]] < REQUIRED_MARGIN:
+        return None
+    collapse = possibilistic_collapse(b)
+    if not supports_within(collapse, target) or (req is not None
+                                                 and not collapse.possible(*req)):
+        return None
+    return cand
+
+
 def find_quantum_realization(
     s: Scenario,
     target: PossibilisticBehavior,
@@ -718,18 +776,22 @@ def find_quantum_realization(
 
     The forbidden set is the complement of the target supports; the
     required-possible set is the target's annotated required tuple when
-    present. Success demands forbidden probabilities <= 1e-10, context
-    commutators <= 1e-8 and required probabilities >= 1e-3, and is then
-    re-verified: the collapse of the realized behavior must stay inside the
-    target supports and contain the required tuple. A commuting-pair
+    present. A candidate is accepted by one test on its realized behavior:
+    forbidden probabilities <= 1e-10, the required probability >= 1e-3, no
+    non-commuting context, and a support collapse that stays inside the
+    target supports and contains the required tuple. A commuting-pair
     realization always has extra zeros beyond the target's forbidden list
     (a commuting rank-1 pair is parallel or orthogonal, either of which
     kills one more tuple per context), so containment rather than support
     equality is the faithful acceptance test.
 
-    Budget counts Levenberg-Marquardt iterations across restarts, at most
-    ``ITERS_PER_RESTART`` per start; on exhaustion a ``SearchFailure`` is
-    returned whose ``best_objective`` is ||r||^2 of the best start.
+    A relabeled unified ladder (n >= 5, dim >= 3) with a budget above 0
+    first tests the exact chain start itself, and returns its realization
+    when it passes, without a descent. Otherwise the budget counts
+    Levenberg-Marquardt iterations across restarts, the chain start's
+    descent first, at most ``ITERS_PER_RESTART`` per start; every descended
+    point is tested, and on exhaustion a ``SearchFailure`` is returned
+    whose ``best_objective`` is ||r||^2 of the best start.
     """
     if target.scenario.contexts != s.contexts:
         raise RealizationError("target does not live on the given scenario")
@@ -740,6 +802,12 @@ def find_quantum_realization(
         if not target.supports[c]:
             return SearchFailure(np.inf, np.inf, np.inf, 0.0, 0, 0,
                                  f"infeasible target: context {c} forbids every outcome")
+
+    flips = _ladder_flips(target) if n >= 5 and dim >= 3 and budget > 0 else None
+    if flips is not None:
+        found = _accepted(s, target, dim, *_chain_candidate(n, dim, flips))
+        if found is not None:
+            return found
 
     forbidden = []
     for c in s.contexts:
@@ -764,26 +832,11 @@ def find_quantum_realization(
         if r is None:
             continue
         val = float(r @ r)
-        fmax, cmax, rmin = prob.measures(r)
         if val < best[0]:
-            best = (val, fmax, cmax, rmin)
-        if fmax > FORBIDDEN_TOL or cmax > COMM_TOL or rmin < REQUIRED_MARGIN:
-            continue
-        state, groups = prob.frame_stacks(x)
-        frames = {}
-        for labels, z in groups:
-            frames.update(zip(labels.tolist(), _canonical_frames(z)))
-        try:
-            cand = QuantumRealization(dim, normalized(state),
-                                      {i + 1: frames[i] for i in range(n)})
-            collapse = possibilistic_collapse(behavior_from_realization(cand, s))
-        except (RealizationError, NoncommutingError):
-            continue
-        if not supports_within(collapse, target):
-            continue
-        if target.required is not None and not collapse.possible(*target.required):
-            continue
-        return cand
+            best = (val, *prob.measures(r))
+        found = _accepted(s, target, dim, *_canonical_point(prob, x))
+        if found is not None:
+            return found
     return SearchFailure(best[0], best[1], best[2], best[3], used, attempts,
                          "budget exhausted without a verified realization")
 

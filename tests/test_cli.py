@@ -9,7 +9,7 @@ import pytest
 
 from cyclectx import cli
 from cyclectx.cli import main
-from cyclectx.ewf import BranchLimitError, CertificateError
+from cyclectx.ewf import BranchLimitError, CertificateError, commutation_certificates
 
 
 def run(tmp_path, argv, name="out.json"):
@@ -218,6 +218,22 @@ class TestVerifyAll:
         c5 = next(c for c in doc["criteria"] if c["id"] == "C5")
         assert [(c["n"], c["status"]) for c in c5["cases"]] == [(6, "fail"), (7, "pass")]
         assert "M1 vs M2" in c5["cases"][0]["notice"]
+
+    def test_kcbs_report_built_once_and_read_by_c4(self, tmp_path, monkeypatch):
+        kcbs, real, on_kcbs = cli.kcbs_realization(), cli.paradox_report, []
+
+        def counted(r, n, *args, **kwargs):
+            on_kcbs.append(r is kcbs)
+            return real(r, n, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "paradox_report", counted)
+        code, payload = run(tmp_path, ["verify-all", "--n-max", "8", "--format", "json"])
+        assert code == 0
+        assert on_kcbs.count(True) == 1
+        c4 = next(c for c in json.loads(payload)["criteria"] if c["id"] == "C4")
+        certs = commutation_certificates(kcbs, 5)
+        assert c4["max_required_norm"] == max(e.norm for e in certs.required)
+        assert c4["noncontext_pair_1_3"] == certs.entry("M1 vs M3 (non-context)").norm
 
 
 class TestUsage:

@@ -15,3 +15,10 @@ class TestDumps:
         # CSV and text output go through render_float and keep the text form
         assert jsonio.render_float(math.inf) == "inf"
         assert jsonio.render_float(math.nan) == "nan"
+
+    def test_keys_and_strings_are_quoted_as_json_dumps_quotes_them(self):
+        texts = ["plain", 'say "hi"', "back\\slash", "tab\tnew\nline\x00", "héllo ✓ 𝄞", ""]
+        for t in texts:
+            assert jsonio.dumps({t: t}) == "{\n  " + json.dumps(t) + ": " + json.dumps(t) + "\n}\n"
+            assert jsonio.dumps([t, True, None, False]) == (
+                "[" + ", ".join(json.dumps(v) for v in (t, True, None, False)) + "]\n")

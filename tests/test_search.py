@@ -106,10 +106,11 @@ class TestDescent:
             assert np.array_equal(r, r_only)
 
     def test_exact_start_builds_no_jacobian(self, lm_calls):
+        # the accepted chain start is never descended from
         r = find_quantum_realization(make_cycle_scenario(6), unified_ncycle_behavior(6), 4,
                                      seed=1)
         assert not isinstance(r, SearchFailure)
-        assert [(jacobians, it) for jacobians, _, it in lm_calls] == [(0, 0)]
+        assert lm_calls == []
 
     def test_jacobian_only_where_a_step_is_taken(self, lm_calls):
         r = find_quantum_realization(make_cycle_scenario(4), unified_ncycle_behavior(4), 4,
@@ -254,6 +255,70 @@ class TestChainStart:
                 assert pb.possible(*target.required)
                 assert paradox_report(r, n, target=target).verdict
 
+    @pytest.mark.parametrize("n", range(5, 17))
+    def test_accepted_without_descent_as_the_cached_candidate(self, n, lm_calls):
+        s = make_cycle_scenario(n)
+        for target in ladder_targets(n):
+            for dim in (3, 4):
+                r = find_quantum_realization(s, target, dim, seed=1)
+                assert not isinstance(r, SearchFailure), (target.kind, dim)
+                state, frames = quantum._chain_candidate(n, dim, _ladder_flips(target))
+                assert np.array_equal(r.state, state)
+                for i in range(1, n + 1):
+                    assert np.array_equal(r.frames[i], frames[i])
+        assert lm_calls == []
+
+    def test_accepted_start_builds_no_problem(self, monkeypatch, lm_calls):
+        n, dim = 8, 4
+        s, target = make_cycle_scenario(n), unified_ncycle_behavior(n)
+        first = find_quantum_realization(s, target, dim, seed=1)      # fills the caches
+        built, post_init = [], _PenaltyProblem.__post_init__
+
+        def counted(self):
+            built.append(self.n)
+            post_init(self)
+
+        monkeypatch.setattr(_PenaltyProblem, "__post_init__", counted)
+        again = find_quantum_realization(s, target, dim, seed=2)
+        assert realization_to_doc(again) == realization_to_doc(first)
+        assert built == [] and lm_calls == []
+
+    def test_rejected_start_descends_from_the_chain_start(self, monkeypatch):
+        n, dim = 5, 3
+        monkeypatch.setattr(quantum, "REQUIRED_MARGIN", 0.5)    # the start gives 1/9
+        calls, lm = [], quantum._levenberg_marquardt
+
+        def recorded(prob, x0, max_iters):
+            calls.append((prob.ranks, x0, max_iters))
+            return lm(prob, x0, max_iters)
+
+        monkeypatch.setattr(quantum, "_levenberg_marquardt", recorded)
+        out = find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n), dim,
+                                       seed=1, budget=20)
+        assert isinstance(out, SearchFailure)
+        ranks, x0 = quantum._chain_start(n, dim, (False,) * n)
+        assert calls[0][0] == ranks and calls[0][2] == 20
+        assert np.array_equal(calls[0][1], x0)
+        assert out.attempts == len(calls) and out.iterations_used <= 20
+
+    def test_zero_budget_tests_no_candidate(self, lm_calls):
+        out = find_quantum_realization(make_cycle_scenario(7), unified_ncycle_behavior(7), 3,
+                                       seed=1, budget=0)
+        assert isinstance(out, SearchFailure)
+        assert (out.attempts, out.iterations_used) == (0, 0)
+        assert lm_calls == []
+
+    def test_acceptance_reads_the_realized_behavior(self):
+        s, kcbs = make_cycle_scenario(5), quantum.kcbs_realization()
+        args = (kcbs.dim, kcbs.state, kcbs.frames)
+        # KCBS realizes the alternating pattern, whose forbidden tuples the
+        # unified target allows and whose allowed ones it forbids
+        assert quantum._accepted(s, odd_ncycle_behavior(5), *args) is not None
+        assert quantum._accepted(s, unified_ncycle_behavior(5), *args) is None
+        swapped = dict(kcbs.frames)
+        swapped[1], swapped[3] = kcbs.frames[3], kcbs.frames[1]     # (3, 4) no longer commutes
+        assert quantum._accepted(s, odd_ncycle_behavior(5), kcbs.dim, kcbs.state, swapped) is None
+
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_flips_read_from_the_target(self, n):
         assert _ladder_flips(unified_ncycle_behavior(n)) == (False,) * n
@@ -383,6 +448,15 @@ class TestChainStartCache:
         with pytest.raises(ValueError, match="read-only"):
             x0[0] = 1.0
         assert quantum._chain_start(7, 3, (True,) + (False,) * 6)[1] is not x0
+
+    def test_candidate_built_once_and_read_only(self):
+        state, frames = quantum._chain_candidate(7, 3, (False,) * 7)
+        again = quantum._chain_candidate(7, 3, (False,) * 7)
+        assert again[0] is state and again[1] is frames
+        assert not state.flags.writeable
+        assert not any(f.flags.writeable for f in frames.values())
+        with pytest.raises(TypeError):
+            frames[1] = frames[2]
 
     def test_seeds_accept_the_same_chain_start(self):
         # the chain start precedes every seeded restart, and is accepted at once
