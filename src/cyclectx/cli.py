@@ -11,10 +11,11 @@ environment variable overrides ``--seed`` for the commands that take it
 The argument parser is built once per process, on the first call of
 ``main``; parsing leaves it unchanged, so repeated in-process calls print
 the same bytes as fresh processes. The library caches only pure
-constructions of their arguments (the KCBS realization, the search's chain
-start and its canonical candidate, the record schedules), and every check
-runs on every call; ``verify-all`` builds the KCBS paradox report once per
-call, and C4 reads its certificates where C6 reads the report.
+constructions of their arguments (the KCBS realization, the search's exact
+start of each relabeled ladder with its candidate realization, the record
+schedules), and every check runs on every call; ``verify-all`` builds the
+KCBS paradox report once per call, and C4 reads its certificates where C6
+reads the report.
 """
 
 from __future__ import annotations
@@ -154,6 +155,14 @@ _GENERATORS = {
     "odd": odd_ncycle_behavior,
     "even": even_ncycle_behavior,
 }
+# verify-all's odd and even cases (C2 and C3), the odd ones first
+_PARITY_CASES = tuple([("odd", n) for n in (5, 7, 9, 11)] + [("even", n) for n in (4, 6, 8, 10)])
+_TO_UNIFIED = {"odd": odd_to_unified_mask, "even": even_to_unified_mask}
+
+
+def _default_dim(n: int) -> int:
+    """The dimension of a search without --dim: 3 for odd n, 4 for even n."""
+    return 3 if n % 2 == 1 else 4
 
 
 def cmd_contextuality(args: argparse.Namespace) -> int:
@@ -193,7 +202,7 @@ def cmd_search_realization(args: argparse.Namespace) -> int:
     if n < 4:
         raise UsageError("behavior commands need n >= 4")
     if dim == 0:
-        dim = 3 if n % 2 == 1 else 4
+        dim = _default_dim(n)
     elif dim < 2:
         raise UsageError(f"--dim must be 0 (parity default) or >= 2, got {dim}")
     s = make_cycle_scenario(n)
@@ -241,13 +250,7 @@ def _crit_kcbs_behavior(r: QuantumRealization) -> dict:
 
 
 def _crit_contextuality(n_max: int) -> dict:
-    cases = []
-    for n in (5, 7, 9, 11):
-        if n <= n_max:
-            cases.append(("odd", n, odd_ncycle_behavior(n)))
-    for n in (4, 6, 8, 10):
-        if n <= n_max:
-            cases.append(("even", n, even_ncycle_behavior(n)))
+    cases = [(kind, n, _GENERATORS[kind](n)) for kind, n in _PARITY_CASES if n <= n_max]
     for n in range(4, min(12, n_max) + 1):
         cases.append(("unified", n, unified_ncycle_behavior(n)))
     results = []
@@ -266,15 +269,10 @@ def _crit_contextuality(n_max: int) -> dict:
 def _crit_relabel(n_max: int) -> dict:
     ok = True
     cases = []
-    for n in (5, 7, 9, 11):
+    for kind, n in _PARITY_CASES:
         if n <= n_max:
-            eq = relabel(odd_ncycle_behavior(n), odd_to_unified_mask(n)) == unified_ncycle_behavior(n)
-            cases.append({"kind": "odd", "n": n, "matches_unified": eq})
-            ok = ok and eq
-    for n in (4, 6, 8, 10):
-        if n <= n_max:
-            eq = relabel(even_ncycle_behavior(n), even_to_unified_mask(n)) == unified_ncycle_behavior(n)
-            cases.append({"kind": "even", "n": n, "matches_unified": eq})
+            eq = relabel(_GENERATORS[kind](n), _TO_UNIFIED[kind](n)) == unified_ncycle_behavior(n)
+            cases.append({"kind": kind, "n": n, "matches_unified": eq})
             ok = ok and eq
     return {"status": "pass" if ok else "fail", "cases": cases}
 
@@ -294,7 +292,7 @@ def _crit_search_and_protocol(n_max: int, seed: int, budget: int) -> dict:
     for n in (6, 7, 8):
         if n > n_max:
             continue
-        dim = 3 if n % 2 == 1 else 4
+        dim = _default_dim(n)
         s = make_cycle_scenario(n)
         target = unified_ncycle_behavior(n)
         found = find_quantum_realization(s, target, dim, seed=seed, budget=budget)

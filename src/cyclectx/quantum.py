@@ -46,31 +46,31 @@ of one rank with one gram, condition and solve, forms the amplitudes and the
 context commutators in stacked products, and an accepted point's frames are
 orthonormalized with one QR per rank.
 
-At most one kind of structured start precedes the seeded random restarts.
-A target that is an outcome relabeling of the unified ladder, with n >= 5
-and dim >= 3, gets one exact chain start: adjacent-orthogonal real vectors
-in R^3 (the planar chain for odd n; for even n the chain for n - 1 with
-v_n = v_1), each frame the vector or its orthocomplement according to the
-label's parity and flip. With a budget above 0, the chain start itself is
-the first candidate: its realization goes through the acceptance test
-before any residual is formed, and only a rejected start is descended
-from. The 4-cycle, where dim 4 is the minimum and no chain exists, gets
-two-qubit product starts ordered by their initial ||r||^2; any other
-target starts with the restarts. The residual is never the acceptance
-signal, only the rank of a failure: every candidate, the chain start or a
-descended point, passes one acceptance test. Its ``behavior_from_realization``
-tables must hold every forbidden probability <= ``FORBIDDEN_TOL`` and the
-required one >= ``REQUIRED_MARGIN`` (a non-commuting context rejects it),
-and its ``possibilistic_collapse`` must lie within the target and contain
-the required tuple.
+A target that is an outcome relabeling of the unified ladder gets one
+exact start when it has an exact construction, and any other target
+starts with the seeded random restarts. For n >= 5 and dim >= 3 that is
+a qutrit chain of adjacent-orthogonal real vectors (the planar chain for
+odd n; for even n the chain for n - 1 with v_n = v_1), each frame the
+vector or its orthocomplement according to the label's parity and flip.
+For n = 4 and dim >= 4 it is Hardy's two-qubit product realization, each
+frame a qubit vector or its orthogonal one, times the other qubit. With a
+budget above 0, the exact start itself is the first candidate: its
+realization goes through the acceptance test before any residual is
+formed, and only a rejected start is descended from, before the
+restarts. The residual is never the acceptance signal, only the rank of
+a failure: every candidate, the exact start or a descended point, passes
+one acceptance test. Its ``behavior_from_realization`` tables must hold
+every forbidden probability <= ``FORBIDDEN_TOL`` and the required one
+>= ``REQUIRED_MARGIN`` (a non-commuting context rejects it), and its
+``possibilistic_collapse`` must lie within the target and contain the
+required tuple.
 
-Three fixed inputs are built once per process: ``kcbs_realization``
-returns one shared realization, and per (n, dim, flips) the chain start's
-ranks and packed point and its candidate (the normalized state and the
-canonical frames) are cached as read-only arrays. Only such pure
-constructions of their arguments are cached; every search still builds
-and re-verifies its candidate, and every statistic is computed on each
-call.
+Two fixed inputs are built once per process: ``kcbs_realization``
+returns one shared realization, and per (n, dim, flips) the exact start's
+ranks, its read-only packed point and its candidate realization (the
+normalized state and the canonical frames, validated once) are cached.
+Only such pure constructions of their arguments are cached; every search
+still tests its candidate, and every statistic is computed on each call.
 """
 
 from __future__ import annotations
@@ -616,74 +616,71 @@ def _ladder_flips(target: PossibilisticBehavior) -> tuple[bool, ...] | None:
     return flips
 
 
-@functools.lru_cache(typed=True)
-def _chain_start(n: int, dim: int,
-                 flips: tuple[bool, ...]) -> tuple[tuple[int, ...], np.ndarray]:
-    """The exact adjacent-orthogonal chain start for a relabeled unified ladder.
+def _hardy_start(dim: int, flips: tuple[bool, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Hardy's two-qubit realization of a relabeled unified 4-ladder.
 
-    Odd n uses the planar chain; even n uses the chain for n - 1 with
-    v_n = v_1, since the closing pair needs v_n parallel or orthogonal to
-    v_1 and orthogonality kills the required tuple. Frame i is the
-    orthocomplement of v_i when (i odd) XOR flip_i, else v_i itself.
-    Returns the ranks and the packed point, read-only, built once per
-    (n, dim, flips).
+    The state is proportional to (0, -tan t, -tan t, 1) on qubits A (x) B,
+    with sin^2 t = (sqrt 5 - 1)/2, where p(0,1|1,4) = (5 sqrt 5 - 11)/2 is
+    Hardy's maximum. Outcome 1 of labels 1, 2, 3, 4 projects onto
+    (-sin t, cos t) on A, (0, 1) on B, (1, 0) on A and (cos t, sin t) on B,
+    or onto the orthogonal vector when the label is flipped; frame i is that
+    vector times the other qubit, rank 2, embedded in the first 4
+    dimensions. Returns the state and the frames.
     """
-    psi, vs = _odd_plane_vectors(n if n % 2 == 1 else n - 1)
-    if n % 2 == 0:
-        vs[n] = vs[1]
-    vecs = _embed(np.array([vs[i] for i in range(1, n + 1)]), dim)
-    complement = [(i % 2 == 1) != flips[i - 1] for i in range(1, n + 1)]
-    comps = iter(_complement_frames(vecs[complement]))
-    zs = [next(comps) if c else v[:, None] for c, v in zip(complement, vecs)]
+    sin2 = (math.sqrt(5.0) - 1.0) / 2.0
+    sin, cos = math.sqrt(sin2), math.sqrt(1.0 - sin2)
+    psi = normalized([0.0, -sin / cos, -sin / cos, 1.0])
+    e = np.eye(2)
+    zs = []
+    for i, (v, flip) in enumerate(zip([(-sin, cos), (0.0, 1.0), (1.0, 0.0), (cos, sin)],
+                                      flips), start=1):
+        v = np.array([-v[1], v[0]] if flip else v)
+        cols = [np.kron(v, b) if i % 2 == 1 else np.kron(b, v) for b in e]
+        zs.append(_embed(np.array(cols), dim).T)
+    return psi, zs
+
+
+@functools.lru_cache(typed=True)
+def _chain_start(n: int, dim: int, flips: tuple[bool, ...]
+                 ) -> tuple[tuple[int, ...], np.ndarray, QuantumRealization | None]:
+    """The exact start for a relabeled unified ladder, built once per
+    (n, dim, flips).
+
+    n = 4 uses Hardy's two-qubit realization (``_hardy_start``). Odd n >= 5
+    uses the planar chain; even n uses the chain for n - 1 with v_n = v_1,
+    since the closing pair needs v_n parallel or orthogonal to v_1 and
+    orthogonality kills the required tuple. Frame i of a chain is the
+    orthocomplement of v_i when (i odd) XOR flip_i, else v_i itself.
+    Returns the ranks, the packed point (read-only) and its candidate
+    realization: what a descent that stops at once would make of the point,
+    validated once here.
+    """
+    if n == 4:
+        psi, zs = _hardy_start(dim, flips)
+    else:
+        psi, vs = _odd_plane_vectors(n if n % 2 == 1 else n - 1)
+        if n % 2 == 0:
+            vs[n] = vs[1]
+        vecs = _embed(np.array([vs[i] for i in range(1, n + 1)]), dim)
+        complement = [(i % 2 == 1) != flips[i - 1] for i in range(1, n + 1)]
+        comps = iter(_complement_frames(vecs[complement]))
+        zs = [next(comps) if c else v[:, None] for c, v in zip(complement, vecs)]
+    ranks = tuple(z.shape[1] for z in zs)
     x0 = _PenaltyProblem.pack(_embed(psi, dim), zs)
     x0.setflags(write=False)
-    return tuple(z.shape[1] for z in zs), x0
+    return ranks, x0, _canonical_point(_PenaltyProblem(n, dim, ranks, (), (), ()), x0)
 
 
-def _two_qubit_starts(prob: _PenaltyProblem, dim: int, seed: int):
-    """Random two-qubit product starts for the 4-cycle, best ||r||^2 first.
+def _candidate_starts(prob: _PenaltyProblem, flips: tuple[bool, ...] | None, seed: int):
+    """The exact start of a relabeled ladder, then seeded random restarts.
 
-    Odd labels act on the first qubit and even labels on the second, all
-    embedded in the first four dimensions.
+    Yields (ranks, x0) pairs. ``flips`` are the target's ladder flips,
+    read once per search by ``find_quantum_realization``, or None when the
+    target has no exact start; with flips, the exact start comes first.
     """
-    rng = np.random.default_rng([abs(seed), 2])
-    e = np.eye(2, dtype=complex)
-    scored = []
-    for _ in range(6):
-        zs = []
-        for i in range(1, prob.n + 1):
-            q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            q /= np.linalg.norm(q)
-            cols = ([np.kron(q, e[:, 0]), np.kron(q, e[:, 1])] if i % 2 == 1
-                    else [np.kron(e[:, 0], q), np.kron(e[:, 1], q)])
-            zs.append(np.column_stack([_embed(c, dim) for c in cols]))
-        sr = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        ranks = tuple([2] * prob.n)
-        x0 = prob.pack(_embed(sr / np.linalg.norm(sr), dim), zs)
-        try:
-            r, _ = replace(prob, ranks=ranks).residual(x0, jacobian=False)
-            val = float(r @ r)
-        except FloatingPointError:
-            val = np.inf
-        scored.append((val, ranks, x0))
-    scored.sort(key=lambda t: t[0])
-    return [(ranks, x0) for _, ranks, x0 in scored]
-
-
-def _candidate_starts(prob: _PenaltyProblem, target: PossibilisticBehavior,
-                      dim: int, seed: int):
-    """One structured start when there is one, then seeded random restarts.
-
-    Yields (ranks, x0) pairs. A relabeled unified ladder with n >= 5 in
-    dim >= 3 gets the exact chain start; the 4-cycle in dim >= 4 gets the
-    two-qubit product starts; any other target starts with the restarts.
-    """
-    n = prob.n
-    flips = _ladder_flips(target) if n >= 5 and dim >= 3 else None
+    n, dim = prob.n, prob.dim
     if flips is not None:
-        yield _chain_start(n, dim, flips)
-    elif n == 4 and dim >= 4:
-        yield from _two_qubit_starts(prob, dim, seed)
+        yield _chain_start(n, dim, flips)[:2]
 
     # random restarts over a small set of rank patterns
     patterns: list[tuple[int, ...]] = [tuple([1] * n)]
@@ -712,57 +709,41 @@ def _canonical_frames(z: np.ndarray) -> np.ndarray:
     return q * np.conj(top / np.hypot(top.real, top.imag))
 
 
-def _canonical_point(prob: _PenaltyProblem,
-                     x: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """The normalized state and the canonical frames, keyed by label, at x."""
+def _canonical_point(prob: _PenaltyProblem, x: np.ndarray) -> QuantumRealization | None:
+    """The realization of the normalized state and the canonical frames at
+    x, or None when they do not make a valid one."""
     state, groups = prob.frame_stacks(x)
     frames = {}
     for labels, z in groups:
         frames.update(zip(labels.tolist(), _canonical_frames(z)))
-    return normalized(state), {i + 1: frames[i] for i in range(prob.n)}
+    state = normalized(state)
+    try:
+        return QuantumRealization(prob.dim, state, {i + 1: frames[i] for i in range(prob.n)})
+    except RealizationError:
+        return None
 
 
-@functools.lru_cache(typed=True)
-def _chain_candidate(n: int, dim: int,
-                     flips: tuple[bool, ...]) -> tuple[np.ndarray, Mapping[int, np.ndarray]]:
-    """The chain start's normalized state and canonical frames, read-only,
-    built once per (n, dim, flips): what a descent that stops at once
-    would make of ``_chain_start(n, dim, flips)``."""
-    ranks, x0 = _chain_start(n, dim, flips)
-    state, frames = _canonical_point(_PenaltyProblem(n, dim, ranks, (), (), ()), x0)
-    for a in (state, *frames.values()):
-        a.setflags(write=False)
-    return state, MappingProxyType(frames)
-
-
-def _accepted(s: Scenario, target: PossibilisticBehavior, dim: int, state: np.ndarray,
-              frames: Mapping[int, np.ndarray]) -> QuantumRealization | None:
-    """The realization of (state, frames) if it passes the search's one
-    acceptance test, else None.
+def _accepted(s: Scenario, target: PossibilisticBehavior, cand: QuantumRealization) -> bool:
+    """Whether a candidate passes the search's one acceptance test.
 
     Its ``behavior_from_realization`` tables must hold every tuple the
     target forbids at <= ``FORBIDDEN_TOL`` and the required tuple at
-    >= ``REQUIRED_MARGIN``; a non-commuting context or a state or frame
-    that is not a valid realization rejects it. Its support collapse must
-    lie within the target and contain the required tuple.
+    >= ``REQUIRED_MARGIN``; a non-commuting context rejects it. Its support
+    collapse must lie within the target and contain the required tuple.
     """
     try:
-        cand = QuantumRealization(dim, state, frames)
         b = behavior_from_realization(cand, s)
     except (RealizationError, NoncommutingError):
-        return None
+        return False
     req = target.required
     for c in s.contexts:
         allowed = target.supports[c]
         if any(p > FORBIDDEN_TOL for t, p in b.tables[c].items() if t not in allowed):
-            return None
+            return False
     if req is not None and b.tables[req[0]][req[1]] < REQUIRED_MARGIN:
-        return None
+        return False
     collapse = possibilistic_collapse(b)
-    if not supports_within(collapse, target) or (req is not None
-                                                 and not collapse.possible(*req)):
-        return None
-    return cand
+    return supports_within(collapse, target) and (req is None or collapse.possible(*req))
 
 
 def find_quantum_realization(
@@ -785,13 +766,14 @@ def find_quantum_realization(
     kills one more tuple per context), so containment rather than support
     equality is the faithful acceptance test.
 
-    A relabeled unified ladder (n >= 5, dim >= 3) with a budget above 0
-    first tests the exact chain start itself, and returns its realization
-    when it passes, without a descent. Otherwise the budget counts
-    Levenberg-Marquardt iterations across restarts, the chain start's
-    descent first, at most ``ITERS_PER_RESTART`` per start; every descended
-    point is tested, and on exhaustion a ``SearchFailure`` is returned
-    whose ``best_objective`` is ||r||^2 of the best start.
+    A relabeled unified ladder with an exact start (n >= 5 and dim >= 3,
+    or n = 4 and dim >= 4) and a budget above 0 first tests that start's
+    cached realization, and returns it when it passes, without a descent.
+    Otherwise the budget counts Levenberg-Marquardt iterations across
+    restarts, the exact start's descent first, at most
+    ``ITERS_PER_RESTART`` per start; every descended point is tested, and
+    on exhaustion a ``SearchFailure`` is returned whose ``best_objective``
+    is ||r||^2 of the best start.
     """
     if target.scenario.contexts != s.contexts:
         raise RealizationError("target does not live on the given scenario")
@@ -803,11 +785,12 @@ def find_quantum_realization(
             return SearchFailure(np.inf, np.inf, np.inf, 0.0, 0, 0,
                                  f"infeasible target: context {c} forbids every outcome")
 
-    flips = _ladder_flips(target) if n >= 5 and dim >= 3 and budget > 0 else None
-    if flips is not None:
-        found = _accepted(s, target, dim, *_chain_candidate(n, dim, flips))
-        if found is not None:
-            return found
+    exact = n >= 5 and dim >= 3 or n == 4 and dim >= 4
+    flips = _ladder_flips(target) if exact else None
+    if flips is not None and budget > 0:
+        cand = _chain_start(n, dim, flips)[2]
+        if cand is not None and _accepted(s, target, cand):
+            return cand
 
     forbidden = []
     for c in s.contexts:
@@ -821,7 +804,7 @@ def find_quantum_realization(
     best = (np.inf, np.inf, np.inf, 0.0)
     used = 0
     attempts = 0
-    for ranks, x0 in _candidate_starts(base, target, dim, seed):
+    for ranks, x0 in _candidate_starts(base, flips, seed):
         if used >= budget or attempts >= MAX_RESTARTS:
             break
         attempts += 1
@@ -834,9 +817,9 @@ def find_quantum_realization(
         val = float(r @ r)
         if val < best[0]:
             best = (val, *prob.measures(r))
-        found = _accepted(s, target, dim, *_canonical_point(prob, x))
-        if found is not None:
-            return found
+        cand = _canonical_point(prob, x)
+        if cand is not None and _accepted(s, target, cand):
+            return cand
     return SearchFailure(best[0], best[1], best[2], best[3], used, attempts,
                          "budget exhausted without a verified realization")
 

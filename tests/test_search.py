@@ -1,9 +1,12 @@
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cyclectx import quantum
+from cyclectx.linalg import ALG_TOL
 from cyclectx.ewf import paradox_report
 from cyclectx.ncycle import (
     FlipMask,
@@ -39,6 +42,15 @@ def unified_problem(n, dim, ranks, margin=0.5):
     req = (((1, n), (0, 1)),)
     ctxs = tuple((i, i + 1) for i in range(1, n)) + ((1, n),)
     return _PenaltyProblem(n, dim, ranks, forb, req, ctxs, margin=margin)
+
+
+def opened_four_cycle():
+    """The unified 4-cycle with context (1, 2) opened to full support: no
+    relabeling of the ladder, so it has no exact start and is descended to."""
+    unified = unified_ncycle_behavior(4)
+    supports = dict(unified.supports)
+    supports[(1, 2)] = frozenset(unified.scenario.tuples((1, 2)))
+    return PossibilisticBehavior(unified.scenario, supports, required=unified.required)
 
 
 class CountingProblem:
@@ -113,8 +125,7 @@ class TestDescent:
         assert lm_calls == []
 
     def test_jacobian_only_where_a_step_is_taken(self, lm_calls):
-        r = find_quantum_realization(make_cycle_scenario(4), unified_ncycle_behavior(4), 4,
-                                     seed=1)
+        r = find_quantum_realization(make_cycle_scenario(4), opened_four_cycle(), 4, seed=1)
         assert not isinstance(r, SearchFailure)
         assert sum(it for _, _, it in lm_calls) > 0
         for jacobians, log, it in lm_calls:
@@ -126,7 +137,7 @@ class TestDescent:
         n, dim = 100, 3
         target = unified_ncycle_behavior(n)
         base = unified_problem(n, dim, (1,) * n, margin=quantum.REQUIRED_MARGIN)
-        ranks, x0 = next(_candidate_starts(base, target, dim, 1))
+        ranks, x0 = next(_candidate_starts(base, _ladder_flips(target), 1))
         prob = CountingProblem(replace(base, ranks=ranks))
         _, r, log, it = _levenberg_marquardt(prob, x0, 100)
         assert 1e-30 < log[0] <= 1e-30 * len(r)
@@ -190,11 +201,11 @@ class TestFind:
         assert out.attempts >= 1
 
     def test_budget_bounds_every_iteration(self):
-        # the 4-cycle has no exact start, so its descent needs iterations
-        out = find_quantum_realization(make_cycle_scenario(4), unified_ncycle_behavior(4), 4,
+        # a target with no exact start needs iterations to descend
+        out = find_quantum_realization(make_cycle_scenario(4), opened_four_cycle(), 4,
                                        seed=1, budget=1)
         assert isinstance(out, SearchFailure)
-        assert out.iterations_used <= 1
+        assert out.iterations_used <= 1 and out.attempts == 1
 
     def test_exact_start_needs_one_iteration(self):
         out = find_quantum_realization(make_cycle_scenario(6), unified_ncycle_behavior(6), 4,
@@ -262,10 +273,7 @@ class TestChainStart:
             for dim in (3, 4):
                 r = find_quantum_realization(s, target, dim, seed=1)
                 assert not isinstance(r, SearchFailure), (target.kind, dim)
-                state, frames = quantum._chain_candidate(n, dim, _ladder_flips(target))
-                assert np.array_equal(r.state, state)
-                for i in range(1, n + 1):
-                    assert np.array_equal(r.frames[i], frames[i])
+                assert r is quantum._chain_start(n, dim, _ladder_flips(target))[2]
         assert lm_calls == []
 
     def test_accepted_start_builds_no_problem(self, monkeypatch, lm_calls):
@@ -296,7 +304,7 @@ class TestChainStart:
         out = find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n), dim,
                                        seed=1, budget=20)
         assert isinstance(out, SearchFailure)
-        ranks, x0 = quantum._chain_start(n, dim, (False,) * n)
+        ranks, x0, _ = quantum._chain_start(n, dim, (False,) * n)
         assert calls[0][0] == ranks and calls[0][2] == 20
         assert np.array_equal(calls[0][1], x0)
         assert out.attempts == len(calls) and out.iterations_used <= 20
@@ -310,14 +318,25 @@ class TestChainStart:
 
     def test_acceptance_reads_the_realized_behavior(self):
         s, kcbs = make_cycle_scenario(5), quantum.kcbs_realization()
-        args = (kcbs.dim, kcbs.state, kcbs.frames)
         # KCBS realizes the alternating pattern, whose forbidden tuples the
         # unified target allows and whose allowed ones it forbids
-        assert quantum._accepted(s, odd_ncycle_behavior(5), *args) is not None
-        assert quantum._accepted(s, unified_ncycle_behavior(5), *args) is None
+        assert quantum._accepted(s, odd_ncycle_behavior(5), kcbs) is True
+        assert quantum._accepted(s, unified_ncycle_behavior(5), kcbs) is False
         swapped = dict(kcbs.frames)
         swapped[1], swapped[3] = kcbs.frames[3], kcbs.frames[1]     # (3, 4) no longer commutes
-        assert quantum._accepted(s, odd_ncycle_behavior(5), kcbs.dim, kcbs.state, swapped) is None
+        noncommuting = quantum.QuantumRealization(kcbs.dim, kcbs.state, swapped)
+        assert quantum._accepted(s, odd_ncycle_behavior(5), noncommuting) is False
+
+    def test_canonical_point_is_a_realization_or_none(self):
+        n, dim = 5, 3
+        ranks, x0, cand = quantum._chain_start(n, dim, (False,) * n)
+        prob = unified_problem(n, dim, ranks)
+        again = quantum._canonical_point(prob, x0)
+        assert realization_to_doc(again) == realization_to_doc(cand)
+        x = x0.copy()
+        x[-1] = np.nan                  # a frame with a non-finite entry is no realization
+        with np.errstate(invalid="ignore"):
+            assert quantum._canonical_point(prob, x) is None
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_flips_read_from_the_target(self, n):
@@ -328,7 +347,7 @@ class TestChainStart:
             parity, mask = even_ncycle_behavior(n), even_to_unified_mask(n)
         assert _ladder_flips(parity) == tuple(mask.flipped(i) for i in range(1, n + 1))
 
-    def test_non_relabeling_target_gets_no_structured_start(self):
+    def test_non_relabeling_target_gets_no_structured_start(self, monkeypatch):
         n, dim = 7, 3
         unified = unified_ncycle_behavior(n)
         wrong_required = PossibilisticBehavior(unified.scenario, unified.supports,
@@ -338,14 +357,24 @@ class TestChainStart:
         closing_forbids = PossibilisticBehavior(unified.scenario, closed,
                                                 required=unified.required)
         prob = unified_problem(n, dim, (1,) * n)
-        starts = _candidate_starts(prob, unified, dim, 1)
-        next(starts)
+        starts = _candidate_starts(prob, _ladder_flips(unified), 1)
+        assert next(starts) == quantum._chain_start(n, dim, (False,) * n)[:2]
         first_restart = next(starts)
+        ranks, x0 = next(_candidate_starts(prob, None, 1))
+        assert ranks == first_restart[0] and np.array_equal(x0, first_restart[1])
+        calls, lm = [], quantum._levenberg_marquardt
+
+        def recorded(prob, x0, max_iters):
+            calls.append((prob.ranks, x0))
+            return lm(prob, x0, max_iters)
+
+        monkeypatch.setattr(quantum, "_levenberg_marquardt", recorded)
         for target in (wrong_required, closing_forbids):
             assert _ladder_flips(target) is None
-            ranks, x0 = next(_candidate_starts(prob, target, dim, 1))
-            assert ranks == first_restart[0]
-            assert np.array_equal(x0, first_restart[1])
+            calls.clear()
+            find_quantum_realization(make_cycle_scenario(n), target, dim, seed=1, budget=1)
+            assert calls[0][0] == first_restart[0]
+            assert np.array_equal(calls[0][1], first_restart[1])
 
     @pytest.mark.parametrize("n, overlap", [(5, 0.10981425186881437),
                                             (7, 0.1971376680059133),
@@ -416,7 +445,7 @@ class TestBatchedSearchAlgebra:
     def test_chain_start_frames(self, n, dim):
         # the complement frames, from one stacked SVD, equal the per-vector SVD's
         base = unified_problem(n, dim, (1,) * n, margin=quantum.REQUIRED_MARGIN)
-        ranks, x0 = quantum._chain_start(n, dim, (False,) * n)
+        ranks, x0, _ = quantum._chain_start(n, dim, (False,) * n)
         psi, vs = _odd_plane_vectors(n if n % 2 == 1 else n - 1)
         if n % 2 == 0:
             vs[n] = vs[1]
@@ -434,7 +463,7 @@ class TestBatchedSearchAlgebra:
         found = find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n),
                                          dim, seed=1)
         base = unified_problem(n, dim, (1,) * n, margin=quantum.REQUIRED_MARGIN)
-        ranks, x0 = quantum._chain_start(n, dim, (False,) * n)
+        ranks, x0, _ = quantum._chain_start(n, dim, (False,) * n)
         assert [found.rank(i) for i in range(1, n + 1)] == list(ranks)
         for i, z in enumerate(old_frames(replace(base, ranks=ranks), x0), start=1):
             assert np.array_equal(found.frames[i], old_canonical_frame(z))
@@ -442,7 +471,7 @@ class TestBatchedSearchAlgebra:
 
 class TestChainStartCache:
     def test_built_once_and_read_only(self):
-        _, x0 = quantum._chain_start(7, 3, (False,) * 7)
+        _, x0, _ = quantum._chain_start(7, 3, (False,) * 7)
         assert quantum._chain_start(7, 3, (False,) * 7)[1] is x0
         assert not x0.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -450,13 +479,13 @@ class TestChainStartCache:
         assert quantum._chain_start(7, 3, (True,) + (False,) * 6)[1] is not x0
 
     def test_candidate_built_once_and_read_only(self):
-        state, frames = quantum._chain_candidate(7, 3, (False,) * 7)
-        again = quantum._chain_candidate(7, 3, (False,) * 7)
-        assert again[0] is state and again[1] is frames
-        assert not state.flags.writeable
-        assert not any(f.flags.writeable for f in frames.values())
+        cand = quantum._chain_start(7, 3, (False,) * 7)[2]
+        assert quantum._chain_start(7, 3, (False,) * 7)[2] is cand
+        assert isinstance(cand, quantum.QuantumRealization)
+        assert not cand.state.flags.writeable
+        assert not any(f.flags.writeable for f in cand.frames.values())
         with pytest.raises(TypeError):
-            frames[1] = frames[2]
+            cand.frames[1] = cand.frames[2]
 
     def test_seeds_accept_the_same_chain_start(self):
         # the chain start precedes every seeded restart, and is accepted at once
@@ -464,7 +493,81 @@ class TestChainStartCache:
         s, target = make_cycle_scenario(n), unified_ncycle_behavior(n)
         found = [find_quantum_realization(s, target, dim, seed=seed) for seed in (1, 2)]
         assert realization_to_doc(found[0]) == realization_to_doc(found[1])
-        ranks, x0 = quantum._chain_start(n, dim, _ladder_flips(target))
+        ranks, x0, _ = quantum._chain_start(n, dim, _ladder_flips(target))
         base = unified_problem(n, dim, (1,) * n, margin=quantum.REQUIRED_MARGIN)
         for i, z in enumerate(old_frames(replace(base, ranks=ranks), x0), start=1):
             assert np.array_equal(found[1].frames[i], old_canonical_frame(z))
+
+
+def four_ladders():
+    """All 16 outcome relabelings of the unified 4-ladder."""
+    unified = unified_ncycle_behavior(4)
+    return [relabel(unified, FlipMask(dict(enumerate(bits, start=1))))
+            for bits in itertools.product((False, True), repeat=4)]
+
+
+class TestHardyStart:
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_every_relabeled_four_ladder_accepted_without_descent(self, dim, lm_calls):
+        s = make_cycle_scenario(4)
+        hardy = (5 * math.sqrt(5) - 11) / 2
+        for target in four_ladders():
+            r = find_quantum_realization(s, target, dim, seed=1, budget=1)
+            assert not isinstance(r, SearchFailure)
+            ctx, t = target.required
+            assert abs(behavior_from_realization(r, s).tables[ctx][t] - hardy) <= 1e-12
+            eye = np.eye(2)
+            for i in range(1, 5):
+                p = r.projector(i)
+                assert np.linalg.norm(p[4:]) <= ALG_TOL and np.linalg.norm(p[:, 4:]) <= ALG_TOL
+                q = p[:4, :4].reshape(2, 2, 2, 2)
+                if i % 2 == 1:      # A (x) 1
+                    a = np.einsum("abcb->ac", q) / 2
+                    assert np.linalg.norm(p[:4, :4] - np.kron(a, eye)) <= ALG_TOL
+                else:               # 1 (x) B
+                    b = np.einsum("abad->bd", q) / 2
+                    assert np.linalg.norm(p[:4, :4] - np.kron(eye, b)) <= ALG_TOL
+        assert lm_calls == []
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_same_realization_for_every_seed(self, dim):
+        s, target = make_cycle_scenario(4), unified_ncycle_behavior(4)
+        docs = [realization_to_doc(find_quantum_realization(s, target, dim, seed=seed))
+                for seed in (1, 2, 7)]
+        assert docs[0] == docs[1] == docs[2]
+
+    def test_rejected_start_descends_from_the_hardy_start(self, monkeypatch):
+        monkeypatch.setattr(quantum, "REQUIRED_MARGIN", 0.5)    # the start gives 0.09
+        calls, lm = [], quantum._levenberg_marquardt
+
+        def recorded(prob, x0, max_iters):
+            calls.append((prob.ranks, x0))
+            return lm(prob, x0, max_iters)
+
+        monkeypatch.setattr(quantum, "_levenberg_marquardt", recorded)
+        out = find_quantum_realization(make_cycle_scenario(4), unified_ncycle_behavior(4), 4,
+                                       seed=1, budget=10)
+        assert isinstance(out, SearchFailure)
+        ranks, x0, _ = quantum._chain_start(4, 4, (False,) * 4)
+        assert calls[0][0] == ranks == (2, 2, 2, 2)
+        assert np.array_equal(calls[0][1], x0)
+
+    def test_ladder_flips_read_once_per_search(self, monkeypatch):
+        calls, flips = [], quantum._ladder_flips
+
+        def counted(target):
+            calls.append(target.scenario.n)
+            return flips(target)
+
+        monkeypatch.setattr(quantum, "_ladder_flips", counted)
+        searches = [(make_cycle_scenario(4), unified_ncycle_behavior(4), 4, 1),
+                    (make_cycle_scenario(4), opened_four_cycle(), 4, 1),
+                    (make_cycle_scenario(6), even_ncycle_behavior(6), 4, 100),
+                    (make_cycle_scenario(7), unified_ncycle_behavior(7), 3, 0)]
+        for s, target, dim, budget in searches:
+            find_quantum_realization(s, target, dim, seed=1, budget=budget)
+        assert calls == [4, 4, 6, 7]
+        monkeypatch.setattr(quantum, "REQUIRED_MARGIN", 0.5)    # the start is descended from
+        find_quantum_realization(make_cycle_scenario(5), unified_ncycle_behavior(5), 3,
+                                 seed=1, budget=5)
+        assert calls == [4, 4, 6, 7, 5]
