@@ -54,14 +54,16 @@ stage read, which bounds that read and is never larger than the full run's.
 The certificates stay in the system space, since the X-strings are
 Frobenius-orthogonal with ``||X^f||_F^2 = 2^n``:
 
-* a pair of gates commutes up to ``[P_i, P_j] (x) (X_i - 1)(X_j - 1)``, so
-  its commutator norm on system (x) A_i (x) A_j is ``4 ||[P_i, P_j]||_F``.
-  The n context pairs take one batched call over the projectors; the undo
-  U_k is the gate M_k, so its entry against M_{k+1} reuses the norm of the
-  context (k, k+1). The O(n^2) non-context pairs only inform, so their
-  norms and entries are built in a second batch on the first read of
-  ``CertificateReport.entries``; ``passed``, the required entries and
-  ``paradox_report`` never build them;
+* a pair of gates commutes up to ``[P_i, P_j] (x) (X_i - 1)(X_j - 1)``, and
+  each ||X - 1||_F is 2, so its commutator norm on system (x) A_i (x) A_j
+  is ``4 ||[P_i, P_j]||_F``: four times the realization's
+  ``commutator_norms``, the routine its pair statistics use too. The n
+  context pairs take one call; the undo U_k is the gate M_k, so its entry
+  against M_{k+1} reuses the norm of the context (k, k+1). The O(n^2)
+  non-context pairs only inform, so their norms and entries are built in a
+  second call on the first read of ``CertificateReport.entries``;
+  ``passed``, the required entries and ``paradox_report`` never build
+  them;
 * the block's branches ``B_f`` are built from the identity with the same
   kernel that ``simulate`` applies to states. Its certificate is
   ``||[block, M_n]||_F / sqrt(2^n)``, which is
@@ -316,6 +318,12 @@ class SimulationTrace:
         return _DenseStates(self.stages, self.protocol.n, self.dim)
 
 
+def _require_friends(r: QuantumRealization, n: int) -> None:
+    missing = [i for i in range(1, n + 1) if i not in r.frames]
+    if missing:
+        raise ProtocolError(f"realization has no measurement for friends {missing}")
+
+
 def simulate(p: Protocol, r: QuantumRealization) -> SimulationTrace:
     """Run the schedule from state (x) |0...0> and keep every stage."""
     return _simulate_through(p, r, len(p.steps))
@@ -327,9 +335,7 @@ def _simulate_through(p: Protocol, r: QuantumRealization, last: int) -> Simulati
     The trace holds the stages up to that step and its delta counts only
     those steps; "final" is a stage only when every step ran.
     """
-    missing = [i for i in range(1, p.n + 1) if i not in r.frames]
-    if missing:
-        raise ProtocolError(f"realization has no measurement for friends {missing}")
+    _require_friends(r, p.n)
     state = np.array(r.state, dtype=complex).reshape(1, r.dim)
     stages = [_single_branch(state, float(np.vdot(state, state).real))]
     stage_index = {"initial": 0}
@@ -459,25 +465,6 @@ class CertificateReport:
         raise KeyError(label)
 
 
-PAIR_CHUNK = 4096
-
-
-def _gate_pair_norms(ops: np.ndarray, a: Sequence[int], b: Sequence[int]) -> list[float]:
-    """Gate commutator norms for each pair (a[k], b[k]) of the stacked operators.
-
-    For gates ``1 + A (x) (X_i - 1)`` and ``1 + B (x) (X_j - 1)`` on
-    system (x) A_i (x) A_j the commutator is [A, B] (x) (X_i - 1) (x)
-    (X_j - 1), and each ||X - 1||_F is 2, so the norm is 4 ||[A, B]||_F.
-    Commutators are formed PAIR_CHUNK pairs at a time.
-    """
-    out: list[float] = []
-    for lo in range(0, len(a), PAIR_CHUNK):
-        pa, pb = ops[a[lo:lo + PAIR_CHUNK]], ops[b[lo:lo + PAIR_CHUNK]]
-        comm = pa @ pb - pb @ pa
-        out.extend((4.0 * np.linalg.norm(comm, axis=(1, 2))).tolist())
-    return out
-
-
 def _block_coefficients(r: QuantumRealization, std: Protocol) -> tuple[Branches, float]:
     """The blocks B_f of the intervening block, and the norm dropped from them.
 
@@ -507,14 +494,17 @@ def commutation_certificates(r: QuantumRealization, n: int) -> CertificateReport
     truncation bound 2 sqrt(2) Delta as the entry's ``bound``. Non-context
     pairs are reported as expected-noncommuting information, computed when
     ``entries`` is first read. Everything is computed from d x d system
-    blocks, each group of gate pairs in one batch; see the module
-    docstring. Certificates pass at ALG_TOL.
+    blocks: each pair entry is 4 times the realization's
+    ``commutator_norms`` of its projectors, one call per group of pairs;
+    see the module docstring. Certificates pass at ALG_TOL. A realization
+    without a measurement for some friend 1..n raises ``ProtocolError``, as
+    ``simulate`` does.
     """
     std = build_protocol(n)
-    labels = range(1, n + 1)
-    ops = np.stack([r.projector(i) for i in labels])
+    _require_friends(r, n)
     contexts = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-    norms = _gate_pair_norms(ops, [i - 1 for i, _ in contexts], [j - 1 for _, j in contexts])
+    # each gate pair's norm is 4 ||[P_i, P_j]||_F (see the module docstring)
+    norms = (4.0 * r.commutator_norms(contexts)).tolist()
     entries = [CertificateEntry(f"M{i} vs M{j}", (f"M{i}", f"M{j}"), norm, True)
                for (i, j), norm in zip(contexts, norms)]
     # U_k is the gate M_k, so U_k^dag vs M_{k+1} is the context pair (k, k+1)
@@ -526,7 +516,7 @@ def commutation_certificates(r: QuantumRealization, n: int) -> CertificateReport
     # branch values holds the columns of B_f, i.e. the rows of B_f^T.
     block, dropped = _block_coefficients(r, std)
     cols = block.values.reshape(-1, r.dim, r.dim)
-    pt = ops[n - 1].T
+    pt = r.projector(n).T
     comm = cols @ pt - pt @ cols
     entries.append(CertificateEntry(
         f"block U vs M{n}", ("U", f"M{n}"),
@@ -535,9 +525,9 @@ def commutation_certificates(r: QuantumRealization, n: int) -> CertificateReport
 
     def noncontext() -> list[CertificateEntry]:
         ctx_set = {tuple(sorted(c)) for c in contexts}
-        others = [(a, b) for a, b in itertools.combinations(labels, 2)
+        others = [(a, b) for a, b in itertools.combinations(range(1, n + 1), 2)
                   if (a, b) not in ctx_set]
-        norms = _gate_pair_norms(ops, [a - 1 for a, _ in others], [b - 1 for _, b in others])
+        norms = (4.0 * r.commutator_norms(others)).tolist()
         return [CertificateEntry(f"M{a} vs M{b} (non-context)", (f"M{a}", f"M{b}"), norm, False)
                 for (a, b), norm in zip(others, norms)]
 

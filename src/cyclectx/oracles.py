@@ -307,6 +307,9 @@ def dense_commutation_certificates(r: QuantumRealization, n: int) -> Certificate
     gates of the intervening block to the full-space identity and reports
     ||[block, M_n]||_F unnormalized. Memory grows as (d 2^n)^2.
     """
+    missing = [i for i in range(1, n + 1) if i not in r.frames]
+    if missing:
+        raise ProtocolError(f"realization has no measurement for friends {missing}")
     required: list[CertificateEntry] = []
     contexts = [(i, i + 1) for i in range(1, n)] + [(1, n)]
     for i, j in contexts:

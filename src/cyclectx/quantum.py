@@ -11,9 +11,9 @@ products of the commuting projectors, i.e. from the joint coarse-graining of
 the simultaneously diagonalizable measurement. No state-update rule enters
 anywhere in this module; the textbook sequential-update computation lives in
 ``oracles`` purely as a cross-check. ``born_pair`` and
-``behavior_from_realization`` share one pass over all requested pairs: one
-batched product forms every commutator [P_i, P_j] (the first pair above
-ALG_TOL raises), and two stacked products form every amplitude Q_b Q_a psi.
+``behavior_from_realization`` share one pass over all requested pairs: the
+realization's ``commutator_norms`` gives every ||[P_i, P_j]||_F (the first
+pair above ALG_TOL raises), and two stacked products form every amplitude.
 
 ``find_quantum_realization`` searches for a realization of a possibilistic
 cycle target by least squares over the state and the frames. One residual
@@ -31,15 +31,15 @@ the search budget. Trial points cost r alone, and the Jacobian is built only
 at an accepted point from which a step is taken. The loop stops once
 ||r||^2 <= 1e-30 len(r), every entry at rounding level on average.
 
-A ``QuantumRealization`` validates its state and frames (shape, then
-finite, then orthonormal, frame by frame in the caller's order) and keeps
-read-only copies of both, the state as complex, so a realization never
-changes after construction. From the frames it builds, once and with one
-stacked product per rank, two read-only (n, dim, dim) stacks in sorted-label
-order:
-1 - P_i and P_i, with P_i = F F^dag made exactly Hermitian (no bit changes
-where it already is), so a friend's record gate is its own inverse. The
-accessors return fixed row views; the stack layout is private to this module.
+A ``QuantumRealization`` validates its state, then each frame in the
+caller's order (shape, then finite, then orthonormal; the first failure
+raises), and keeps read-only copies of both, the state as complex. Each
+frame F writes its row of two read-only (n, dim, dim) stacks in sorted-label
+order: 1 - P_i and P_i, with P_i = F F^dag made exactly Hermitian (no bit
+changes where it already is), so a friend's record gate is its own inverse.
+The accessors return fixed row views, and ``commutator_norms`` is the one
+routine for ||[P_i, P_j]||_F, which the pair statistics and ``ewf``'s
+certificates both read; the stack layout is private to this module.
 
 The search works on the same stacked form: the residual projects all frames
 of one rank with one gram, condition and solve, forms the amplitudes and the
@@ -103,6 +103,9 @@ REQUIRED_MARGIN = 1e-3
 MAX_RESTARTS = 50
 ITERS_PER_RESTART = 2000
 
+# label pairs per batched product of ``QuantumRealization.commutator_norms``
+PAIR_CHUNK = 4096
+
 
 class RealizationError(ValueError):
     """Realization data violates an invariant."""
@@ -118,8 +121,8 @@ class QuantumRealization:
     state: np.ndarray                      # (dim,) unit vector; a read-only complex copy
     frames: Mapping[int, np.ndarray]       # label -> (dim, k) orthonormal columns
     # (2, n, dim, dim): 1 - P_i and P_i stacked in sorted-label order,
-    # built once per rank group from the validated frames; frames are
-    # stored as a read-only copy, so they cannot drift apart. ``_rows``
+    # one row per frame as it is validated; frames are stored as a
+    # read-only copy, so they cannot drift apart. ``_rows``
     # maps a label to its row; the pair statistics below read both, and
     # every other module goes through the accessors.
     _stacks: np.ndarray = field(init=False, repr=False, compare=False)
@@ -139,47 +142,31 @@ class QuantumRealization:
             raise RealizationError("state has non-finite entries")
         if abs(np.linalg.norm(s) ** 2 - 1.0) > ALG_TOL:
             raise RealizationError("state is not normalized")
-        # each frame's first failing check, in the order shape, finiteness,
-        # orthonormality; the first failing frame in the caller's order raises
-        failure: dict[int, str] = {}
-        groups: dict[int, list[int]] = {}       # rank -> labels, caller order
-        given = {}
-        for i, f in self.frames.items():
-            f = given[i] = np.asarray(f)
-            if f.ndim != 2 or f.shape[0] != d or not 1 <= f.shape[1] <= d:
-                failure[i] = f"frame {i} has invalid shape {f.shape}"
-            else:
-                groups.setdefault(f.shape[1], []).append(i)
-        labels = sorted(given)
-        rows = {i: k for k, i in enumerate(labels)}
-        stacks = np.empty((2, len(labels), d, d), dtype=complex)
+        # frame by frame in the caller's order: shape, then finiteness, then
+        # orthonormality; the first failure raises
+        rows = {i: k for k, i in enumerate(sorted(self.frames))}
+        stacks = np.empty((2, len(rows), d, d), dtype=complex)
         frames = {}
-        for k, group in groups.items():
-            f = np.array([given[i] for i in group], dtype=complex)
-            finite = np.isfinite(f).all(axis=(1, 2))
-            if not finite.all():
-                failure.update((i, f"frame {i} has non-finite entries")
-                               for i, ok in zip(group, finite) if not ok)
-                group, f = [i for i, ok in zip(group, finite) if ok], f[finite]
-            gram = f.conj().transpose(0, 2, 1) @ f
-            deviation = np.linalg.norm(gram - np.eye(k), axis=(1, 2))
-            failure.update((i, f"frame {i} is not orthonormal")
-                           for i, dev in zip(group, deviation) if dev > ALG_TOL)
-            if failure:
-                continue
-            p = f @ f.conj().transpose(0, 2, 1)
-            stacks[1, [rows[i] for i in group]] = (p + p.conj().transpose(0, 2, 1)) / 2
+        for i, f in self.frames.items():
+            f = np.asarray(f)
+            if f.ndim != 2 or f.shape[0] != d or not 1 <= f.shape[1] <= d:
+                raise RealizationError(f"frame {i} has invalid shape {f.shape}")
+            f = np.array(f, dtype=complex, order="C")
+            if not np.all(np.isfinite(f)):
+                raise RealizationError(f"frame {i} has non-finite entries")
+            fh = f.conj().T
+            if np.linalg.norm(fh @ f - np.eye(f.shape[1])) > ALG_TOL:
+                raise RealizationError(f"frame {i} is not orthonormal")
+            p = f @ fh
+            stacks[1, rows[i]] = (p + p.conj().T) / 2
             f.setflags(write=False)
-            frames.update(zip(group, f))
-        for i in self.frames:
-            if i in failure:
-                raise RealizationError(failure[i])
+            frames[i] = f
         stacks[0] = np.eye(d) - stacks[1]
         stacks.setflags(write=False)
         s.setflags(write=False)
         q, p = stacks
         object.__setattr__(self, "state", s)
-        object.__setattr__(self, "frames", MappingProxyType({i: frames[i] for i in self.frames}))
+        object.__setattr__(self, "frames", MappingProxyType(frames))
         object.__setattr__(self, "_stacks", stacks)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_views", {i: (q[k], p[k]) for i, k in rows.items()})
@@ -201,6 +188,22 @@ class QuantumRealization:
     def outcome_projector(self, i: int, outcome: int) -> np.ndarray:
         """P_i for outcome 1, 1 - P_i otherwise; read-only."""
         return self._views[i][1 if outcome == 1 else 0]
+
+    def commutator_norms(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+        """||[P_i, P_j]||_F of each label pair (i, j) in order, PAIR_CHUNK pairs
+        per batched product. A label without a measurement raises
+        ``RealizationError``."""
+        missing = sorted({i for pair in pairs for i in pair} - self._rows.keys())
+        if missing:
+            raise RealizationError(f"realization has no measurement for labels {missing}")
+        p = self._stacks[1]
+        i = [self._rows[a] for a, _ in pairs]
+        j = [self._rows[b] for _, b in pairs]
+        out = np.empty(len(pairs))
+        for lo in range(0, len(pairs), PAIR_CHUNK):
+            pi, pj = p[i[lo:lo + PAIR_CHUNK]], p[j[lo:lo + PAIR_CHUNK]]
+            out[lo:lo + PAIR_CHUNK] = np.linalg.norm(pi @ pj - pj @ pi, axis=(1, 2))
+        return out
 
 
 @dataclass(frozen=True)
@@ -252,21 +255,19 @@ def _pair_distributions(r: QuantumRealization,
                         pairs: Sequence[tuple[int, int]]) -> list[PairDistribution]:
     """Joint outcome distributions of compatible pairs, all in one pass.
 
-    Every commutator [P_i, P_j] is formed in one batched product; the first
-    pair in the given order whose norm exceeds ALG_TOL raises
-    ``NoncommutingError``. The amplitudes Q_b Q_a psi of all pairs then take
-    two stacked products, and each probability is ||Q_b Q_a psi||^2, rounded
-    as the square of the norm.
+    The norms of ``r.commutator_norms`` decide compatibility: the first pair
+    in the given order above ALG_TOL raises ``NoncommutingError``. The
+    amplitudes Q_b Q_a psi of all pairs then take two stacked products, and
+    each probability is ||Q_b Q_a psi||^2, rounded as the square of the norm.
     """
-    i = [r._rows[a] for a, _ in pairs]
-    j = [r._rows[b] for _, b in pairs]
-    pi, pj = r._stacks[1, i], r._stacks[1, j]
-    norms = np.linalg.norm(pi @ pj - pj @ pi, axis=(1, 2))
+    norms = r.commutator_norms(pairs)
     bad = np.flatnonzero(norms > ALG_TOL)
     if len(bad):
         (a, b), c = pairs[bad[0]], norms[bad[0]]
         raise NoncommutingError(
             f"measurements {a} and {b} do not commute (norm {c:.3e} > {ALG_TOL:.1e})")
+    i = [r._rows[a] for a, _ in pairs]
+    j = [r._rows[b] for _, b in pairs]
     u = r._stacks[:2, i] @ r.state                          # [a, pair]
     v = r._stacks[None, :2, j] @ u[:, None, :, :, None]     # [a, b, pair]
     norm2 = np.add.reduce(v.real * v.real, 3) + np.add.reduce(v.imag * v.imag, 3)

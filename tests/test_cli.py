@@ -10,6 +10,7 @@ import pytest
 from cyclectx import cli
 from cyclectx.cli import main
 from cyclectx.ewf import BranchLimitError, CertificateError, commutation_certificates
+from cyclectx.quantum import QuantumRealization
 
 
 def run(tmp_path, argv, name="out.json"):
@@ -346,6 +347,21 @@ class TestRepeatedCalls:
 
     def test_parser_built_once(self):
         assert cli._build_parser() is cli._build_parser()
+
+    def test_second_verify_all_builds_no_realization(self, monkeypatch):
+        # a realization is validated once, when it is built; no per-call path builds one
+        argv = ["verify-all", "--n-max", "10", "--seed", "1", "--format", "json"]
+        first = call(argv)
+        built = []
+        real = QuantumRealization.__post_init__
+
+        def counted(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(QuantumRealization, "__post_init__", counted)
+        assert call(argv) == first
+        assert first[2] == 0 and built == []
 
     def test_env_seed_read_on_every_call(self, monkeypatch):
         argv = ["search", "--n", "5", "--budget", "0", "--format", "json"]

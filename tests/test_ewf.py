@@ -24,12 +24,12 @@ from cyclectx.ewf import (
     build_measure_undo_protocol,
     build_protocol,
     commutation_certificates,
-    _gate_pair_norms,
     _record_gate,
     _simulate_through,
     paradox_report,
     record_distribution,
     register_marginal,
+    report_to_doc,
     simulate,
 )
 from cyclectx.linalg import ALG_TOL, commutator_norm
@@ -510,11 +510,10 @@ class TestCertificates:
     def test_batched_pair_norms_match_pair_formula(self):
         # n = 200 gives 19900 pairs, more than one batch
         r = random_rank1(200, 3, 8)
-        proj = np.stack([r.projector(i) for i in range(1, 201)])
-        pairs = list(itertools.combinations(range(200), 2))
-        batched = _gate_pair_norms(proj, [a for a, _ in pairs], [b for _, b in pairs])
+        pairs = list(itertools.combinations(range(1, 201), 2))
+        batched = r.commutator_norms(pairs)
         for (a, b), norm in zip(pairs, batched):
-            assert abs(norm - 4 * commutator_norm(proj[a], proj[b])) <= 1e-15
+            assert abs(4 * norm - 4 * commutator_norm(r.projector(a), r.projector(b))) <= 1e-15
 
     @pytest.mark.parametrize("case", fixture_cases(), ids=lambda c: f"n{c[1]}")
     def test_pair_entries_match_commutator_norm(self, case):
@@ -535,13 +534,13 @@ class TestCertificates:
     def test_noncontext_entries_built_on_first_access(self, monkeypatch):
         r, n, _ = fixture_cases()[4]
         batches = []
-        real = ewf._gate_pair_norms
+        real = QuantumRealization.commutator_norms
 
-        def counted(ops, a, b):
-            batches.append(len(a))
-            return real(ops, a, b)
+        def counted(self, pairs):
+            batches.append(len(pairs))
+            return real(self, pairs)
 
-        monkeypatch.setattr(ewf, "_gate_pair_norms", counted)
+        monkeypatch.setattr(QuantumRealization, "commutator_norms", counted)
         rep = paradox_report(r, n)
         certs = rep.certificates
         assert certs.passed and rep.block_bound <= 1e-12
@@ -574,14 +573,24 @@ class TestCertificates:
         # equal the norms of all pairs formed in one; an undo U_k applies P_k
         r, n, _ = fixture_cases()[10]
         entries = commutation_certificates(r, n).entries
-        ops = np.stack([r.projector(i) for i in range(1, n + 1)])
 
-        def index(name):
-            return int(name[1:].rstrip("†")) - 1
+        def label(name):
+            return int(name[1:].rstrip("†"))
 
-        pairs = [e.pair for e in entries if e.pair[0] != "U"]
-        norms = _gate_pair_norms(ops, [index(a) for a, _ in pairs], [index(b) for _, b in pairs])
+        pairs = [(label(a), label(b)) for a, b in (e.pair for e in entries) if a != "U"]
+        norms = (4.0 * r.commutator_norms(pairs)).tolist()
         assert [e.norm for e in entries if e.pair[0] != "U"] == norms
+
+    @pytest.mark.parametrize("n", list(range(5, 26)) + [101])
+    def test_pair_entries_are_four_times_the_realization_norms(self, n):
+        # bit for bit; at n = 101 the 4949 non-context pairs exceed one chunk,
+        # and the one call below splits its 5050 pairs at another boundary
+        r = find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n), 3,
+                                     seed=1)
+        entries = [e for e in commutation_certificates(r, n).entries if e.pair[0][0] == "M"]
+        pairs = [(int(a[1:]), int(b[1:])) for a, b in (e.pair for e in entries)]
+        assert len(pairs) == n * (n - 1) // 2
+        assert [e.norm for e in entries] == (4.0 * r.commutator_norms(pairs)).tolist()
 
     @pytest.mark.parametrize("case", fixture_cases() + [rotated_case(5, 1)],
                              ids=[f"n{n}" for n in range(5, 16)] + ["kcbs", "rotated-n5"])
@@ -612,6 +621,28 @@ class TestCertificates:
 
 
 class TestParadoxReport:
+    def test_missing_friend_is_a_protocol_error(self, kcbs):
+        r4 = QuantumRealization(3, kcbs.state, {i: kcbs.frames[i] for i in range(1, 5)})
+        for check in (paradox_report, commutation_certificates, dense_commutation_certificates):
+            with pytest.raises(ProtocolError,
+                               match=r"realization has no measurement for friends \[5\]"):
+                check(r4, 5)
+
+    def test_repeated_reports_build_no_realization(self, monkeypatch):
+        r, n, target = fixture_cases()[2]
+        first = report_to_doc(paradox_report(r, n, target=target))
+        built = []
+        real = QuantumRealization.__post_init__
+
+        def counted(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(QuantumRealization, "__post_init__", counted)
+        for _ in range(3):
+            assert report_to_doc(paradox_report(r, n, target=target)) == first
+        assert built == []
+
     def test_kcbs_verdict(self, kcbs):
         rep = paradox_report(kcbs, 5)
         assert rep.verdict

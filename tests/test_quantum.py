@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cyclectx.linalg import commutator_norm
+from cyclectx.linalg import ALG_TOL, commutator_norm
 from cyclectx.ncycle import odd_ncycle_behavior
 from cyclectx.oracles import projection_sequential
 from cyclectx.quantum import (
@@ -18,6 +18,7 @@ from cyclectx.quantum import (
     kcbs_realization,
     realization_from_doc,
     realization_to_doc,
+    _pair_distributions,
 )
 from cyclectx.scenario import (
     check_no_disturbance,
@@ -442,3 +443,59 @@ class TestBatchedRealization:
                   5: kcbs.frames[5]}
         with pytest.raises(RealizationError, match=message):
             QuantumRealization(3, kcbs.state, frames)
+
+
+def frame_zoo(d, rng):
+    """Frames of every rank 1..d: real and complex random frames, and axis
+    frames holding -0.0 and imaginary units. Labels run in shuffled order."""
+    frames = []
+    for k in range(1, d + 1):
+        real = np.linalg.qr(rng.standard_normal((d, k)))[0]
+        cplx = np.linalg.qr(rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k)))[0]
+        frames += [real, cplx, -np.eye(d)[:, d - k:], 1j * np.eye(d)[:, :k]]
+    labels = rng.permutation(len(frames)) + 1
+    return {int(i): f for i, f in zip(labels, frames)}
+
+
+class TestProjectorAlgebra:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_stacks_equal_per_frame_reference_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        frames = frame_zoo(d, rng)
+        r = QuantumRealization(d, np.eye(d)[0], frames)
+        assert sorted(r.rank(i) for i in r.frames) == sorted(list(range(1, d + 1)) * 4)
+        for i, f in frames.items():
+            f = np.array(f, dtype=complex)
+            ff = f @ f.conj().T
+            want = (ff + ff.conj().T) / 2
+            # bytes, not values, so that a zero's sign is compared too
+            assert r.projector(i).tobytes() == want.tobytes(), i
+            assert r.outcome_projector(i, 0).tobytes() == (np.eye(d) - want).tobytes(), i
+
+    def test_commutator_norms_in_the_given_order(self, kcbs):
+        pairs = [(1, 3), (2, 3), (5, 2), (3, 1), (4, 2)]
+        norms = kcbs.commutator_norms(pairs)
+        assert norms.shape == (5,)
+        for (a, b), norm in zip(pairs, norms):
+            pa, pb = kcbs.projector(a), kcbs.projector(b)
+            assert norm == np.linalg.norm(pa @ pb - pb @ pa, axis=(0, 1))
+        assert norms[0] == norms[3] > 0.1 and norms[1] <= ALG_TOL
+        assert kcbs.commutator_norms([]).shape == (0,)
+
+    def test_noncommuting_error_names_the_first_bad_pair_given(self, kcbs):
+        frames = dict(kcbs.frames)
+        frames[3] = np.array([[0.6], [0.0], [0.8]], dtype=complex)
+        r = QuantumRealization(3, kcbs.state, frames)
+        with pytest.raises(NoncommutingError, match="measurements 4 and 3 do not commute"):
+            _pair_distributions(r, [(1, 2), (4, 3), (2, 3)])
+        with pytest.raises(NoncommutingError, match="measurements 2 and 3 do not commute"):
+            _pair_distributions(r, [(1, 2), (2, 3), (4, 3)])
+        assert [d.context for d in _pair_distributions(r, [(4, 5), (1, 2)])] == [(4, 5), (1, 2)]
+
+    def test_missing_labels_are_realization_errors(self, kcbs):
+        with pytest.raises(RealizationError, match=r"no measurement for labels \[9\]"):
+            born_pair(kcbs, 1, 9)
+        with pytest.raises(RealizationError, match=r"no measurement for labels \[6\]"):
+            behavior_from_realization(kcbs, make_cycle_scenario(6))
+        with pytest.raises(RealizationError, match=r"no measurement for labels \[0, 7\]"):
+            kcbs.commutator_norms([(7, 1), (0, 2), (7, 0)])
