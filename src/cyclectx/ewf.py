@@ -10,8 +10,9 @@ where P_i is the outcome-1 projector, so the record qubit flips to |1> on
 the outcome-1 branch and record bits equal outcome labels. P_i is stored
 exactly Hermitian, so U_i is its own inverse bit for bit: the undo is U_i.
 
-The standard schedule measures M1, M2 and then alternates undoing friend k
-with measuring friend k+2, so the first n-2 records are erased. A record
+The standard schedule (n >= 4) measures M1, M2 and then alternates undoing
+friend k with measuring friend k+2, so the first n-2 records are erased;
+at n = 4 it is M1 M2 U1 M3 U2 M4, Hardy's two-qubit case. A record
 can only be read while it actually holds an outcome: ``record_distribution``
 refuses any stage at which the requested record was not yet generated or
 was already undone. The joint (a_1, a_n) statistics of the standard
@@ -164,9 +165,9 @@ class Protocol:
 
 @functools.lru_cache(typed=True)
 def build_protocol(n: int) -> Protocol:
-    """M1, M2, then alternately undo friend k and measure friend k+2."""
-    if n < 5:
-        raise ProtocolError(f"the schedule needs at least 5 friends, got {n}")
+    """M1, M2, then alternately undo friend k and measure friend k+2; n >= 4."""
+    if n < 4:
+        raise ProtocolError(f"the schedule needs at least 4 friends, got {n}")
     steps = [GateStep("measure", 1), GateStep("measure", 2)]
     for k in range(1, n - 1):
         steps.append(GateStep("undo", k))

@@ -29,6 +29,10 @@ every stage; its memory grows as d 2^n per stage. It, the dense gates of
 identity tensor) and the certificates below share one record-gate kernel,
 ``_apply_record_gate``, and no code with the branch kernel of ``ewf``.
 
+Every oracle that reads a realization checks its labels with its own
+``_require`` first: a friend the realization lacks raises ``ProtocolError``
+and a label of a statistic raises ``RealizationError``, as in the pipeline.
+
 ``dense_commutation_certificates`` recomputes the commutation certificates
 of ``ewf.commutation_certificates`` from those dense gates on the full
 register space, sharing no code with the system-space path; its undo
@@ -55,7 +59,7 @@ from .ewf import (
     build_protocol,
 )
 from .linalg import ALG_TOL
-from .quantum import QuantumRealization, behavior_from_realization
+from .quantum import QuantumRealization, RealizationError, behavior_from_realization
 from .scenario import (
     AssignmentFate,
     ChainConflict,
@@ -92,15 +96,25 @@ def _diff(a: Mapping, b: Mapping) -> float:
     return max(abs(a[k] - b[k]) for k in a) if a else 0.0
 
 
+def _require(r: QuantumRealization, labels, error: type[ValueError]) -> None:
+    """Raise ``error`` naming the labels the realization has no measurement for."""
+    missing = sorted(set(labels) - r.frames.keys())
+    if missing:
+        noun = "friends" if error is ProtocolError else "labels"
+        raise error(f"realization has no measurement for {noun} {missing}")
+
+
 def projection_sequential(r: QuantumRealization, sequence: Sequence[int]) -> dict:
     """Joint distribution from the projection postulate, outcome by outcome.
 
     Each measurement in the sequence splits every branch with the two
     outcome projectors and renormalizes; branch weights multiply. Keys are
-    outcome tuples in sequence order.
+    outcome tuples in sequence order. A label without a measurement raises
+    ``RealizationError``.
     """
     if len(sequence) < 1:
         raise ValueError("sequence must contain at least one measurement")
+    _require(r, sequence, RealizationError)
     branches = [((), r.state, 1.0)]
     for i in sequence:
         new = []
@@ -117,10 +131,14 @@ def projection_sequential(r: QuantumRealization, sequence: Sequence[int]) -> dic
 
 
 def exhaustive_support_check(r: QuantumRealization, s: Scenario) -> OracleResult:
-    """Recompute every context table via Tr(product of projectors rho)."""
+    """Recompute every context table via Tr(product of projectors rho).
+
+    A measurement of the scenario that the realization lacks raises
+    ``RealizationError``."""
     for c in s.contexts:
         if len(c) > 3:
             raise ValueError("trace oracle only covers contexts of size <= 3")
+    _require(r, s.measurements, RealizationError)
     rho = np.outer(r.state, r.state.conj())
     oracle: dict = {}
     for c in s.contexts:
@@ -247,9 +265,7 @@ def _apply_record_gate(tensor: np.ndarray, p1: np.ndarray, axis: int,
 
 def dense_simulate(p: Protocol, r: QuantumRealization) -> DenseTrace:
     """Run the schedule from state (x) |0...0> and keep every stage."""
-    missing = [i for i in range(1, p.n + 1) if i not in r.frames]
-    if missing:
-        raise ProtocolError(f"realization has no measurement for friends {missing}")
+    _require(r, range(1, p.n + 1), ProtocolError)
     d = r.dim
     shape = (d,) + (2,) * p.n
     tensor = np.zeros(shape, dtype=complex)
@@ -284,9 +300,13 @@ def _gate_matrix(p1: np.ndarray, axis: int, records: int) -> np.ndarray:
 
 
 def measurement_unitary(r: QuantumRealization, i: int, n: int) -> np.ndarray:
-    """Full-space record gate for friend i among n record qubits."""
+    """Full-space record gate for friend i among n record qubits.
+
+    A friend outside 1..n, or one without a measurement, raises
+    ``ProtocolError``."""
     if not 1 <= i <= n:
         raise ProtocolError(f"friend index {i} outside 1..{n}")
+    _require(r, [i], ProtocolError)
     return _gate_matrix(r.projector(i), i, n)
 
 
@@ -307,9 +327,7 @@ def dense_commutation_certificates(r: QuantumRealization, n: int) -> Certificate
     gates of the intervening block to the full-space identity and reports
     ||[block, M_n]||_F unnormalized. Memory grows as (d 2^n)^2.
     """
-    missing = [i for i in range(1, n + 1) if i not in r.frames]
-    if missing:
-        raise ProtocolError(f"realization has no measurement for friends {missing}")
+    _require(r, range(1, n + 1), ProtocolError)
     required: list[CertificateEntry] = []
     contexts = [(i, i + 1) for i in range(1, n)] + [(1, n)]
     for i, j in contexts:

@@ -51,15 +51,16 @@ exact start when it has an exact construction, and any other target
 starts with the seeded random restarts. For n >= 5 and dim >= 3 that is
 a qutrit chain of adjacent-orthogonal real vectors (the planar chain for
 odd n; for even n the chain for n - 1 with v_n = v_1), each frame the
-vector or its orthocomplement according to the label's parity and flip.
+vector or its orthocomplement according to the label's parity and flip;
+its required probability is at least 0.111 at every odd n up to 2001.
 For n = 4 and dim >= 4 it is Hardy's two-qubit product realization, each
 frame a qubit vector or its orthogonal one, times the other qubit. With a
-budget above 0, the exact start itself is the first candidate: its
-realization goes through the acceptance test before any residual is
-formed, and only a rejected start is descended from, before the
-restarts. The residual is never the acceptance signal, only the rank of
-a failure: every candidate, the exact start or a descended point, passes
-one acceptance test. Its ``behavior_from_realization`` tables must hold
+budget above 0, the exact start's realization goes through the
+acceptance test before any residual is formed. It is never descended
+from: a rejected start leaves only the seeded restarts. The residual is
+never the acceptance signal, only the rank of a failure: every
+candidate, the exact start or a descended point, passes one acceptance
+test. Its ``behavior_from_realization`` tables must hold
 every forbidden probability <= ``FORBIDDEN_TOL`` and the required one
 >= ``REQUIRED_MARGIN`` (a non-commuting context rejects it), and its
 ``possibilistic_collapse`` must lie within the target and contain the
@@ -67,8 +68,8 @@ required tuple.
 
 Two fixed inputs are built once per process: ``kcbs_realization``
 returns one shared realization, and per (n, dim, flips) the exact start's
-ranks, its read-only packed point and its candidate realization (the
-normalized state and the canonical frames, validated once) are cached.
+realization (the normalized state and the canonical frames, validated
+once) is cached.
 Only such pure constructions of their arguments are cached; every search
 still tests its candidate, and every statistic is computed on each call.
 """
@@ -548,16 +549,22 @@ def _odd_plane_vectors(n: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
 
     Vectors 2k and 2k+1 form an orthonormal basis of a plane through the
     state, which pins the alternating joint zeros; vector 1 is normal to its
-    two neighbors. A small deterministic parameter grid, evaluated as one
-    array computation, picks the variant with the largest overlap between
-    vector 1 and the state.
+    two neighbors. Plane k turns by k delta, and the tilts follow
+    tan theta_{k+1} = tan theta_k / cos delta. With delta = pi - c / h,
+    h = (n - 1) / 2, |cos delta|^-h stays bounded as n grows, so the
+    overlap does not fade: it is 0.111 at n = 5 and tends to 1/2, as in the
+    Hardy-like n-cycle construction of Cabello et al. (PRL 111, 180404). A
+    deterministic (theta_0, c) grid, evaluated as one array computation,
+    picks the variant with the largest overlap between vector 1 and the
+    state.
     """
     assert n % 2 == 1 and n >= 5
     half = (n - 1) // 2
     psi = np.array([0.0, 0.0, 1.0])
-    # one row per grid point (theta0, delta), theta0-major
-    theta0, delta = (g.ravel() for g in np.meshgrid(
-        np.linspace(0.3, 1.2, 10), np.linspace(1.0, 2.8, 10), indexing="ij"))
+    # one row per grid point (theta0, c), theta0-major
+    theta0, c = (g.ravel() for g in np.meshgrid(
+        np.linspace(0.3, 1.2, 10), np.linspace(0.5, 6.0, 10), indexing="ij"))
+    delta = np.pi - c / half
     ths = [theta0]
     for _ in range(half - 1):
         ths.append(np.arctan2(np.tan(ths[-1]), np.cos(delta)))
@@ -642,8 +649,7 @@ def _hardy_start(dim: int, flips: tuple[bool, ...]) -> tuple[np.ndarray, list[np
 
 
 @functools.lru_cache(typed=True)
-def _chain_start(n: int, dim: int, flips: tuple[bool, ...]
-                 ) -> tuple[tuple[int, ...], np.ndarray, QuantumRealization | None]:
+def _chain_start(n: int, dim: int, flips: tuple[bool, ...]) -> QuantumRealization:
     """The exact start for a relabeled unified ladder, built once per
     (n, dim, flips).
 
@@ -652,8 +658,7 @@ def _chain_start(n: int, dim: int, flips: tuple[bool, ...]
     since the closing pair needs v_n parallel or orthogonal to v_1 and
     orthogonality kills the required tuple. Frame i of a chain is the
     orthocomplement of v_i when (i odd) XOR flip_i, else v_i itself.
-    Returns the ranks, the packed point (read-only) and its candidate
-    realization: what a descent that stops at once would make of the point,
+    Returns its realization: the normalized state and the canonical frames,
     validated once here.
     """
     if n == 4:
@@ -666,24 +671,18 @@ def _chain_start(n: int, dim: int, flips: tuple[bool, ...]
         complement = [(i % 2 == 1) != flips[i - 1] for i in range(1, n + 1)]
         comps = iter(_complement_frames(vecs[complement]))
         zs = [next(comps) if c else v[:, None] for c, v in zip(complement, vecs)]
-    ranks = tuple(z.shape[1] for z in zs)
-    x0 = _PenaltyProblem.pack(_embed(psi, dim), zs)
-    x0.setflags(write=False)
-    return ranks, x0, _canonical_point(_PenaltyProblem(n, dim, ranks, (), (), ()), x0)
+    # + 0.0 turns each -0.0 entry (from a kron or a flip) into 0.0, since the
+    # QR below carries a zero's sign into the serialized frames
+    frames = {i: _canonical_frames(z[None] + 0.0)[0] for i, z in enumerate(zs, start=1)}
+    return QuantumRealization(dim, normalized(_embed(psi, dim)), frames)
 
 
-def _candidate_starts(prob: _PenaltyProblem, flips: tuple[bool, ...] | None, seed: int):
-    """The exact start of a relabeled ladder, then seeded random restarts.
+def _candidate_starts(prob: _PenaltyProblem, seed: int):
+    """Seeded random restarts over a small set of rank patterns.
 
-    Yields (ranks, x0) pairs. ``flips`` are the target's ladder flips,
-    read once per search by ``find_quantum_realization``, or None when the
-    target has no exact start; with flips, the exact start comes first.
+    Yields (ranks, x0) pairs, without end.
     """
     n, dim = prob.n, prob.dim
-    if flips is not None:
-        yield _chain_start(n, dim, flips)[:2]
-
-    # random restarts over a small set of rank patterns
     patterns: list[tuple[int, ...]] = [tuple([1] * n)]
     if dim >= 3:
         patterns.append(tuple(dim - 1 if i % 2 == 1 else 1 for i in range(1, n + 1)))
@@ -769,10 +768,10 @@ def find_quantum_realization(
 
     A relabeled unified ladder with an exact start (n >= 5 and dim >= 3,
     or n = 4 and dim >= 4) and a budget above 0 first tests that start's
-    cached realization, and returns it when it passes, without a descent.
-    Otherwise the budget counts Levenberg-Marquardt iterations across
-    restarts, the exact start's descent first, at most
-    ``ITERS_PER_RESTART`` per start; every descended point is tested, and
+    cached realization, and returns it when it passes; the start is never
+    descended from. Otherwise the budget counts Levenberg-Marquardt
+    iterations across the seeded restarts, at most ``ITERS_PER_RESTART``
+    per start; every descended point is tested, and
     on exhaustion a ``SearchFailure`` is returned whose ``best_objective``
     is ||r||^2 of the best start.
     """
@@ -789,8 +788,8 @@ def find_quantum_realization(
     exact = n >= 5 and dim >= 3 or n == 4 and dim >= 4
     flips = _ladder_flips(target) if exact else None
     if flips is not None and budget > 0:
-        cand = _chain_start(n, dim, flips)[2]
-        if cand is not None and _accepted(s, target, cand):
+        cand = _chain_start(n, dim, flips)
+        if _accepted(s, target, cand):
             return cand
 
     forbidden = []
@@ -805,7 +804,7 @@ def find_quantum_realization(
     best = (np.inf, np.inf, np.inf, 0.0)
     used = 0
     attempts = 0
-    for ranks, x0 in _candidate_starts(base, flips, seed):
+    for ranks, x0 in _candidate_starts(base, seed):
         if used >= budget or attempts >= MAX_RESTARTS:
             break
         attempts += 1

@@ -33,7 +33,7 @@ from cyclectx.ewf import (
     simulate,
 )
 from cyclectx.linalg import ALG_TOL, commutator_norm
-from cyclectx.ncycle import odd_ncycle_behavior, unified_ncycle_behavior
+from cyclectx.ncycle import FlipMask, odd_ncycle_behavior, relabel, unified_ncycle_behavior
 from cyclectx.oracles import dense_commutation_certificates, measurement_unitary
 from cyclectx.quantum import (
     QuantumRealization,
@@ -268,9 +268,13 @@ class TestProtocols:
 
     def test_small_n_rejected(self):
         with pytest.raises(ProtocolError):
-            build_protocol(4)
+            build_protocol(3)
         with pytest.raises(ProtocolError):
-            build_counterfactual_protocol(4)
+            build_counterfactual_protocol(3)
+
+    def test_four_friends(self):
+        assert steps_of(build_protocol(4)) == ["M1", "M2", "U1", "M3", "U2", "M4"]
+        assert steps_of(build_counterfactual_protocol(4)) == ["M1", "M4", "M2", "U1", "M3", "U2"]
 
     def test_schedules_built_once_per_n(self):
         for build in (build_protocol, build_counterfactual_protocol,
@@ -642,6 +646,17 @@ class TestParadoxReport:
         for _ in range(3):
             assert report_to_doc(paradox_report(r, n, target=target)) == first
         assert built == []
+
+    @pytest.mark.parametrize("bits", list(itertools.product((False, True), repeat=4)),
+                             ids=lambda bits: "".join("1" if b else "0" for b in bits))
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_hardy_paradox_at_four_friends(self, dim, bits):
+        target = relabel(unified_ncycle_behavior(4), FlipMask(dict(enumerate(bits, start=1))))
+        r = find_quantum_realization(make_cycle_scenario(4), target, dim, seed=1)
+        rep = paradox_report(r, 4, target=target)
+        assert rep.verdict and rep.certificates.passed
+        assert rep.counterfactual.outcome_tuple == target.required[1]
+        assert abs(rep.counterfactual.value - (5 * math.sqrt(5) - 11) / 2) <= 1e-12
 
     def test_kcbs_verdict(self, kcbs):
         rep = paradox_report(kcbs, 5)

@@ -12,6 +12,7 @@ from cyclectx.ncycle import (
     unified_ncycle_behavior,
 )
 from cyclectx.ewf import (
+    ProtocolError,
     build_counterfactual_protocol,
     build_measure_undo_protocol,
     build_protocol,
@@ -31,6 +32,7 @@ from cyclectx.oracles import (
 )
 from cyclectx.quantum import (
     QuantumRealization,
+    RealizationError,
     born_pair,
     find_quantum_realization,
     kcbs_realization,
@@ -45,6 +47,11 @@ from cyclectx.scenario import (
     make_cycle_scenario,
     propagate_chain,
 )
+
+
+def first_four(r):
+    """The realization restricted to labels 1..4."""
+    return QuantumRealization(r.dim, r.state, {i: r.frames[i] for i in range(1, 5)})
 
 
 class TestProjectionSequential:
@@ -73,6 +80,11 @@ class TestProjectionSequential:
     def test_empty_sequence_rejected(self, kcbs):
         with pytest.raises(ValueError):
             projection_sequential(kcbs, ())
+
+    def test_missing_label_is_a_realization_error(self, kcbs):
+        with pytest.raises(RealizationError,
+                           match=r"realization has no measurement for labels \[5\]"):
+            projection_sequential(first_four(kcbs), (1, 5))
 
 
 class TestExhaustiveSupportCheck:
@@ -106,6 +118,11 @@ class TestExhaustiveSupportCheck:
         s = Scenario((1, 2, 3, 4), ((1, 2, 3, 4),))
         with pytest.raises(ValueError):
             exhaustive_support_check(kcbs, s)
+
+    def test_missing_label_is_a_realization_error(self, kcbs, cycle5):
+        with pytest.raises(RealizationError,
+                           match=r"realization has no measurement for labels \[5\]"):
+            exhaustive_support_check(first_four(kcbs), cycle5)
 
 
 class TestOracleResult:
@@ -403,6 +420,11 @@ class TestDenseGates:
             u = measurement_unitary(r, i, 5)
             assert u.dtype == complex
             assert np.array_equal(u, kron_unitary(r.projector(i), i, 5))
+
+    def test_missing_friend_is_a_protocol_error(self, kcbs):
+        with pytest.raises(ProtocolError,
+                           match=r"realization has no measurement for friends \[5\]"):
+            measurement_unitary(first_four(kcbs), 5, 5)
 
     @pytest.mark.parametrize("kind", ["kcbs", "random"])
     def test_pair_gates_are_the_kronecker_form(self, kind):

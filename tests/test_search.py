@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cyclectx import quantum
-from cyclectx.linalg import ALG_TOL
+from cyclectx.linalg import ALG_TOL, normalized
 from cyclectx.ewf import paradox_report
 from cyclectx.ncycle import (
     FlipMask,
@@ -137,7 +137,9 @@ class TestDescent:
         n, dim = 100, 3
         target = unified_ncycle_behavior(n)
         base = unified_problem(n, dim, (1,) * n, margin=quantum.REQUIRED_MARGIN)
-        ranks, x0 = next(_candidate_starts(base, _ladder_flips(target), 1))
+        start = quantum._chain_start(n, dim, _ladder_flips(target))
+        ranks = tuple(start.rank(i) for i in range(1, n + 1))
+        x0 = _PenaltyProblem.pack(start.state, [start.frames[i] for i in range(1, n + 1)])
         prob = CountingProblem(replace(base, ranks=ranks))
         _, r, log, it = _levenberg_marquardt(prob, x0, 100)
         assert 1e-30 < log[0] <= 1e-30 * len(r)
@@ -273,7 +275,7 @@ class TestChainStart:
             for dim in (3, 4):
                 r = find_quantum_realization(s, target, dim, seed=1)
                 assert not isinstance(r, SearchFailure), (target.kind, dim)
-                assert r is quantum._chain_start(n, dim, _ladder_flips(target))[2]
+                assert r is quantum._chain_start(n, dim, _ladder_flips(target))
         assert lm_calls == []
 
     def test_accepted_start_builds_no_problem(self, monkeypatch, lm_calls):
@@ -291,23 +293,22 @@ class TestChainStart:
         assert realization_to_doc(again) == realization_to_doc(first)
         assert built == [] and lm_calls == []
 
-    def test_rejected_start_descends_from_the_chain_start(self, monkeypatch):
-        n, dim = 5, 3
-        monkeypatch.setattr(quantum, "REQUIRED_MARGIN", 0.5)    # the start gives 1/9
+    @pytest.mark.parametrize("n, dim", [(4, 4), (5, 3), (6, 4)])
+    def test_rejected_start_falls_through_to_the_restarts(self, n, dim, monkeypatch):
+        monkeypatch.setattr(quantum, "REQUIRED_MARGIN", 0.6)    # above every start
         calls, lm = [], quantum._levenberg_marquardt
 
         def recorded(prob, x0, max_iters):
-            calls.append((prob.ranks, x0, max_iters))
+            calls.append((prob.ranks, x0))
             return lm(prob, x0, max_iters)
 
         monkeypatch.setattr(quantum, "_levenberg_marquardt", recorded)
         out = find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n), dim,
-                                       seed=1, budget=20)
+                                       seed=1, budget=10)
         assert isinstance(out, SearchFailure)
-        ranks, x0, _ = quantum._chain_start(n, dim, (False,) * n)
-        assert calls[0][0] == ranks and calls[0][2] == 20
-        assert np.array_equal(calls[0][1], x0)
-        assert out.attempts == len(calls) and out.iterations_used <= 20
+        ranks, x0 = next(_candidate_starts(unified_problem(n, dim, (1,) * n), 1))
+        assert calls[0][0] == ranks and np.array_equal(calls[0][1], x0)
+        assert out.attempts == len(calls)
 
     def test_zero_budget_tests_no_candidate(self, lm_calls):
         out = find_quantum_realization(make_cycle_scenario(7), unified_ncycle_behavior(7), 3,
@@ -329,10 +330,13 @@ class TestChainStart:
 
     def test_canonical_point_is_a_realization_or_none(self):
         n, dim = 5, 3
-        ranks, x0, cand = quantum._chain_start(n, dim, (False,) * n)
-        prob = unified_problem(n, dim, ranks)
-        again = quantum._canonical_point(prob, x0)
-        assert realization_to_doc(again) == realization_to_doc(cand)
+        prob = unified_problem(n, dim, (1,) * n)
+        ranks, x0 = next(_candidate_starts(prob, 1))
+        assert ranks == prob.ranks
+        cand = quantum._canonical_point(prob, x0)
+        assert np.array_equal(cand.state, normalized(x0[:dim] + 1j * x0[dim:2 * dim]))
+        for i, z in enumerate(old_frames(prob, x0), start=1):
+            assert np.array_equal(cand.frames[i], old_canonical_frame(z))
         x = x0.copy()
         x[-1] = np.nan                  # a frame with a non-finite entry is no realization
         with np.errstate(invalid="ignore"):
@@ -356,12 +360,7 @@ class TestChainStart:
         closed[(1, n)] = unified.supports[(1, n)] - {(1, 1)}
         closing_forbids = PossibilisticBehavior(unified.scenario, closed,
                                                 required=unified.required)
-        prob = unified_problem(n, dim, (1,) * n)
-        starts = _candidate_starts(prob, _ladder_flips(unified), 1)
-        assert next(starts) == quantum._chain_start(n, dim, (False,) * n)[:2]
-        first_restart = next(starts)
-        ranks, x0 = next(_candidate_starts(prob, None, 1))
-        assert ranks == first_restart[0] and np.array_equal(x0, first_restart[1])
+        first_restart = next(_candidate_starts(unified_problem(n, dim, (1,) * n), 1))
         calls, lm = [], quantum._levenberg_marquardt
 
         def recorded(prob, x0, max_iters):
@@ -376,13 +375,39 @@ class TestChainStart:
             assert calls[0][0] == first_restart[0]
             assert np.array_equal(calls[0][1], first_restart[1])
 
-    @pytest.mark.parametrize("n, overlap", [(5, 0.10981425186881437),
-                                            (7, 0.1971376680059133),
-                                            (9, 0.2475840776323348),
-                                            (11, 0.291486729217675)])
+    # the best overlap over the (theta0, c) grid, from a scalar math-module
+    # loop over the same grid and recursion
+    @pytest.mark.parametrize("n, overlap", [(5, 0.11100260134852881),
+                                            (7, 0.19944476046865092),
+                                            (9, 0.2506195732017388),
+                                            (11, 0.2896249975005594),
+                                            (101, 0.4353672293913763)])
     def test_grid_overlap_matches_loop(self, n, overlap):
         psi, vs = _odd_plane_vectors(n)
         assert abs(abs(vs[1] @ psi) ** 2 - overlap) <= 1e-15
+
+
+class TestLongChains:
+    def test_margin_at_every_odd_n(self):
+        for n in range(5, 402, 2):
+            psi, vs = _odd_plane_vectors(n)
+            assert abs(vs[1] @ psi) ** 2 >= 0.11, n
+
+    @pytest.mark.parametrize("n", [101, 112, 113, 115, 151, 152, 401, 1001])
+    def test_relabeled_ladders_accepted_without_descent(self, n, lm_calls):
+        s = make_cycle_scenario(n)
+        for target in ladder_targets(n):
+            for dim in (3, 4):
+                r = find_quantum_realization(s, target, dim, seed=1)
+                assert r is quantum._chain_start(n, dim, _ladder_flips(target)), (n, dim)
+        assert lm_calls == []
+
+    @pytest.mark.parametrize("n", [113, 151])
+    def test_paradox_on_long_chains(self, n):
+        target = unified_ncycle_behavior(n)
+        r = find_quantum_realization(make_cycle_scenario(n), target, 3, seed=1)
+        rep = paradox_report(r, n, target=target)
+        assert rep.verdict and rep.counterfactual.value > 0.4
 
 
 def old_frames(prob, x):
@@ -405,6 +430,24 @@ def old_canonical_frame(z):
         ph = col[pivot] / abs(col[pivot])
         q[:, c] = col * np.conj(ph)
     return q
+
+
+def per_vector_chain_frames(n, dim):
+    """The unified chain's frames built one vector at a time: v_i for even i,
+    and for odd i the orthocomplement of v_i from that vector's own SVD."""
+    _, vs = _odd_plane_vectors(n if n % 2 == 1 else n - 1)
+    if n % 2 == 0:
+        vs[n] = vs[1]
+    frames = {}
+    for i in range(1, n + 1):
+        v = np.zeros(dim, dtype=complex)
+        v[:3] = vs[i]
+        if i % 2 == 1:
+            u, _, _ = np.linalg.svd(np.eye(dim) - np.outer(v, v.conj()))
+            frames[i] = u[:, :dim - 1]
+        else:
+            frames[i] = v[:, None]
+    return frames
 
 
 MIXED_RANKS = [(4, (2, 1, 3, 4, 1, 2, 3)), (3, (1, 2, 3, 2, 1)), (5, (4, 1, 2, 5, 4))]
@@ -444,43 +487,33 @@ class TestBatchedSearchAlgebra:
     @pytest.mark.parametrize("n,dim", [(7, 3), (8, 4), (8, 3)])
     def test_chain_start_frames(self, n, dim):
         # the complement frames, from one stacked SVD, equal the per-vector SVD's
-        base = unified_problem(n, dim, (1,) * n, margin=quantum.REQUIRED_MARGIN)
-        ranks, x0, _ = quantum._chain_start(n, dim, (False,) * n)
-        psi, vs = _odd_plane_vectors(n if n % 2 == 1 else n - 1)
-        if n % 2 == 0:
-            vs[n] = vs[1]
-        for i, z in enumerate(old_frames(replace(base, ranks=ranks), x0), start=1):
-            v = np.zeros(dim, dtype=complex)
-            v[:3] = vs[i]
-            if i % 2 == 1:
-                u, _, _ = np.linalg.svd(np.eye(dim) - np.outer(v, v.conj()))
-                assert np.array_equal(z, u[:, :dim - 1])
-            else:
-                assert np.array_equal(z, v[:, None])
+        start = quantum._chain_start(n, dim, (False,) * n)
+        for i, z in per_vector_chain_frames(n, dim).items():
+            assert np.array_equal(start.frames[i], old_canonical_frame(z))
 
     def test_found_frames_are_the_canonical_chain_frames(self):
         n, dim = 8, 4
         found = find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n),
                                          dim, seed=1)
-        base = unified_problem(n, dim, (1,) * n, margin=quantum.REQUIRED_MARGIN)
-        ranks, x0, _ = quantum._chain_start(n, dim, (False,) * n)
-        assert [found.rank(i) for i in range(1, n + 1)] == list(ranks)
-        for i, z in enumerate(old_frames(replace(base, ranks=ranks), x0), start=1):
+        assert found is quantum._chain_start(n, dim, (False,) * n)
+        assert [found.rank(i) for i in range(1, n + 1)] == [dim - 1, 1] * (n // 2)
+        for i, z in per_vector_chain_frames(n, dim).items():
             assert np.array_equal(found.frames[i], old_canonical_frame(z))
 
 
 class TestChainStartCache:
     def test_built_once_and_read_only(self):
-        _, x0, _ = quantum._chain_start(7, 3, (False,) * 7)
-        assert quantum._chain_start(7, 3, (False,) * 7)[1] is x0
-        assert not x0.flags.writeable
+        start = quantum._chain_start(7, 3, (False,) * 7)
+        assert quantum._chain_start(7, 3, (False,) * 7) is start
+        assert not start.state.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            x0[0] = 1.0
-        assert quantum._chain_start(7, 3, (True,) + (False,) * 6)[1] is not x0
+            start.state[0] = 1.0
+        flipped = quantum._chain_start(7, 3, (True,) + (False,) * 6)
+        assert flipped is not start
+        assert (start.rank(1), flipped.rank(1)) == (2, 1)
 
     def test_candidate_built_once_and_read_only(self):
-        cand = quantum._chain_start(7, 3, (False,) * 7)[2]
-        assert quantum._chain_start(7, 3, (False,) * 7)[2] is cand
+        cand = quantum._chain_start(7, 3, (False,) * 7)
         assert isinstance(cand, quantum.QuantumRealization)
         assert not cand.state.flags.writeable
         assert not any(f.flags.writeable for f in cand.frames.values())
@@ -492,11 +525,7 @@ class TestChainStartCache:
         n, dim = 7, 3
         s, target = make_cycle_scenario(n), unified_ncycle_behavior(n)
         found = [find_quantum_realization(s, target, dim, seed=seed) for seed in (1, 2)]
-        assert realization_to_doc(found[0]) == realization_to_doc(found[1])
-        ranks, x0, _ = quantum._chain_start(n, dim, _ladder_flips(target))
-        base = unified_problem(n, dim, (1,) * n, margin=quantum.REQUIRED_MARGIN)
-        for i, z in enumerate(old_frames(replace(base, ranks=ranks), x0), start=1):
-            assert np.array_equal(found[1].frames[i], old_canonical_frame(z))
+        assert found[0] is found[1] is quantum._chain_start(n, dim, _ladder_flips(target))
 
 
 def four_ladders():
@@ -536,22 +565,6 @@ class TestHardyStart:
                 for seed in (1, 2, 7)]
         assert docs[0] == docs[1] == docs[2]
 
-    def test_rejected_start_descends_from_the_hardy_start(self, monkeypatch):
-        monkeypatch.setattr(quantum, "REQUIRED_MARGIN", 0.5)    # the start gives 0.09
-        calls, lm = [], quantum._levenberg_marquardt
-
-        def recorded(prob, x0, max_iters):
-            calls.append((prob.ranks, x0))
-            return lm(prob, x0, max_iters)
-
-        monkeypatch.setattr(quantum, "_levenberg_marquardt", recorded)
-        out = find_quantum_realization(make_cycle_scenario(4), unified_ncycle_behavior(4), 4,
-                                       seed=1, budget=10)
-        assert isinstance(out, SearchFailure)
-        ranks, x0, _ = quantum._chain_start(4, 4, (False,) * 4)
-        assert calls[0][0] == ranks == (2, 2, 2, 2)
-        assert np.array_equal(calls[0][1], x0)
-
     def test_ladder_flips_read_once_per_search(self, monkeypatch):
         calls, flips = [], quantum._ladder_flips
 
@@ -567,7 +580,7 @@ class TestHardyStart:
         for s, target, dim, budget in searches:
             find_quantum_realization(s, target, dim, seed=1, budget=budget)
         assert calls == [4, 4, 6, 7]
-        monkeypatch.setattr(quantum, "REQUIRED_MARGIN", 0.5)    # the start is descended from
+        monkeypatch.setattr(quantum, "REQUIRED_MARGIN", 0.5)    # the start is rejected
         find_quantum_realization(make_cycle_scenario(5), unified_ncycle_behavior(5), 3,
                                  seed=1, budget=5)
         assert calls == [4, 4, 6, 7, 5]
