@@ -209,19 +209,9 @@ def cmd_search_realization(args: argparse.Namespace) -> int:
     target = unified_ncycle_behavior(n)
     result = find_quantum_realization(s, target, dim, seed=seed, budget=args.budget)
     if isinstance(result, SearchFailure):
-        doc = {
-            "command": "search", "n": n, "dim": dim, "seed": seed,
-            "success": False,
-            "best_objective": result.best_objective,
-            "forbidden_max": result.forbidden_max,
-            "commutator_max": result.commutator_max,
-            "required_min": result.required_min,
-            "iterations_used": result.iterations_used,
-            "attempts": result.attempts,
-            "message": result.message,
-        }
-        _emit(args, doc, f"search failed: {result.message} "
-                         f"(best objective {result.best_objective:.3e})\n")
+        doc = {"command": "search", "n": n, "dim": dim, "seed": seed,
+               "success": False, "message": result.message}
+        _emit(args, doc, f"search failed: {result.message}\n")
         return EXIT_CHECK_FAILURE
     doc = {"command": "search", "n": n, "dim": dim, "seed": seed,
            "success": True, "realization": realization_to_doc(result)}

@@ -14,22 +14,9 @@ anywhere in this module; the textbook sequential-update computation lives in
 ``behavior_from_realization`` share one pass over all requested pairs: the
 realization's ``commutator_norms`` gives every ||[P_i, P_j]||_F (the first
 pair above ALG_TOL raises), and two stacked products form every amplitude.
-
-``find_quantum_realization`` searches for a realization of a possibilistic
-cycle target by least squares over the state and the frames. One residual
-vector r(x) holds every constraint:
-
-    the amplitudes Q_b Q_a psi of each forbidden tuple (a, b) of a context,
-    the entries of the commutator [P_i, P_j] of each context,
-    the hinge max(0, margin - p(s|C)) of each required tuple,
-
-and ``_PenaltyProblem.residual`` returns it with its analytic Jacobian,
-or without it when asked. A Levenberg-Marquardt loop (Gauss-Newton steps
-with adaptive damping) minimizes ||r||^2 from each start and renormalizes
-the state after every accepted step; each of its iterations counts against
-the search budget. Trial points cost r alone, and the Jacobian is built only
-at an accepted point from which a step is taken. The loop stops once
-||r||^2 <= 1e-30 len(r), every entry at rounding level on average.
+Each table is checked once: ``born_pair``'s by ``PairDistribution``, and
+``behavior_from_realization``'s by ``Behavior``, where a bad table is a
+``RealizationError``.
 
 A ``QuantumRealization`` validates its state, then each frame in the
 caller's order (shape, then finite, then orthonormal; the first failure
@@ -41,30 +28,26 @@ The accessors return fixed row views, and ``commutator_norms`` is the one
 routine for ||[P_i, P_j]||_F, which the pair statistics and ``ewf``'s
 certificates both read; the stack layout is private to this module.
 
-The search works on the same stacked form: the residual projects all frames
-of one rank with one gram, condition and solve, forms the amplitudes and the
-context commutators in stacked products, and an accepted point's frames are
-orthonormalized with one QR per rank.
-
-A target that is an outcome relabeling of the unified ladder gets one
-exact start when it has an exact construction, and any other target
-starts with the seeded random restarts. For n >= 5 and dim >= 3 that is
-a qutrit chain of adjacent-orthogonal real vectors (the planar chain for
-odd n; for even n the chain for n - 1 with v_n = v_1), each frame the
-vector or its orthocomplement according to the label's parity and flip;
-its required probability is at least 0.111 at every odd n up to 2001.
-For n = 4 and dim >= 4 it is Hardy's two-qubit product realization, each
-frame a qubit vector or its orthogonal one, times the other qubit. With a
-budget above 0, the exact start's realization goes through the
-acceptance test before any residual is formed. It is never descended
-from: a rejected start leaves only the seeded restarts. The residual is
-never the acceptance signal, only the rank of a failure: every
-candidate, the exact start or a descended point, passes one acceptance
-test. Its ``behavior_from_realization`` tables must hold
-every forbidden probability <= ``FORBIDDEN_TOL`` and the required one
->= ``REQUIRED_MARGIN`` (a non-commuting context rejects it), and its
-``possibilistic_collapse`` must lie within the target and contain the
-required tuple.
+``find_quantum_realization`` tests one candidate: the exact start of a
+relabeled unified ladder whose supports lie inside the target's. The ladder
+with flips f forbids only (f_i, 1 - f_{i+1}) on each context (i, i+1),
+allows every tuple of the closing context (1, n) and requires (f_1,
+1 - f_n) there, so a realization of it realizes every target that forbids a
+subset of those tuples and requires the same one. For n >= 5 and dim >= 3
+the start is a qutrit chain of adjacent-orthogonal real vectors (the planar
+chain for odd n; for even n the chain for n - 1 with v_n = v_1), each frame
+the vector or its orthocomplement according to the label's parity and flip;
+its required probability is at least 0.111 at every odd n up to 2001. For
+n = 4 and dim >= 4 it is Hardy's two-qubit product realization, each frame
+a qubit vector or its orthogonal one, times the other qubit. The start's
+cached realization passes one acceptance test or is rejected: its
+``behavior_from_realization`` tables must hold every forbidden probability
+<= ``FORBIDDEN_TOL`` and the required one >= ``REQUIRED_MARGIN`` (a
+non-commuting context rejects it), and its ``possibilistic_collapse`` must
+lie within the target and contain the required tuple. Every other request
+(a smaller n or dim, a target that contains no relabeled ladder, a zero
+budget, an infeasible target) is a ``SearchFailure`` at once, whose message
+says why; no numerical descent is run.
 
 Two fixed inputs are built once per process: ``kcbs_realization``
 returns one shared realization, and per (n, dim, flips) the exact start's
@@ -77,21 +60,20 @@ still tests its candidate, and every statistic is computed on each call.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .linalg import ALG_TOL, normalized
-from .ncycle import FlipMask, relabel, unified_ncycle_behavior
 from .scenario import (
     Behavior,
     PossibilisticBehavior,
     Scenario,
+    ScenarioError,
     make_cycle_scenario,
     possibilistic_collapse,
     supports_within,
@@ -100,9 +82,6 @@ from .scenario import (
 # Success thresholds for the realization search.
 FORBIDDEN_TOL = 1e-10
 REQUIRED_MARGIN = 1e-3
-
-MAX_RESTARTS = 50
-ITERS_PER_RESTART = 2000
 
 # label pairs per batched product of ``QuantumRealization.commutator_norms``
 PAIR_CHUNK = 4096
@@ -252,9 +231,9 @@ def kcbs_realization() -> QuantumRealization:
     return QuantumRealization(3, eta, {i: v.reshape(3, 1) for i, v in vecs.items()})
 
 
-def _pair_distributions(r: QuantumRealization,
-                        pairs: Sequence[tuple[int, int]]) -> list[PairDistribution]:
-    """Joint outcome distributions of compatible pairs, all in one pass.
+def _pair_tables(r: QuantumRealization,
+                 pairs: Sequence[tuple[int, int]]) -> list[dict[tuple[int, int], float]]:
+    """Joint outcome tables of compatible pairs, all in one pass, unchecked.
 
     The norms of ``r.commutator_norms`` decide compatibility: the first pair
     in the given order above ALG_TOL raises ``NoncommutingError``. The
@@ -273,8 +252,7 @@ def _pair_distributions(r: QuantumRealization,
     v = r._stacks[None, :2, j] @ u[:, None, :, :, None]     # [a, b, pair]
     norm2 = np.add.reduce(v.real * v.real, 3) + np.add.reduce(v.imag * v.imag, 3)
     probs = (np.sqrt(norm2[..., 0]) ** 2).transpose(2, 0, 1).tolist()
-    return [PairDistribution(pair, {(0, 0): p0[0], (0, 1): p0[1], (1, 0): p1[0], (1, 1): p1[1]})
-            for pair, (p0, p1) in zip(pairs, probs)]
+    return [{(0, 0): p0[0], (0, 1): p0[1], (1, 0): p1[0], (1, 1): p1[1]} for p0, p1 in probs]
 
 
 def born_pair(r: QuantumRealization, i: int, j: int) -> PairDistribution:
@@ -284,15 +262,21 @@ def born_pair(r: QuantumRealization, i: int, j: int) -> PairDistribution:
     applied to the prepared state, keyed (a_i, a_j) in argument order. A
     pair whose commutator norm exceeds ALG_TOL raises ``NoncommutingError``.
     """
-    return _pair_distributions(r, [(i, j)])[0]
+    return PairDistribution((i, j), _pair_tables(r, [(i, j)])[0])
 
 
 def behavior_from_realization(r: QuantumRealization, s: Scenario) -> Behavior:
-    """Fill every context table of the scenario from the realization."""
+    """Fill every context table of the scenario from the realization.
+
+    ``Behavior`` checks each table once; a table it rejects raises
+    ``RealizationError``.
+    """
     if any(len(c) != 2 for c in s.contexts):
         raise RealizationError("only two-measurement contexts are supported here")
-    dists = _pair_distributions(r, s.contexts)
-    return Behavior(s, {c: dict(d.probabilities) for c, d in zip(s.contexts, dists)})
+    try:
+        return Behavior(s, dict(zip(s.contexts, _pair_tables(r, s.contexts))))
+    except ScenarioError as exc:
+        raise RealizationError(str(exc)) from None
 
 
 # --- realization search -----------------------------------------------------
@@ -300,248 +284,12 @@ def behavior_from_realization(r: QuantumRealization, s: Scenario) -> Behavior:
 
 @dataclass(frozen=True)
 class SearchFailure:
-    """A search that ended without a verified realization.
+    """A search that returned no realization; ``message`` says why."""
 
-    ``best_objective`` is ||r||^2 of the best start and the three measures
-    are read from that start's residual (``required_min`` is capped at the
-    margin). ``iterations_used`` counts Levenberg-Marquardt iterations.
-    """
-
-    best_objective: float
-    forbidden_max: float
-    commutator_max: float
-    required_min: float
-    iterations_used: int
-    attempts: int
     message: str
 
 
-def _projectors(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P = Z (Z^dag Z)^{-1} Z^dag of each frame in a stack of equal rank, and
-    W = Z (Z^dag Z)^{-1}, from one stacked gram, condition and solve.
-
-    Raises ``FloatingPointError`` when some gram matrix is near-singular.
-    """
-    zh = z.conj().transpose(0, 2, 1)
-    gram = zh @ z
-    if np.any(np.linalg.cond(gram) > 1e12):
-        raise FloatingPointError("degenerate frame")
-    w = np.linalg.solve(gram, zh).conj().transpose(0, 2, 1)
-    return w @ zh, w
-
-
-@dataclass
-class _PenaltyProblem:
-    """Residual vector r(x) over (state, frames), with its analytic Jacobian.
-
-    Parameters are packed as a flat real vector: the unnormalized state
-    followed by one unconstrained dim x k complex matrix per measurement,
-    each split into real and imaginary parts. The frame's projector is
-    computed exactly as Z (Z^dag Z)^{-1} Z^dag, which makes the probability
-    formulas exact at every iterate without an orthonormality constraint.
-    Frames of equal rank are read from x and projected as one stack.
-    """
-
-    n: int
-    dim: int
-    ranks: Sequence[int]
-    forbidden: Sequence[tuple[tuple[int, int], tuple[int, int]]]
-    required: Sequence[tuple[tuple[int, int], tuple[int, int]]]
-    contexts: Sequence[tuple[int, int]]
-    margin: float = REQUIRED_MARGIN
-    # label - 1 -> the slice of x holding its frame
-    _spans: list[slice] = field(init=False, repr=False, compare=False)
-    # per rank: the labels - 1 and the positions in x of the real and
-    # imaginary parts of their frames, shaped (labels, dim, rank)
-    _groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        init=False, repr=False, compare=False)
-    # (i, j, a, b) of the forbidden tuples and then the required ones, and
-    # (i, j) of the contexts, as index arrays with labels - 1
-    _tuples: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    _contexts: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        d, pos, starts = self.dim, 2 * self.dim, []
-        for k in self.ranks:
-            starts.append(pos)
-            pos += 2 * d * k
-        self._spans = [slice(a, a + 2 * d * k) for a, k in zip(starts, self.ranks)]
-        by_rank: dict[int, list[int]] = {}
-        for label, k in enumerate(self.ranks):
-            by_rank.setdefault(k, []).append(label)
-        self._groups = []
-        for k, labels in by_rank.items():
-            re = (np.array([starts[i] for i in labels])[:, None] + np.arange(d * k)).reshape(-1, d, k)
-            self._groups.append((np.array(labels), re, re + d * k))
-        tuples = [(i - 1, j - 1, a, b) for (i, j), (a, b) in (*self.forbidden, *self.required)]
-        self._tuples = tuple(np.array(tuples, dtype=np.intp).reshape(-1, 4).T)
-        self._contexts = tuple(np.array(self.contexts, dtype=np.intp).reshape(-1, 2).T - 1)
-
-    def num_params(self) -> int:
-        return 2 * self.dim + sum(2 * self.dim * k for k in self.ranks)
-
-    @staticmethod
-    def pack(state: np.ndarray, zs: Sequence[np.ndarray]) -> np.ndarray:
-        parts = [np.concatenate([state.real, state.imag])]
-        for z in zs:
-            f = np.asarray(z, dtype=complex).ravel()
-            parts.append(np.concatenate([f.real, f.imag]))
-        return np.concatenate(parts)
-
-    def frame_stacks(self, x: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-        """The raw state and, per rank, the labels - 1 with their stacked frames."""
-        d = self.dim
-        s = x[:d] + 1j * x[d:2 * d]
-        return s, [(labels, x[re] + 1j * x[im]) for labels, re, im in self._groups]
-
-    def residual(self, x: np.ndarray,
-                 jacobian: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-        """r(x) and its Jacobian dr/dx (None when ``jacobian`` is false).
-
-        With psi the normalized state, P_i the projector of frame i and Q
-        its outcome projector (P for outcome 1, 1 - P for outcome 0), r
-        stacks the real and imaginary parts of Q_b Q_a psi for every
-        forbidden tuple (a, b) of context (i, j), then those of [P_i, P_j]
-        for every context, then max(0, margin - ||Q_b Q_a psi||^2) for every
-        required tuple. The projectors of each rank, the amplitudes and the
-        commutators are each formed in stacked products, r from them either
-        way, and the Jacobian rows read the same stacked values. Raises
-        ``FloatingPointError`` at a degenerate state or frame.
-        """
-        d, size = self.dim, len(x)
-        eye = np.eye(d)
-        s, groups = self.frame_stacks(x)
-        ns = np.linalg.norm(s)
-        if ns < 1e-12:
-            raise FloatingPointError("degenerate state")
-        psi = s / ns
-        projs = np.empty((self.n, d, d), dtype=complex)
-        # per label, the derivative of P_i along each of its parameters
-        # (dP = A + A^dag, A = (1 - P) dZ (Z^dag Z)^{-1} Z^dag)
-        dprojs: list[np.ndarray] = [None] * self.n
-        for labels, z in groups:
-            p, w = _projectors(z)
-            projs[labels] = p
-            if jacobian:
-                a = np.einsum("mxp,myq->mpqxy", eye - p, w.conj()).reshape(len(labels), -1, d, d)
-                a = np.concatenate([a, 1j * a], axis=1)
-                dprojs_k = a + a.conj().transpose(0, 1, 3, 2)
-                for label, dp in zip(labels, dprojs_k):
-                    dprojs[label] = dp
-
-        ti, tj, ta, tb = self._tuples
-        outcome = np.stack([eye - projs, projs])
-        qa, qb = outcome[ta, ti], outcome[tb, tj]
-        u = qa @ psi
-        v = (qb @ u[..., None])[..., 0]
-        ci, cj = self._contexts
-        pi, pj = projs[ci], projs[cj]
-        comm = pi @ pj - pj @ pi
-        nf, nc = len(self.forbidden), len(ci)
-        hinges = [self.margin - float(np.vdot(vt, vt).real) for vt in v[nf:]]
-        r = np.concatenate([
-            np.concatenate([v[:nf].real, v[:nf].imag], axis=1).ravel(),
-            np.concatenate([comm.real.reshape(nc, d * d), comm.imag.reshape(nc, d * d)],
-                           axis=1).ravel(),
-            [max(0.0, h) for h in hinges]])
-        if not jacobian:
-            return r, None
-
-        # one row per parameter: the derivative of psi, and of each amplitude
-        dpsi = np.concatenate([eye - np.outer(psi.real, psi),
-                               1j * eye - np.outer(psi.imag, psi)]) / ns
-        dv_psi = dpsi @ (qb @ qa).transpose(0, 2, 1)
-        forb, req = [], []
-        for t, (i, j, a, b) in enumerate(zip(ti, tj, ta, tb)):
-            dv = np.zeros((size, d), dtype=complex)
-            dv[:2 * d] = dv_psi[t]
-            dv[self._spans[i]] += (1 if a == 1 else -1) * (dprojs[i] @ psi) @ qb[t].T
-            dv[self._spans[j]] += (1 if b == 1 else -1) * (dprojs[j] @ u[t])
-            if t < nf:
-                forb += [dv.real.T, dv.imag.T]
-            else:
-                hinge = hinges[t - nf]
-                req.append((-2.0 * (dv @ v[t].conj()).real if hinge > 0 else np.zeros(size))[None])
-        comms = []
-        for i, j, p_i, p_j in zip(ci, cj, pi, pj):
-            dk = np.zeros((size, d, d), dtype=complex)
-            dk[self._spans[i]] += dprojs[i] @ p_j - p_j @ dprojs[i]
-            dk[self._spans[j]] += p_i @ dprojs[j] - dprojs[j] @ p_i
-            comms += [dk.real.reshape(size, -1).T, dk.imag.reshape(size, -1).T]
-        return r, np.concatenate(forb + comms + req)
-
-    def measures(self, r: np.ndarray) -> tuple[float, float, float]:
-        """(fmax, cmax, rmin) read from a residual vector.
-
-        fmax is the largest forbidden probability, cmax the largest context
-        commutator norm and rmin the smallest required probability, capped
-        at the margin (1.0 when nothing is required).
-        """
-        d, nf, nc = self.dim, len(self.forbidden), len(self.contexts)
-        split = 2 * d * nf
-        forb = r[:split].reshape(nf, 2 * d)
-        comm = r[split:split + 2 * d * d * nc].reshape(nc, 2 * d * d)
-        hinge = r[split + 2 * d * d * nc:]
-        fmax = float(np.max(np.sum(forb * forb, axis=1), initial=0.0))
-        cmax = float(np.sqrt(np.max(np.sum(comm * comm, axis=1), initial=0.0)))
-        rmin = self.margin - float(np.max(hinge)) if len(hinge) else 1.0
-        return fmax, cmax, rmin
-
-
-def _levenberg_marquardt(prob: _PenaltyProblem, x0: np.ndarray, max_iters: int):
-    """Minimize ||r||^2 by Gauss-Newton steps with adaptive damping.
-
-    Every trial step, accepted or rejected, is one iteration. Each trial
-    point's raw state is renormalized before it is evaluated, so every
-    accepted point carries a unit state. Trial points cost r alone; the
-    Jacobian is built only at an accepted point from which a step is taken,
-    so a start that is already converged never builds one. The loop stops
-    once ||r||^2 falls to 1e-30 len(r) (every entry at rounding level),
-    after ``max_iters`` iterations, or after 30 iterations in a row that do
-    not cut ||r||^2 by a tenth. Returns (point, residual, log of accepted
-    ||r||^2 values, iterations); the log is non-increasing by construction
-    and the residual is None when the start itself is degenerate.
-    """
-    d = prob.dim
-    x = x0.copy()
-    try:
-        r, _ = prob.residual(x, jacobian=False)
-    except FloatingPointError:
-        return x, None, [np.inf], 0
-    val = float(r @ r)
-    log = [val]
-    floor = 1e-30 * len(r)
-    jac = None
-    lam, ref, stale, it = 1e-3, val, 0, 0
-    while it < max_iters and val > floor and stale < 30:
-        if jac is None:
-            _, jac = prob.residual(x)
-        it += 1
-        grad = jac.T @ r
-        step = np.linalg.solve(jac.T @ jac + lam * np.eye(len(x)), -grad)
-        xn = x + step
-        xn[:2 * d] /= max(np.linalg.norm(xn[:2 * d]), 1e-300)
-        try:
-            rn, _ = prob.residual(xn, jacobian=False)
-            vn = float(rn @ rn)
-        except FloatingPointError:
-            vn = np.inf
-        if vn < val:
-            x, r, jac, val = xn, rn, None, vn
-            log.append(val)
-            # the floor keeps the solve regular along the directions that
-            # leave r unchanged (state scale, frame gauge Z -> Z M)
-            lam = max(lam / 3.0, 1e-12)
-        else:
-            lam *= 4.0
-        if val < 0.9 * ref:
-            ref, stale = val, 0
-        else:
-            stale += 1
-    return x, r, log, it
-
-
-# --- structured starting points ---------------------------------------------
+# --- exact starts -----------------------------------------------------------
 
 
 def _odd_plane_vectors(n: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
@@ -599,29 +347,36 @@ def _complement_frames(vecs: np.ndarray) -> np.ndarray:
 
 
 def _ladder_flips(target: PossibilisticBehavior) -> tuple[bool, ...] | None:
-    """Per-label outcome flips that carry the unified ladder onto the target.
+    """Per-label outcome flips of a relabeled unified ladder that lies inside
+    the target, or None when the target contains none.
 
-    The unified ladder forbids (0, 1) on every context (i, i+1), so a flip of
-    label i shows in the first slot of that context's one forbidden tuple
-    and a flip of i+1 in the second. Returns None unless the target equals
-    ``relabel(unified_ncycle_behavior(n), mask)`` for the flips so read,
-    required tuple included.
+    The ladder with flips f forbids only (f_i, 1 - f_{i+1}) on each context
+    (i, i+1), allows every tuple of the closing context (1, n) and requires
+    (f_1, 1 - f_n) there. Its supports lie inside the target's exactly when
+    each adjacent context of the target forbids nothing or only that tuple,
+    the closing context has full support and the required tuple is that
+    one. f is read from these constraints, and a label that none of them
+    fixes takes False; two constraints that clash, or a context that forbids
+    two tuples, leave no ladder.
     """
-    s = target.scenario
+    s, req = target.scenario, target.required
     n = s.n
-    if s != make_cycle_scenario(n):
+    closing = (1, n)
+    if s != make_cycle_scenario(n) or req is None or req[0] != closing:
         return None
-    forbidden = []
+    if not target.supports[closing].issuperset(s.tuples(closing)):
+        return None
+    a, b = req[1]
+    flips = {1: a == 1, n: b == 0}
     for i in range(1, n):
         missing = set(s.tuples((i, i + 1))) - target.supports[(i, i + 1)]
-        if len(missing) != 1:
+        if len(missing) > 1:
             return None
-        forbidden.append(missing.pop())
-    flips = tuple(a == 1 for a, _ in forbidden) + (forbidden[-1][1] == 0,)
-    ladder = relabel(unified_ncycle_behavior(n), FlipMask(dict(enumerate(flips, start=1))))
-    if ladder != target or ladder.required != target.required:
-        return None
-    return flips
+        for a, b in missing:
+            for label, flip in ((i, a == 1), (i + 1, b == 0)):
+                if flips.setdefault(label, flip) != flip:
+                    return None
+    return tuple(flips.get(i, False) for i in range(1, n + 1))
 
 
 def _hardy_start(dim: int, flips: tuple[bool, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -677,26 +432,6 @@ def _chain_start(n: int, dim: int, flips: tuple[bool, ...]) -> QuantumRealizatio
     return QuantumRealization(dim, normalized(_embed(psi, dim)), frames)
 
 
-def _candidate_starts(prob: _PenaltyProblem, seed: int):
-    """Seeded random restarts over a small set of rank patterns.
-
-    Yields (ranks, x0) pairs, without end.
-    """
-    n, dim = prob.n, prob.dim
-    patterns: list[tuple[int, ...]] = [tuple([1] * n)]
-    if dim >= 3:
-        patterns.append(tuple(dim - 1 if i % 2 == 1 else 1 for i in range(1, n + 1)))
-    if dim >= 4:
-        patterns.append(tuple([dim // 2] * n))
-    for k in itertools.count():
-        ranks = patterns[k % len(patterns)]
-        rng = np.random.default_rng([abs(seed), 3, k])
-        state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        zs = [rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
-              for r in ranks]
-        yield ranks, prob.pack(state / np.linalg.norm(state), zs)
-
-
 def _canonical_frames(z: np.ndarray) -> np.ndarray:
     """Orthonormalize a stack of frames and fix column phases so serialization
     is stable: each column's first entry above 1e-8 in modulus is made real
@@ -707,20 +442,6 @@ def _canonical_frames(z: np.ndarray) -> np.ndarray:
     # hypot, not np.abs: the vectorized complex abs rounds differently in
     # the last bit, which would change the serialized frames
     return q * np.conj(top / np.hypot(top.real, top.imag))
-
-
-def _canonical_point(prob: _PenaltyProblem, x: np.ndarray) -> QuantumRealization | None:
-    """The realization of the normalized state and the canonical frames at
-    x, or None when they do not make a valid one."""
-    state, groups = prob.frame_stacks(x)
-    frames = {}
-    for labels, z in groups:
-        frames.update(zip(labels.tolist(), _canonical_frames(z)))
-    state = normalized(state)
-    try:
-        return QuantumRealization(prob.dim, state, {i + 1: frames[i] for i in range(prob.n)})
-    except RealizationError:
-        return None
 
 
 def _accepted(s: Scenario, target: PossibilisticBehavior, cand: QuantumRealization) -> bool:
@@ -751,29 +472,28 @@ def find_quantum_realization(
     target: PossibilisticBehavior,
     dim: int,
     seed: int = 0,
-    budget: int = MAX_RESTARTS * ITERS_PER_RESTART,
+    budget: int = 1,
 ) -> QuantumRealization | SearchFailure:
-    """Search for a realization whose support collapse matches the target.
+    """A realization whose support collapse lies inside the target, or a
+    ``SearchFailure`` whose message says why there is none.
 
-    The forbidden set is the complement of the target supports; the
-    required-possible set is the target's annotated required tuple when
-    present. A candidate is accepted by one test on its realized behavior:
-    forbidden probabilities <= 1e-10, the required probability >= 1e-3, no
-    non-commuting context, and a support collapse that stays inside the
-    target supports and contains the required tuple. A commuting-pair
-    realization always has extra zeros beyond the target's forbidden list
-    (a commuting rank-1 pair is parallel or orthogonal, either of which
-    kills one more tuple per context), so containment rather than support
-    equality is the faithful acceptance test.
+    The one candidate is the cached exact start of a relabeled unified
+    ladder whose supports lie inside the target's (``_ladder_flips``): the
+    qutrit chain for n >= 5 and dim >= 3, Hardy's two-qubit realization for
+    n = 4 and dim >= 4. It is returned when it passes the acceptance test on
+    its realized behavior: forbidden probabilities <= 1e-10, the required
+    probability >= 1e-3, no non-commuting context, and a support collapse
+    that stays inside the target supports and contains the required tuple.
+    A commuting-pair realization always has extra zeros beyond the target's
+    forbidden list (a commuting rank-1 pair is parallel or orthogonal,
+    either of which kills one more tuple per context), so containment
+    rather than support equality is the faithful acceptance test.
 
-    A relabeled unified ladder with an exact start (n >= 5 and dim >= 3,
-    or n = 4 and dim >= 4) and a budget above 0 first tests that start's
-    cached realization, and returns it when it passes; the start is never
-    descended from. Otherwise the budget counts Levenberg-Marquardt
-    iterations across the seeded restarts, at most ``ITERS_PER_RESTART``
-    per start; every descended point is tested, and
-    on exhaustion a ``SearchFailure`` is returned whose ``best_objective``
-    is ||r||^2 of the best start.
+    ``budget`` is the number of candidates the search may test, so 0 tests
+    none and any budget above 0 gives the same result; ``seed`` does not
+    change it either. An infeasible target, a smaller n or dim, a target
+    that contains no relabeled ladder, a zero budget and a rejected start
+    each return a ``SearchFailure`` at once.
     """
     if target.scenario.contexts != s.contexts:
         raise RealizationError("target does not live on the given scenario")
@@ -782,46 +502,19 @@ def find_quantum_realization(
     n = s.n
     for c in s.contexts:
         if not target.supports[c]:
-            return SearchFailure(np.inf, np.inf, np.inf, 0.0, 0, 0,
-                                 f"infeasible target: context {c} forbids every outcome")
-
-    exact = n >= 5 and dim >= 3 or n == 4 and dim >= 4
-    flips = _ladder_flips(target) if exact else None
-    if flips is not None and budget > 0:
-        cand = _chain_start(n, dim, flips)
-        if _accepted(s, target, cand):
-            return cand
-
-    forbidden = []
-    for c in s.contexts:
-        for t in s.tuples(c):
-            if t not in target.supports[c]:
-                forbidden.append((c, t))
-    required = [target.required] if target.required is not None else []
-    base = _PenaltyProblem(n, dim, tuple([1] * n), tuple(forbidden),
-                           tuple(required), tuple(s.contexts))
-
-    best = (np.inf, np.inf, np.inf, 0.0)
-    used = 0
-    attempts = 0
-    for ranks, x0 in _candidate_starts(base, seed):
-        if used >= budget or attempts >= MAX_RESTARTS:
-            break
-        attempts += 1
-        prob = replace(base, ranks=ranks)
-        iters = min(ITERS_PER_RESTART, budget - used)
-        x, r, _log, it = _levenberg_marquardt(prob, x0, iters)
-        used += max(it, 1)
-        if r is None:
-            continue
-        val = float(r @ r)
-        if val < best[0]:
-            best = (val, *prob.measures(r))
-        cand = _canonical_point(prob, x)
-        if cand is not None and _accepted(s, target, cand):
-            return cand
-    return SearchFailure(best[0], best[1], best[2], best[3], used, attempts,
-                         "budget exhausted without a verified realization")
+            return SearchFailure(f"infeasible target: context {c} forbids every outcome")
+    if n < 4 or dim < (4 if n == 4 else 3):
+        return SearchFailure(f"no exact start for n = {n} in dimension {dim}: the qutrit "
+                             "chain needs n >= 5 and dim >= 3, Hardy's start n = 4 and dim >= 4")
+    flips = _ladder_flips(target)
+    if flips is None:
+        return SearchFailure("no exact start: the target contains no relabeled unified ladder")
+    if budget <= 0:
+        return SearchFailure(f"a budget of {budget} tests no candidate")
+    cand = _chain_start(n, dim, flips)
+    if _accepted(s, target, cand):
+        return cand
+    return SearchFailure("the exact start of the contained ladder failed the acceptance test")
 
 
 # --- serialization ----------------------------------------------------------

@@ -130,9 +130,10 @@ class TestSearch:
                                        "--seed", "1", "--budget", "1200",
                                        "--format", "json"])
         assert code == 1
-        doc = json.loads(payload)
-        assert doc["success"] is False
-        assert doc["best_objective"] > 0
+        assert json.loads(payload) == {
+            "command": "search", "n": 5, "dim": 2, "seed": 1, "success": False,
+            "message": "no exact start for n = 5 in dimension 2: the qutrit chain needs "
+                       "n >= 5 and dim >= 3, Hardy's start n = 4 and dim >= 4"}
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CYCLECTX_SEED", "9")
@@ -151,13 +152,16 @@ class TestSearch:
         assert json.loads(payload)["dim"] == dim
 
     def test_nonfinite_objective_is_null_in_json(self, tmp_path):
-        # with no iterations the search never evaluates a start
+        # a zero budget tests no candidate; the failure document carries the
+        # message and no measure of any start
         code, payload = run(tmp_path, ["search", "--n", "5", "--budget", "0",
                                        "--format", "json"])
         assert code == 1
-        doc = json.loads(payload)
-        assert doc["success"] is False
-        assert doc["best_objective"] is None
+        assert json.loads(payload) == {
+            "command": "search", "n": 5, "dim": 3, "seed": 1, "success": False,
+            "message": "a budget of 0 tests no candidate"}
+        code, payload = run(tmp_path, ["search", "--n", "5", "--budget", "0"])
+        assert (code, payload) == (1, "search failed: a budget of 0 tests no candidate\n")
 
 
 class TestVerifyAll:
@@ -262,7 +266,7 @@ class TestUsage:
         assert len(captured.err.splitlines()) == 1
 
     def test_zero_budget_is_not_a_usage_error(self, capsys):
-        # the search runs and finds nothing with no iterations to spend
+        # the search runs and tests no candidate with a zero budget
         assert main(["search", "--n", "5", "--budget", "0"]) == 1
         assert "usage error" not in capsys.readouterr().err
 

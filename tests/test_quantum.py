@@ -18,7 +18,8 @@ from cyclectx.quantum import (
     kcbs_realization,
     realization_from_doc,
     realization_to_doc,
-    _pair_distributions,
+    _accepted,
+    _pair_tables,
 )
 from cyclectx.scenario import (
     check_no_disturbance,
@@ -111,6 +112,24 @@ class TestBehaviorFromRealization:
         b = behavior_from_realization(kcbs, cycle5)
         for c in cycle5.contexts:
             assert abs(sum(b.tables[c].values()) - 1) < 1e-12
+
+    def test_tables_built_without_pair_distributions(self, kcbs, cycle5, monkeypatch):
+        def unreachable(self):
+            raise AssertionError("a PairDistribution was built")
+
+        want = {c: born_pair(kcbs, *c).probabilities for c in cycle5.contexts}
+        monkeypatch.setattr(PairDistribution, "__post_init__", unreachable)
+        assert behavior_from_realization(kcbs, cycle5).tables == want
+
+    @pytest.mark.parametrize("state", [np.full(3, np.nan), np.array([1.1, 0.0, 0.0])],
+                             ids=["nan", "unnormalized"])
+    def test_bad_table_is_a_realization_error(self, kcbs, cycle5, state):
+        # bypass the constructor's state check to exercise the table check
+        r = QuantumRealization(3, kcbs.state, kcbs.frames)
+        object.__setattr__(r, "state", state.astype(complex))
+        with pytest.raises(RealizationError):
+            behavior_from_realization(r, cycle5)
+        assert _accepted(cycle5, odd_ncycle_behavior(5), r) is False
 
 
 def _pair_norms(r, s):
@@ -487,10 +506,11 @@ class TestProjectorAlgebra:
         frames[3] = np.array([[0.6], [0.0], [0.8]], dtype=complex)
         r = QuantumRealization(3, kcbs.state, frames)
         with pytest.raises(NoncommutingError, match="measurements 4 and 3 do not commute"):
-            _pair_distributions(r, [(1, 2), (4, 3), (2, 3)])
+            _pair_tables(r, [(1, 2), (4, 3), (2, 3)])
         with pytest.raises(NoncommutingError, match="measurements 2 and 3 do not commute"):
-            _pair_distributions(r, [(1, 2), (2, 3), (4, 3)])
-        assert [d.context for d in _pair_distributions(r, [(4, 5), (1, 2)])] == [(4, 5), (1, 2)]
+            _pair_tables(r, [(1, 2), (2, 3), (4, 3)])
+        assert _pair_tables(r, [(4, 5), (1, 2)]) == [born_pair(r, 4, 5).probabilities,
+                                                     born_pair(r, 1, 2).probabilities]
 
     def test_missing_labels_are_realization_errors(self, kcbs):
         with pytest.raises(RealizationError, match=r"no measurement for labels \[9\]"):

@@ -1,12 +1,11 @@
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cyclectx import quantum
-from cyclectx.linalg import ALG_TOL, normalized
+from cyclectx.linalg import ALG_TOL
 from cyclectx.ewf import paradox_report
 from cyclectx.ncycle import (
     FlipMask,
@@ -18,10 +17,7 @@ from cyclectx.ncycle import (
     unified_ncycle_behavior,
 )
 from cyclectx.quantum import (
-    _PenaltyProblem,
-    _candidate_starts,
     _ladder_flips,
-    _levenberg_marquardt,
     _odd_plane_vectors,
     SearchFailure,
     behavior_from_realization,
@@ -36,123 +32,31 @@ from cyclectx.scenario import (
 )
 
 
-def unified_problem(n, dim, ranks, margin=0.5):
-    # a wide margin keeps the required-tuple hinge active at random points
-    forb = tuple(((i, i + 1), (0, 1)) for i in range(1, n))
-    req = (((1, n), (0, 1)),)
-    ctxs = tuple((i, i + 1) for i in range(1, n)) + ((1, n),)
-    return _PenaltyProblem(n, dim, ranks, forb, req, ctxs, margin=margin)
+def opened(ladder, *contexts):
+    """The ladder with the given contexts opened to full support: no longer a
+    relabeled ladder, but it still contains this one."""
+    supports = dict(ladder.supports)
+    for c in contexts:
+        supports[c] = frozenset(ladder.scenario.tuples(c))
+    return PossibilisticBehavior(ladder.scenario, supports, required=ladder.required)
 
 
 def opened_four_cycle():
-    """The unified 4-cycle with context (1, 2) opened to full support: no
-    relabeling of the ladder, so it has no exact start and is descended to."""
-    unified = unified_ncycle_behavior(4)
-    supports = dict(unified.supports)
-    supports[(1, 2)] = frozenset(unified.scenario.tuples((1, 2)))
-    return PossibilisticBehavior(unified.scenario, supports, required=unified.required)
-
-
-class CountingProblem:
-    """Wraps a problem and counts the residual evaluations that build a Jacobian."""
-
-    def __init__(self, prob):
-        self.prob, self.dim, self.jacobians = prob, prob.dim, 0
-
-    def residual(self, x, jacobian=True):
-        self.jacobians += jacobian
-        return self.prob.residual(x, jacobian)
+    """The unified 4-cycle with context (1, 2) opened to full support."""
+    return opened(unified_ncycle_behavior(4), (1, 2))
 
 
 @pytest.fixture
-def lm_calls(monkeypatch):
-    """Per ``_levenberg_marquardt`` call of a search: (Jacobians built, log, iterations)."""
-    calls = []
-    lm = quantum._levenberg_marquardt
+def tested(monkeypatch):
+    """The candidates a search passes to the acceptance test, in order."""
+    cands, accepted = [], quantum._accepted
 
-    def counted(prob, x0, max_iters):
-        wrapped = CountingProblem(prob)
-        x, r, log, it = lm(wrapped, x0, max_iters)
-        calls.append((wrapped.jacobians, log, it))
-        return x, r, log, it
+    def counted(s, target, cand):
+        cands.append(cand)
+        return accepted(s, target, cand)
 
-    monkeypatch.setattr(quantum, "_levenberg_marquardt", counted)
-    return calls
-
-
-class TestGradient:
-    @pytest.mark.parametrize("dim,ranks", [(3, (1, 1, 1, 1, 1)), (4, (2, 1, 2, 1, 3))])
-    def test_matches_finite_differences(self, dim, ranks):
-        prob = unified_problem(5, dim, ranks)
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal(prob.num_params())
-        r, jac = prob.residual(x)
-        assert r[-1] > 0
-        h = 1e-6
-        num = np.zeros_like(jac)
-        for k in range(len(x)):
-            xp = x.copy(); xp[k] += h
-            xm = x.copy(); xm[k] -= h
-            num[:, k] = (prob.residual(xp)[0] - prob.residual(xm)[0]) / (2 * h)
-        scale = max(1.0, float(np.max(np.abs(num))))
-        assert np.max(np.abs(jac - num)) / scale < 1e-6
-
-
-class TestDescent:
-    def test_log_is_monotone(self):
-        prob = unified_problem(5, 3, (1, 1, 1, 1, 1))
-        x0 = np.random.default_rng(3).standard_normal(prob.num_params())
-        _, r, log, _ = _levenberg_marquardt(prob, x0, 300)
-        assert len(log) > 1 and log[-1] == float(r @ r)
-        assert all(log[k + 1] <= log[k] for k in range(len(log) - 1))
-
-    @pytest.mark.parametrize("dim,ranks", [(3, (1, 1, 1, 1, 1)), (4, (2, 1, 2, 1, 3))])
-    def test_residual_without_jacobian_is_bit_identical(self, dim, ranks):
-        prob = unified_problem(5, dim, ranks)
-        rng = np.random.default_rng(12)
-        for _ in range(5):
-            x = rng.standard_normal(prob.num_params())
-            r, jac = prob.residual(x)
-            r_only, none = prob.residual(x, jacobian=False)
-            assert jac is not None and none is None
-            assert np.array_equal(r, r_only)
-
-    def test_exact_start_builds_no_jacobian(self, lm_calls):
-        # the accepted chain start is never descended from
-        r = find_quantum_realization(make_cycle_scenario(6), unified_ncycle_behavior(6), 4,
-                                     seed=1)
-        assert not isinstance(r, SearchFailure)
-        assert lm_calls == []
-
-    def test_jacobian_only_where_a_step_is_taken(self, lm_calls):
-        r = find_quantum_realization(make_cycle_scenario(4), opened_four_cycle(), 4, seed=1)
-        assert not isinstance(r, SearchFailure)
-        assert sum(it for _, _, it in lm_calls) > 0
-        for jacobians, log, it in lm_calls:
-            assert jacobians <= min(len(log), it)
-
-    def test_floor_scales_with_residual_length(self):
-        # at n = 100 the exact chain start sits at rounding level, above
-        # 1e-30 in total but far below 1e-30 per residual entry
-        n, dim = 100, 3
-        target = unified_ncycle_behavior(n)
-        base = unified_problem(n, dim, (1,) * n, margin=quantum.REQUIRED_MARGIN)
-        start = quantum._chain_start(n, dim, _ladder_flips(target))
-        ranks = tuple(start.rank(i) for i in range(1, n + 1))
-        x0 = _PenaltyProblem.pack(start.state, [start.frames[i] for i in range(1, n + 1)])
-        prob = CountingProblem(replace(base, ranks=ranks))
-        _, r, log, it = _levenberg_marquardt(prob, x0, 100)
-        assert 1e-30 < log[0] <= 1e-30 * len(r)
-        assert (it, prob.jacobians) == (0, 0)
-        found = find_quantum_realization(make_cycle_scenario(n), target, dim, seed=1)
-        assert not isinstance(found, SearchFailure)
-        assert paradox_report(found, n, target=target).verdict
-
-    def test_iteration_budget_respected(self):
-        prob = unified_problem(5, 3, (1, 1, 1, 1, 1))
-        x0 = np.random.default_rng(4).standard_normal(prob.num_params())
-        _, _, _, used = _levenberg_marquardt(prob, x0, 25)
-        assert used <= 25
+    monkeypatch.setattr(quantum, "_accepted", counted)
+    return cands
 
 
 class TestFind:
@@ -197,17 +101,18 @@ class TestFind:
     def test_dim2_five_cycle_fails_with_budget_report(self):
         s = make_cycle_scenario(5)
         out = find_quantum_realization(s, odd_ncycle_behavior(5), 2, seed=1, budget=1500)
-        assert isinstance(out, SearchFailure)
-        assert np.isfinite(out.best_objective)
-        assert out.iterations_used <= 1500
-        assert out.attempts >= 1
+        assert out == SearchFailure("no exact start for n = 5 in dimension 2: the qutrit chain "
+                                    "needs n >= 5 and dim >= 3, Hardy's start n = 4 and dim >= 4")
 
-    def test_budget_bounds_every_iteration(self):
-        # a target with no exact start needs iterations to descend
-        out = find_quantum_realization(make_cycle_scenario(4), opened_four_cycle(), 4,
-                                       seed=1, budget=1)
-        assert isinstance(out, SearchFailure)
-        assert out.iterations_used <= 1 and out.attempts == 1
+    def test_budget_bounds_every_iteration(self, tested):
+        # the budget counts tested candidates, and the search has one
+        s, target = make_cycle_scenario(4), opened_four_cycle()
+        assert isinstance(find_quantum_realization(s, target, 4, seed=1, budget=0), SearchFailure)
+        assert tested == []
+        for budget in (1, 10 ** 6):
+            found = find_quantum_realization(s, target, 4, seed=1, budget=budget)
+            assert found is quantum._chain_start(4, 4, (False,) * 4)
+        assert len(tested) == 2
 
     def test_exact_start_needs_one_iteration(self):
         out = find_quantum_realization(make_cycle_scenario(6), unified_ncycle_behavior(6), 4,
@@ -269,53 +174,35 @@ class TestChainStart:
                 assert paradox_report(r, n, target=target).verdict
 
     @pytest.mark.parametrize("n", range(5, 17))
-    def test_accepted_without_descent_as_the_cached_candidate(self, n, lm_calls):
+    def test_accepted_without_descent_as_the_cached_candidate(self, n):
         s = make_cycle_scenario(n)
         for target in ladder_targets(n):
             for dim in (3, 4):
                 r = find_quantum_realization(s, target, dim, seed=1)
                 assert not isinstance(r, SearchFailure), (target.kind, dim)
                 assert r is quantum._chain_start(n, dim, _ladder_flips(target))
-        assert lm_calls == []
 
-    def test_accepted_start_builds_no_problem(self, monkeypatch, lm_calls):
+    def test_accepted_start_builds_no_problem(self):
         n, dim = 8, 4
         s, target = make_cycle_scenario(n), unified_ncycle_behavior(n)
         first = find_quantum_realization(s, target, dim, seed=1)      # fills the caches
-        built, post_init = [], _PenaltyProblem.__post_init__
-
-        def counted(self):
-            built.append(self.n)
-            post_init(self)
-
-        monkeypatch.setattr(_PenaltyProblem, "__post_init__", counted)
         again = find_quantum_realization(s, target, dim, seed=2)
         assert realization_to_doc(again) == realization_to_doc(first)
-        assert built == [] and lm_calls == []
 
     @pytest.mark.parametrize("n, dim", [(4, 4), (5, 3), (6, 4)])
-    def test_rejected_start_falls_through_to_the_restarts(self, n, dim, monkeypatch):
+    def test_rejected_start_is_a_failure(self, n, dim, monkeypatch):
         monkeypatch.setattr(quantum, "REQUIRED_MARGIN", 0.6)    # above every start
-        calls, lm = [], quantum._levenberg_marquardt
-
-        def recorded(prob, x0, max_iters):
-            calls.append((prob.ranks, x0))
-            return lm(prob, x0, max_iters)
-
-        monkeypatch.setattr(quantum, "_levenberg_marquardt", recorded)
         out = find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n), dim,
                                        seed=1, budget=10)
         assert isinstance(out, SearchFailure)
-        ranks, x0 = next(_candidate_starts(unified_problem(n, dim, (1,) * n), 1))
-        assert calls[0][0] == ranks and np.array_equal(calls[0][1], x0)
-        assert out.attempts == len(calls)
+        assert "failed the acceptance test" in out.message
 
-    def test_zero_budget_tests_no_candidate(self, lm_calls):
+    def test_zero_budget_tests_no_candidate(self, tested):
         out = find_quantum_realization(make_cycle_scenario(7), unified_ncycle_behavior(7), 3,
                                        seed=1, budget=0)
         assert isinstance(out, SearchFailure)
-        assert (out.attempts, out.iterations_used) == (0, 0)
-        assert lm_calls == []
+        assert out.message == "a budget of 0 tests no candidate"
+        assert tested == []
 
     def test_acceptance_reads_the_realized_behavior(self):
         s, kcbs = make_cycle_scenario(5), quantum.kcbs_realization()
@@ -327,20 +214,6 @@ class TestChainStart:
         swapped[1], swapped[3] = kcbs.frames[3], kcbs.frames[1]     # (3, 4) no longer commutes
         noncommuting = quantum.QuantumRealization(kcbs.dim, kcbs.state, swapped)
         assert quantum._accepted(s, odd_ncycle_behavior(5), noncommuting) is False
-
-    def test_canonical_point_is_a_realization_or_none(self):
-        n, dim = 5, 3
-        prob = unified_problem(n, dim, (1,) * n)
-        ranks, x0 = next(_candidate_starts(prob, 1))
-        assert ranks == prob.ranks
-        cand = quantum._canonical_point(prob, x0)
-        assert np.array_equal(cand.state, normalized(x0[:dim] + 1j * x0[dim:2 * dim]))
-        for i, z in enumerate(old_frames(prob, x0), start=1):
-            assert np.array_equal(cand.frames[i], old_canonical_frame(z))
-        x = x0.copy()
-        x[-1] = np.nan                  # a frame with a non-finite entry is no realization
-        with np.errstate(invalid="ignore"):
-            assert quantum._canonical_point(prob, x) is None
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_flips_read_from_the_target(self, n):
@@ -360,20 +233,22 @@ class TestChainStart:
         closed[(1, n)] = unified.supports[(1, n)] - {(1, 1)}
         closing_forbids = PossibilisticBehavior(unified.scenario, closed,
                                                 required=unified.required)
-        first_restart = next(_candidate_starts(unified_problem(n, dim, (1,) * n), 1))
-        calls, lm = [], quantum._levenberg_marquardt
+        narrowed = dict(unified.supports)
+        narrowed[(3, 4)] = unified.supports[(3, 4)] - {(1, 0)}
+        two_forbidden = PossibilisticBehavior(unified.scenario, narrowed,
+                                              required=unified.required)
+        no_required = PossibilisticBehavior(unified.scenario, unified.supports)
 
-        def recorded(prob, x0, max_iters):
-            calls.append((prob.ranks, x0))
-            return lm(prob, x0, max_iters)
+        def unreachable(*args):
+            raise AssertionError("a start was built")
 
-        monkeypatch.setattr(quantum, "_levenberg_marquardt", recorded)
-        for target in (wrong_required, closing_forbids):
+        monkeypatch.setattr(quantum, "_chain_start", unreachable)
+        for target in (wrong_required, closing_forbids, two_forbidden, no_required):
             assert _ladder_flips(target) is None
-            calls.clear()
-            find_quantum_realization(make_cycle_scenario(n), target, dim, seed=1, budget=1)
-            assert calls[0][0] == first_restart[0]
-            assert np.array_equal(calls[0][1], first_restart[1])
+            out = find_quantum_realization(make_cycle_scenario(n), target, dim, seed=1, budget=1)
+            assert isinstance(out, SearchFailure)
+            assert out.message == ("no exact start: the target contains no relabeled "
+                                   "unified ladder")
 
     # the best overlap over the (theta0, c) grid, from a scalar math-module
     # loop over the same grid and recursion
@@ -394,13 +269,12 @@ class TestLongChains:
             assert abs(vs[1] @ psi) ** 2 >= 0.11, n
 
     @pytest.mark.parametrize("n", [101, 112, 113, 115, 151, 152, 401, 1001])
-    def test_relabeled_ladders_accepted_without_descent(self, n, lm_calls):
+    def test_relabeled_ladders_accepted_without_descent(self, n):
         s = make_cycle_scenario(n)
         for target in ladder_targets(n):
             for dim in (3, 4):
                 r = find_quantum_realization(s, target, dim, seed=1)
                 assert r is quantum._chain_start(n, dim, _ladder_flips(target)), (n, dim)
-        assert lm_calls == []
 
     @pytest.mark.parametrize("n", [113, 151])
     def test_paradox_on_long_chains(self, n):
@@ -408,16 +282,6 @@ class TestLongChains:
         r = find_quantum_realization(make_cycle_scenario(n), target, 3, seed=1)
         rep = paradox_report(r, n, target=target)
         assert rep.verdict and rep.counterfactual.value > 0.4
-
-
-def old_frames(prob, x):
-    """The frames read from x one label at a time, as the unbatched residual did."""
-    d, pos, zs = prob.dim, 2 * prob.dim, []
-    for k in prob.ranks:
-        m = d * k
-        zs.append((x[pos:pos + m] + 1j * x[pos + m:pos + 2 * m]).reshape(d, k))
-        pos += 2 * m
-    return zs
 
 
 def old_canonical_frame(z):
@@ -454,27 +318,6 @@ MIXED_RANKS = [(4, (2, 1, 3, 4, 1, 2, 3)), (3, (1, 2, 3, 2, 1)), (5, (4, 1, 2, 5
 
 
 class TestBatchedSearchAlgebra:
-    @pytest.mark.parametrize("dim,ranks", MIXED_RANKS)
-    def test_projectors_match_per_frame_formula(self, dim, ranks):
-        prob = unified_problem(len(ranks), dim, ranks)
-        x = np.random.default_rng(21).standard_normal(prob.num_params())
-        zs = old_frames(prob, x)
-        state, groups = prob.frame_stacks(x)
-        assert np.array_equal(state, x[:dim] + 1j * x[dim:2 * dim])
-        assert sorted(i for labels, _ in groups for i in labels) == list(range(len(ranks)))
-        for labels, z in groups:
-            p, _ = quantum._projectors(z)
-            for label, z_k, p_k in zip(labels, z, p):
-                assert np.array_equal(z_k, zs[label])
-                w = np.linalg.solve(z_k.conj().T @ z_k, z_k.conj().T).conj().T
-                assert np.array_equal(p_k, w @ z_k.conj().T)
-
-    def test_degenerate_frame_in_a_stack(self):
-        z = np.random.default_rng(2).standard_normal((3, 4, 2)).astype(complex)
-        z[1, :, 1] = z[1, :, 0]
-        with pytest.raises(FloatingPointError, match="degenerate frame"):
-            quantum._projectors(z)
-
     @pytest.mark.parametrize("dim,ranks", MIXED_RANKS)
     def test_canonical_frames_match_per_frame_fix(self, dim, ranks):
         rng = np.random.default_rng([dim, len(ranks)])
@@ -521,7 +364,7 @@ class TestChainStartCache:
             cand.frames[1] = cand.frames[2]
 
     def test_seeds_accept_the_same_chain_start(self):
-        # the chain start precedes every seeded restart, and is accepted at once
+        # every seed tests the one cached chain start, and accepts it
         n, dim = 7, 3
         s, target = make_cycle_scenario(n), unified_ncycle_behavior(n)
         found = [find_quantum_realization(s, target, dim, seed=seed) for seed in (1, 2)]
@@ -537,7 +380,7 @@ def four_ladders():
 
 class TestHardyStart:
     @pytest.mark.parametrize("dim", [4, 5, 6])
-    def test_every_relabeled_four_ladder_accepted_without_descent(self, dim, lm_calls):
+    def test_every_relabeled_four_ladder_accepted_without_descent(self, dim):
         s = make_cycle_scenario(4)
         hardy = (5 * math.sqrt(5) - 11) / 2
         for target in four_ladders():
@@ -556,7 +399,6 @@ class TestHardyStart:
                 else:               # 1 (x) B
                     b = np.einsum("abad->bd", q) / 2
                     assert np.linalg.norm(p[:4, :4] - np.kron(eye, b)) <= ALG_TOL
-        assert lm_calls == []
 
     @pytest.mark.parametrize("dim", [4, 5])
     def test_same_realization_for_every_seed(self, dim):
@@ -584,3 +426,99 @@ class TestHardyStart:
         find_quantum_realization(make_cycle_scenario(5), unified_ncycle_behavior(5), 3,
                                  seed=1, budget=5)
         assert calls == [4, 4, 6, 7, 5]
+
+
+def scalar_flips(target):
+    """Each label's flip read in a plain loop: label i < n from the first slot
+    of the one tuple (i, i + 1) forbids, label n from the second slot of the
+    one tuple (n - 1, n) forbids."""
+    n = target.scenario.n
+    flips = []
+    for i in range(1, n):
+        (forbidden,) = set(target.scenario.tuples((i, i + 1))) - target.supports[(i, i + 1)]
+        flips.append(forbidden[0] == 1)
+    return tuple(flips) + (forbidden[1] == 0,)
+
+
+def masks(n):
+    """Every flip mask for n <= 10, and 40 seeded ones above."""
+    if n <= 10:
+        return [FlipMask(dict(enumerate(bits, start=1)))
+                for bits in itertools.product((False, True), repeat=n)]
+    rng = np.random.default_rng([n, 7])
+    return [FlipMask({i: bool(b) for i, b in enumerate(rng.integers(0, 2, n), start=1)})
+            for _ in range(40)]
+
+
+class TestContainedLadders:
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_flips_of_every_relabeled_ladder(self, n):
+        unified = unified_ncycle_behavior(n)
+        for mask in masks(n):
+            target = relabel(unified, mask)
+            flips = _ladder_flips(target)
+            assert flips == scalar_flips(target)
+            assert flips == tuple(mask.flipped(i) for i in range(1, n + 1))
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_every_opened_four_cycle_target_from_one_candidate(self, dim, tested):
+        s, found = make_cycle_scenario(4), 0
+        for ladder in four_ladders():
+            for c in [(1, 2), (2, 3), (3, 4)]:
+                target = opened(ladder, c)
+                assert target != ladder
+                flips = _ladder_flips(target)
+                assert flips == _ladder_flips(ladder)
+                tested.clear()
+                r = find_quantum_realization(s, target, dim, seed=1)
+                assert r is quantum._chain_start(4, dim, flips)
+                assert len(tested) == 1
+                pb = possibilistic_collapse(behavior_from_realization(r, s))
+                assert supports_within(pb, target) and pb.possible(*target.required)
+                found += 1
+        assert found == 48
+
+    @pytest.mark.parametrize("n", [5, 7, 8, 12, 101])
+    def test_opened_targets_from_one_candidate(self, n, tested):
+        s = make_cycle_scenario(n)
+        openings = [((1, 2),), ((n // 2, n // 2 + 1),), ((n - 1, n),), ((2, 3), (3, 4))]
+        for ladder in ladder_targets(n)[1:3]:
+            for contexts in openings:
+                target = opened(ladder, *contexts)
+                flips = _ladder_flips(target)
+                # label 3 sits between the two opened contexts, so nothing fixes it
+                want = list(_ladder_flips(ladder))
+                if len(contexts) == 2:
+                    want[2] = False
+                assert flips == tuple(want)
+                for dim in (3, 4):
+                    tested.clear()
+                    r = find_quantum_realization(s, target, dim, seed=1)
+                    assert r is quantum._chain_start(n, dim, flips), (contexts, dim)
+                    assert len(tested) == 1
+
+    @pytest.mark.parametrize("n, dim", [(4, 2), (4, 3), (6, 2), (101, 2)])
+    def test_small_dimension_fails_at_once(self, n, dim, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a candidate was built")
+
+        for name in ("_ladder_flips", "_chain_start", "_accepted"):
+            monkeypatch.setattr(quantum, name, unreachable)
+        out = find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n), dim,
+                                       seed=1, budget=1200)
+        assert isinstance(out, SearchFailure)
+        assert out.message.startswith(f"no exact start for n = {n} in dimension {dim}:")
+
+    def test_clashing_constraints_leave_no_ladder(self):
+        # (1, 2) forbids (0, 1), so label 2 is not flipped; (2, 3) forbids
+        # (1, 1), so label 2 is flipped
+        n = 6
+        unified = unified_ncycle_behavior(n)
+        supports = dict(unified.supports)
+        full = frozenset(unified.scenario.tuples((2, 3)))
+        supports[(2, 3)] = full - {(1, 1)}
+        clash = PossibilisticBehavior(unified.scenario, supports, required=unified.required)
+        assert _ladder_flips(clash) is None
+        supports[(2, 3)] = full
+        assert _ladder_flips(PossibilisticBehavior(unified.scenario, supports,
+                                                   required=unified.required)) == (False,) * n
