@@ -27,6 +27,8 @@ import io
 import math
 import os
 import sys
+from collections.abc import Callable
+
 import numpy as np
 
 from . import jsonio
@@ -102,13 +104,14 @@ def _to_csv(doc) -> str:
     return buf.getvalue()
 
 
-def _emit(args: argparse.Namespace, doc: dict, text: str) -> None:
+def _emit(args: argparse.Namespace, doc: dict, text: Callable[[], str]) -> None:
+    """Write the report in the requested format; ``text`` renders it only for text."""
     if args.format == "json":
         payload = jsonio.dumps(doc)
     elif args.format == "csv":
         payload = _to_csv(doc)
     else:
-        payload = text
+        payload = text()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -128,25 +131,28 @@ def cmd_demo5(args: argparse.Namespace) -> int:
         if not (math.isfinite(value) and value > 0):
             raise UsageError(f"{flag} must be finite and strictly positive, got {value}")
     rep = paradox_report(kcbs_realization(), 5, tol=args.tol_prob, eps=args.eps)
-    doc = report_to_doc(rep)
-    lines = [f"five-friend record protocol, convention {rep.convention}", ""]
-    lines.append("pairwise forbidden entries (read before the undo):")
-    for c in rep.pairwise:
-        lines.append(f"  context {c.context} tuple {c.forbidden} at {c.stage!r}: "
-                     f"{_frac(c.value)}  [{'ok' if c.passed else 'FAIL'}]")
-    chain = " => ".join(f"a{m}={v}" for m, v in rep.chain.steps)
-    lines.append(f"implication chain: {chain}")
-    cf = rep.counterfactual
-    lines.append(f"counterfactual joint {cf.context} tuple {cf.outcome_tuple}: "
-                 f"{_frac(cf.value)} (threshold {cf.threshold:g}) "
-                 f"[{'ok' if cf.passed else 'FAIL'}]")
-    lines.append("commutation certificates:")
-    for e in rep.certificates.required:
-        lines.append(f"  {e.label}: {e.norm:.3e}")
-    lines.append(f"truncation bounds: probability {rep.probability_bound:.3e}, "
-                 f"block {rep.block_bound:.3e}")
-    lines.append(f"verdict: {'contradiction certified' if rep.verdict else 'NOT certified'}")
-    _emit(args, doc, "\n".join(lines) + "\n")
+
+    def text() -> str:
+        lines = [f"five-friend record protocol, convention {rep.convention}", ""]
+        lines.append("pairwise forbidden entries (read before the undo):")
+        for c in rep.pairwise:
+            lines.append(f"  context {c.context} tuple {c.forbidden} at {c.stage!r}: "
+                         f"{_frac(c.value)}  [{'ok' if c.passed else 'FAIL'}]")
+        chain = " => ".join(f"a{m}={v}" for m, v in rep.chain.steps)
+        lines.append(f"implication chain: {chain}")
+        cf = rep.counterfactual
+        lines.append(f"counterfactual joint {cf.context} tuple {cf.outcome_tuple}: "
+                     f"{_frac(cf.value)} (threshold {cf.threshold:g}) "
+                     f"[{'ok' if cf.passed else 'FAIL'}]")
+        lines.append("commutation certificates:")
+        for e in rep.certificates.required:
+            lines.append(f"  {e.label}: {e.norm:.3e}")
+        lines.append(f"truncation bounds: probability {rep.probability_bound:.3e}, "
+                     f"block {rep.block_bound:.3e}")
+        lines.append(f"verdict: {'contradiction certified' if rep.verdict else 'NOT certified'}")
+        return "\n".join(lines) + "\n"
+
+    _emit(args, report_to_doc(rep), text)
     return EXIT_PASS if rep.verdict else EXIT_CHECK_FAILURE
 
 
@@ -182,18 +188,23 @@ def cmd_contextuality(args: argparse.Namespace) -> int:
         "behavior": possibilistic_to_doc(pb),
         "contextual": verdict.contextual,
     }
-    text = [f"{kind} {n}-cycle behavior: "
-            f"{'logically contextual' if verdict.contextual else 'not contextual'}"]
-    if verdict.witness is not None:
-        w = verdict.witness
+    w = verdict.witness
+    if w is not None:
         doc["witness"] = {
             "context": list(w.context),
             "tuple": list(w.outcome_tuple),
             "assignments_checked": w.fates.size,
         }
-        text.append(f"witness: tuple {w.outcome_tuple} in context {w.context}; "
-                    f"all {w.fates.size} extensions die")
-    _emit(args, doc, "\n".join(text) + "\n")
+
+    def text() -> str:
+        lines = [f"{kind} {n}-cycle behavior: "
+                 f"{'logically contextual' if verdict.contextual else 'not contextual'}"]
+        if w is not None:
+            lines.append(f"witness: tuple {w.outcome_tuple} in context {w.context}; "
+                         f"all {w.fates.size} extensions die")
+        return "\n".join(lines) + "\n"
+
+    _emit(args, doc, text)
     return EXIT_PASS if verdict.contextual else EXIT_CHECK_FAILURE
 
 
@@ -211,13 +222,17 @@ def cmd_search_realization(args: argparse.Namespace) -> int:
     if isinstance(result, SearchFailure):
         doc = {"command": "search", "n": n, "dim": dim, "seed": seed,
                "success": False, "message": result.message}
-        _emit(args, doc, f"search failed: {result.message}\n")
+        _emit(args, doc, lambda: f"search failed: {result.message}\n")
         return EXIT_CHECK_FAILURE
     doc = {"command": "search", "n": n, "dim": dim, "seed": seed,
            "success": True, "realization": realization_to_doc(result)}
-    ranks = ",".join(str(result.rank(i)) for i in sorted(result.frames))
-    _emit(args, doc, f"found a dim-{dim} realization of the unified {n}-cycle "
-                     f"behavior (projector ranks {ranks})\n")
+
+    def text() -> str:
+        ranks = ",".join(str(result.rank(i)) for i in sorted(result.frames))
+        return (f"found a dim-{dim} realization of the unified {n}-cycle "
+                f"behavior (projector ranks {ranks})\n")
+
+    _emit(args, doc, text)
     return EXIT_PASS
 
 
@@ -364,20 +379,18 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
         ("C7", "measure-undo-roundtrip", _crit_measure_undo, (kcbs,)),
         ("C8", "oracle-equivalence", _crit_oracles, (kcbs,)),
     ]
-    results = []
-    lines = []
-    failed = []
-    for cid, name, fn, params in criteria:
-        out = {"id": cid, "name": name, **fn(*params)}
-        results.append(out)
-        lines.append(f"{cid} {name}: {out['status'].upper()}")
-        if out["status"] == "fail":
-            failed.append(cid)
+    results = [{"id": cid, "name": name, **fn(*params)} for cid, name, fn, params in criteria]
+    failed = [out["id"] for out in results if out["status"] == "fail"]
     doc = {"command": "verify-all", "n_max": n_max, "seed": args.seed,
            "criteria": results, "passed": not failed}
-    lines.append("all criteria passed" if not failed else
-                 f"FAILED: {', '.join(failed)}")
-    _emit(args, doc, "\n".join(lines) + "\n")
+
+    def text() -> str:
+        lines = [f"{out['id']} {out['name']}: {out['status'].upper()}" for out in results]
+        lines.append("all criteria passed" if not failed else
+                     f"FAILED: {', '.join(failed)}")
+        return "\n".join(lines) + "\n"
+
+    _emit(args, doc, text)
     if failed:
         print(f"first failing criterion: {failed[0]}", file=sys.stderr)
         return EXIT_CHECK_FAILURE

@@ -48,9 +48,16 @@ form: a forbidden read passes only if ``(sqrt(p) + delta)^2 <= tol``, the
 counterfactual read only if ``max(sqrt(p) - delta, 0)^2 >= eps``. Both are
 never looser than ``p + 2 delta + delta^2 <= tol`` and ``p - 2 delta -
 delta^2 >= eps``, and a simulated zero still passes a 1e-20 threshold.
-The report reads the counterfactual schedule only at "before U", so it runs
-that schedule only up to there; its delta is the norm dropped up to the
-stage read, which bounds that read and is never larger than the full run's.
+
+A trace computes each stage the first time it is read: the read runs only
+the gates up to that stage that have not run yet, and ``truncation_at``
+gives the delta through that stage, which bounds every read there and is
+never larger than the full run's. ``stages``, ``states`` and
+``truncation`` run the whole schedule. A norm drift or a
+``BranchLimitError`` surfaces at the first read that needs the failing
+gate. The report reads the counterfactual schedule only at "before U", so
+of that schedule only M1 and Mn ever run, and its delta is the one through
+"before U".
 
 The certificates stay in the system space, since the X-strings are
 Frobenius-orthogonal with ``||X^f||_F^2 = 2^n``:
@@ -140,11 +147,16 @@ class Protocol:
     # read-only maps friend -> 1-based step position of its measurement / its undo
     measured: Mapping[int, int] = field(init=False, compare=False, repr=False)
     undone: Mapping[int, int] = field(init=False, compare=False, repr=False)
+    # the gate plan, (friend, record bit) per step, and stage name -> position
+    _plan: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
+    _stage_index: Mapping[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         measured: dict[int, int] = {}
         undone: dict[int, int] = {}
+        stage_index = {"initial": 0}
         for pos, st in enumerate(self.steps, start=1):
+            stage_index[f"after {st.label}"] = pos
             if not 1 <= st.friend <= self.n:
                 raise ProtocolError(f"friend {st.friend} outside 1..{self.n}")
             if st.kind == "measure":
@@ -159,8 +171,15 @@ class Protocol:
                 undone[st.friend] = pos
         if set(measured) != set(range(1, self.n + 1)):
             raise ProtocolError("every friend must be measured exactly once")
+        if self.kind == "counterfactual":
+            stage_index["before U"] = measured[self.n]
+        stage_index["final"] = len(self.steps)
         object.__setattr__(self, "measured", MappingProxyType(measured))
         object.__setattr__(self, "undone", MappingProxyType(undone))
+        # an undo applies its measurement's gate
+        object.__setattr__(self, "_plan", tuple((st.friend, 1 << (self.n - st.friend))
+                                                for st in self.steps))
+        object.__setattr__(self, "_stage_index", MappingProxyType(stage_index))
 
 
 @functools.lru_cache(typed=True)
@@ -283,13 +302,6 @@ def _record_gate(b: Branches, op: np.ndarray, bit: int) -> tuple[Branches, float
     return Branches(tuple(keys), u, norm2, tuple(weights)), math.sqrt(dropped2)
 
 
-def _run_gates(b: Branches, r: QuantumRealization, n: int, steps: Sequence[GateStep]):
-    """Yield (step, branches after it, norm dropped by it); an undo is its measurement's gate."""
-    for st in steps:
-        b, dropped = _record_gate(b, r.projector(st.friend), 1 << (n - st.friend))
-        yield st, b, dropped
-
-
 class _DenseStates(Sequence):
     """The flat d 2^n state of each stage, built when it is read."""
 
@@ -306,17 +318,69 @@ class _DenseStates(Sequence):
         return dense.reshape(-1)
 
 
-@dataclass(frozen=True)
 class SimulationTrace:
-    protocol: Protocol
-    dim: int
-    stages: tuple[Branches, ...]              # one per stage, index 0 = initial
-    stage_index: Mapping[str, int]
-    truncation: float                         # delta: norm dropped over the run
+    """The stages of a schedule run from state (x) |0...0>, each computed on first read.
+
+    Reading a stage runs the gates up to it that have not run yet, and keeps
+    every stage it passes; ``stages``, ``states`` and ``truncation`` run the
+    whole schedule. A norm drift (``ProtocolError``) or a ``BranchLimitError``
+    is raised by the first read that needs the failing gate.
+    """
+
+    def __init__(self, protocol: Protocol, r: QuantumRealization):
+        _require_friends(r, protocol.n)
+        self.protocol = protocol
+        self.dim = r.dim
+        self._realization = r
+        state = np.array(r.state, dtype=complex).reshape(1, r.dim)
+        self._stages = [_single_branch(state, float(np.vdot(state, state).real))]
+        self._deltas = [0.0]        # norm dropped through each stage
+
+    @property
+    def stage_index(self) -> Mapping[str, int]:
+        return self.protocol._stage_index
+
+    def _through(self, pos: int) -> Branches:
+        """Stage ``pos`` (0 is the initial one), running the gates it still needs."""
+        stages, deltas = self._stages, self._deltas
+        plan, r = self.protocol._plan, self._realization
+        while len(stages) <= pos:
+            step = len(stages) - 1
+            friend, bit = plan[step]
+            b, dropped = _record_gate(stages[-1], r.projector(friend), bit)
+            if not abs(b.norm2 - 1.0) <= ALG_TOL:   # a NaN norm fails too
+                raise ProtocolError(
+                    f"norm drifted to {b.norm2} at step {self.protocol.steps[step].label}")
+            stages.append(b)
+            deltas.append(deltas[-1] + dropped)
+        return stages[pos]
+
+    def _position(self, stage: str) -> int:
+        pos = self.stage_index.get(stage)
+        if pos is None:
+            raise UnknownStageError(stage)
+        return pos
+
+    @property
+    def stages(self) -> tuple[Branches, ...]:
+        """Every stage, index 0 = initial."""
+        self._through(len(self.protocol.steps))
+        return tuple(self._stages)
 
     @property
     def states(self) -> Sequence[np.ndarray]:
         return _DenseStates(self.stages, self.protocol.n, self.dim)
+
+    @property
+    def truncation(self) -> float:
+        """delta: the norm dropped over the whole run."""
+        return self.truncation_at("final")
+
+    def truncation_at(self, stage: str) -> float:
+        """The norm dropped up to ``stage``, which bounds every read there."""
+        pos = self._position(stage)
+        self._through(pos)
+        return self._deltas[pos]
 
 
 def _require_friends(r: QuantumRealization, n: int) -> None:
@@ -326,33 +390,12 @@ def _require_friends(r: QuantumRealization, n: int) -> None:
 
 
 def simulate(p: Protocol, r: QuantumRealization) -> SimulationTrace:
-    """Run the schedule from state (x) |0...0> and keep every stage."""
-    return _simulate_through(p, r, len(p.steps))
+    """The trace of the schedule from state (x) |0...0>; its stages run on first read.
 
-
-def _simulate_through(p: Protocol, r: QuantumRealization, last: int) -> SimulationTrace:
-    """Run the first ``last`` steps of the schedule as ``simulate`` does.
-
-    The trace holds the stages up to that step and its delta counts only
-    those steps; "final" is a stage only when every step ran.
+    A realization without a measurement for some friend 1..n raises
+    ``ProtocolError`` here.
     """
-    _require_friends(r, p.n)
-    state = np.array(r.state, dtype=complex).reshape(1, r.dim)
-    stages = [_single_branch(state, float(np.vdot(state, state).real))]
-    stage_index = {"initial": 0}
-    delta = 0.0
-    for pos, (st, b, dropped) in enumerate(
-            _run_gates(stages[0], r, p.n, p.steps[:last]), start=1):
-        delta += dropped
-        if not abs(b.norm2 - 1.0) <= ALG_TOL:   # a NaN norm fails too
-            raise ProtocolError(f"norm drifted to {b.norm2} at step {st.label}")
-        stages.append(b)
-        stage_index[f"after {st.label}"] = pos
-    if p.kind == "counterfactual" and p.measured[p.n] <= last:
-        stage_index["before U"] = p.measured[p.n]
-    if last == len(p.steps):
-        stage_index["final"] = last
-    return SimulationTrace(p, r.dim, tuple(stages), stage_index, delta)
+    return SimulationTrace(p, r)
 
 
 def register_marginal(t: SimulationTrace, stage: str,
@@ -363,13 +406,12 @@ def register_marginal(t: SimulationTrace, stage: str,
     attached; it is how one checks that an undo returned a record to the
     ready state. Keys follow the given record order.
     """
-    if stage not in t.stage_index:
-        raise UnknownStageError(stage)
-    b = t.stages[t.stage_index[stage]]
+    pos = t._position(stage)
     n = t.protocol.n
     for rec in records:
         if not 1 <= rec <= n:
             raise ProtocolError(f"record {rec} outside 1..{n}")
+    b = t._through(pos)
     # keys enumerate bits in ascending record label, reordered to argument order
     if len(records) == 2 and records[0] != records[1]:
         first, second = 1 << (n - records[0]), 1 << (n - records[1])
@@ -478,7 +520,8 @@ def _block_coefficients(r: QuantumRealization, std: Protocol) -> tuple[Branches,
     d = r.dim
     b = _single_branch(np.eye(d, dtype=complex).reshape(1, d * d), float(d))
     dropped = 0.0
-    for _, b, gate_dropped in _run_gates(b, r, std.n, std.steps[1:-1]):
+    for friend, bit in std._plan[1:-1]:
+        b, gate_dropped = _record_gate(b, r.projector(friend), bit)
         dropped += gate_dropped
     return b, dropped
 
@@ -622,11 +665,10 @@ def paradox_report(r: QuantumRealization, n: int, tol: float = PROB_TOL,
         raise CertificateError(f"commutation certificates failed: {bad}")
 
     trace = simulate(build_protocol(n), r)
-    # only "before U" of the counterfactual schedule is read, so it runs that far
-    cf = build_counterfactual_protocol(n)
-    cf_trace = _simulate_through(cf, r, cf.measured[n])
+    # only "before U" of the counterfactual schedule is read, so only M1 and Mn run
+    cf_trace = simulate(build_counterfactual_protocol(n), r)
     # sqrt(p_exact) lies within delta of sqrt(p) read from the kept branches
-    delta = max(trace.truncation, cf_trace.truncation)
+    delta = max(trace.truncation, cf_trace.truncation_at("before U"))
     pairwise = []
     for i in range(1, n):
         ctx = (i, i + 1)

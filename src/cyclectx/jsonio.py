@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -83,6 +82,7 @@ def _scalar(v: Any) -> str:
 
 def as_fraction_text(x: float) -> str:
     """Render ``x`` as p/q when it is within 1e-12 of a fraction with q <= 100."""
+    from fractions import Fraction      # only text reports use it; not imported at start-up
     fr = Fraction(x).limit_denominator(100)
     if abs(x - float(fr)) <= 1e-12:
         if fr.denominator == 1:

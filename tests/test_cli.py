@@ -57,6 +57,38 @@ class TestDemo5:
         assert payload.splitlines()[0] == "key,value"
 
 
+class TestRequestedFormatOnly:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [
+        ["demo5"],
+        ["verify-all", "--n-max", "6"],
+        ["contextuality", "--n", "7", "--kind", "odd"],
+        ["search", "--n", "5"],
+        ["search", "--n", "5", "--dim", "2"],
+    ], ids=["demo5", "verify-all", "contextuality", "search", "search-failure"])
+    def test_text_report_not_built(self, tmp_path, monkeypatch, argv, fmt):
+        def refused(*args):
+            raise AssertionError(f"text report built for --format {fmt}")
+
+        real = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda args, doc, text: real(args, doc, refused))
+        monkeypatch.setattr(cli.jsonio, "as_fraction_text", refused)
+        code, payload = run(tmp_path, argv + ["--format", fmt])
+        assert code in (0, 1) and payload
+
+    def test_text_report_built_for_text(self, tmp_path, monkeypatch):
+        rendered = []
+        real = cli._emit
+
+        def emit(args, doc, text):
+            rendered.append(text())
+            real(args, doc, text)
+
+        monkeypatch.setattr(cli, "_emit", emit)
+        code, payload = run(tmp_path, ["demo5"], "out.txt")
+        assert code == 0 and rendered == [payload]
+
+
 class TestContextuality:
     def test_odd_five(self, tmp_path):
         code, payload = run(tmp_path, ["contextuality", "--n", "5", "--kind", "odd",

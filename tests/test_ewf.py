@@ -25,7 +25,6 @@ from cyclectx.ewf import (
     build_protocol,
     commutation_certificates,
     _record_gate,
-    _simulate_through,
     paradox_report,
     record_distribution,
     register_marginal,
@@ -350,23 +349,11 @@ class TestSimulate:
 
     def test_noncommuting_growth_raises(self):
         r = random_rank1(20, 3, 31)
+        t = simulate(build_protocol(20), r)
         with pytest.raises(BranchLimitError):
-            simulate(build_protocol(20), r)
+            t.stages
         with pytest.raises(BranchLimitError):
             commutation_certificates(r, 20)
-
-    def test_partial_run_keeps_the_leading_stages(self, kcbs):
-        p = build_counterfactual_protocol(5)
-        full = simulate(p, kcbs)
-        part = _simulate_through(p, kcbs, p.measured[5])
-        assert set(part.stage_index) == {"initial", "after M1", "after M5", "before U"}
-        assert len(part.stages) == 3
-        for k, b in enumerate(part.stages):
-            assert b.keys == full.stages[k].keys
-            assert np.array_equal(b.values, full.stages[k].values)
-        assert part.truncation <= full.truncation
-        with pytest.raises(UnknownStageError):
-            record_distribution(part, "final", [5])
 
     def test_nan_norm_rejected(self, kcbs, monkeypatch):
         # NaN fails every comparison, so the drift check must be written so
@@ -378,14 +365,156 @@ class TestSimulate:
             return out._replace(norm2=math.nan), dropped
 
         monkeypatch.setattr(ewf, "_record_gate", poisoned)
+        t = simulate(build_protocol(5), kcbs)
         with pytest.raises(ProtocolError, match="nan"):
-            simulate(build_protocol(5), kcbs)
+            t.stages
 
     def test_missing_frame_rejected(self, kcbs):
         frames = {i: kcbs.frames[i] for i in range(1, 5)}
         r4 = QuantumRealization(3, kcbs.state, frames)
         with pytest.raises(ProtocolError):
             simulate(build_protocol(5), r4)
+
+
+def reference_stage_index(p):
+    """The stage names of a schedule, built as the steps go by."""
+    index = {"initial": 0}
+    for pos, st in enumerate(p.steps, start=1):
+        index[f"after {st.label}"] = pos
+    if p.kind == "counterfactual":
+        index["before U"] = p.measured[p.n]
+    index["final"] = len(p.steps)
+    return index
+
+
+def reference_trace(p, r):
+    """The stages and the delta through each stage of a step-by-step run.
+
+    A plain runner: every gate in order, with the drift check after each.
+    """
+    state = np.array(r.state, dtype=complex).reshape(1, r.dim)
+    real = state.view(np.float64)
+    stages = [Branches((0,), state, float(np.vdot(state, state).real),
+                       tuple(np.add.reduce(real * real, 1).tolist()))]
+    deltas = [0.0]
+    delta = 0.0
+    for st in p.steps:
+        b, dropped = _record_gate(stages[-1], r.projector(st.friend), 1 << (p.n - st.friend))
+        delta += dropped
+        assert abs(b.norm2 - 1.0) <= ALG_TOL
+        stages.append(b)
+        deltas.append(delta)
+    return stages, deltas
+
+
+def hardy_start():
+    return find_quantum_realization(make_cycle_scenario(4), unified_ncycle_behavior(4), 4,
+                                    seed=1)
+
+
+def reference_cases():
+    cases = [("kcbs", None, 5), ("hardy", None, 4)]
+    return cases + [("fixture", seed, n) for seed in (1, 7) for n in range(5, 16)]
+
+
+def reference_realization(kind, seed, n, kcbs):
+    if kind == "kcbs":
+        return kcbs
+    if kind == "hardy":
+        return hardy_start()
+    return rotated_case(n, seed)[0]
+
+
+class TestOnDemandTrace:
+    @pytest.mark.parametrize("n", [4, 5, 13, 101])
+    def test_counterfactual_read_runs_two_gates(self, n, kcbs, monkeypatch):
+        if n == 4:
+            r = hardy_start()
+        elif n == 5:
+            r = kcbs
+        else:
+            r = find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n), 3,
+                                         seed=1)
+        p = build_counterfactual_protocol(n)
+        calls = []
+        real = ewf._record_gate
+
+        def counted(b, op, bit):
+            calls.append(bit)
+            return real(b, op, bit)
+
+        monkeypatch.setattr(ewf, "_record_gate", counted)
+        t = simulate(p, r)
+        assert calls == []
+        first = record_distribution(t, "before U", [1, n])
+        assert len(calls) == p.measured[n] == 2
+        assert calls == [1 << (n - 1), 1]
+        assert record_distribution(t, "before U", [1, n]) == first
+        t.truncation_at("before U")
+        register_marginal(t, "after M1", [1])
+        with pytest.raises(UnknownStageError):
+            t.truncation_at("before M1")
+        assert len(calls) == 2
+
+    def test_unread_gates_never_run(self):
+        # no two of these measurements commute, so the whole counterfactual
+        # schedule would exceed the branch cap; its "before U" read does not
+        r = random_rank1(20, 3, 31)
+        t = simulate(build_counterfactual_protocol(20), r)
+        dist = record_distribution(t, "before U", [1, 20])
+        assert abs(sum(dist.values()) - 1.0) <= 1e-12
+        with pytest.raises(BranchLimitError):
+            t.truncation
+        # the failed read leaves the stages it reached readable
+        assert record_distribution(t, "before U", [1, 20]) == dist
+
+    @pytest.mark.parametrize("case", reference_cases(),
+                             ids=lambda c: c[0] if c[1] is None else f"seed{c[1]}-n{c[2]}")
+    @pytest.mark.parametrize("build", [build_protocol, build_counterfactual_protocol,
+                                       build_measure_undo_protocol],
+                             ids=["standard", "counterfactual", "measure-undo"])
+    def test_matches_step_by_step_run(self, case, build, kcbs):
+        r = reference_realization(*case, kcbs)
+        p = build(case[2])
+        stages, deltas = reference_trace(p, r)
+        stage_index = reference_stage_index(p)
+        t = simulate(p, r)
+        assert t.stage_index == stage_index
+        assert list(t.stage_index) == list(stage_index)
+        for name, pos in sorted(stage_index.items(), key=lambda kv: kv[1]):
+            assert t.truncation_at(name) == deltas[pos]
+        # from the last stage back: the first read runs every gate at once
+        t = simulate(p, r)
+        for name, pos in sorted(stage_index.items(), key=lambda kv: -kv[1]):
+            assert t.truncation_at(name) == deltas[pos]
+        assert t.truncation == deltas[-1]
+        got = t.stages
+        assert len(got) == len(stages) == len(p.steps) + 1
+        for b, ref in zip(got, stages):
+            assert b.keys == ref.keys
+            assert b.values.tobytes() == ref.values.tobytes()
+            assert b.norm2 == ref.norm2
+            assert b.weights == ref.weights
+
+    @pytest.mark.parametrize("n", range(4, 41))
+    def test_stage_index_of_every_builder(self, n):
+        for build in (build_protocol, build_counterfactual_protocol,
+                      build_measure_undo_protocol):
+            p = build(n)
+            assert dict(p._stage_index) == reference_stage_index(p)
+            assert list(p._stage_index) == list(reference_stage_index(p))
+            assert p._plan == tuple((st.friend, 1 << (n - st.friend)) for st in p.steps)
+
+    def test_stage_index_of_a_custom_protocol(self):
+        steps = (GateStep("measure", 2), GateStep("measure", 1), GateStep("undo", 2),
+                 GateStep("measure", 3), GateStep("undo", 1))
+        p = Protocol(3, steps)
+        assert dict(p._stage_index) == reference_stage_index(p) == {
+            "initial": 0, "after M2": 1, "after M1": 2, "after U2": 3, "after M3": 4,
+            "after U1": 5, "final": 5}
+        assert p._plan == ((2, 2), (1, 4), (2, 2), (3, 1), (1, 4))
+        with pytest.raises(TypeError):
+            p._stage_index["final"] = 0
 
 
 class TestReadabilityGate:
