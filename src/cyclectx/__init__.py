@@ -1,7 +1,7 @@
 """Cycle contextuality behaviors, quantum realizations, and a unitary
 friend/superobserver record protocol, with brute-force cross checks."""
 
-from .linalg import ALG_TOL, PROB_TOL, commutator_norm
+from .linalg import ALG_TOL, PROB_TOL
 from .scenario import (
     Behavior,
     ChainResult,

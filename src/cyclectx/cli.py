@@ -13,9 +13,13 @@ The argument parser is built once per process, on the first call of
 the same bytes as fresh processes. The library caches only pure
 constructions of their arguments (the KCBS realization, the search's exact
 start of each relabeled ladder with its candidate realization, the record
-schedules), and every check runs on every call; ``verify-all`` builds the
-KCBS paradox report once per call, and C4 reads its certificates where C6
-reads the report.
+schedules), and every check runs on every call. Within one call,
+``verify-all`` forms each statistic once: it builds each (kind, n) cycle
+behavior once and hands it to C2, C3 and C5 (C5 searches for it and passes
+it to ``paradox_report`` as the target) and to the KCBS paradox report,
+whose certificates C4 reads where C6 reads the report; C8 compares the
+sequential oracle with the pair tables the trace oracle returned. Nothing
+built for one call is kept for the next.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from .quantum import (
 )
 from .scenario import (
     EnumerationLimitError,
+    PossibilisticBehavior,
     is_logically_contextual,
     make_cycle_scenario,
     possibilistic_to_doc,
@@ -254,13 +259,25 @@ def _crit_kcbs_behavior(r: QuantumRealization) -> dict:
             "closing_pair": closing}
 
 
-def _crit_contextuality(n_max: int) -> dict:
-    cases = [(kind, n, _GENERATORS[kind](n)) for kind, n in _PARITY_CASES if n <= n_max]
-    for n in range(4, min(12, n_max) + 1):
-        cases.append(("unified", n, unified_ncycle_behavior(n)))
+def _contextuality_cases(n_max: int) -> list[tuple[str, int]]:
+    """C2's cases: the parity cases up to n_max, then the unified 4..n_max."""
+    return ([case for case in _PARITY_CASES if case[1] <= n_max]
+            + [("unified", n) for n in range(4, n_max + 1)])
+
+
+def _cycle_behaviors(n_max: int) -> dict[tuple[str, int], PossibilisticBehavior]:
+    """Every (kind, n) cycle behavior one verify-all call reads, each built
+    once: C2's cases (which hold C3's and C5's targets) and the odd 5-cycle
+    target of the KCBS report."""
+    cases = dict.fromkeys(_contextuality_cases(n_max) + [("odd", 5)])
+    return {(kind, n): _GENERATORS[kind](n) for kind, n in cases}
+
+
+def _crit_contextuality(n_max: int, behaviors: dict) -> dict:
     results = []
     ok = True
-    for kind, n, pb in cases:
+    for kind, n in _contextuality_cases(n_max):
+        pb = behaviors[(kind, n)]
         v = is_logically_contextual(pb)
         w = v.witness
         confirmed = v.contextual and w is not None and propagate_chain(
@@ -271,12 +288,12 @@ def _crit_contextuality(n_max: int) -> dict:
     return {"status": "pass" if ok else "fail", "cases": results}
 
 
-def _crit_relabel(n_max: int) -> dict:
+def _crit_relabel(n_max: int, behaviors: dict) -> dict:
     ok = True
     cases = []
     for kind, n in _PARITY_CASES:
         if n <= n_max:
-            eq = relabel(_GENERATORS[kind](n), _TO_UNIFIED[kind](n)) == unified_ncycle_behavior(n)
+            eq = relabel(behaviors[(kind, n)], _TO_UNIFIED[kind](n)) == behaviors[("unified", n)]
             cases.append({"kind": kind, "n": n, "matches_unified": eq})
             ok = ok and eq
     return {"status": "pass" if ok else "fail", "cases": cases}
@@ -291,7 +308,7 @@ def _crit_certificates(rep: ParadoxReport) -> dict:
             "noncontext_pair_1_3": noncontext13}
 
 
-def _crit_search_and_protocol(n_max: int, seed: int, budget: int) -> dict:
+def _crit_search_and_protocol(n_max: int, seed: int, budget: int, behaviors: dict) -> dict:
     cases = []
     all_ok = True
     for n in (6, 7, 8):
@@ -299,7 +316,7 @@ def _crit_search_and_protocol(n_max: int, seed: int, budget: int) -> dict:
             continue
         dim = _default_dim(n)
         s = make_cycle_scenario(n)
-        target = unified_ncycle_behavior(n)
+        target = behaviors[("unified", n)]
         found = find_quantum_realization(s, target, dim, seed=seed, budget=budget)
         if isinstance(found, SearchFailure):
             all_ok = False
@@ -307,7 +324,7 @@ def _crit_search_and_protocol(n_max: int, seed: int, budget: int) -> dict:
                           "notice": f"search failed ({found.message}); protocol check skipped"})
             continue
         try:
-            rep = paradox_report(found, n)
+            rep = paradox_report(found, n, target=target)
         except CertificateError as exc:
             # the search accepts context commutators up to ALG_TOL, the
             # certificates only up to ALG_TOL / 4
@@ -351,13 +368,16 @@ def _crit_oracles(r: QuantumRealization) -> dict:
     s = make_cycle_scenario(5)
     res = exhaustive_support_check(r, s)
     worst = res.max_abs_diff
+    # the pipeline's pair tables, as the trace oracle read them; bit for bit
+    # the tables ``born_pair`` returns
+    tables = res.pipeline_value
     for i, j in s.contexts:
-        bp = born_pair(r, i, j)
         seq = projection_sequential(r, (i, j))
         rev = projection_sequential(r, (j, i))
-        for a, b in bp.probabilities:
-            worst = max(worst, abs(bp[(a, b)] - seq[(a, b)]))
-            worst = max(worst, abs(bp[(a, b)] - rev[(b, a)]))
+        for a, b in seq:
+            p = tables[((i, j), (a, b))]
+            worst = max(worst, abs(p - seq[(a, b)]))
+            worst = max(worst, abs(p - rev[(b, a)]))
     return {"status": "pass" if worst <= 1e-12 else "fail", "max_abs_diff": worst}
 
 
@@ -366,15 +386,16 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     if not 4 <= n_max <= 12:
         raise UsageError(f"n-max must lie in 4..12, got {n_max}")
     kcbs = kcbs_realization()
+    behaviors = _cycle_behaviors(n_max)
     # C4 reads the certificates of the report that C6 checks
-    kcbs_report = paradox_report(kcbs, 5)
+    kcbs_report = paradox_report(kcbs, 5, target=behaviors[("odd", 5)])
     criteria = [
         ("C1", "kcbs-behavior", _crit_kcbs_behavior, (kcbs,)),
-        ("C2", "contextuality-verdicts", _crit_contextuality, (n_max,)),
-        ("C3", "relabel-transforms", _crit_relabel, (n_max,)),
+        ("C2", "contextuality-verdicts", _crit_contextuality, (n_max, behaviors)),
+        ("C3", "relabel-transforms", _crit_relabel, (n_max, behaviors)),
         ("C4", "commutation-certificates", _crit_certificates, (kcbs_report,)),
         ("C5", "search-and-protocol", _crit_search_and_protocol,
-         (n_max, args.seed, args.budget)),
+         (n_max, args.seed, args.budget, behaviors)),
         ("C6", "counterfactual-closing-pair", _crit_counterfactual, (kcbs, kcbs_report)),
         ("C7", "measure-undo-roundtrip", _crit_measure_undo, (kcbs,)),
         ("C8", "oracle-equivalence", _crit_oracles, (kcbs,)),

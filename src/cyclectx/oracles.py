@@ -8,7 +8,9 @@ unitary account of a measurement with a collapse account of the same
 measurement would void the argument being verified.
 
 ``exhaustive_support_check`` recomputes every context table from the trace
-formula on the density matrix, sharing no code with ``born_pair``.
+formula on the density matrix, sharing no code with ``born_pair``. It
+covers pair contexts only: all 4n (context, outcome) products Q_a Q_b take
+one stacked product, and every Tr(Q_a Q_b rho) one batched trace.
 
 ``enumerate_contextuality`` decides logical contextuality by walking all
 global assignments, sharing no code with the transfer-matrix decision in
@@ -121,7 +123,8 @@ def projection_sequential(r: QuantumRealization, sequence: Sequence[int]) -> dic
         for outcomes, state, weight in branches:
             for a in (0, 1):
                 v = r.outcome_projector(i, a) @ state
-                p = float(np.linalg.norm(v) ** 2)
+                # the operations of np.linalg.norm(v), without its dispatch
+                p = float(np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)) ** 2)
                 if weight * p == 0.0:
                     new.append((outcomes + (a,), v, 0.0))
                 else:
@@ -131,22 +134,21 @@ def projection_sequential(r: QuantumRealization, sequence: Sequence[int]) -> dic
 
 
 def exhaustive_support_check(r: QuantumRealization, s: Scenario) -> OracleResult:
-    """Recompute every context table via Tr(product of projectors rho).
+    """Recompute every pair context table via Tr(Q_a Q_b rho).
 
-    A measurement of the scenario that the realization lacks raises
-    ``RealizationError``."""
-    for c in s.contexts:
-        if len(c) > 3:
-            raise ValueError("trace oracle only covers contexts of size <= 3")
+    The products Q_a Q_b of every (context, outcome) key take one stacked
+    product, and their traces against rho one batched trace. A context that
+    is not a pair raises ``RealizationError`` before any of that work, as
+    does a measurement of the scenario that the realization lacks."""
+    if any(len(c) != 2 for c in s.contexts):
+        raise RealizationError("only two-measurement contexts are supported here")
     _require(r, s.measurements, RealizationError)
     rho = np.outer(r.state, r.state.conj())
-    oracle: dict = {}
-    for c in s.contexts:
-        for outcomes in itertools.product((0, 1), repeat=len(c)):
-            op = np.eye(r.dim, dtype=complex)
-            for m, a in zip(c, outcomes):
-                op = op @ r.outcome_projector(m, a)
-            oracle[(c, outcomes)] = float(np.real(np.trace(op @ rho)))
+    keys = [(c, t) for c in s.contexts for t in itertools.product((0, 1), repeat=2)]
+    first = np.stack([r.outcome_projector(c[0], t[0]) for c, t in keys])
+    second = np.stack([r.outcome_projector(c[1], t[1]) for c, t in keys])
+    traces = np.trace(first @ second @ rho, axis1=1, axis2=2).real
+    oracle = dict(zip(keys, traces.tolist()))
     b = behavior_from_realization(r, s)
     pipeline = {(c, t): b.tables[c][t] for c in s.contexts for t in b.tables[c]}
     return OracleResult("context tables", oracle, pipeline, _diff(oracle, pipeline))

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cyclectx import cli
+from cyclectx import cli, ewf
 from cyclectx.cli import main
 from cyclectx.ewf import BranchLimitError, CertificateError, commutation_certificates
 from cyclectx.quantum import QuantumRealization
@@ -271,6 +271,52 @@ class TestVerifyAll:
         certs = commutation_certificates(kcbs, 5)
         assert c4["max_required_norm"] == max(e.norm for e in certs.required)
         assert c4["noncontext_pair_1_3"] == certs.entry("M1 vs M3 (non-context)").norm
+
+    def test_each_cycle_behavior_built_once_per_call(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting(kind, make):
+            def counted(n):
+                built.append((kind, n))
+                return make(n)
+            return counted
+
+        for kind, make in list(cli._GENERATORS.items()):
+            monkeypatch.setitem(cli._GENERATORS, kind, counting(kind, make))
+        # the paradox reports' default targets, and the search command's
+        monkeypatch.setattr(ewf, "odd_ncycle_behavior", counting("odd", ewf.odd_ncycle_behavior))
+        monkeypatch.setattr(ewf, "unified_ncycle_behavior",
+                            counting("unified", ewf.unified_ncycle_behavior))
+        monkeypatch.setattr(cli, "unified_ncycle_behavior",
+                            counting("unified", cli.unified_ncycle_behavior))
+        want = ([("odd", n) for n in (5, 7, 9)] + [("even", n) for n in (4, 6, 8, 10)]
+                + [("unified", n) for n in range(4, 11)])
+        code, first = run(tmp_path, ["verify-all", "--n-max", "10", "--format", "json"])
+        assert code == 0
+        assert sorted(built) == sorted(want)
+        # nothing is kept for the next call: it builds its own
+        code, second = run(tmp_path, ["verify-all", "--n-max", "10", "--format", "json"])
+        assert code == 0 and second == first
+        assert sorted(built) == sorted(want * 2)
+        # at n-max 4 the KCBS report's odd 5-cycle is built for it alone
+        built.clear()
+        assert run(tmp_path, ["verify-all", "--n-max", "4", "--format", "json"])[0] == 0
+        assert sorted(built) == [("even", 4), ("odd", 5), ("unified", 4)]
+
+    def test_c8_reads_the_trace_oracle_tables_and_c6_calls_born_pair(self, tmp_path,
+                                                                     monkeypatch):
+        real, calls = cli.born_pair, []
+
+        def counted(r, i, j):
+            calls.append((i, j))
+            return real(r, i, j)
+
+        monkeypatch.setattr(cli, "born_pair", counted)
+        code, payload = run(tmp_path, ["verify-all", "--n-max", "5", "--format", "json"])
+        assert code == 0
+        assert calls == [(1, 5)]
+        c8 = next(c for c in json.loads(payload)["criteria"] if c["id"] == "C8")
+        assert c8["status"] == "pass"
 
 
 class TestUsage:

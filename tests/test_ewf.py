@@ -31,7 +31,7 @@ from cyclectx.ewf import (
     report_to_doc,
     simulate,
 )
-from cyclectx.linalg import ALG_TOL, commutator_norm
+from cyclectx.linalg import ALG_TOL
 from cyclectx.ncycle import FlipMask, odd_ncycle_behavior, relabel, unified_ncycle_behavior
 from cyclectx.oracles import dense_commutation_certificates, measurement_unitary
 from cyclectx.quantum import (
@@ -46,6 +46,7 @@ from cyclectx.scenario import (
     is_logically_contextual,
     make_cycle_scenario,
 )
+from linalg_reference import commutator_norm
 
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "realizations.json"

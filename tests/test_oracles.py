@@ -1,5 +1,7 @@
 import itertools
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from cyclectx.ewf import (
     commutation_certificates,
     simulate,
 )
+from cyclectx import oracles
 from cyclectx.oracles import (
     OracleResult,
     _pair_gates,
@@ -36,6 +39,7 @@ from cyclectx.quantum import (
     born_pair,
     find_quantum_realization,
     kcbs_realization,
+    realization_from_doc,
 )
 from cyclectx.scenario import (
     EnumerationLimitError,
@@ -49,9 +53,57 @@ from cyclectx.scenario import (
 )
 
 
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "realizations.json"
+
+
 def first_four(r):
     """The realization restricted to labels 1..4."""
     return QuantumRealization(r.dim, r.state, {i: r.frames[i] for i in range(1, 5)})
+
+
+def fixture_cases():
+    """(n, realization): KCBS, then the frozen fixtures n = 5..25 in the
+    seeded random bases 1 and 7."""
+    doc = json.loads(FIXTURES.read_text(encoding="utf-8"))["realizations"]
+    cases = [(5, kcbs_realization())]
+    for seed in (1, 7):
+        cases += [(int(n), rotated(realization_from_doc(d), seed)) for n, d in doc.items()]
+    return cases
+
+
+def bits(table):
+    """Each value's exact bits, a zero's sign included."""
+    return {k: float(v).hex() for k, v in table.items()}
+
+
+def reference_sequential(r, sequence):
+    """``projection_sequential`` with its weights taken from np.linalg.norm."""
+    branches = [((), r.state, 1.0)]
+    for i in sequence:
+        new = []
+        for outcomes, state, weight in branches:
+            for a in (0, 1):
+                v = r.outcome_projector(i, a) @ state
+                p = float(np.linalg.norm(v) ** 2)
+                if weight * p == 0.0:
+                    new.append((outcomes + (a,), v, 0.0))
+                else:
+                    new.append((outcomes + (a,), v / np.sqrt(p), weight * p))
+        branches = new
+    return {outcomes: weight for outcomes, state, weight in branches}
+
+
+def reference_trace_oracle(r, s):
+    """The trace oracle key by key: Tr(1 Q_a Q_b rho), one product at a time."""
+    rho = np.outer(r.state, r.state.conj())
+    oracle = {}
+    for c in s.contexts:
+        for outcomes in itertools.product((0, 1), repeat=len(c)):
+            op = np.eye(r.dim, dtype=complex)
+            for m, a in zip(c, outcomes):
+                op = op @ r.outcome_projector(m, a)
+            oracle[(c, outcomes)] = float(np.real(np.trace(op @ rho)))
+    return oracle
 
 
 class TestProjectionSequential:
@@ -86,6 +138,15 @@ class TestProjectionSequential:
                            match=r"realization has no measurement for labels \[5\]"):
             projection_sequential(first_four(kcbs), (1, 5))
 
+    def test_weights_equal_np_linalg_norm_bit_for_bit(self):
+        # every ordered pair, commuting or not, and longer sequences
+        for n, r in fixture_cases():
+            sequences = list(itertools.permutations(range(1, n + 1), 2))
+            sequences += [(k,) for k in range(1, n + 1)] + [(1, 2, 3), (3, 1, 2), (1, n, 2, 3)]
+            for seq in sequences:
+                assert bits(projection_sequential(r, seq)) == \
+                    bits(reference_sequential(r, seq)), (n, seq)
+
 
 class TestExhaustiveSupportCheck:
     def test_kcbs_five_cycle(self, kcbs, cycle5):
@@ -118,6 +179,34 @@ class TestExhaustiveSupportCheck:
         s = Scenario((1, 2, 3, 4), ((1, 2, 3, 4),))
         with pytest.raises(ValueError):
             exhaustive_support_check(kcbs, s)
+
+    @pytest.mark.parametrize("s", [
+        Scenario((1, 2), ((1,), (2,))),
+        Scenario((1, 2, 3), ((1, 2, 3),)),
+        Scenario((1, 2, 3, 4), ((1, 2, 3, 4),)),
+        Scenario((1, 2, 3, 4), ((1, 2), (2, 3, 4))),
+    ], ids=["size1", "size3", "size4", "pair-and-size3"])
+    def test_non_pair_context_rejected_before_oracle_work(self, kcbs, s, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(QuantumRealization, "outcome_projector", unreachable)
+        monkeypatch.setattr(oracles, "behavior_from_realization", unreachable)
+        with pytest.raises(RealizationError, match="only two-measurement contexts"):
+            exhaustive_support_check(kcbs, s)
+        # also before the labels are checked: KCBS has no label 9
+        s9 = Scenario(tuple(m + 8 for m in s.measurements),
+                      tuple(tuple(m + 8 for m in c) for c in s.contexts))
+        with pytest.raises(RealizationError, match="only two-measurement contexts"):
+            exhaustive_support_check(kcbs, s9)
+
+    def test_oracle_values_equal_per_key_products_bit_for_bit(self):
+        for n, r in fixture_cases():
+            s = make_cycle_scenario(n)
+            res = exhaustive_support_check(r, s)
+            assert list(res.oracle_value) == [(c, t) for c in s.contexts
+                                              for t in itertools.product((0, 1), repeat=2)]
+            assert bits(res.oracle_value) == bits(reference_trace_oracle(r, s)), n
 
     def test_missing_label_is_a_realization_error(self, kcbs, cycle5):
         with pytest.raises(RealizationError,

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cyclectx.linalg import ALG_TOL, commutator_norm
-from cyclectx.ncycle import odd_ncycle_behavior
-from cyclectx.oracles import projection_sequential
+from cyclectx.linalg import ALG_TOL
+from cyclectx.ncycle import odd_ncycle_behavior, unified_ncycle_behavior
+from cyclectx.oracles import exhaustive_support_check, projection_sequential
 from cyclectx.quantum import (
     NoncommutingError,
     PairDistribution,
@@ -15,6 +15,7 @@ from cyclectx.quantum import (
     RealizationError,
     behavior_from_realization,
     born_pair,
+    find_quantum_realization,
     kcbs_realization,
     realization_from_doc,
     realization_to_doc,
@@ -27,6 +28,7 @@ from cyclectx.scenario import (
     possibilistic_collapse,
     supports_within,
 )
+from linalg_reference import commutator_norm
 
 
 class TestKcbsRealization:
@@ -436,6 +438,27 @@ class TestBatchedRealization:
                     assert abs(p - formula[t]) <= 1e-15
                     assert abs(p - oracle[t]) <= 1e-12
 
+    @pytest.mark.parametrize("basis", ["given", "conjugated"])
+    def test_born_pair_equals_behavior_and_trace_oracle_tables_bit_for_bit(self, basis):
+        # verify-all's C8 reads the pair tables the trace oracle returns in
+        # place of born_pair; on KCBS, Hardy's n = 4 start and the chain
+        # starts the search accepts at n = 6, 7, 8 they are the same bits
+        cases = [(5, kcbs_realization())]
+        for n in (4, 6, 7, 8):
+            found = find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n),
+                                             3 if n % 2 else 4, seed=1)
+            assert isinstance(found, QuantumRealization), n
+            cases.append((n, found))
+        if basis == "conjugated":
+            cases = [(n, conjugated(r, 13, n)) for n, r in cases]
+        for n, r in cases:
+            s = make_cycle_scenario(n)
+            tables = behavior_from_realization(r, s).tables
+            pipeline = exhaustive_support_check(r, s).pipeline_value
+            for c in s.contexts:
+                for t, p in born_pair(r, *c).probabilities.items():
+                    assert p.hex() == tables[c][t].hex() == pipeline[(c, t)].hex(), (n, c, t)
+
     def test_first_noncommuting_context_is_named(self, kcbs):
         # a generic vector 3 breaks contexts (2, 3) and (3, 4)
         frames = dict(kcbs.frames)
@@ -500,6 +523,14 @@ class TestProjectorAlgebra:
             assert norm == np.linalg.norm(pa @ pb - pb @ pa, axis=(0, 1))
         assert norms[0] == norms[3] > 0.1 and norms[1] <= ALG_TOL
         assert kcbs.commutator_norms([]).shape == (0,)
+
+    def test_commutator_norms_equal_np_linalg_norm_bit_for_bit(self):
+        for r in pair_cases():
+            pairs = list(itertools.permutations(sorted(r.frames), 2))
+            pi = np.stack([r.projector(a) for a, _ in pairs])
+            pj = np.stack([r.projector(b) for _, b in pairs])
+            want = np.linalg.norm(pi @ pj - pj @ pi, axis=(1, 2))
+            assert r.commutator_norms(pairs).tobytes() == want.tobytes()
 
     def test_noncommuting_error_names_the_first_bad_pair_given(self, kcbs):
         frames = dict(kcbs.frames)
