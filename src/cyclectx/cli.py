@@ -4,9 +4,8 @@ Exit codes follow a CI-friendly contract: 0 when every requested check
 passes, 1 when some check fails, 2 on usage errors and on requests too
 large to report (``EnumerationLimitError``, ``BranchLimitError``). Identical
 configurations (including the seed) produce byte-identical reports; no
-timestamps or timings enter any output document. The ``CYCLECTX_SEED``
-environment variable overrides ``--seed`` for the commands that take it
-(``search`` and ``verify-all``), and is read on every call of ``main``.
+timestamps or timings enter any output document, and no environment
+variable changes one.
 
 The argument parser is built once per process, on the first call of
 ``main``; parsing leaves it unchanged, so repeated in-process calls print
@@ -17,9 +16,11 @@ schedules), and every check runs on every call. Within one call,
 ``verify-all`` forms each statistic once: it builds each (kind, n) cycle
 behavior once and hands it to C2, C3 and C5 (C5 searches for it and passes
 it to ``paradox_report`` as the target) and to the KCBS paradox report,
-whose certificates C4 reads where C6 reads the report; C8 compares the
-sequential oracle with the pair tables the trace oracle returned. Nothing
-built for one call is kept for the next.
+whose certificates C4 reads where C6 reads the report. It runs the KCBS
+trace oracle once, whose pipeline tables C1 reads, and the sequential
+oracle once for each order of each KCBS context; C6 reads the (1, 5) order
+and C8 compares every order with the trace oracle's tables. Nothing built
+for one call is kept for the next.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import csv
 import functools
 import io
 import math
-import os
 import sys
 from collections.abc import Callable
 
@@ -54,11 +54,10 @@ from .ncycle import (
     relabel,
     unified_ncycle_behavior,
 )
-from .oracles import exhaustive_support_check, projection_sequential
+from .oracles import OracleResult, exhaustive_support_check, projection_sequential
 from .quantum import (
     QuantumRealization,
     SearchFailure,
-    behavior_from_realization,
     born_pair,
     find_quantum_realization,
     kcbs_realization,
@@ -244,15 +243,15 @@ def cmd_search_realization(args: argparse.Namespace) -> int:
 # --- verify-all --------------------------------------------------------------
 
 
-def _crit_kcbs_behavior(r: QuantumRealization) -> dict:
-    b = behavior_from_realization(r, make_cycle_scenario(5))
+def _crit_kcbs_behavior(traced: OracleResult) -> dict:
+    tables = traced.pipeline_value
     forb = {
-        "p(1,1|1,2)": b.tables[(1, 2)][(1, 1)],
-        "p(0,0|2,3)": b.tables[(2, 3)][(0, 0)],
-        "p(1,1|3,4)": b.tables[(3, 4)][(1, 1)],
-        "p(0,0|4,5)": b.tables[(4, 5)][(0, 0)],
+        "p(1,1|1,2)": tables[((1, 2), (1, 1))],
+        "p(0,0|2,3)": tables[((2, 3), (0, 0))],
+        "p(1,1|3,4)": tables[((3, 4), (1, 1))],
+        "p(0,0|4,5)": tables[((4, 5), (0, 0))],
     }
-    closing = b.tables[(1, 5)][(1, 0)]
+    closing = tables[((1, 5), (1, 0))]
     ok = all(v <= 1e-12 for v in forb.values()) and abs(closing - 1 / 9) <= 1e-10
     return {"status": "pass" if ok else "fail",
             "forbidden": {k: v for k, v in forb.items()},
@@ -339,10 +338,11 @@ def _crit_search_and_protocol(n_max: int, seed: int, budget: int, behaviors: dic
     return {"status": "pass" if all_ok else "fail", "cases": cases}
 
 
-def _crit_counterfactual(r: QuantumRealization, rep: ParadoxReport) -> dict:
+def _crit_counterfactual(r: QuantumRealization, rep: ParadoxReport,
+                         sequential: dict) -> dict:
     cf = rep.counterfactual.value
     bp = born_pair(r, 1, 5)[(1, 0)]
-    seq = projection_sequential(r, (1, 5))[(1, 0)]
+    seq = sequential[(1, 5)][(1, 0)]
     ok = abs(cf - 1 / 9) <= 1e-10 and abs(cf - bp) <= 1e-10 and abs(cf - seq) <= 1e-12
     return {"status": "pass" if ok else "fail",
             "counterfactual": cf, "born_pair": bp, "sequential_oracle": seq}
@@ -364,20 +364,12 @@ def _crit_measure_undo(r: QuantumRealization) -> dict:
             "fidelity": fidelity, "outcome1_marginals": marginals}
 
 
-def _crit_oracles(r: QuantumRealization) -> dict:
-    s = make_cycle_scenario(5)
-    res = exhaustive_support_check(r, s)
-    worst = res.max_abs_diff
+def _crit_oracles(traced: OracleResult, sequential: dict) -> dict:
+    worst = traced.max_abs_diff
     # the pipeline's pair tables, as the trace oracle read them; bit for bit
     # the tables ``born_pair`` returns
-    tables = res.pipeline_value
-    for i, j in s.contexts:
-        seq = projection_sequential(r, (i, j))
-        rev = projection_sequential(r, (j, i))
-        for a, b in seq:
-            p = tables[((i, j), (a, b))]
-            worst = max(worst, abs(p - seq[(a, b)]))
-            worst = max(worst, abs(p - rev[(b, a)]))
+    for (c, (a, b)), p in traced.pipeline_value.items():
+        worst = max(worst, abs(p - sequential[c][(a, b)]), abs(p - sequential[c[::-1]][(b, a)]))
     return {"status": "pass" if worst <= 1e-12 else "fail", "max_abs_diff": worst}
 
 
@@ -389,16 +381,23 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     behaviors = _cycle_behaviors(n_max)
     # C4 reads the certificates of the report that C6 checks
     kcbs_report = paradox_report(kcbs, 5, target=behaviors[("odd", 5)])
+    # C1 reads the trace oracle's pipeline tables; C6 reads the (1, 5)
+    # sequential read and C8 compares both orders of every context
+    five = make_cycle_scenario(5)
+    traced = exhaustive_support_check(kcbs, five)
+    sequential = {order: projection_sequential(kcbs, order)
+                  for c in five.contexts for order in (c, c[::-1])}
     criteria = [
-        ("C1", "kcbs-behavior", _crit_kcbs_behavior, (kcbs,)),
+        ("C1", "kcbs-behavior", _crit_kcbs_behavior, (traced,)),
         ("C2", "contextuality-verdicts", _crit_contextuality, (n_max, behaviors)),
         ("C3", "relabel-transforms", _crit_relabel, (n_max, behaviors)),
         ("C4", "commutation-certificates", _crit_certificates, (kcbs_report,)),
         ("C5", "search-and-protocol", _crit_search_and_protocol,
          (n_max, args.seed, args.budget, behaviors)),
-        ("C6", "counterfactual-closing-pair", _crit_counterfactual, (kcbs, kcbs_report)),
+        ("C6", "counterfactual-closing-pair", _crit_counterfactual,
+         (kcbs, kcbs_report, sequential)),
         ("C7", "measure-undo-roundtrip", _crit_measure_undo, (kcbs,)),
-        ("C8", "oracle-equivalence", _crit_oracles, (kcbs,)),
+        ("C8", "oracle-equivalence", _crit_oracles, (traced, sequential)),
     ]
     results = [{"id": cid, "name": name, **fn(*params)} for cid, name, fn, params in criteria]
     failed = [out["id"] for out in results if out["status"] == "fail"]
@@ -466,12 +465,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if hasattr(args, "seed"):       # --seed and --budget come together
-            env_seed = os.environ.get("CYCLECTX_SEED")
-            if env_seed is not None:
-                try:
-                    args.seed = int(env_seed)
-                except ValueError:
-                    raise UsageError(f"CYCLECTX_SEED must be an integer, got {env_seed!r}")
             if args.seed < 0:
                 raise UsageError("seed must be nonnegative")
             if args.budget < 0:

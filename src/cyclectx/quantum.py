@@ -495,8 +495,13 @@ def find_quantum_realization(
     none and any budget above 0 gives the same result; ``seed`` does not
     change it either. An infeasible target, a smaller n or dim, a target
     that contains no relabeled ladder, a zero budget and a rejected start
-    each return a ``SearchFailure`` at once.
+    each return a ``SearchFailure`` at once. A ``dim`` that is not an
+    integer raises ``RealizationError`` before any work.
     """
+    try:
+        dim = operator.index(dim)
+    except TypeError:
+        raise RealizationError(f"dim must be an integer, got {dim!r}") from None
     if target.scenario.contexts != s.contexts:
         raise RealizationError("target does not live on the given scenario")
     if dim < 2:
@@ -552,12 +557,20 @@ def _complex_entries(where: str, pairs) -> np.ndarray:
 def realization_from_doc(doc: Mapping) -> QuantumRealization:
     """Rebuild a realization from the form ``realization_to_doc`` writes.
 
-    A ``dim`` that is not an integer, a document with neither a
-    ``vectors`` nor a ``frames`` mapping, a label that is not an integer, a
-    ``frames`` entry that is not a list of columns, an entry that is not a
-    pair of numbers or a vector or frame column whose length is not ``dim``
-    raises ``RealizationError``, naming the label where there is one.
+    A document that is not a mapping or lacks ``dim`` or ``state``, a
+    ``dim`` that is not an integer, a document with neither a ``vectors``
+    nor a ``frames`` mapping, a label that is not an integer, a ``frames``
+    entry that is not a list of columns, an entry that is not a pair of
+    numbers or a vector or frame column whose length is not ``dim`` raises
+    ``RealizationError``, naming the missing key or the label where there
+    is one.
     """
+    if not isinstance(doc, Mapping):
+        raise RealizationError(f"a realization document must be a mapping, "
+                               f"got {type(doc).__name__}")
+    for key in ("dim", "state"):
+        if key not in doc:
+            raise RealizationError(f"a realization document needs a {key!r} entry")
     try:
         dim = operator.index(doc["dim"])
     except TypeError:

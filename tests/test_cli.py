@@ -7,10 +7,11 @@ import sys
 
 import pytest
 
-from cyclectx import cli, ewf
+from cyclectx import cli, ewf, quantum
 from cyclectx.cli import main
 from cyclectx.ewf import BranchLimitError, CertificateError, commutation_certificates
 from cyclectx.quantum import QuantumRealization
+from cyclectx.scenario import make_cycle_scenario
 
 
 def run(tmp_path, argv, name="out.json"):
@@ -167,16 +168,6 @@ class TestSearch:
             "message": "no exact start for n = 5 in dimension 2: the qutrit chain needs "
                        "n >= 5 and dim >= 3, Hardy's start n = 4 and dim >= 4"}
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CYCLECTX_SEED", "9")
-        _, payload = run(tmp_path, ["search", "--n", "4", "--dim", "4",
-                                    "--seed", "1", "--format", "json"])
-        assert json.loads(payload)["seed"] == 9
-
-    def test_bad_env_seed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CYCLECTX_SEED", "not-a-number")
-        assert main(["search", "--n", "4"]) == 2
-
     @pytest.mark.parametrize("n, dim", [(5, 3), (4, 4)])
     def test_parity_default_dim(self, tmp_path, n, dim):
         code, payload = run(tmp_path, ["search", "--n", str(n), "--format", "json"])
@@ -200,12 +191,6 @@ class TestVerifyAll:
     def test_nmax_guard(self):
         assert main(["verify-all", "--n-max", "13"]) == 2
         assert main(["verify-all", "--n-max", "3"]) == 2
-
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CYCLECTX_SEED", "3")
-        code, payload = run(tmp_path, ["verify-all", "--n-max", "5", "--format", "json"])
-        assert code == 0
-        assert json.loads(payload)["seed"] == 3
 
     def test_small_run_passes(self, tmp_path):
         code, payload = run(tmp_path, ["verify-all", "--n-max", "5",
@@ -303,6 +288,32 @@ class TestVerifyAll:
         assert run(tmp_path, ["verify-all", "--n-max", "4", "--format", "json"])[0] == 0
         assert sorted(built) == [("even", 4), ("odd", 5), ("unified", 4)]
 
+    def test_kcbs_statistics_formed_once_per_call(self, tmp_path, monkeypatch):
+        # the trace oracle builds the KCBS behavior that C1 reads, and each
+        # order of each context is read once for C6 and C8
+        five, orders = [], []
+        real_tables = quantum._pair_tables
+        real_sequential = cli.projection_sequential
+
+        def tables(r, pairs):
+            # every behavior, whichever module calls it, fills its tables here
+            if len(pairs) == 5:
+                five.append(r)
+            return real_tables(r, pairs)
+
+        def sequential(r, order):
+            orders.append(tuple(order))
+            return real_sequential(r, order)
+
+        monkeypatch.setattr(quantum, "_pair_tables", tables)
+        monkeypatch.setattr(cli, "projection_sequential", sequential)
+        code, _ = run(tmp_path, ["verify-all", "--n-max", "10", "--format", "json"])
+        assert code == 0
+        assert len(five) == 1
+        contexts = make_cycle_scenario(5).contexts
+        assert len(orders) == 10
+        assert sorted(orders) == sorted(list(contexts) + [c[::-1] for c in contexts])
+
     def test_c8_reads_the_trace_oracle_tables_and_c6_calls_born_pair(self, tmp_path,
                                                                      monkeypatch):
         real, calls = cli.born_pair, []
@@ -395,7 +406,6 @@ def call(argv):
 
 def fresh_process(argv):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    env.pop("CYCLECTX_SEED", None)
     proc = subprocess.run([sys.executable, "-m", "cyclectx.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=300)
     return proc.stdout, proc.stderr, proc.returncode
@@ -414,15 +424,13 @@ class TestRepeatedCalls:
         ["demo5", "--format", "text"],
     )
 
-    def test_sequence_is_byte_identical_when_repeated(self, monkeypatch):
-        monkeypatch.delenv("CYCLECTX_SEED", raising=False)
+    def test_sequence_is_byte_identical_when_repeated(self):
         first = [call(argv) for argv in self.SEQUENCE]
         assert [code for _, _, code in first] == [0, 0, 0, 2, ("exit", 2), 0]
         assert [call(argv) for argv in self.SEQUENCE] == first
 
     @pytest.mark.parametrize("argv", [SEQUENCE[0], SEQUENCE[1]])
-    def test_in_process_matches_a_fresh_process(self, argv, monkeypatch):
-        monkeypatch.delenv("CYCLECTX_SEED", raising=False)
+    def test_in_process_matches_a_fresh_process(self, argv):
         call(argv)
         out, err, code = call(argv)
         assert fresh_process(argv) == (out, err, code)
@@ -445,17 +453,14 @@ class TestRepeatedCalls:
         assert call(argv) == first
         assert first[2] == 0 and built == []
 
-    def test_env_seed_read_on_every_call(self, monkeypatch):
-        argv = ["search", "--n", "5", "--budget", "0", "--format", "json"]
-        seeds = []
-        for env_seed in ("3", "5", None):
-            if env_seed is None:
-                monkeypatch.delenv("CYCLECTX_SEED")
-            else:
-                monkeypatch.setenv("CYCLECTX_SEED", env_seed)
-            out, _, code = call(argv)
-            assert code == 1
-            seeds.append(json.loads(out)["seed"])
-        assert seeds == [3, 5, 1]
-        monkeypatch.setenv("CYCLECTX_SEED", "x")
-        assert call(argv)[1:] == ("usage error: CYCLECTX_SEED must be an integer, got 'x'\n", 2)
+    def test_seed_variable_changes_no_byte(self, monkeypatch):
+        # the search's one candidate is deterministic and only --seed is
+        # echoed: an environment variable named for the seed is not read
+        argvs = (["search", "--n", "5", "--seed", "1", "--format", "json"],
+                 ["verify-all", "--n-max", "6", "--seed", "1", "--format", "json"])
+        monkeypatch.delenv("CYCLECTX_SEED", raising=False)
+        unset = [call(argv) for argv in argvs]
+        assert [code for _, _, code in unset] == [0, 0]
+        for value in ("9", "x"):
+            monkeypatch.setenv("CYCLECTX_SEED", value)
+            assert [call(argv) for argv in argvs] == unset

@@ -329,12 +329,21 @@ class TestSimulate:
         assert abs(marg[(0,)] - 1.0) < 1e-12
 
     def test_record_reads_match_born_pairs(self, kcbs):
-        t = simulate(build_protocol(5), kcbs)
-        for i in range(1, 5):
-            dist = record_distribution(t, f"after M{i + 1}", [i, i + 1])
-            bp = born_pair(kcbs, i, i + 1)
-            for key in bp.probabilities:
-                assert abs(dist[key] - bp[key]) < 1e-10
+        # every read after M{i+1} of the standard schedule is the Born pair
+        # (i, i + 1), and the counterfactual read before U the pair (1, n):
+        # on KCBS, Hardy's n = 4 start and the chain starts at n = 7, 8, 101
+        cases = [(kcbs, 5)] + [
+            (find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n), dim), n)
+            for n, dim in ((4, 4), (7, 3), (8, 4), (101, 3))]
+        for r, n in cases:
+            t = simulate(build_protocol(n), r)
+            reads = [(t, f"after M{i + 1}", i, i + 1) for i in range(1, n)]
+            reads.append((simulate(build_counterfactual_protocol(n), r), "before U", 1, n))
+            for trace, stage, i, j in reads:
+                dist = record_distribution(trace, stage, [i, j])
+                bp = born_pair(r, i, j)
+                for key in bp.probabilities:
+                    assert abs(dist[key] - bp[key]) <= ALG_TOL, (n, stage, key)
 
     def test_single_record_read(self, kcbs):
         t = simulate(build_protocol(5), kcbs)

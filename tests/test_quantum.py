@@ -319,6 +319,17 @@ class TestSerialization:
         with pytest.raises(RealizationError, match="dim must be an integer"):
             realization_from_doc(doc)
 
+    @pytest.mark.parametrize("key", ["dim", "state"])
+    def test_missing_key_rejected(self, kcbs, key):
+        doc = realization_to_doc(kcbs)
+        del doc[key]
+        with pytest.raises(RealizationError, match=f"needs a '{key}' entry"):
+            realization_from_doc(doc)
+
+    def test_non_mapping_document_rejected(self, kcbs):
+        with pytest.raises(RealizationError, match="must be a mapping, got list"):
+            realization_from_doc([realization_to_doc(kcbs)])
+
     def test_numpy_integer_dim_accepted(self, kcbs):
         doc = realization_to_doc(kcbs)
         doc["dim"] = np.int64(3)

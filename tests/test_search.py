@@ -148,6 +148,18 @@ class TestFind:
             find_quantum_realization(make_cycle_scenario(4),
                                      unified_ncycle_behavior(5), 3)
 
+    @pytest.mark.parametrize("dim", [3.0, "3"])
+    def test_non_integer_dim_rejected_before_any_work(self, dim, monkeypatch, tested):
+        from cyclectx.quantum import RealizationError
+
+        def refused(*args):
+            raise AssertionError("the search worked on a non-integer dim")
+
+        monkeypatch.setattr(quantum, "_ladder_flips", refused)
+        with pytest.raises(RealizationError, match=f"dim must be an integer, got {dim!r}"):
+            find_quantum_realization(make_cycle_scenario(5), unified_ncycle_behavior(5), dim)
+        assert tested == []
+
 
 def ladder_targets(n):
     """Unified, the parity pattern and two seeded relabelings of unified."""
