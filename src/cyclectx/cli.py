@@ -29,7 +29,6 @@ import argparse
 import csv
 import functools
 import io
-import math
 import sys
 from collections.abc import Callable
 
@@ -46,6 +45,7 @@ from .ewf import (
     report_to_doc,
     simulate,
 )
+from .linalg import ALG_TOL, PROB_TOL
 from .ncycle import (
     even_ncycle_behavior,
     even_to_unified_mask,
@@ -131,10 +131,7 @@ def _frac(x: float) -> str:
 
 
 def cmd_demo5(args: argparse.Namespace) -> int:
-    for flag, value in (("--tol-prob", args.tol_prob), ("--eps", args.eps)):
-        if not (math.isfinite(value) and value > 0):
-            raise UsageError(f"{flag} must be finite and strictly positive, got {value}")
-    rep = paradox_report(kcbs_realization(), 5, tol=args.tol_prob, eps=args.eps)
+    rep = paradox_report(kcbs_realization(), 5)
 
     def text() -> str:
         lines = [f"five-friend record protocol, convention {rep.convention}", ""]
@@ -252,7 +249,7 @@ def _crit_kcbs_behavior(traced: OracleResult) -> dict:
         "p(0,0|4,5)": tables[((4, 5), (0, 0))],
     }
     closing = tables[((1, 5), (1, 0))]
-    ok = all(v <= 1e-12 for v in forb.values()) and abs(closing - 1 / 9) <= 1e-10
+    ok = all(v <= ALG_TOL for v in forb.values()) and abs(closing - 1 / 9) <= PROB_TOL
     return {"status": "pass" if ok else "fail",
             "forbidden": {k: v for k, v in forb.items()},
             "closing_pair": closing}
@@ -343,7 +340,7 @@ def _crit_counterfactual(r: QuantumRealization, rep: ParadoxReport,
     cf = rep.counterfactual.value
     bp = born_pair(r, 1, 5)[(1, 0)]
     seq = sequential[(1, 5)][(1, 0)]
-    ok = abs(cf - 1 / 9) <= 1e-10 and abs(cf - bp) <= 1e-10 and abs(cf - seq) <= 1e-12
+    ok = abs(cf - 1 / 9) <= PROB_TOL and abs(cf - bp) <= PROB_TOL and abs(cf - seq) <= ALG_TOL
     return {"status": "pass" if ok else "fail",
             "counterfactual": cf, "born_pair": bp, "sequential_oracle": seq}
 
@@ -353,13 +350,13 @@ def _crit_measure_undo(r: QuantumRealization) -> dict:
     init, final = trace.states[0], trace.states[-1]
     fidelity = float(abs(np.vdot(init, final)) ** 2)
     marginals = {}
-    ok = abs(fidelity - 1.0) <= 1e-10
+    ok = abs(fidelity - 1.0) <= PROB_TOL
     vectors = r.vectors
     for i in range(1, 6):
         d = record_distribution(trace, f"after M{i}", [i])
         expect = float(abs(np.vdot(vectors[i], r.state)) ** 2)
         marginals[f"a{i}"] = d[(1,)]
-        ok = ok and abs(d[(1,)] - expect) <= 1e-10
+        ok = ok and abs(d[(1,)] - expect) <= PROB_TOL
     return {"status": "pass" if ok else "fail",
             "fidelity": fidelity, "outcome1_marginals": marginals}
 
@@ -370,7 +367,7 @@ def _crit_oracles(traced: OracleResult, sequential: dict) -> dict:
     # the tables ``born_pair`` returns
     for (c, (a, b)), p in traced.pipeline_value.items():
         worst = max(worst, abs(p - sequential[c][(a, b)]), abs(p - sequential[c[::-1]][(b, a)]))
-    return {"status": "pass" if worst <= 1e-12 else "fail", "max_abs_diff": worst}
+    return {"status": "pass" if worst <= ALG_TOL else "fail", "max_abs_diff": worst}
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
@@ -438,8 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("demo5", help="run the five-friend protocol end to end")
-    p.add_argument("--tol-prob", type=float, default=1e-10)
-    p.add_argument("--eps", type=float, default=1e-9)
     output_flags(p)
     p.set_defaults(run=cmd_demo5)
     p = sub.add_parser("contextuality", help="generate a cycle behavior and test it")

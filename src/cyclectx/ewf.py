@@ -60,10 +60,11 @@ the exact one, and so is every projection of it. Every record probability p
 read from the kept branches is therefore within ``2 delta + delta^2`` of the
 exact value (``ParadoxReport.probability_bound``), and more sharply
 ``sqrt(p_exact) <= sqrt(p) + delta``. ``paradox_report`` uses the sharp
-form: a forbidden read passes only if ``(sqrt(p) + delta)^2 <= tol``, the
-counterfactual read only if ``max(sqrt(p) - delta, 0)^2 >= eps``. Both are
-never looser than ``p + 2 delta + delta^2 <= tol`` and ``p - 2 delta -
-delta^2 >= eps``, and a simulated zero still passes a 1e-20 threshold.
+form: a forbidden read passes only if ``(sqrt(p) + delta)^2 <= PROB_TOL``,
+the counterfactual read only if ``max(sqrt(p) - delta, 0)^2 >=
+POSSIBILITY_EPS``. Both are never looser than ``p + 2 delta + delta^2 <=
+PROB_TOL`` and ``p - 2 delta - delta^2 >= POSSIBILITY_EPS``, and a simulated
+zero would still pass a 1e-20 threshold.
 
 A trace computes each stage the first time it is read: the read runs only
 the gates up to that stage that have not run yet, and ``truncation_at``
@@ -643,25 +644,25 @@ def default_paradox_target(n: int) -> PossibilisticBehavior:
     return odd_ncycle_behavior(5) if n == 5 else unified_ncycle_behavior(n)
 
 
-def paradox_report(r: QuantumRealization, n: int, tol: float = PROB_TOL,
-                   eps: float = POSSIBILITY_EPS,
+def paradox_report(r: QuantumRealization, n: int,
                    target: PossibilisticBehavior | None = None) -> ParadoxReport:
     """Simulate both schedules and certify the contradiction.
 
     Adjacent joint outcomes are read from the records at the last stage
     where both are observable ("after M_{i+1}", before the undo of friend
-    i); every tuple the target forbids there must come out below tol. The
-    closing-pair correlation is read from the counterfactual schedule only,
-    at the stage before the relocated block, and its required tuple must
-    exceed eps. Both comparisons include the truncation bound (see the
-    module docstring). The certificates must pass: the context and undo
-    entries back the pairwise reads, and the block-vs-M_n entry is what
-    Commutation Irrelevance needs to move the block past M_n. The verdict
-    also needs the contradiction: the chain seeded by the required tuple's
-    first value must conflict or force M_n off its second value. A target
-    without one (full support everywhere, say) is no paradox and gets a
-    false verdict, not an error; one that does not live on the n-cycle, or
-    whose required tuple is not an outcome of (1, n), raises ``ValueError``.
+    i); every tuple the target forbids there must come out at or below
+    ``PROB_TOL``. The closing-pair correlation is read from the
+    counterfactual schedule only, at the stage before the relocated block,
+    and its required tuple must reach ``POSSIBILITY_EPS``. Both comparisons
+    include the truncation bound (see the module docstring). The
+    certificates must pass: the context and undo entries back the pairwise
+    reads, and the block-vs-M_n entry is what Commutation Irrelevance needs
+    to move the block past M_n. The verdict also needs the contradiction:
+    the chain seeded by the required tuple's first value must conflict or
+    force M_n off its second value. A target without one (full support
+    everywhere, say) is no paradox and gets a false verdict, not an error;
+    one that does not live on the n-cycle, or whose required tuple is not
+    an outcome of (1, n), raises ``ValueError``.
     """
     if target is None:
         target = default_paradox_target(n)
@@ -693,14 +694,15 @@ def paradox_report(r: QuantumRealization, n: int, tol: float = PROB_TOL,
         for t in sorted(set(itertools.product((0, 1), repeat=2)) - set(target.supports[ctx])):
             val = probs[t]
             pairwise.append(PairwiseCheck(ctx, stage, t, val,
-                                          (math.sqrt(val) + delta) ** 2 <= tol))
+                                          (math.sqrt(val) + delta) ** 2 <= PROB_TOL))
 
     chain = propagate_chain(target, 1, req_tuple[0])
 
     cf_dist = record_distribution(cf_trace, "before U", [1, n])
     cf_val = cf_dist[req_tuple]
     counterfactual = CounterfactualCheck(
-        (1, n), req_tuple, cf_val, eps, max(math.sqrt(cf_val) - delta, 0.0) ** 2 >= eps)
+        (1, n), req_tuple, cf_val, POSSIBILITY_EPS,
+        max(math.sqrt(cf_val) - delta, 0.0) ** 2 >= POSSIBILITY_EPS)
 
     verdict = (all(c.passed for c in pairwise) and counterfactual.passed
                and chain.refutes(n, req_tuple[1]))

@@ -42,7 +42,7 @@ n = 4 and dim >= 4 it is Hardy's two-qubit product realization, each frame
 a qubit vector or its orthogonal one, times the other qubit. The start's
 cached realization passes one acceptance test or is rejected: its
 ``behavior_from_realization`` tables must hold every forbidden probability
-<= ``FORBIDDEN_TOL`` and the required one >= ``REQUIRED_MARGIN`` (a
+<= ``PROB_TOL`` and the required one >= ``REQUIRED_MARGIN`` (a
 non-commuting context rejects it), and its ``possibilistic_collapse`` must
 lie within the target and contain the required tuple. Every other request
 (a smaller n or dim, a target that contains no relabeled ladder, a zero
@@ -68,7 +68,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import ALG_TOL, normalized
+from .linalg import ALG_TOL, PROB_TOL, normalized
 from .scenario import (
     Behavior,
     PossibilisticBehavior,
@@ -79,8 +79,7 @@ from .scenario import (
     supports_within,
 )
 
-# Success thresholds for the realization search.
-FORBIDDEN_TOL = 1e-10
+# the required probability the realization search demands
 REQUIRED_MARGIN = 1e-3
 
 # label pairs per batched product of ``QuantumRealization.commutator_norms``
@@ -450,7 +449,7 @@ def _accepted(s: Scenario, target: PossibilisticBehavior, cand: QuantumRealizati
     """Whether a candidate passes the search's one acceptance test.
 
     Its ``behavior_from_realization`` tables must hold every tuple the
-    target forbids at <= ``FORBIDDEN_TOL`` and the required tuple at
+    target forbids at <= ``PROB_TOL`` and the required tuple at
     >= ``REQUIRED_MARGIN``; a non-commuting context rejects it. Its support
     collapse must lie within the target and contain the required tuple.
     """
@@ -461,7 +460,7 @@ def _accepted(s: Scenario, target: PossibilisticBehavior, cand: QuantumRealizati
     req = target.required
     for c in s.contexts:
         allowed = target.supports[c]
-        if any(p > FORBIDDEN_TOL for t, p in b.tables[c].items() if t not in allowed):
+        if any(p > PROB_TOL for t, p in b.tables[c].items() if t not in allowed):
             return False
     if req is not None and b.tables[req[0]][req[1]] < REQUIRED_MARGIN:
         return False

@@ -38,14 +38,24 @@ class TestDemo5:
 
     def test_simulated_zeros_sit_below_even_harsh_tolerances(self, tmp_path):
         # the record-level forbidden entries are products of near-exact
-        # zeros, so they survive a 1e-20 threshold comfortably
-        code, _ = run(tmp_path, ["demo5", "--format", "json", "--tol-prob", "1e-20"])
+        # zeros, so with the truncation bound added as the report adds it
+        # they still pass a 1e-20 threshold
+        code, payload = run(tmp_path, ["demo5", "--format", "json"])
         assert code == 0
+        doc = json.loads(payload)
+        delta = doc["truncation"]["state_norm"]
+        assert len(doc["pairwise"]) == 4
+        for c in doc["pairwise"]:
+            assert (c["value"] ** 0.5 + delta) ** 2 <= 1e-20
 
-    def test_impossible_possibility_threshold_fails(self, tmp_path):
-        code, payload = run(tmp_path, ["demo5", "--format", "json", "--eps", "0.9"])
+    def test_impossible_possibility_threshold_fails(self, tmp_path, monkeypatch):
+        # the report reads the threshold at call time; 1/9 does not reach 0.9
+        monkeypatch.setattr(ewf, "POSSIBILITY_EPS", 0.9)
+        code, payload = run(tmp_path, ["demo5", "--format", "json"])
         assert code == 1
-        assert json.loads(payload)["verdict"] is False
+        doc = json.loads(payload)
+        assert doc["verdict"] is False
+        assert doc["counterfactual"]["threshold"] == 0.9
 
     def test_byte_stable(self, tmp_path):
         _, a = run(tmp_path, ["demo5", "--format", "json"], "a.json")
@@ -334,14 +344,17 @@ class TestUsage:
     def test_small_n_rejected(self):
         assert main(["contextuality", "--n", "3"]) == 2
 
-    def test_negative_tolerance_rejected(self):
-        assert main(["demo5", "--tol-prob", "-1"]) == 2
+    def test_negative_tolerance_rejected(self, capsys):
+        # the tolerances are fixed, so demo5 takes no flag to set one
+        with pytest.raises(SystemExit) as exc:
+            main(["demo5", "--tol-prob", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv", [
         ["search", "--n", "3"],
         ["search", "--seed", "-1"],
         ["verify-all", "--seed", "-1"],
-        ["demo5", "--eps", "0"],
         ["search", "--n", "5", "--dim", "1"],
         ["search", "--n", "5", "--dim", "-3"],
         ["search", "--budget", "-1"],
@@ -362,12 +375,12 @@ class TestUsage:
     @pytest.mark.parametrize("flag", ["--tol-prob", "--eps"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_nonfinite_tolerances_rejected(self, flag, value, capsys):
-        assert main(["demo5", f"{flag}={value}"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["demo5", f"{flag}={value}"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("usage error: ")
-        assert len(captured.err.splitlines()) == 1
-        assert flag in captured.err and value in captured.err
+        assert "unrecognized arguments" in captured.err and flag in captured.err
 
     def test_branch_cap_is_too_large(self, monkeypatch, capsys):
         def outgrown(*args, **kwargs):
@@ -386,6 +399,7 @@ class TestUsage:
         ["contextuality", "--budget", "3"],
         ["search", "--eps", "1e-3"],
         ["verify-all", "--dim", "9"],
+        ["demo5", "--eps", "0"],
     ])
     def test_unread_flags_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -805,6 +805,14 @@ class TestParadoxReport:
         assert all(c.passed for c in rep.pairwise)
         assert rep.convention == "flip-on-outcome-1"
 
+    @pytest.mark.parametrize("kwarg", ["tol", "eps"])
+    def test_thresholds_are_fixed(self, kcbs, kwarg):
+        # the report compares with PROB_TOL and POSSIBILITY_EPS; no caller
+        # can move them
+        with pytest.raises(TypeError):
+            paradox_report(kcbs, 5, **{kwarg: 1e-10})
+        assert paradox_report(kcbs, 5).counterfactual.threshold == ewf.POSSIBILITY_EPS
+
     @pytest.mark.parametrize("case", fixture_cases(), ids=lambda c: f"n{c[1]}")
     def test_counterfactual_read_matches_full_run(self, case):
         r, n, target = case
