@@ -1,8 +1,9 @@
 """Batch verification entry point.
 
 Exit codes follow a CI-friendly contract: 0 when every requested check
-passes, 1 when some check fails, 2 on usage errors and on requests too
-large to report (``EnumerationLimitError``, ``BranchLimitError``). Identical
+passes, 1 when some check fails, 2 on usage errors (an ``--out`` that
+cannot be written among them) and on requests too large to report
+(``EnumerationLimitError``, ``BranchLimitError``). Identical
 configurations (including the seed) produce byte-identical reports; no
 timestamps or timings enter any output document, and no environment
 variable changes one.
@@ -109,7 +110,10 @@ def _to_csv(doc) -> str:
 
 
 def _emit(args: argparse.Namespace, doc: dict, text: Callable[[], str]) -> None:
-    """Write the report in the requested format; ``text`` renders it only for text."""
+    """Write the report in the requested format; ``text`` renders it only for text.
+
+    An ``--out`` that cannot be opened or written is a ``UsageError``.
+    """
     if args.format == "json":
         payload = jsonio.dumps(doc)
     elif args.format == "csv":
@@ -117,8 +121,11 @@ def _emit(args: argparse.Namespace, doc: dict, text: Callable[[], str]) -> None:
     else:
         payload = text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(payload)
 
@@ -219,7 +226,7 @@ def cmd_search_realization(args: argparse.Namespace) -> int:
         raise UsageError(f"--dim must be 0 (parity default) or >= 2, got {dim}")
     s = make_cycle_scenario(n)
     target = unified_ncycle_behavior(n)
-    result = find_quantum_realization(s, target, dim, seed=seed, budget=args.budget)
+    result = find_quantum_realization(s, target, dim, seed=seed)
     if isinstance(result, SearchFailure):
         doc = {"command": "search", "n": n, "dim": dim, "seed": seed,
                "success": False, "message": result.message}
@@ -304,7 +311,7 @@ def _crit_certificates(rep: ParadoxReport) -> dict:
             "noncontext_pair_1_3": noncontext13}
 
 
-def _crit_search_and_protocol(n_max: int, seed: int, budget: int, behaviors: dict) -> dict:
+def _crit_search_and_protocol(n_max: int, seed: int, behaviors: dict) -> dict:
     cases = []
     all_ok = True
     for n in (6, 7, 8):
@@ -313,7 +320,7 @@ def _crit_search_and_protocol(n_max: int, seed: int, budget: int, behaviors: dic
         dim = _default_dim(n)
         s = make_cycle_scenario(n)
         target = behaviors[("unified", n)]
-        found = find_quantum_realization(s, target, dim, seed=seed, budget=budget)
+        found = find_quantum_realization(s, target, dim, seed=seed)
         if isinstance(found, SearchFailure):
             all_ok = False
             cases.append({"n": n, "status": "skip",
@@ -390,7 +397,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
         ("C3", "relabel-transforms", _crit_relabel, (n_max, behaviors)),
         ("C4", "commutation-certificates", _crit_certificates, (kcbs_report,)),
         ("C5", "search-and-protocol", _crit_search_and_protocol,
-         (n_max, args.seed, args.budget, behaviors)),
+         (n_max, args.seed, behaviors)),
         ("C6", "counterfactual-closing-pair", _crit_counterfactual,
          (kcbs, kcbs_report, sequential)),
         ("C7", "measure-undo-roundtrip", _crit_measure_undo, (kcbs,)),
@@ -426,10 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     # each subcommand takes only the flags it reads
-    def search_flags(p):
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--budget", type=int, default=100000)
-
     def output_flags(p):
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", default=None)
@@ -445,12 +448,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search for a quantum realization")
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--dim", type=int, default=0)    # 0: 3 for odd n, 4 for even n
-    search_flags(p)
+    p.add_argument("--seed", type=int, default=1)
     output_flags(p)
     p.set_defaults(run=cmd_search_realization)
     p = sub.add_parser("verify-all", help="run the whole verification suite")
     p.add_argument("--n-max", type=int, default=10, dest="n_max")
-    search_flags(p)
+    p.add_argument("--seed", type=int, default=1)
     output_flags(p)
     p.set_defaults(run=cmd_verify_all)
     return ap
@@ -459,11 +462,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if hasattr(args, "seed"):       # --seed and --budget come together
-            if args.seed < 0:
-                raise UsageError("seed must be nonnegative")
-            if args.budget < 0:
-                raise UsageError(f"--budget must be nonnegative, got {args.budget}")
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError("seed must be nonnegative")
         return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -45,9 +45,9 @@ cached realization passes one acceptance test or is rejected: its
 <= ``PROB_TOL`` and the required one >= ``REQUIRED_MARGIN`` (a
 non-commuting context rejects it), and its ``possibilistic_collapse`` must
 lie within the target and contain the required tuple. Every other request
-(a smaller n or dim, a target that contains no relabeled ladder, a zero
-budget, an infeasible target) is a ``SearchFailure`` at once, whose message
-says why; no numerical descent is run.
+(a smaller n or dim, or a target that contains no relabeled ladder) is a
+``SearchFailure`` at once, whose message says why; no numerical descent is
+run.
 
 Two fixed inputs are built once per process: ``kcbs_realization``
 returns one shared realization, and per (n, dim, flips) the exact start's
@@ -203,7 +203,7 @@ class PairDistribution:
             p = max(p, 0.0)
             probs[t] = p
             total += p
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > ALG_TOL:
             raise RealizationError(f"pair distribution sums to {total}")
         object.__setattr__(self, "probabilities", probs)
 
@@ -452,6 +452,7 @@ def _accepted(s: Scenario, target: PossibilisticBehavior, cand: QuantumRealizati
     target forbids at <= ``PROB_TOL`` and the required tuple at
     >= ``REQUIRED_MARGIN``; a non-commuting context rejects it. Its support
     collapse must lie within the target and contain the required tuple.
+    The target has one, since ``_ladder_flips`` reads no ladder otherwise.
     """
     try:
         b = behavior_from_realization(cand, s)
@@ -462,10 +463,10 @@ def _accepted(s: Scenario, target: PossibilisticBehavior, cand: QuantumRealizati
         allowed = target.supports[c]
         if any(p > PROB_TOL for t, p in b.tables[c].items() if t not in allowed):
             return False
-    if req is not None and b.tables[req[0]][req[1]] < REQUIRED_MARGIN:
+    if b.tables[req[0]][req[1]] < REQUIRED_MARGIN:
         return False
     collapse = possibilistic_collapse(b)
-    return supports_within(collapse, target) and (req is None or collapse.possible(*req))
+    return supports_within(collapse, target) and collapse.possible(*req)
 
 
 def find_quantum_realization(
@@ -473,7 +474,6 @@ def find_quantum_realization(
     target: PossibilisticBehavior,
     dim: int,
     seed: int = 0,
-    budget: int = 1,
 ) -> QuantumRealization | SearchFailure:
     """A realization whose support collapse lies inside the target, or a
     ``SearchFailure`` whose message says why there is none.
@@ -490,12 +490,11 @@ def find_quantum_realization(
     either of which kills one more tuple per context), so containment
     rather than support equality is the faithful acceptance test.
 
-    ``budget`` is the number of candidates the search may test, so 0 tests
-    none and any budget above 0 gives the same result; ``seed`` does not
-    change it either. An infeasible target, a smaller n or dim, a target
-    that contains no relabeled ladder, a zero budget and a rejected start
-    each return a ``SearchFailure`` at once. A ``dim`` that is not an
-    integer raises ``RealizationError`` before any work.
+    ``seed`` does not change the result. A smaller n or dim, a target that
+    contains no relabeled ladder (an emptied support among them) and a
+    rejected start each return a ``SearchFailure`` at once; only the last
+    tests a candidate. A ``dim`` that is not an integer raises
+    ``RealizationError`` before any work.
     """
     try:
         dim = operator.index(dim)
@@ -506,17 +505,12 @@ def find_quantum_realization(
     if dim < 2:
         raise RealizationError("dimension must be at least 2")
     n = s.n
-    for c in s.contexts:
-        if not target.supports[c]:
-            return SearchFailure(f"infeasible target: context {c} forbids every outcome")
     if n < 4 or dim < (4 if n == 4 else 3):
         return SearchFailure(f"no exact start for n = {n} in dimension {dim}: the qutrit "
                              "chain needs n >= 5 and dim >= 3, Hardy's start n = 4 and dim >= 4")
     flips = _ladder_flips(target)
     if flips is None:
         return SearchFailure("no exact start: the target contains no relabeled unified ladder")
-    if budget <= 0:
-        return SearchFailure(f"a budget of {budget} tests no candidate")
     cand = _chain_start(n, dim, flips)
     if _accepted(s, target, cand):
         return cand

@@ -318,8 +318,9 @@ def marginal(table: Mapping[OutcomeTuple, float], context: Context,
     return out
 
 
-def check_no_disturbance(b: Behavior, tol: float = 1e-12) -> bool:
-    """Marginals on every context overlap agree entrywise within tol."""
+def check_no_disturbance(b: Behavior) -> bool:
+    """Marginals on every context overlap agree entrywise within 1e-12
+    (``linalg.ALG_TOL``'s value; this module does not import numpy)."""
     s = b.scenario
     for c1, c2 in itertools.combinations(s.contexts, 2):
         shared = tuple(sorted(set(c1) & set(c2)))
@@ -328,7 +329,7 @@ def check_no_disturbance(b: Behavior, tol: float = 1e-12) -> bool:
         m1 = marginal(b.tables[c1], c1, shared)
         m2 = marginal(b.tables[c2], c2, shared)
         for t in set(m1) | set(m2):
-            if abs(m1.get(t, 0.0) - m2.get(t, 0.0)) > tol:
+            if abs(m1.get(t, 0.0) - m2.get(t, 0.0)) > 1e-12:
                 return False
     return True
 

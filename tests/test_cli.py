@@ -163,15 +163,14 @@ class TestSearch:
 
     def test_even_cycle_dim3_from_chain_start(self, tmp_path):
         code, payload = run(tmp_path, ["search", "--n", "12", "--dim", "3",
-                                       "--budget", "1", "--format", "json"])
+                                       "--format", "json"])
         assert code == 0
         doc = json.loads(payload)
         assert doc["success"] is True and doc["dim"] == 3
 
     def test_dim2_failure(self, tmp_path):
         code, payload = run(tmp_path, ["search", "--n", "5", "--dim", "2",
-                                       "--seed", "1", "--budget", "1200",
-                                       "--format", "json"])
+                                       "--seed", "1", "--format", "json"])
         assert code == 1
         assert json.loads(payload) == {
             "command": "search", "n": 5, "dim": 2, "seed": 1, "success": False,
@@ -185,16 +184,18 @@ class TestSearch:
         assert json.loads(payload)["dim"] == dim
 
     def test_nonfinite_objective_is_null_in_json(self, tmp_path):
-        # a zero budget tests no candidate; the failure document carries the
-        # message and no measure of any start
-        code, payload = run(tmp_path, ["search", "--n", "5", "--budget", "0",
+        # Hardy's start needs dim >= 4, so no candidate is tested; the
+        # failure document carries the message and no measure of any start
+        message = ("no exact start for n = 4 in dimension 3: the qutrit chain needs "
+                   "n >= 5 and dim >= 3, Hardy's start n = 4 and dim >= 4")
+        code, payload = run(tmp_path, ["search", "--n", "4", "--dim", "3",
                                        "--format", "json"])
         assert code == 1
         assert json.loads(payload) == {
-            "command": "search", "n": 5, "dim": 3, "seed": 1, "success": False,
-            "message": "a budget of 0 tests no candidate"}
-        code, payload = run(tmp_path, ["search", "--n", "5", "--budget", "0"])
-        assert (code, payload) == (1, "search failed: a budget of 0 tests no candidate\n")
+            "command": "search", "n": 4, "dim": 3, "seed": 1, "success": False,
+            "message": message}
+        code, payload = run(tmp_path, ["search", "--n", "4", "--dim", "3"])
+        assert (code, payload) == (1, f"search failed: {message}\n")
 
 
 class TestVerifyAll:
@@ -219,9 +220,9 @@ class TestVerifyAll:
         assert lines[0].startswith("C1 ") and lines[0].endswith("PASS")
         assert lines[-1] == "all criteria passed"
 
-    def test_skipped_search_fails_the_run(self, tmp_path):
-        code, payload = run(tmp_path, ["verify-all", "--n-max", "6", "--budget", "0",
-                                       "--format", "json"])
+    def test_skipped_search_fails_the_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(quantum, "REQUIRED_MARGIN", 0.6)    # every start is rejected
+        code, payload = run(tmp_path, ["verify-all", "--n-max", "6", "--format", "json"])
         assert code == 1
         doc = json.loads(payload)
         assert doc["passed"] is False
@@ -357,8 +358,6 @@ class TestUsage:
         ["verify-all", "--seed", "-1"],
         ["search", "--n", "5", "--dim", "1"],
         ["search", "--n", "5", "--dim", "-3"],
-        ["search", "--budget", "-1"],
-        ["verify-all", "--budget", "-3"],
     ])
     def test_command_checks_are_usage_errors(self, argv, capsys):
         assert main(argv) == 2
@@ -366,11 +365,6 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err.startswith("usage error: ")
         assert len(captured.err.splitlines()) == 1
-
-    def test_zero_budget_is_not_a_usage_error(self, capsys):
-        # the search runs and tests no candidate with a zero budget
-        assert main(["search", "--n", "5", "--budget", "0"]) == 1
-        assert "usage error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--tol-prob", "--eps"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -381,6 +375,15 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err and flag in captured.err
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, where, capsys):
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+        assert main(["contextuality", "--n", "5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: cannot write {out}: ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_branch_cap_is_too_large(self, monkeypatch, capsys):
         def outgrown(*args, **kwargs):
@@ -400,6 +403,9 @@ class TestUsage:
         ["search", "--eps", "1e-3"],
         ["verify-all", "--dim", "9"],
         ["demo5", "--eps", "0"],
+        ["search", "--budget", "-1"],
+        ["verify-all", "--budget", "-3"],
+        ["search", "--n", "5", "--budget", "0"],
     ])
     def test_unread_flags_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -108,7 +108,7 @@ class TestBehaviorFromRealization:
         assert pb.possible(*target.required)
 
     def test_no_disturbance(self, kcbs, cycle5):
-        assert check_no_disturbance(behavior_from_realization(kcbs, cycle5), 1e-12)
+        assert check_no_disturbance(behavior_from_realization(kcbs, cycle5))
 
     def test_tables_normalized(self, kcbs, cycle5):
         b = behavior_from_realization(kcbs, cycle5)

@@ -105,11 +105,11 @@ class TestNoDisturbance:
             c: {(a, b): q[a] * q[b] for a in (0, 1) for b in (0, 1)}
             for c in s.contexts
         }
-        assert check_no_disturbance(Behavior(s, tables), 1e-12)
+        assert check_no_disturbance(Behavior(s, tables))
 
     def test_quantum_behavior(self, kcbs, cycle5):
         b = behavior_from_realization(kcbs, cycle5)
-        assert check_no_disturbance(b, 1e-12)
+        assert check_no_disturbance(b)
 
     def test_constructed_violation(self):
         s = make_cycle_scenario(4)
@@ -118,7 +118,23 @@ class TestNoDisturbance:
         # context (1,2) says m1 = 0 surely; context (1,4) says m1 = 1 surely
         tables[(1, 2)] = {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.0, (1, 1): 0.0}
         tables[(1, 4)] = {(1, 0): 0.5, (1, 1): 0.5, (0, 0): 0.0, (0, 1): 0.0}
-        assert not check_no_disturbance(Behavior(s, tables), 1e-12)
+        assert not check_no_disturbance(Behavior(s, tables))
+
+    def test_tolerance_is_fixed(self):
+        s = make_cycle_scenario(4)
+        uniform = {(a, b): 0.25 for a in (0, 1) for b in (0, 1)}
+
+        def shifted(delta):
+            # context (1, 2) moves delta of m1's weight from outcome 1 to 0
+            tables = {c: dict(uniform) for c in s.contexts}
+            tables[(1, 2)] = {(0, 0): 0.25 + delta, (0, 1): 0.25,
+                              (1, 0): 0.25 - delta, (1, 1): 0.25}
+            return Behavior(s, tables)
+
+        assert check_no_disturbance(shifted(5e-13))
+        assert not check_no_disturbance(shifted(1e-11))
+        with pytest.raises(TypeError):
+            check_no_disturbance(shifted(0.0), tol=1e-12)
 
 
 class TestBehaviorValidation:

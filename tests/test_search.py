@@ -81,7 +81,7 @@ class TestFind:
         assert pb.possible(*target.required)
         from cyclectx.scenario import check_no_disturbance
 
-        assert check_no_disturbance(b, 1e-12)
+        assert check_no_disturbance(b)
 
     def test_unified_odd_cycle_uses_complement_frames(self):
         s = make_cycle_scenario(5)
@@ -100,26 +100,24 @@ class TestFind:
 
     def test_dim2_five_cycle_fails_with_budget_report(self):
         s = make_cycle_scenario(5)
-        out = find_quantum_realization(s, odd_ncycle_behavior(5), 2, seed=1, budget=1500)
+        out = find_quantum_realization(s, odd_ncycle_behavior(5), 2, seed=1)
         assert out == SearchFailure("no exact start for n = 5 in dimension 2: the qutrit chain "
                                     "needs n >= 5 and dim >= 3, Hardy's start n = 4 and dim >= 4")
 
     def test_budget_bounds_every_iteration(self, tested):
-        # the budget counts tested candidates, and the search has one
+        # every search tests exactly one candidate, the cached chain start
         s, target = make_cycle_scenario(4), opened_four_cycle()
-        assert isinstance(find_quantum_realization(s, target, 4, seed=1, budget=0), SearchFailure)
-        assert tested == []
-        for budget in (1, 10 ** 6):
-            found = find_quantum_realization(s, target, 4, seed=1, budget=budget)
-            assert found is quantum._chain_start(4, 4, (False,) * 4)
-        assert len(tested) == 2
+        start = quantum._chain_start(4, 4, (False,) * 4)
+        for seed in (1, 2):
+            assert find_quantum_realization(s, target, 4, seed=seed) is start
+        assert len(tested) == 2 and all(cand is start for cand in tested)
 
     def test_exact_start_needs_one_iteration(self):
         out = find_quantum_realization(make_cycle_scenario(6), unified_ncycle_behavior(6), 4,
-                                       seed=1, budget=1)
+                                       seed=1)
         assert not isinstance(out, SearchFailure)
 
-    def test_infeasible_target_rejected_in_preprocessing(self):
+    def test_infeasible_target_rejected_in_preprocessing(self, tested):
         s = make_cycle_scenario(4)
         target = unified_ncycle_behavior(4)
         broken = dict(target.supports)
@@ -132,7 +130,8 @@ class TestFind:
         object.__setattr__(bad, "required", None)
         out = find_quantum_realization(s, bad, 4, seed=1)
         assert isinstance(out, SearchFailure)
-        assert "infeasible" in out.message
+        assert "no relabeled unified ladder" in out.message
+        assert tested == []
 
     def test_deterministic_given_seed(self):
         s = make_cycle_scenario(4)
@@ -178,7 +177,7 @@ class TestChainStart:
         s = make_cycle_scenario(n)
         for target in ladder_targets(n):
             for dim in (3, 4):
-                r = find_quantum_realization(s, target, dim, seed=1, budget=1)
+                r = find_quantum_realization(s, target, dim, seed=1)
                 assert not isinstance(r, SearchFailure), (target.kind, dim)
                 pb = possibilistic_collapse(behavior_from_realization(r, s))
                 assert supports_within(pb, target)
@@ -205,15 +204,15 @@ class TestChainStart:
     def test_rejected_start_is_a_failure(self, n, dim, monkeypatch):
         monkeypatch.setattr(quantum, "REQUIRED_MARGIN", 0.6)    # above every start
         out = find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n), dim,
-                                       seed=1, budget=10)
+                                       seed=1)
         assert isinstance(out, SearchFailure)
         assert "failed the acceptance test" in out.message
 
     def test_zero_budget_tests_no_candidate(self, tested):
-        out = find_quantum_realization(make_cycle_scenario(7), unified_ncycle_behavior(7), 3,
-                                       seed=1, budget=0)
-        assert isinstance(out, SearchFailure)
-        assert out.message == "a budget of 0 tests no candidate"
+        # the search takes no budget
+        with pytest.raises(TypeError):
+            find_quantum_realization(make_cycle_scenario(7), unified_ncycle_behavior(7), 3,
+                                     seed=1, budget=0)
         assert tested == []
 
     def test_acceptance_reads_the_realized_behavior(self):
@@ -257,7 +256,7 @@ class TestChainStart:
         monkeypatch.setattr(quantum, "_chain_start", unreachable)
         for target in (wrong_required, closing_forbids, two_forbidden, no_required):
             assert _ladder_flips(target) is None
-            out = find_quantum_realization(make_cycle_scenario(n), target, dim, seed=1, budget=1)
+            out = find_quantum_realization(make_cycle_scenario(n), target, dim, seed=1)
             assert isinstance(out, SearchFailure)
             assert out.message == ("no exact start: the target contains no relabeled "
                                    "unified ladder")
@@ -396,7 +395,7 @@ class TestHardyStart:
         s = make_cycle_scenario(4)
         hardy = (5 * math.sqrt(5) - 11) / 2
         for target in four_ladders():
-            r = find_quantum_realization(s, target, dim, seed=1, budget=1)
+            r = find_quantum_realization(s, target, dim, seed=1)
             assert not isinstance(r, SearchFailure)
             ctx, t = target.required
             assert abs(behavior_from_realization(r, s).tables[ctx][t] - hardy) <= 1e-12
@@ -427,16 +426,16 @@ class TestHardyStart:
             return flips(target)
 
         monkeypatch.setattr(quantum, "_ladder_flips", counted)
-        searches = [(make_cycle_scenario(4), unified_ncycle_behavior(4), 4, 1),
-                    (make_cycle_scenario(4), opened_four_cycle(), 4, 1),
-                    (make_cycle_scenario(6), even_ncycle_behavior(6), 4, 100),
-                    (make_cycle_scenario(7), unified_ncycle_behavior(7), 3, 0)]
-        for s, target, dim, budget in searches:
-            find_quantum_realization(s, target, dim, seed=1, budget=budget)
+        searches = [(make_cycle_scenario(4), unified_ncycle_behavior(4), 4),
+                    (make_cycle_scenario(4), opened_four_cycle(), 4),
+                    (make_cycle_scenario(6), even_ncycle_behavior(6), 4),
+                    (make_cycle_scenario(7), unified_ncycle_behavior(7), 3)]
+        for s, target, dim in searches:
+            find_quantum_realization(s, target, dim, seed=1)
         assert calls == [4, 4, 6, 7]
         monkeypatch.setattr(quantum, "REQUIRED_MARGIN", 0.5)    # the start is rejected
         find_quantum_realization(make_cycle_scenario(5), unified_ncycle_behavior(5), 3,
-                                 seed=1, budget=5)
+                                 seed=1)
         assert calls == [4, 4, 6, 7, 5]
 
 
@@ -517,7 +516,7 @@ class TestContainedLadders:
         for name in ("_ladder_flips", "_chain_start", "_accepted"):
             monkeypatch.setattr(quantum, name, unreachable)
         out = find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n), dim,
-                                       seed=1, budget=1200)
+                                       seed=1)
         assert isinstance(out, SearchFailure)
         assert out.message.startswith(f"no exact start for n = {n} in dimension {dim}:")
 
