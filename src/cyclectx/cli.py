@@ -2,8 +2,8 @@
 
 Exit codes follow a CI-friendly contract: 0 when every requested check
 passes, 1 when some check fails, 2 on usage errors (an ``--out`` that
-cannot be written among them) and on requests too large to report
-(``EnumerationLimitError``, ``BranchLimitError``). Identical
+cannot be written among them) and on requests too large to report (a
+record simulation past the branch cap, ``BranchLimitError``). Identical
 configurations (including the seed) produce byte-identical reports; no
 timestamps or timings enter any output document, and no environment
 variable changes one.
@@ -65,7 +65,6 @@ from .quantum import (
     realization_to_doc,
 )
 from .scenario import (
-    EnumerationLimitError,
     PossibilisticBehavior,
     is_logically_contextual,
     make_cycle_scenario,
@@ -130,10 +129,6 @@ def _emit(args: argparse.Namespace, doc: dict, text: Callable[[], str]) -> None:
         sys.stdout.write(payload)
 
 
-def _frac(x: float) -> str:
-    return jsonio.as_fraction_text(x)
-
-
 # --- commands ----------------------------------------------------------------
 
 
@@ -145,12 +140,12 @@ def cmd_demo5(args: argparse.Namespace) -> int:
         lines.append("pairwise forbidden entries (read before the undo):")
         for c in rep.pairwise:
             lines.append(f"  context {c.context} tuple {c.forbidden} at {c.stage!r}: "
-                         f"{_frac(c.value)}  [{'ok' if c.passed else 'FAIL'}]")
+                         f"{jsonio.as_fraction_text(c.value)}  [{'ok' if c.passed else 'FAIL'}]")
         chain = " => ".join(f"a{m}={v}" for m, v in rep.chain.steps)
         lines.append(f"implication chain: {chain}")
         cf = rep.counterfactual
         lines.append(f"counterfactual joint {cf.context} tuple {cf.outcome_tuple}: "
-                     f"{_frac(cf.value)} (threshold {cf.threshold:g}) "
+                     f"{jsonio.as_fraction_text(cf.value)} (threshold {cf.threshold:g}) "
                      f"[{'ok' if cf.passed else 'FAIL'}]")
         lines.append("commutation certificates:")
         for e in rep.certificates.required:
@@ -468,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EnumerationLimitError, BranchLimitError) as exc:
+    except BranchLimitError as exc:
         print(f"too large: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -52,7 +52,7 @@ those weights. When the context gates commute almost every term
 cancels: the schedules keep a handful of branches at any n, where the dense
 register holds d 2^n amplitudes. A non-commuting realization makes the
 count grow instead, and more than ``BRANCH_CAP`` branches raise
-``BranchLimitError``; the cap is 2^16, so no input with n <= 16 reaches it.
+``BranchLimitError``; the cap is 2^16, so no input with n <= 16 exceeds it.
 
 The truncation is certified. Gates are unitary, so if delta is the sum over
 gates of the norm dropped at that gate, the kept state is within delta of
@@ -107,6 +107,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -423,11 +424,33 @@ def register_marginal(t: SimulationTrace, stage: str,
     attached; it is how one checks that an undo returned a record to the
     ready state. Keys follow the given record order.
     """
+    return _marginal(t, stage, records, outcomes_only=False)
+
+
+def record_distribution(t: SimulationTrace, stage: str, records: Sequence[int]) -> dict:
+    """Computational-basis marginal of the listed record qubits at a stage.
+
+    ``register_marginal`` restricted to records that hold an outcome at the
+    stage, i.e. whose measurement has happened and whose undo has not:
+    reads outside that window are refused rather than silently returning
+    register statistics that no observer could associate with outcomes.
+    """
+    return _marginal(t, stage, records, outcomes_only=True)
+
+
+def _marginal(t: SimulationTrace, stage: str, records: Sequence[int],
+              outcomes_only: bool) -> dict:
+    """Both reads: the stage, then each record in argument order, checked once."""
     pos = t._position(stage)
-    n = t.protocol.n
+    p, n = t.protocol, t.protocol.n
     for rec in records:
-        if not 1 <= rec <= n:
+        if not 1 <= operator.index(rec) <= n:     # a record that is not an int raises TypeError
             raise ProtocolError(f"record {rec} outside 1..{n}")
+        if outcomes_only and p.measured[rec] > pos:
+            raise RecordNotReadableError(f"record A{rec} holds no outcome yet at stage {stage!r}")
+        if outcomes_only and p.undone.get(rec, pos + 1) <= pos:
+            raise RecordNotReadableError(
+                f"record A{rec} was erased at step {p.undone[rec]}, before stage {stage!r}")
     b = t._through(pos)
     # keys enumerate bits in ascending record label, reordered to argument order
     if len(records) == 2 and records[0] != records[1]:
@@ -457,30 +480,6 @@ def register_marginal(t: SimulationTrace, stage: str,
     return dist
 
 
-def record_distribution(t: SimulationTrace, stage: str, records: Sequence[int]) -> dict:
-    """Computational-basis marginal of the listed record qubits at a stage.
-
-    ``register_marginal`` restricted to records that hold an outcome at the
-    stage, i.e. whose measurement has happened and whose undo has not:
-    reads outside that window are refused rather than silently returning
-    register statistics that no observer could associate with outcomes.
-    """
-    pos = t.stage_index.get(stage)
-    p = t.protocol
-    for rec in records:
-        # an unknown stage or a record outside 1..n raises in register_marginal
-        if pos is None or rec not in p.measured:
-            break
-        if p.measured[rec] > pos:
-            raise RecordNotReadableError(
-                f"record A{rec} holds no outcome yet at stage {stage!r}")
-        undo = p.undone.get(rec)
-        if undo is not None and undo <= pos:
-            raise RecordNotReadableError(
-                f"record A{rec} was erased at step {undo}, before stage {stage!r}")
-    return register_marginal(t, stage, records)
-
-
 # --- commutation certificates ------------------------------------------------
 
 
@@ -501,8 +500,8 @@ class CertificateReport:
     pairs, the undo pairs and the block. ``entries`` appends the
     informational non-context pairs, O(n^2) of them, which
     ``noncontext`` builds on first access; ``passed``, ``required`` and
-    ``entry`` of a required label never build them. Every required entry
-    passes at ALG_TOL.
+    ``entry`` of a required label never build them. ``passed`` tells
+    whether every required entry, its bound added, is within ALG_TOL.
     """
     required: tuple[CertificateEntry, ...]
     noncontext: Callable[[], Sequence[CertificateEntry]] = field(repr=False, compare=False)
@@ -563,7 +562,7 @@ def commutation_certificates(r: QuantumRealization, n: int) -> CertificateReport
     """
     std = build_protocol(n)
     _require_friends(r, n)
-    contexts = [(i, i + 1) for i in range(1, n)] + [(1, n)]
+    contexts = make_cycle_scenario(n).contexts
     # each gate pair's norm is 4 ||[P_i, P_j]||_F (see the module docstring)
     norms = (4.0 * r.commutator_norms(contexts)).tolist()
     entries = [CertificateEntry(f"M{i} vs M{j}", (f"M{i}", f"M{j}"), norm, True)
@@ -585,7 +584,7 @@ def commutation_certificates(r: QuantumRealization, n: int) -> CertificateReport
         2.0 * math.sqrt(2.0) * dropped))
 
     def noncontext() -> list[CertificateEntry]:
-        ctx_set = {tuple(sorted(c)) for c in contexts}
+        ctx_set = set(contexts)
         others = [(a, b) for a, b in itertools.combinations(range(1, n + 1), 2)
                   if (a, b) not in ctx_set]
         norms = (4.0 * r.commutator_norms(others)).tolist()
@@ -691,7 +690,7 @@ def paradox_report(r: QuantumRealization, n: int,
         ctx = (i, i + 1)
         stage = f"after M{i + 1}"
         probs = record_distribution(trace, stage, [i, i + 1])
-        for t in sorted(set(itertools.product((0, 1), repeat=2)) - set(target.supports[ctx])):
+        for t in [u for u in target.scenario.tuples(ctx) if u not in target.supports[ctx]]:
             val = probs[t]
             pairwise.append(PairwiseCheck(ctx, stage, t, val,
                                           (math.sqrt(val) + delta) ** 2 <= PROB_TOL))

@@ -18,7 +18,8 @@ Each table is checked once: ``born_pair``'s by ``PairDistribution``, and
 ``behavior_from_realization``'s by ``Behavior``, where a bad table is a
 ``RealizationError``.
 
-A ``QuantumRealization`` validates its state, then each frame in the
+A ``QuantumRealization`` keeps its dimension as a Python int (else a
+``RealizationError``), validates its state, then each frame in the
 caller's order (shape, then finite, then orthonormal; the first failure
 raises), and keeps read-only copies of both, the state as complex. Each
 frame F writes its row of two read-only (n, dim, dim) stacks in sorted-label
@@ -111,7 +112,10 @@ class QuantumRealization:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = self.dim
+        try:
+            d = operator.index(self.dim)
+        except TypeError:
+            raise RealizationError(f"dim must be an integer, got {self.dim!r}") from None
         if d < 2:
             raise RealizationError("dimension must be at least 2")
         s = np.array(self.state, dtype=complex)         # a copy, read-only below
@@ -144,6 +148,7 @@ class QuantumRealization:
         stacks.setflags(write=False)
         s.setflags(write=False)
         q, p = stacks
+        object.__setattr__(self, "dim", d)
         object.__setattr__(self, "state", s)
         object.__setattr__(self, "frames", MappingProxyType(frames))
         object.__setattr__(self, "_stacks", stacks)

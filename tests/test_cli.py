@@ -413,6 +413,18 @@ class TestUsage:
         assert exc.value.code == 2
 
 
+class TestRarePaths:
+    @pytest.mark.parametrize("argv, expected", [
+        (["contextuality", "--kind", "even", "--n", "5"],
+         ("", "usage error: kind 'even' needs even n, got 5\n", 2)),
+        (["search", "--n", "8", "--format", "text"],
+         ("found a dim-4 realization of the unified 8-cycle behavior "
+          "(projector ranks 3,1,3,1,3,1,3,1)\n", "", 0)),
+    ], ids=["even-kind-odd-n", "search-text"])
+    def test_output_and_exit_code(self, argv, expected):
+        assert call(argv) == expected
+
+
 def call(argv):
     """stdout, stderr and exit code of one in-process ``main`` call."""
     out, err = io.StringIO(), io.StringIO()

@@ -557,6 +557,87 @@ class TestReadabilityGate:
             assert list(dist) == list(register_marginal(t, stage, records))
 
 
+READ_RECORDS = [[], [1], [5], [0], [6], [1, 2], [2, 1], [1, 5], [5, 1], [3, 99], [99, 3],
+                [2, 2], ["a"]]
+
+
+def expected_read(t, stage, records, outcomes_only):
+    """The read contract: an exception type, or the marginal summed from the
+    stage's branch keys and weights, keys over the records in ascending
+    label order and reordered to argument order."""
+    p = t.protocol
+    pos = t.stage_index.get(stage)
+    if pos is None:
+        return UnknownStageError
+    for rec in records:
+        if not isinstance(rec, int):
+            return TypeError
+        if not 1 <= rec <= p.n:
+            return ProtocolError
+        if outcomes_only and (p.measured[rec] > pos or p.undone.get(rec, pos + 1) <= pos):
+            return RecordNotReadableError
+    ordered = sorted(records)
+    dist = {}
+    for idx in itertools.product((0, 1), repeat=len(records)):
+        value = dict(zip(ordered, idx))
+        dist.setdefault(tuple(value[rec] for rec in records), 0.0)
+    b = t.stages[pos]
+    for k, w in zip(b.keys, b.weights):
+        dist[tuple((k >> (p.n - rec)) & 1 for rec in records)] += w
+    return dist
+
+
+class TestReadContract:
+    @pytest.mark.parametrize("build", [build_protocol, build_counterfactual_protocol,
+                                       build_measure_undo_protocol],
+                             ids=["standard", "counterfactual", "measure-undo"])
+    @pytest.mark.parametrize("read, outcomes_only", [(record_distribution, True),
+                                                     (register_marginal, False)],
+                             ids=["record_distribution", "register_marginal"])
+    def test_every_stage_and_record_list(self, kcbs, build, read, outcomes_only):
+        t = simulate(build(5), kcbs)
+        for stage in [*t.stage_index, "after M9"]:
+            for records in READ_RECORDS:
+                expected = expected_read(t, stage, records, outcomes_only)
+                if isinstance(expected, dict):
+                    got = read(t, stage, records)
+                    assert type(got) is dict
+                    assert got == expected and list(got) == list(expected), (stage, records)
+                else:
+                    with pytest.raises(expected) as info:
+                        read(t, stage, records)
+                    assert type(info.value) is expected, (stage, records)
+
+    @pytest.mark.parametrize("read", [record_distribution, register_marginal])
+    @pytest.mark.parametrize("stage, records", [
+        ("initial", [2.0]), ("after M2", [2.0]), ("after M2", [2.5]), ("initial", [None]),
+        ("after M2", [1, 2.0]), ("after M2", [2.0, 99]), ("initial", [2.5, 0]),
+    ])
+    def test_record_that_is_not_an_int_is_a_type_error(self, kcbs, read, stage, records):
+        # checked in argument order, before its range and its readability
+        with pytest.raises(TypeError):
+            read(simulate(build_protocol(5), kcbs), stage, records)
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("call, error, phrase", [
+        (lambda k: Protocol(2, (GateStep("measure", 3),)), ProtocolError, "friend 3 outside 1..2"),
+        (lambda k: Protocol(1, (GateStep("measure", 1), GateStep("undo", 1), GateStep("undo", 1))),
+         ProtocolError, "friend 1 undone twice"),
+        (lambda k: build_measure_undo_protocol(0), ProtocolError, "need at least one friend"),
+        (lambda k: register_marginal(simulate(build_protocol(5), k), "final", [6]),
+         ProtocolError, "record 6 outside 1..5"),
+        (lambda k: commutation_certificates(k, 5).entry("M1 vs M9"), KeyError, "M1 vs M9"),
+        (lambda k: paradox_report(k, 5, dataclasses.replace(odd_ncycle_behavior(5), required=None)),
+         ValueError, "must designate a required-possible tuple"),
+    ], ids=["friend-range", "undone-twice", "no-friends", "record-range", "unknown-label",
+            "no-required-tuple"])
+    def test_raises(self, kcbs, call, error, phrase):
+        with pytest.raises(error, match=phrase) as info:
+            call(kcbs)
+        assert type(info.value) is error
+
+
 class TestRecordInvariance:
     def test_undo_commutes_past_its_context_partner(self, kcbs):
         # U1† and M2 share a context, so swapping them cannot move any

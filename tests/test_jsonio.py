@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from cyclectx import jsonio
 
 
@@ -22,3 +24,15 @@ class TestDumps:
             assert jsonio.dumps({t: t}) == "{\n  " + json.dumps(t) + ": " + json.dumps(t) + "\n}\n"
             assert jsonio.dumps([t, True, None, False]) == (
                 "[" + ", ".join(json.dumps(v) for v in (t, True, None, False)) + "]\n")
+
+    @pytest.mark.parametrize("obj, expected", [
+        ({}, "{}\n"),
+        ({"a": {}, "b": []}, '{\n  "a": {},\n  "b": []\n}\n'),
+        ([object()], TypeError),
+    ], ids=["empty-dict", "nested-empty", "not-json"])
+    def test_empty_containers_and_foreign_objects(self, obj, expected):
+        if expected is TypeError:
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                jsonio.dumps(obj)
+        else:
+            assert jsonio.dumps(obj) == expected

@@ -45,6 +45,17 @@ class TestCommutatorNorm:
             commutator_norm(np.ones((2, 3)), np.ones((2, 3)))
 
 
+class TestNormalized:
+    @pytest.mark.parametrize("v, phrase", [
+        ([1.0, np.nan, 0.0], "must be finite"),
+        ([np.inf, 0.0], "must be finite"),
+        ([0.0, 0.0, 0.0], "cannot normalize the zero vector"),
+    ], ids=["nan", "inf", "zero"])
+    def test_rejected(self, v, phrase):
+        with pytest.raises(ValueError, match=phrase):
+            normalized(v)
+
+
 class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6), st.integers(0, 2**31 - 1))

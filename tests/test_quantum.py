@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cyclectx import jsonio
 from cyclectx.linalg import ALG_TOL
 from cyclectx.ncycle import odd_ncycle_behavior, unified_ncycle_behavior
 from cyclectx.oracles import exhaustive_support_check, projection_sequential
@@ -23,6 +24,7 @@ from cyclectx.quantum import (
     _pair_tables,
 )
 from cyclectx.scenario import (
+    Scenario,
     check_no_disturbance,
     make_cycle_scenario,
     possibilistic_collapse,
@@ -229,6 +231,30 @@ class TestRealizationValidation:
         r = QuantumRealization(3, kcbs.state, frames)
         with pytest.raises(RealizationError):
             _ = r.vectors
+
+    def test_numpy_integer_dim_is_kept_as_int(self, kcbs):
+        r = QuantumRealization(np.int64(3), kcbs.state, dict(kcbs.frames))
+        assert type(r.dim) is int and r.dim == 3
+        doc = realization_to_doc(r)
+        back = realization_from_doc(json.loads(jsonio.dumps(doc)))
+        assert realization_to_doc(back) == doc == realization_to_doc(kcbs)
+
+    @pytest.mark.parametrize("dim", [3.0, "3"])
+    def test_non_integer_dim_rejected(self, kcbs, dim):
+        with pytest.raises(RealizationError, match=f"dim must be an integer, got {dim!r}"):
+            QuantumRealization(dim, kcbs.state, dict(kcbs.frames))
+
+    @pytest.mark.parametrize("call, phrase", [
+        (lambda k: QuantumRealization(1, np.ones(1), {1: np.eye(1)}), "dimension must be at least 2"),
+        (lambda k: QuantumRealization(3, k.state[:2], dict(k.frames)), "state must have shape"),
+        (lambda k: behavior_from_realization(k, Scenario((1, 2, 3), ((1, 2, 3),))),
+         "only two-measurement contexts"),
+        (lambda k: find_quantum_realization(make_cycle_scenario(5), odd_ncycle_behavior(5), 1),
+         "dimension must be at least 2"),
+    ], ids=["dim-1", "state-shape", "three-measurement-context", "search-dim-1"])
+    def test_typed_errors(self, kcbs, call, phrase):
+        with pytest.raises(RealizationError, match=phrase):
+            call(kcbs)
 
 
 class TestProjectors:

@@ -146,6 +146,30 @@ class TestBehaviorValidation:
             Behavior(s, {c: dict(table) for c in s.contexts})
 
 
+def three_outcome_cycle_behavior():
+    s = Scenario((1, 2, 3, 4), make_cycle_scenario(4).contexts, outcomes=(0, 1, 2))
+    return PossibilisticBehavior(s, {c: frozenset(s.tuples(c)) for c in s.contexts})
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("call, phrase", [
+        (lambda: Scenario((1, 1, 2), ((1, 2),)), "duplicate measurement labels"),
+        (lambda: Scenario((1, 2), ((2, 1),)), "must be stored in ascending order"),
+        (lambda: Behavior(make_cycle_scenario(4), {}), "exactly one table per context"),
+        (lambda: Behavior(make_cycle_scenario(4),
+                          {c: {(0,): 1.0} for c in make_cycle_scenario(4).contexts}),
+         "wrong arity"),
+        (lambda: supports_within(unified_ncycle_behavior(4), unified_ncycle_behavior(5)),
+         "different scenarios"),
+        (lambda: is_logically_contextual(three_outcome_cycle_behavior()),
+         "binary n-cycle scenarios only"),
+    ], ids=["duplicate-labels", "descending-context", "missing-table", "wrong-arity",
+            "two-scenarios", "three-outcomes"])
+    def test_raises(self, call, phrase):
+        with pytest.raises(ScenarioError, match=phrase):
+            call()
+
+
 class TestPossibilisticValidation:
     def test_value_outside_outcomes_rejected(self):
         pb = all_possible(5)
