@@ -43,7 +43,6 @@ from .ewf import (
     commutation_certificates,
     paradox_report,
     record_distribution,
-    register_marginal,
     simulate,
 )
 from .oracles import (

@@ -278,7 +278,7 @@ def _crit_contextuality(n_max: int, behaviors: dict) -> dict:
         pb = behaviors[(kind, n)]
         v = is_logically_contextual(pb)
         w = v.witness
-        confirmed = v.contextual and w is not None and propagate_chain(
+        confirmed = v.contextual and propagate_chain(
             pb, w.context[0], w.outcome_tuple[0]).refutes(w.context[-1], w.outcome_tuple[-1])
         ok = ok and confirmed
         results.append({"kind": kind, "n": n, "contextual": v.contextual,
@@ -329,9 +329,8 @@ def _crit_search_and_protocol(n_max: int, seed: int, behaviors: dict) -> dict:
             all_ok = False
             cases.append({"n": n, "status": "fail", "notice": str(exc)})
             continue
-        ok = rep.verdict and all(c.passed for c in rep.pairwise)
-        all_ok = all_ok and ok
-        cases.append({"n": n, "status": "pass" if ok else "fail",
+        all_ok = all_ok and rep.verdict
+        cases.append({"n": n, "status": "pass" if rep.verdict else "fail",
                       "max_forbidden": max(c.value for c in rep.pairwise),
                       "closing_value": rep.counterfactual.value})
     return {"status": "pass" if all_ok else "fail", "cases": cases}
@@ -349,8 +348,9 @@ def _crit_counterfactual(r: QuantumRealization, rep: ParadoxReport,
 
 def _crit_measure_undo(r: QuantumRealization) -> dict:
     trace = simulate(build_measure_undo_protocol(5), r)
-    init, final = trace.states[0], trace.states[-1]
-    fidelity = float(abs(np.vdot(init, final)) ** 2)
+    final = trace.stages[-1]    # the initial state is r.state on the empty records, key 0
+    v0 = final.values[final.keys.index(0)] if 0 in final.keys else np.zeros(r.dim)
+    fidelity = float(abs(np.vdot(r.state, v0)) ** 2)
     marginals = {}
     ok = abs(fidelity - 1.0) <= PROB_TOL
     vectors = r.vectors

@@ -69,8 +69,9 @@ zero would still pass a 1e-20 threshold.
 A trace computes each stage the first time it is read: the read runs only
 the gates up to that stage that have not run yet, and ``truncation_at``
 gives the delta through that stage, which bounds every read there and is
-never larger than the full run's. ``stages``, ``states`` and
-``truncation`` run the whole schedule. A norm drift or a
+never larger than the full run's. ``stages`` runs the whole schedule. The
+trace holds branches only: the dense d 2^n register is built by
+``oracles.dense_simulate`` alone, as the reference. A norm drift or a
 ``BranchLimitError`` surfaces at the first read that needs the failing
 gate. The report reads the counterfactual schedule only at "before U", so
 of that schedule only M1 and Mn ever run, and its delta is the one through
@@ -320,35 +321,18 @@ def _record_gate(b: Branches, op: np.ndarray, bit: int) -> tuple[Branches, float
     return Branches(tuple(keys), u, norm2, tuple(weights)), math.sqrt(dropped2)
 
 
-class _DenseStates(Sequence):
-    """The flat d 2^n state of each stage, built when it is read."""
-
-    def __init__(self, stages: tuple[Branches, ...], n: int, dim: int):
-        self._stages, self._n, self._dim = stages, n, dim
-
-    def __len__(self) -> int:
-        return len(self._stages)
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        b = self._stages[k]
-        dense = np.zeros((self._dim, 2 ** self._n), dtype=complex)
-        dense[:, list(b.keys)] = b.values.T
-        return dense.reshape(-1)
-
-
 class SimulationTrace:
     """The stages of a schedule run from state (x) |0...0>, each computed on first read.
 
     Reading a stage runs the gates up to it that have not run yet, and keeps
-    every stage it passes; ``stages``, ``states`` and ``truncation`` run the
-    whole schedule. A norm drift (``ProtocolError``) or a ``BranchLimitError``
-    is raised by the first read that needs the failing gate.
+    every stage it passes; ``stages`` runs the whole schedule. A norm drift
+    (``ProtocolError``) or a ``BranchLimitError`` is raised by the first read
+    that needs the failing gate.
     """
 
     def __init__(self, protocol: Protocol, r: QuantumRealization):
         _require_friends(r, protocol.n)
         self.protocol = protocol
-        self.dim = r.dim
         self._realization = r
         state = np.array(r.state, dtype=complex).reshape(1, r.dim)
         self._stages = [_single_branch(state, float(np.vdot(state, state).real))]
@@ -385,15 +369,6 @@ class SimulationTrace:
         self._through(len(self.protocol.steps))
         return tuple(self._stages)
 
-    @property
-    def states(self) -> Sequence[np.ndarray]:
-        return _DenseStates(self.stages, self.protocol.n, self.dim)
-
-    @property
-    def truncation(self) -> float:
-        """delta: the norm dropped over the whole run."""
-        return self.truncation_at("final")
-
     def truncation_at(self, stage: str) -> float:
         """The norm dropped up to ``stage``, which bounds every read there."""
         pos = self._position(stage)
@@ -416,39 +391,24 @@ def simulate(p: Protocol, r: QuantumRealization) -> SimulationTrace:
     return SimulationTrace(p, r)
 
 
-def register_marginal(t: SimulationTrace, stage: str,
-                      records: Sequence[int]) -> dict:
-    """Raw computational-basis marginal of record qubits at a stage.
-
-    Diagnostic view of the register state with no outcome semantics
-    attached; it is how one checks that an undo returned a record to the
-    ready state. Keys follow the given record order.
-    """
-    return _marginal(t, stage, records, outcomes_only=False)
-
-
 def record_distribution(t: SimulationTrace, stage: str, records: Sequence[int]) -> dict:
     """Computational-basis marginal of the listed record qubits at a stage.
 
-    ``register_marginal`` restricted to records that hold an outcome at the
-    stage, i.e. whose measurement has happened and whose undo has not:
-    reads outside that window are refused rather than silently returning
-    register statistics that no observer could associate with outcomes.
+    Only records that hold an outcome at the stage, i.e. whose measurement
+    has happened and whose undo has not, can be read: reads outside that
+    window are refused rather than silently returning register statistics
+    that no observer could associate with outcomes. The stage is checked
+    first, then each record in argument order. Keys follow the given record
+    order.
     """
-    return _marginal(t, stage, records, outcomes_only=True)
-
-
-def _marginal(t: SimulationTrace, stage: str, records: Sequence[int],
-              outcomes_only: bool) -> dict:
-    """Both reads: the stage, then each record in argument order, checked once."""
     pos = t._position(stage)
     p, n = t.protocol, t.protocol.n
     for rec in records:
         if not 1 <= operator.index(rec) <= n:     # a record that is not an int raises TypeError
             raise ProtocolError(f"record {rec} outside 1..{n}")
-        if outcomes_only and p.measured[rec] > pos:
+        if p.measured[rec] > pos:
             raise RecordNotReadableError(f"record A{rec} holds no outcome yet at stage {stage!r}")
-        if outcomes_only and p.undone.get(rec, pos + 1) <= pos:
+        if p.undone.get(rec, pos + 1) <= pos:
             raise RecordNotReadableError(
                 f"record A{rec} was erased at step {p.undone[rec]}, before stage {stage!r}")
     b = t._through(pos)
@@ -684,7 +644,7 @@ def paradox_report(r: QuantumRealization, n: int,
     # only "before U" of the counterfactual schedule is read, so only M1 and Mn run
     cf_trace = simulate(build_counterfactual_protocol(n), r)
     # sqrt(p_exact) lies within delta of sqrt(p) read from the kept branches
-    delta = max(trace.truncation, cf_trace.truncation_at("before U"))
+    delta = max(trace.truncation_at("final"), cf_trace.truncation_at("before U"))
     pairwise = []
     for i in range(1, n):
         ctx = (i, i + 1)

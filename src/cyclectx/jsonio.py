@@ -7,7 +7,7 @@ significant digits and dictionaries keep insertion order. Keys and strings
 are quoted by ``json``'s own ASCII encoder, as ``json.dumps`` quotes a
 ``str`` by default. JSON has no literal for infinity or NaN, so ``dumps``
 writes non-finite floats as ``null``; ``render_float`` (used for CSV and
-text) keeps ``inf``/``nan``.
+text) and ``as_fraction_text`` keep ``inf``/``nan``.
 """
 
 from __future__ import annotations
@@ -82,6 +82,8 @@ def _scalar(v: Any) -> str:
 
 def as_fraction_text(x: float) -> str:
     """Render ``x`` as p/q when it is within 1e-12 of a fraction with q <= 100."""
+    if not math.isfinite(x):
+        return render_float(x)
     from fractions import Fraction      # only text reports use it; not imported at start-up
     fr = Fraction(x).limit_denominator(100)
     if abs(x - float(fr)) <= 1e-12:

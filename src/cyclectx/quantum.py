@@ -44,8 +44,9 @@ a qubit vector or its orthogonal one, times the other qubit. The start's
 cached realization passes one acceptance test or is rejected: its
 ``behavior_from_realization`` tables must hold every forbidden probability
 <= ``PROB_TOL`` and the required one >= ``REQUIRED_MARGIN`` (a
-non-commuting context rejects it), and its ``possibilistic_collapse`` must
-lie within the target and contain the required tuple. Every other request
+non-commuting context rejects it). Since ``PROB_TOL`` < ``POSSIBILITY_EPS``
+< ``REQUIRED_MARGIN``, its ``possibilistic_collapse`` then lies within the
+target and contains the required tuple. Every other request
 (a smaller n or dim, or a target that contains no relabeled ladder) is a
 ``SearchFailure`` at once, whose message says why; no numerical descent is
 run.
@@ -76,8 +77,6 @@ from .scenario import (
     Scenario,
     ScenarioError,
     make_cycle_scenario,
-    possibilistic_collapse,
-    supports_within,
 )
 
 # the required probability the realization search demands
@@ -455,9 +454,10 @@ def _accepted(s: Scenario, target: PossibilisticBehavior, cand: QuantumRealizati
 
     Its ``behavior_from_realization`` tables must hold every tuple the
     target forbids at <= ``PROB_TOL`` and the required tuple at
-    >= ``REQUIRED_MARGIN``; a non-commuting context rejects it. Its support
-    collapse must lie within the target and contain the required tuple.
-    The target has one, since ``_ladder_flips`` reads no ladder otherwise.
+    >= ``REQUIRED_MARGIN`` (the target has one: ``_ladder_flips`` reads no
+    ladder otherwise); a non-commuting context rejects it. As ``PROB_TOL``
+    < ``POSSIBILITY_EPS`` < ``REQUIRED_MARGIN``, a passing candidate's
+    support collapse lies within the target and holds the required tuple.
     """
     try:
         b = behavior_from_realization(cand, s)
@@ -468,10 +468,7 @@ def _accepted(s: Scenario, target: PossibilisticBehavior, cand: QuantumRealizati
         allowed = target.supports[c]
         if any(p > PROB_TOL for t, p in b.tables[c].items() if t not in allowed):
             return False
-    if b.tables[req[0]][req[1]] < REQUIRED_MARGIN:
-        return False
-    collapse = possibilistic_collapse(b)
-    return supports_within(collapse, target) and collapse.possible(*req)
+    return b.tables[req[0]][req[1]] >= REQUIRED_MARGIN
 
 
 def find_quantum_realization(
@@ -488,12 +485,13 @@ def find_quantum_realization(
     qutrit chain for n >= 5 and dim >= 3, Hardy's two-qubit realization for
     n = 4 and dim >= 4. It is returned when it passes the acceptance test on
     its realized behavior: forbidden probabilities <= 1e-10, the required
-    probability >= 1e-3, no non-commuting context, and a support collapse
-    that stays inside the target supports and contains the required tuple.
-    A commuting-pair realization always has extra zeros beyond the target's
-    forbidden list (a commuting rank-1 pair is parallel or orthogonal,
-    either of which kills one more tuple per context), so containment
-    rather than support equality is the faithful acceptance test.
+    probability >= 1e-3 and no non-commuting context, so that its support
+    collapse stays inside the target supports and contains the required
+    tuple. A commuting-pair realization always has extra zeros beyond the
+    target's forbidden list (a commuting rank-1 pair is parallel or
+    orthogonal, either of which kills one more tuple per context), so
+    containment rather than support equality is the faithful acceptance
+    test.
 
     ``seed`` does not change the result. A smaller n or dim, a target that
     contains no relabeled ladder (an emptied support among them) and a

@@ -60,6 +60,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from .linalg import ALG_TOL
+
 Context = tuple[int, ...]
 OutcomeTuple = tuple[int, ...]
 
@@ -151,10 +153,10 @@ class Behavior:
             for t, p in table.items():
                 if len(t) != len(c):
                     raise ScenarioError(f"tuple {t} has wrong arity for context {c}")
-                if not -1e-15 <= p <= 1 + 1e-12:     # also false for NaN
+                if not -1e-15 <= p <= 1 + ALG_TOL:     # also false for NaN
                     raise ScenarioError(f"probability {p} outside [0,1] in context {c}")
                 total += p
-            if abs(total - 1.0) > 1e-12:
+            if abs(total - 1.0) > ALG_TOL:
                 raise ScenarioError(f"table for context {c} sums to {total}, not 1")
 
 
@@ -319,8 +321,7 @@ def marginal(table: Mapping[OutcomeTuple, float], context: Context,
 
 
 def check_no_disturbance(b: Behavior) -> bool:
-    """Marginals on every context overlap agree entrywise within 1e-12
-    (``linalg.ALG_TOL``'s value; this module does not import numpy)."""
+    """Marginals on every context overlap agree entrywise within ALG_TOL."""
     s = b.scenario
     for c1, c2 in itertools.combinations(s.contexts, 2):
         shared = tuple(sorted(set(c1) & set(c2)))
@@ -329,7 +330,7 @@ def check_no_disturbance(b: Behavior) -> bool:
         m1 = marginal(b.tables[c1], c1, shared)
         m2 = marginal(b.tables[c2], c2, shared)
         for t in set(m1) | set(m2):
-            if abs(m1.get(t, 0.0) - m2.get(t, 0.0)) > 1e-12:
+            if abs(m1.get(t, 0.0) - m2.get(t, 0.0)) > ALG_TOL:
                 return False
     return True
 

@@ -36,6 +36,7 @@ from cyclectx.scenario import (
     make_cycle_scenario,
     propagate_chain,
 )
+from dense_reference import dense_stages
 
 
 def report(cid: str, ok: bool, detail: str = ""):
@@ -143,7 +144,8 @@ def test_c6_counterfactual_closing_pair():
 def test_c7_measure_undo_protocol():
     r = kcbs_realization()
     trace = simulate(build_measure_undo_protocol(5), r)
-    fid = abs(np.vdot(trace.states[0], trace.states[-1])) ** 2
+    stages = dense_stages(trace)
+    fid = abs(np.vdot(stages[0], stages[-1])) ** 2
     ok = abs(fid - 1.0) <= 1e-10
     expected = [1 / 9, 2 / 3, 1 / 3, 1 / 3, 2 / 3]
     for i, want in zip(range(1, 6), expected):

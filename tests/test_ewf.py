@@ -27,7 +27,6 @@ from cyclectx.ewf import (
     _record_gate,
     paradox_report,
     record_distribution,
-    register_marginal,
     report_to_doc,
     simulate,
 )
@@ -46,6 +45,7 @@ from cyclectx.scenario import (
     is_logically_contextual,
     make_cycle_scenario,
 )
+from dense_reference import dense_stage
 from linalg_reference import commutator_norm
 
 
@@ -313,8 +313,8 @@ class TestProtocols:
 class TestSimulate:
     def test_norm_preserved_each_step(self, kcbs):
         t = simulate(build_protocol(5), kcbs)
-        for st in t.states:
-            assert abs(np.linalg.norm(st) - 1) < 1e-12
+        for b in t.stages:
+            assert abs(np.linalg.norm(b.values) - 1) < 1e-12
 
     def test_forbidden_entries_at_prescribed_stages(self, kcbs):
         t = simulate(build_protocol(5), kcbs)
@@ -325,8 +325,10 @@ class TestSimulate:
 
     def test_undo_restores_ready_state(self, kcbs):
         t = simulate(build_protocol(5), kcbs)
-        marg = register_marginal(t, "after U1", [1])
-        assert abs(marg[(0,)] - 1.0) < 1e-12
+        # every branch after U1 has record 1 (bit n - 1 = 4) back at 0
+        b = t.stages[t.stage_index["after U1"]]
+        assert all(not k & (1 << 4) for k in b.keys)
+        assert abs(sum(b.weights) - 1.0) < 1e-12
 
     def test_record_reads_match_born_pairs(self, kcbs):
         # every read after M{i+1} of the standard schedule is the Born pair
@@ -461,7 +463,7 @@ class TestOnDemandTrace:
         assert calls == [1 << (n - 1), 1]
         assert record_distribution(t, "before U", [1, n]) == first
         t.truncation_at("before U")
-        register_marginal(t, "after M1", [1])
+        record_distribution(t, "after M1", [1])
         with pytest.raises(UnknownStageError):
             t.truncation_at("before M1")
         assert len(calls) == 2
@@ -474,7 +476,7 @@ class TestOnDemandTrace:
         dist = record_distribution(t, "before U", [1, 20])
         assert abs(sum(dist.values()) - 1.0) <= 1e-12
         with pytest.raises(BranchLimitError):
-            t.truncation
+            t.truncation_at("final")
         # the failed read leaves the stages it reached readable
         assert record_distribution(t, "before U", [1, 20]) == dist
 
@@ -497,7 +499,6 @@ class TestOnDemandTrace:
         t = simulate(p, r)
         for name, pos in sorted(stage_index.items(), key=lambda kv: -kv[1]):
             assert t.truncation_at(name) == deltas[pos]
-        assert t.truncation == deltas[-1]
         got = t.stages
         assert len(got) == len(stages) == len(p.steps) + 1
         for b, ref in zip(got, stages):
@@ -552,16 +553,16 @@ class TestReadabilityGate:
         t = simulate(plain, r)
         for stage in ("after M5", "after M6", "final"):
             dist = record_distribution(t, stage, records)
+            expected = expected_read(t, stage, records)
             assert type(dist) is dict
-            assert dist == register_marginal(t, stage, records)
-            assert list(dist) == list(register_marginal(t, stage, records))
+            assert dist == expected and list(dist) == list(expected)
 
 
 READ_RECORDS = [[], [1], [5], [0], [6], [1, 2], [2, 1], [1, 5], [5, 1], [3, 99], [99, 3],
                 [2, 2], ["a"]]
 
 
-def expected_read(t, stage, records, outcomes_only):
+def expected_read(t, stage, records):
     """The read contract: an exception type, or the marginal summed from the
     stage's branch keys and weights, keys over the records in ascending
     label order and reordered to argument order."""
@@ -574,7 +575,7 @@ def expected_read(t, stage, records, outcomes_only):
             return TypeError
         if not 1 <= rec <= p.n:
             return ProtocolError
-        if outcomes_only and (p.measured[rec] > pos or p.undone.get(rec, pos + 1) <= pos):
+        if p.measured[rec] > pos or p.undone.get(rec, pos + 1) <= pos:
             return RecordNotReadableError
     ordered = sorted(records)
     dist = {}
@@ -591,14 +592,12 @@ class TestReadContract:
     @pytest.mark.parametrize("build", [build_protocol, build_counterfactual_protocol,
                                        build_measure_undo_protocol],
                              ids=["standard", "counterfactual", "measure-undo"])
-    @pytest.mark.parametrize("read, outcomes_only", [(record_distribution, True),
-                                                     (register_marginal, False)],
-                             ids=["record_distribution", "register_marginal"])
-    def test_every_stage_and_record_list(self, kcbs, build, read, outcomes_only):
+    @pytest.mark.parametrize("read", [record_distribution])
+    def test_every_stage_and_record_list(self, kcbs, build, read):
         t = simulate(build(5), kcbs)
         for stage in [*t.stage_index, "after M9"]:
             for records in READ_RECORDS:
-                expected = expected_read(t, stage, records, outcomes_only)
+                expected = expected_read(t, stage, records)
                 if isinstance(expected, dict):
                     got = read(t, stage, records)
                     assert type(got) is dict
@@ -608,7 +607,7 @@ class TestReadContract:
                         read(t, stage, records)
                     assert type(info.value) is expected, (stage, records)
 
-    @pytest.mark.parametrize("read", [record_distribution, register_marginal])
+    @pytest.mark.parametrize("read", [record_distribution])
     @pytest.mark.parametrize("stage, records", [
         ("initial", [2.0]), ("after M2", [2.0]), ("after M2", [2.5]), ("initial", [None]),
         ("after M2", [1, 2.0]), ("after M2", [2.0, 99]), ("initial", [2.5, 0]),
@@ -625,7 +624,7 @@ class TestTypedErrors:
         (lambda k: Protocol(1, (GateStep("measure", 1), GateStep("undo", 1), GateStep("undo", 1))),
          ProtocolError, "friend 1 undone twice"),
         (lambda k: build_measure_undo_protocol(0), ProtocolError, "need at least one friend"),
-        (lambda k: register_marginal(simulate(build_protocol(5), k), "final", [6]),
+        (lambda k: record_distribution(simulate(build_protocol(5), k), "final", [6]),
          ProtocolError, "record 6 outside 1..5"),
         (lambda k: commutation_certificates(k, 5).entry("M1 vs M9"), KeyError, "M1 vs M9"),
         (lambda k: paradox_report(k, 5, dataclasses.replace(odd_ncycle_behavior(5), required=None)),
@@ -648,7 +647,8 @@ class TestRecordInvariance:
         swapped = Protocol(5, tuple(swapped_steps))
         t_std = simulate(std, kcbs)
         t_swapped = simulate(swapped, kcbs)
-        np.testing.assert_allclose(t_std.states[-1], t_swapped.states[-1], atol=1e-12)
+        np.testing.assert_allclose(dense_stage(t_std.stages[-1], 5),
+                                   dense_stage(t_swapped.stages[-1], 5), atol=1e-12)
         a = record_distribution(t_std, "after M3", [2, 3])
         b = record_distribution(t_swapped, "after M3", [2, 3])
         for key in a:
@@ -696,7 +696,8 @@ class TestCounterfactual:
 class TestMeasureUndo:
     def test_round_trip_fidelity(self, kcbs):
         t = simulate(build_measure_undo_protocol(5), kcbs)
-        fid = abs(np.vdot(t.states[0], t.states[-1])) ** 2
+        stages = t.stages
+        fid = abs(np.vdot(dense_stage(stages[0], 5), dense_stage(stages[-1], 5))) ** 2
         assert abs(fid - 1.0) < 1e-10
 
     def test_each_marginal_is_single_measurement_born(self, kcbs):
@@ -903,7 +904,7 @@ class TestParadoxReport:
         read = record_distribution(full, "before U", [1, n])
         assert rep.counterfactual.value == read[rep.counterfactual.outcome_tuple]
         std = simulate(build_protocol(n), r)
-        assert rep.truncation <= max(std.truncation, full.truncation)
+        assert rep.truncation <= max(std.truncation_at("final"), full.truncation_at("final"))
 
     @pytest.mark.parametrize("target, cause", [
         (dataclasses.replace(odd_ncycle_behavior(5), required=((1, 2), (0, 0))), "context"),

@@ -36,3 +36,12 @@ class TestDumps:
                 jsonio.dumps(obj)
         else:
             assert jsonio.dumps(obj) == expected
+
+
+class TestFractionText:
+    @pytest.mark.parametrize("x, expected", [
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+        (0.123456789, "0.123456789"), (1 / 9, "1/9"), (2.0, "2"),
+    ], ids=["inf", "minus-inf", "nan", "not-a-fraction", "ninth", "integer"])
+    def test_renders_fraction_or_float_text(self, x, expected):
+        assert jsonio.as_fraction_text(x) == expected

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclectx.ncycle import (
     FlipMask,
+    _behavior_from_constraints,
     even_ncycle_behavior,
     even_to_unified_mask,
     identity_mask,
@@ -20,6 +21,7 @@ from cyclectx.scenario import (
     Scenario,
     ScenarioError,
     is_logically_contextual,
+    make_cycle_scenario,
 )
 
 ALL = set(itertools.product((0, 1), repeat=2))
@@ -46,6 +48,11 @@ class TestUnified:
     def test_guard(self):
         with pytest.raises(ScenarioError):
             unified_ncycle_behavior(3)
+
+    def test_required_tuple_that_is_forbidden_clashes(self):
+        s = make_cycle_scenario(5)
+        with pytest.raises(ScenarioError, match=r"required tuple \(0, 1\) in \(1, 2\) clashes"):
+            _behavior_from_constraints(s, {(1, 2): (0, 1)}, ((1, 2), (0, 1)), "unified")
 
 
 @pytest.mark.parametrize("generate, sizes", [

@@ -51,6 +51,7 @@ from cyclectx.scenario import (
     make_cycle_scenario,
     propagate_chain,
 )
+from dense_reference import dense_stages
 
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "realizations.json"
@@ -554,12 +555,12 @@ class TestDenseCommutationCertificates:
                                        build_measure_undo_protocol])
     def test_simulate_matches_dense_gate_product(self, kcbs, build):
         p = build(5)
-        trace = simulate(p, kcbs)
-        state = trace.states[0]
+        stages = dense_stages(simulate(p, kcbs))
+        state = stages[0]
         for st in p.steps:
             g = measurement_unitary(kcbs, st.friend, 5)
             state = (g.conj().T if st.kind == "undo" else g) @ state
-        np.testing.assert_allclose(trace.states[-1], state, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stages[-1], state, rtol=0, atol=1e-12)
 
 
 SCHEDULES = (build_protocol, build_counterfactual_protocol, build_measure_undo_protocol)
@@ -587,11 +588,20 @@ class TestDenseSimulate:
             p = build(n)
             fast, dense = simulate(p, r), dense_simulate(p, r)
             assert fast.stage_index == dense.stage_index
-            assert len(fast.states) == len(dense.states) == len(p.steps) + 1
-            for got, want in zip(fast.states, dense.states):
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-            assert fast.truncation <= 1e-12
+            got = dense_stages(fast)
+            assert len(got) == len(dense.states) == len(p.steps) + 1
+            for g, want in zip(got, dense.states):
+                np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
+            assert fast.truncation_at("final") <= 1e-12
         if kind == "random":
             # nothing cancels: the branches outgrow any commuting schedule's handful
             widest = max(len(b.keys) for b in simulate(build_protocol(n), r).stages)
             assert widest >= 2 ** (n - 2)
+
+    def test_norm_drift_raises(self, kcbs, monkeypatch):
+        # half a projector makes the first gate non-unitary
+        real = QuantumRealization.projector
+        monkeypatch.setattr(QuantumRealization, "projector",
+                            lambda self, i: 0.5 * real(self, i))
+        with pytest.raises(ProtocolError, match="norm drifted to .* at step M1"):
+            dense_simulate(build_protocol(5), kcbs)

@@ -15,6 +15,7 @@ from cyclectx.scenario import (
     PossibilisticBehavior,
     Scenario,
     ScenarioError,
+    WitnessFates,
     check_no_disturbance,
     flip_outcomes,
     is_logically_contextual,
@@ -163,8 +164,11 @@ class TestTypedErrors:
          "different scenarios"),
         (lambda: is_logically_contextual(three_outcome_cycle_behavior()),
          "binary n-cycle scenarios only"),
+        (lambda: WitnessFates(make_cycle_scenario(5), tuple(all_possible(5).supports.values()),
+                              (1, 2), (0, 0))[0],
+         "survives every context: not a witness"),
     ], ids=["duplicate-labels", "descending-context", "missing-table", "wrong-arity",
-            "two-scenarios", "three-outcomes"])
+            "two-scenarios", "three-outcomes", "not-a-witness"])
     def test_raises(self, call, phrase):
         with pytest.raises(ScenarioError, match=phrase):
             call()

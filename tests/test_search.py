@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cyclectx import quantum
-from cyclectx.linalg import ALG_TOL
+from cyclectx.linalg import ALG_TOL, PROB_TOL
 from cyclectx.ewf import paradox_report
 from cyclectx.ncycle import (
     FlipMask,
@@ -25,6 +25,7 @@ from cyclectx.quantum import (
     realization_to_doc,
 )
 from cyclectx.scenario import (
+    POSSIBILITY_EPS,
     PossibilisticBehavior,
     make_cycle_scenario,
     possibilistic_collapse,
@@ -60,6 +61,12 @@ def tested(monkeypatch):
 
 
 class TestFind:
+    def test_acceptance_thresholds_imply_the_support_collapse(self):
+        # a forbidden tuple at <= PROB_TOL drops out of the collapse and a
+        # required one at >= REQUIRED_MARGIN stays, so the acceptance test
+        # reads the probabilities alone
+        assert PROB_TOL < POSSIBILITY_EPS < quantum.REQUIRED_MARGIN
+
     def test_alternating_five_cycle_dim3(self):
         s = make_cycle_scenario(5)
         target = odd_ncycle_behavior(5)
