@@ -73,9 +73,10 @@ never larger than the full run's. ``stages`` runs the whole schedule. The
 trace holds branches only: the dense d 2^n register is built by
 ``oracles.dense_simulate`` alone, as the reference. A norm drift or a
 ``BranchLimitError`` surfaces at the first read that needs the failing
-gate. The report reads the counterfactual schedule only at "before U", so
-of that schedule only M1 and Mn ever run, and its delta is the one through
-"before U".
+gate. The report reads the counterfactual schedule only at "before U", and
+takes its "after M1" stage from the standard trace, since both schedules
+open with M1 on the same state: of that schedule only Mn runs, and its
+delta is the one through "before U".
 
 The certificates stay in the system space, since the X-strings are
 Frobenius-orthogonal with ``||X^f||_F^2 = 2^n``:
@@ -356,6 +357,12 @@ class SimulationTrace:
             stages.append(b)
             deltas.append(deltas[-1] + dropped)
         return stages[pos]
+
+    def _share_prefix(self, other: SimulationTrace, pos: int) -> None:
+        """Start, before any gate ran, from stages 1..pos of ``other``: the same
+        realization under a schedule that opens with the same pos gates."""
+        other._through(pos)
+        self._stages[1:], self._deltas[1:] = other._stages[1:pos + 1], other._deltas[1:pos + 1]
 
     def _position(self, stage: str) -> int:
         pos = self.stage_index.get(stage)
@@ -641,8 +648,9 @@ def paradox_report(r: QuantumRealization, n: int,
         raise CertificateError(f"commutation certificates failed: {bad}")
 
     trace = simulate(build_protocol(n), r)
-    # only "before U" of the counterfactual schedule is read, so only M1 and Mn run
+    # only "before U" is read, and M1 is the standard trace's: only Mn runs
     cf_trace = simulate(build_counterfactual_protocol(n), r)
+    cf_trace._share_prefix(trace, 1)
     # sqrt(p_exact) lies within delta of sqrt(p) read from the kept branches
     delta = max(trace.truncation_at("final"), cf_trace.truncation_at("before U"))
     pairwise = []

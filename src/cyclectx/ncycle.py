@@ -18,10 +18,9 @@ into the unified one; flipping the first n/2 measurements does the same for
 the even pattern. These transforms are exact support bijections, so all
 contextuality verdicts are preserved.
 
-Nothing here is cached: each call builds a fresh behavior, since a caller
-may edit its supports. What is built once is shared and immutable: the
-cycle scenario per n (``make_cycle_scenario``) and the 15 binary pair
-supports, of which every support here is one.
+Each call builds a fresh behavior, validated once and read-only. What is
+built once is shared: the cycle scenario per n (``make_cycle_scenario``)
+and the 15 binary pair supports, of which every support here is one.
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ context's measurements in ascending label order, so the closing context is
 stored as the ordered pair (1, n). Malformed input stops at the boundary
 with ``ScenarioError``: a context naming a measurement twice, a support that
 is not a frozenset, a support tuple or a chain seed with a value outside the
-outcomes, and a flip mask that does not name exactly the measurements.
+outcomes, and a flip mask that does not name exactly the measurements. A
+behavior is validated once, when it is built, and holds a read-only copy of
+its supports, so no later edit can undo that check.
 
 A support on a pair context with outcomes in {0, 1} is one of the 15
 non-empty subsets of {0, 1}^2. One table maps each to a mask in the four low
@@ -25,26 +27,26 @@ masks:
 - ``possibilistic_collapse`` and the ``ncycle`` generators take each
   binary pair support from the table, so every later lookup of it finds
   the shared frozenset by identity instead of comparing tuples.
-- ``PossibilisticBehavior`` accepts the supports of a scenario whose
-  contexts are all binary pairs with one set test against the 15 shared
-  supports, after comparing the contexts with a set cached on the
-  ``Scenario``; only a support that fails it is checked tuple by tuple, to
-  name the first bad context.
-- ``is_logically_contextual`` reads one mask per context and decides the
-  cycle in O(n) with products of the 2x2 boolean transfer matrices the
-  masks pack (a 16 x 16 product table). The witness's 2^(n-2) dead
-  extensions are a frozen record that decodes each one on demand.
+- ``PossibilisticBehavior``, on a scenario whose contexts are all binary
+  pairs, looks up the mask of each support when it is built and stores
+  them, in scenario context order, beside its read-only supports; a
+  support without a mask is checked tuple by tuple, to name the first bad
+  context.
+- ``is_logically_contextual`` reads the stored masks and decides the cycle
+  in O(n) with products of the 2x2 boolean transfer matrices they pack (a
+  16 x 16 product table). The witness's 2^(n-2) dead extensions are a
+  frozen record that decodes each one on demand.
   ``oracles.enumerate_contextuality`` keeps the exhaustive enumeration of
   global assignments as its cross-check and decides any other scenario.
-- ``flip_outcomes``, behind ``ncycle.relabel``, swaps the outcome labels of
-  a binary pair support by a table lookup that returns the shared
-  frozenset.
+- ``flip_outcomes``, behind ``ncycle.relabel``, maps the stored masks
+  through one 4 x 16 flip table and builds the result from the shared
+  frozensets without validating it again.
 - ``propagate_chain`` is a worklist in (pass, scenario index) order that
   re-evaluates a context only after another context fixed one of its
   measurements, and reads the forcing of a binary pair context from a table
-  keyed by its mask and fixed values. The first pass, which takes every
-  context, walks the scenario in order without a heap; later passes pop a
-  heap. On an n-cycle a chain costs O(n log n) from any seed, and its steps
+  keyed by its stored mask and fixed values. The first pass, which takes
+  every context, walks the scenario in order without a heap; later passes
+  pop a heap. On an n-cycle a chain costs O(n log n) from any seed, and its steps
   come out in the order of the fixpoint scan that
   ``oracles.fixpoint_propagate_chain`` keeps as its cross-check.
 """
@@ -58,6 +60,7 @@ import operator
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from .linalg import ALG_TOL
@@ -163,14 +166,17 @@ class Behavior:
 @dataclass(frozen=True)
 class PossibilisticBehavior:
     scenario: Scenario
-    supports: Mapping[Context, frozenset[OutcomeTuple]]
+    supports: Mapping[Context, frozenset[OutcomeTuple]]     # read-only copy of the argument
     # Annotations set by generators; not part of support equality.
     kind: str | None = field(default=None, compare=False)
     required: tuple[Context, OutcomeTuple] | None = field(default=None, compare=False)
+    # each support's mask in context order if every context is a binary pair
+    _masks: tuple[int, ...] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         s = self.scenario
-        supports = self.supports
+        supports = dict(self.supports)
+        object.__setattr__(self, "supports", MappingProxyType(supports))
         if supports.keys() != s._context_set:
             raise ScenarioError("supports must cover exactly the contexts")
         # a set would fail the first hash lookup, a list every comparison
@@ -178,8 +184,11 @@ class PossibilisticBehavior:
             if not isinstance(sup, frozenset):
                 raise ScenarioError(f"support of context {c} is a {type(sup).__name__}, "
                                     "not a frozenset")
-        if s._binary_pairs and _PAIR_SUPPORT_SET.issuperset(supports.values()):
-            return
+        if s._binary_pairs:
+            masks = tuple(_PAIR_MASKS.get(supports[c]) for c in s.contexts)
+            if None not in masks:
+                object.__setattr__(self, "_masks", masks)
+                return
         valid = s._tuple_sets
         for c, sup in supports.items():
             if not sup:
@@ -193,6 +202,17 @@ class PossibilisticBehavior:
                 if t not in tuples:
                     raise ScenarioError(f"tuple {t} of context {c} has a value outside "
                                         f"the outcomes {s.outcomes}")
+
+    @classmethod
+    def _trusted(cls, s: Scenario, masks: tuple[int, ...],
+                 required: tuple[Context, OutcomeTuple] | None) -> PossibilisticBehavior:
+        """The behavior of the shared pair supports of ``masks`` on a binary-pair
+        scenario, built without validation: each is one of the 15 valid supports."""
+        pb = object.__new__(cls)
+        pb.__dict__.update(scenario=s, kind=None, required=required, _masks=masks,
+                           supports=MappingProxyType(dict(zip(s.contexts, map(
+                               _PAIR_SUPPORTS.__getitem__, masks)))))
+        return pb
 
     def possible(self, context: Context, t: OutcomeTuple) -> bool:
         return t in self.supports[context]
@@ -369,7 +389,6 @@ _PAIR_BITS = {t: 1 << k for k, t in enumerate(_PAIR_TUPLES)}   # tuple -> its bi
 _PAIR_SUPPORTS = tuple(frozenset(t for k, t in enumerate(_PAIR_TUPLES) if m >> k & 1)
                        for m in range(16))          # mask -> the shared frozenset
 _PAIR_MASKS = {sup: m for m, sup in enumerate(_PAIR_SUPPORTS) if m}   # support -> mask
-_PAIR_SUPPORT_SET = frozenset(_PAIR_MASKS)
 _FIRST_TUPLE = (None,) + tuple(_PAIR_TUPLES[(m & -m).bit_length() - 1] for m in range(1, 16))
 _TRANSPOSED = tuple(m & 0b1001 | (m & 2) << 1 | (m & 4) >> 1 for m in range(16))
 
@@ -382,10 +401,8 @@ def _flipped_mask(m: int, flip_first: bool, flip_second: bool) -> int:
     return m
 
 
-# 2 * (first flipped) + (second flipped) -> support -> the shared flipped support;
-# entry 0 maps a support to the shared frozenset equal to it
-_FLIPPED = tuple({sup: _PAIR_SUPPORTS[_flipped_mask(m, k >> 1, k & 1)]
-                  for sup, m in _PAIR_MASKS.items()} for k in range(4))
+# 2 * (first flipped) + (second flipped) -> mask -> the mask with its tuples flipped
+_FLIPPED = tuple(tuple(_flipped_mask(m, k >> 1, k & 1) for m in range(16)) for k in range(4))
 
 
 def _moved(flip: Mapping[int, bool], c: Context, t: OutcomeTuple) -> OutcomeTuple:
@@ -397,31 +414,26 @@ def flip_outcomes(pb: PossibilisticBehavior,
     """Swap outcomes 0 <-> 1 of every measurement m with ``flip[m]`` true.
 
     ``flip`` must name exactly the measurements, or ``ScenarioError`` is
-    raised. A binary pair support becomes the one frozenset shared by every
-    support with the flipped tuples, read from a table, also when neither of
-    its measurements is flipped; any other support is rebuilt tuple by
-    tuple. The required tuple moves with its context; the kind annotation is
-    dropped.
+    raised. On a scenario of binary pair contexts each stored mask is
+    flipped by a table lookup, and the result holds the shared frozenset of
+    each flipped mask without being validated again; any other support is
+    rebuilt tuple by tuple and validated. The required tuple moves with its
+    context; the kind annotation is dropped.
     """
     s = pb.scenario
     if flip.keys() != s._measurement_set:
         raise ScenarioError("flip mask domain must equal the measurement set")
-    old = pb.supports
-    supports = {}
-    for c in s.contexts:
-        sup = old[c]
-        if len(c) == 2:
-            k = (2 if flip[c[0]] else 0) | (1 if flip[c[1]] else 0)
-            shared = _FLIPPED[k].get(sup)
-            if shared is not None:
-                supports[c] = shared
-                continue
-        supports[c] = frozenset(_moved(flip, c, t) for t in sup)
     required = None
     if pb.required is not None:
         rc, rt = pb.required
         required = (rc, _moved(flip, rc, rt))
-    return PossibilisticBehavior(s, supports, kind=None, required=required)
+    masks = pb._masks
+    if masks is not None:
+        return PossibilisticBehavior._trusted(s, tuple(
+            _FLIPPED[(2 if flip[a] else 0) | (1 if flip[b] else 0)][m]
+            for (a, b), m in zip(s.contexts, masks)), required)
+    supports = {c: frozenset(_moved(flip, c, t) for t in pb.supports[c]) for c in s.contexts}
+    return PossibilisticBehavior(s, supports, required=required)
 
 
 _IDENTITY = 0b1001                       # packed 2x2 identity: bits [0][0] and [1][1]
@@ -457,8 +469,7 @@ def is_logically_contextual(pb: PossibilisticBehavior) -> ContextualityVerdict:
     exactly when the product of the other n-1 matrices, taken from the
     context's end around the cycle back to its start, is true at [b][a]
     (bit 2b + a); prefix and suffix products give every such product in
-    O(n). A support tuple with a value outside {0, 1} raises
-    ``ScenarioError``.
+    O(n). The masks are the ones the behavior stored when it was validated.
 
     Contexts are scanned starting from the cycle-closing one, then in
     scenario order, tuples in sorted order, so on the cycle behaviors the
@@ -471,12 +482,8 @@ def is_logically_contextual(pb: PossibilisticBehavior) -> ContextualityVerdict:
         raise ScenarioError("is_logically_contextual decides binary n-cycle scenarios "
                             "only; use oracles.enumerate_contextuality for others")
     n = s.n
-    supports = tuple(map(pb.supports.__getitem__, s.contexts))
-    masks = [_PAIR_MASKS.get(sup) for sup in supports]   # bit 2a + b: keyed tuple (a, b) possible
-    if None in masks:
-        c = s.contexts[masks.index(None)]
-        raise ScenarioError(f"support of context {c} holds a tuple outside {{0, 1}}^2")
-    mats = masks[:-1] + [_TRANSPOSED[masks[-1]]]
+    masks = pb._masks                    # bit 2a + b: keyed tuple (a, b) possible
+    mats = masks[:-1] + (_TRANSPOSED[masks[-1]],)
     prefix = [_IDENTITY]                 # prefix[k] = M_0 ... M_{k-1}
     for m in mats:
         prefix.append(_PRODUCT[prefix[-1]][m])
@@ -492,6 +499,7 @@ def is_logically_contextual(pb: PossibilisticBehavior) -> ContextualityVerdict:
         dead = masks[k] & ~(back if k == n - 1 else _TRANSPOSED[back])
         if dead:
             c, t = s.contexts[k], _FIRST_TUPLE[dead]
+            supports = tuple(map(pb.supports.__getitem__, s.contexts))
             return ContextualityVerdict(True, Witness(c, t, WitnessFates(s, supports, c, t)))
     return ContextualityVerdict(False, None)
 
@@ -529,7 +537,6 @@ _PAIR_FORCED = {
                                 {k: v for k, v in ((0, va), (1, vb)) if v is not None})
     for m in range(1, 16) for va in (None, 0, 1) for vb in (None, 0, 1)
 }
-_OFF_TABLE = object()                    # a key _PAIR_FORCED lacks; its values include None
 
 
 def propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
@@ -550,12 +557,11 @@ def propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
     context nothing has touched since would change nothing, so ``steps``,
     ``forced`` and the conflict are those of rescanning every context until
     nothing changes (``oracles.fixpoint_propagate_chain``), at O(n log n)
-    instead of O(n^2) for a chain forced against the scan order. A pair
-    context whose support is a set of binary pairs reads its forcing from a
-    table keyed by its mask and fixed values; any other context, or a fixed
-    value outside {0, 1} in a scenario with more outcomes, restricts the
-    support's tuples. An unknown seed measurement, or a seed value not in
-    ``scenario.outcomes``, raises ``ScenarioError``.
+    instead of O(n^2) for a chain forced against the scan order. On a
+    scenario of binary pair contexts each context reads its forcing from a
+    table keyed by its stored mask and fixed values; any other context
+    restricts the support's tuples. An unknown seed measurement, or a seed
+    value not in ``scenario.outcomes``, raises ``ScenarioError``.
     """
     s = pb.scenario
     if seed_measurement not in s.measurements:
@@ -565,7 +571,7 @@ def propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
     fixed: dict[int, int] = {seed_measurement: seed_value}
     steps: list[tuple[int, int]] = [(seed_measurement, seed_value)]
     contexts, supports, containing = s.contexts, pb.supports, s._containing
-    masks = [_PAIR_MASKS.get(supports[c]) if len(c) == 2 else None for c in contexts]
+    masks = pb._masks or (None,) * len(contexts)
     heap: list[int] | None = None        # the first pass queues every context: no heap
     order: Iterable[int] = range(len(contexts))
     while True:
@@ -573,9 +579,9 @@ def propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
         for i in order:
             c = contexts[i]
             mask = masks[i]
-            forced = (_PAIR_FORCED.get((mask, fixed.get(c[0]), fixed.get(c[1])), _OFF_TABLE)
-                      if mask else _OFF_TABLE)
-            if forced is _OFF_TABLE:
+            if mask:                     # fixed values are then 0 or 1
+                forced = _PAIR_FORCED[mask, fixed.get(c[0]), fixed.get(c[1])]
+            else:
                 forced = _forced_values(c, supports[c], fixed)
             if forced is None:
                 return ChainResult(dict(fixed), tuple(steps), ChainConflict(c, dict(fixed)))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cyclectx import ewf
+from cyclectx import ewf, jsonio
 from cyclectx.ewf import (
     BRANCH_CAP,
     BRANCH_FLOOR,
@@ -867,6 +867,39 @@ class TestParadoxReport:
         for _ in range(3):
             assert report_to_doc(paradox_report(r, n, target=target)) == first
         assert built == []
+
+    @pytest.mark.parametrize("case", [fixture_cases()[k] for k in (0, 4, 10, 11)],
+                             ids=lambda c: f"n{c[1]}" if c[2] is not None else "kcbs")
+    def test_m1_runs_once_and_both_traces_share_its_stage(self, case, monkeypatch):
+        r, n, target = case
+        traces, gates = [], []
+        real_simulate, real_gate = ewf.simulate, ewf._record_gate
+
+        def recorded(p, r):
+            traces.append(real_simulate(p, r))
+            return traces[-1]
+
+        def counted(b, op, bit):
+            gates.append(bit)
+            return real_gate(b, op, bit)
+
+        monkeypatch.setattr(ewf, "simulate", recorded)
+        monkeypatch.setattr(ewf, "_record_gate", counted)
+        shared = jsonio.dumps(report_to_doc(paradox_report(r, n, target=target)))
+        std, cf = traces
+        assert cf.protocol.kind == "counterfactual"
+        assert cf._stages[1] is std._stages[1]
+        assert cf.truncation_at("after M1") == std.truncation_at("after M1")
+        ran = len(gates)
+        # the counterfactual trace running its own M1 costs one more gate
+        # and writes the same bytes
+        monkeypatch.setattr(ewf.SimulationTrace, "_share_prefix", lambda self, other, pos: None)
+        traces.clear()
+        gates.clear()
+        alone = jsonio.dumps(report_to_doc(paradox_report(r, n, target=target)))
+        assert traces[1]._stages[1] is not traces[0]._stages[1]
+        assert len(gates) == ran + 1
+        assert alone == shared
 
     @pytest.mark.parametrize("bits", list(itertools.product((False, True), repeat=4)),
                              ids=lambda bits: "".join("1" if b else "0" for b in bits))

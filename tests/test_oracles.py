@@ -445,6 +445,65 @@ class TestFixpointPropagateChain:
             fixpoint_propagate_chain(unified_ncycle_behavior(5), 9, 0)
 
 
+def moved(mask, c, t):
+    return tuple(1 - v if mask.flipped(m) else v for m, v in zip(c, t))
+
+
+class TestTrustedRelabel:
+    """A relabel on binary pairs skips validation: it must build what validation would."""
+
+    @pytest.mark.parametrize("n", [*range(3, 13), 17, 24, 40])
+    def test_equals_a_validated_rebuild(self, n):
+        rng = np.random.default_rng([29, n])
+        s = make_cycle_scenario(n)
+        for _ in range(8):
+            c = s.contexts[rng.integers(n)]
+            required = (c, tuple(int(v) for v in rng.integers(0, 2, 2)))
+            pb = PossibilisticBehavior(s, random_cycle_behavior(n, rng).supports,
+                                       required=required)
+            mask = random_flips(n, rng)
+            r = relabel(pb, mask)
+            rebuilt = PossibilisticBehavior(s, dict(r.supports), required=r.required)
+            assert r == rebuilt and r.supports == reference_relabel(pb, mask)
+            assert r._masks == rebuilt._masks and len(r._masks) == n
+            assert r.required == rebuilt.required == (c, moved(mask, c, required[1]))
+            assert r.kind is None and relabel(r, mask) == pb
+            with pytest.raises(TypeError):
+                r.supports[c] = frozenset({(0, 0)})
+            if n <= 10:
+                assert_same_verdict(r)
+            assert_same_chains(r)
+
+    def test_three_outcome_cycle_takes_the_general_path(self):
+        # measurement 1 is never flipped, so it alone may take the outcome 2,
+        # first in both of its contexts
+        n = 6
+        s = Scenario(tuple(range(1, n + 1)), make_cycle_scenario(n).contexts, outcomes=(0, 1, 2))
+        rng = np.random.default_rng(37)
+        seen = set()
+        for _ in range(30):
+            supports = {}
+            for c in s.contexts:
+                tuples = PAIRS + [(2, 0), (2, 1)] if 1 in c else PAIRS
+                keep = rng.random(len(tuples)) < 0.5
+                keep[rng.integers(len(tuples))] = True
+                supports[c] = frozenset(t for t, k in zip(tuples, keep) if k)
+            pb = PossibilisticBehavior(s, supports, required=((1, n), (2, 0)))
+            mask = FlipMask({1: False, **{m: bool(rng.integers(2)) for m in range(2, n + 1)}})
+            r = relabel(pb, mask)
+            assert pb._masks is None and r._masks is None
+            assert r == PossibilisticBehavior(s, dict(r.supports))
+            assert r.supports == reference_relabel(pb, mask)
+            assert r.required == ((1, n), moved(mask, (1, n), (2, 0)))
+            for m in s.measurements:
+                for v in s.outcomes:
+                    assert propagate_chain(r, m, v) == fixpoint_propagate_chain(r, m, v)
+            with pytest.raises(ScenarioError, match="binary n-cycle scenarios only"):
+                is_logically_contextual(r)
+            seen.add(enumerate_contextuality(r).contextual)
+        assert seen == {False, True}
+
+
 def random_realization(n, dim, seed):
     rng = np.random.default_rng(seed)
 

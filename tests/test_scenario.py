@@ -182,11 +182,16 @@ class TestPossibilisticValidation:
         with pytest.raises(ScenarioError, match=r"\(0, 2\) of context \(3, 4\)"):
             PossibilisticBehavior(pb.scenario, supports)
 
-    def test_contextuality_keeps_its_own_value_check(self):
+    def test_supports_are_read_only_and_checked_at_construction(self):
         pb = all_possible(4)
-        pb.supports[(2, 3)] = frozenset({(0, 0), (0, 2)})   # edited after validation
-        with pytest.raises(ScenarioError, match="outside"):
-            is_logically_contextual(pb)
+        with pytest.raises(TypeError):
+            pb.supports[(2, 3)] = frozenset({(0, 0), (0, 2)})
+        assert pb == all_possible(4)
+        # an outside value can only come in through the constructor, which names it
+        supports = dict(pb.supports)
+        supports[(2, 3)] = frozenset({(0, 0), (0, 2)})
+        with pytest.raises(ScenarioError, match=r"\(0, 2\) of context \(2, 3\) has a value outside"):
+            PossibilisticBehavior(pb.scenario, supports)
 
     def test_wrong_arity_still_rejected(self):
         s = make_cycle_scenario(3)
@@ -385,14 +390,17 @@ class TestLazyFates:
         assert other.witness.context == (1, 9)
         assert other.witness.fates != fates
 
-    def test_fates_keep_the_supports_of_the_verdict(self):
-        pb = unified_ncycle_behavior(7)
+    def test_edits_to_the_callers_dict_reach_neither_behavior_nor_fates(self):
+        supports = dict(unified_ncycle_behavior(7).supports)
+        pb = PossibilisticBehavior(make_cycle_scenario(7), supports)
         fates = is_logically_contextual(pb).witness.fates
         before = tuple(fates)
-        for c in pb.supports:
-            pb.supports[c] = frozenset(itertools.product((0, 1), repeat=2))
+        for c in supports:
+            supports[c] = frozenset(itertools.product((0, 1), repeat=2))
+        assert pb == unified_ncycle_behavior(7)
         assert tuple(fates) == before
         assert all(f.killed_by for f in before)
+        assert is_logically_contextual(pb).witness.fates == fates
 
     def test_len_beyond_maxsize(self):
         fates = is_logically_contextual(unified_ncycle_behavior(70)).witness.fates
