@@ -167,9 +167,11 @@ class Protocol:
     # read-only maps friend -> 1-based step position of its measurement / its undo
     measured: Mapping[int, int] = field(init=False, compare=False, repr=False)
     undone: Mapping[int, int] = field(init=False, compare=False, repr=False)
-    # the gate plan, (friend, record bit) per step, and stage name -> position
+    # read-only map stage name -> position: "initial" 0, "after X" for each
+    # step X, "before U" (the position of Mn) on a counterfactual schedule, "final"
+    stage_index: Mapping[str, int] = field(init=False, compare=False, repr=False)
+    # the gate plan, (friend, record bit) per step
     _plan: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
-    _stage_index: Mapping[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         measured: dict[int, int] = {}
@@ -199,7 +201,7 @@ class Protocol:
         # an undo applies its measurement's gate
         object.__setattr__(self, "_plan", tuple((st.friend, 1 << (self.n - st.friend))
                                                 for st in self.steps))
-        object.__setattr__(self, "_stage_index", MappingProxyType(stage_index))
+        object.__setattr__(self, "stage_index", MappingProxyType(stage_index))
 
 
 @functools.lru_cache(typed=True)
@@ -248,12 +250,10 @@ class Branches(NamedTuple):
 
     ``keys[j]`` is the record string f, record i on bit n - i. Row j of
     ``values`` holds the columns of v_f (or B_f) one after another, each of
-    length d. ``weights[j]`` is the squared norm of row j, and ``norm2``
-    their sum.
+    length d. ``weights[j]`` is the squared norm of row j.
     """
     keys: tuple[int, ...]
     values: np.ndarray
-    norm2: float
     weights: tuple[float, ...]
 
 
@@ -263,9 +263,9 @@ def _row_weights(values: np.ndarray) -> list[float]:
     return np.add.reduce(real * real, 1).tolist()
 
 
-def _single_branch(values: np.ndarray, norm2: float) -> Branches:
+def _single_branch(values: np.ndarray) -> Branches:
     """The one branch at key 0, with empty records."""
-    return Branches((0,), values, norm2, tuple(_row_weights(values)))
+    return Branches((0,), values, tuple(_row_weights(values)))
 
 
 def _record_gate(b: Branches, op: np.ndarray, bit: int) -> tuple[Branches, float]:
@@ -304,13 +304,12 @@ def _record_gate(b: Branches, op: np.ndarray, bit: int) -> tuple[Branches, float
         u0 -= moved
         u1 += moved
     floor2 = BRANCH_FLOOR ** 2
-    keep, keys, weights, norm2, dropped2 = [], [], [], 0.0, 0.0
+    keep, keys, weights, dropped2 = [], [], [], 0.0
     for j, w in enumerate(_row_weights(u)):
         if w > floor2:
             keep.append(j)
             keys.append(bases[j] if j < npairs else bases[j - npairs] | bit)
             weights.append(w)
-            norm2 += w
         else:
             dropped2 += w
     if len(keep) > BRANCH_CAP:
@@ -319,7 +318,7 @@ def _record_gate(b: Branches, op: np.ndarray, bit: int) -> tuple[Branches, float
             "the gates do not cancel")
     if len(keep) < len(u):
         u = u.take(keep, axis=0)
-    return Branches(tuple(keys), u, norm2, tuple(weights)), math.sqrt(dropped2)
+    return Branches(tuple(keys), u, tuple(weights)), math.sqrt(dropped2)
 
 
 class SimulationTrace:
@@ -336,12 +335,8 @@ class SimulationTrace:
         self.protocol = protocol
         self._realization = r
         state = np.array(r.state, dtype=complex).reshape(1, r.dim)
-        self._stages = [_single_branch(state, float(np.vdot(state, state).real))]
+        self._stages = [_single_branch(state)]
         self._deltas = [0.0]        # norm dropped through each stage
-
-    @property
-    def stage_index(self) -> Mapping[str, int]:
-        return self.protocol._stage_index
 
     def _through(self, pos: int) -> Branches:
         """Stage ``pos`` (0 is the initial one), running the gates it still needs."""
@@ -351,9 +346,10 @@ class SimulationTrace:
             step = len(stages) - 1
             friend, bit = plan[step]
             b, dropped = _record_gate(stages[-1], r.projector(friend), bit)
-            if not abs(b.norm2 - 1.0) <= ALG_TOL:   # a NaN norm fails too
+            norm2 = sum(b.weights)
+            if not abs(norm2 - 1.0) <= ALG_TOL:   # a NaN norm fails too
                 raise ProtocolError(
-                    f"norm drifted to {b.norm2} at step {self.protocol.steps[step].label}")
+                    f"norm drifted to {norm2} at step {self.protocol.steps[step].label}")
             stages.append(b)
             deltas.append(deltas[-1] + dropped)
         return stages[pos]
@@ -365,7 +361,7 @@ class SimulationTrace:
         self._stages[1:], self._deltas[1:] = other._stages[1:pos + 1], other._deltas[1:pos + 1]
 
     def _position(self, stage: str) -> int:
-        pos = self.stage_index.get(stage)
+        pos = self.protocol.stage_index.get(stage)
         if pos is None:
             raise UnknownStageError(stage)
         return pos
@@ -453,7 +449,6 @@ def record_distribution(t: SimulationTrace, stage: str, records: Sequence[int]) 
 @dataclass(frozen=True)
 class CertificateEntry:
     label: str
-    pair: tuple[str, str]
     norm: float
     must_commute: bool
     bound: float = 0.0          # added to norm before the comparison with tol
@@ -501,7 +496,7 @@ def _block_coefficients(r: QuantumRealization, std: Protocol) -> tuple[Branches,
     sum over gates of sqrt(sum of the dropped ||B_f||_F^2).
     """
     d = r.dim
-    b = _single_branch(np.eye(d, dtype=complex).reshape(1, d * d), float(d))
+    b = _single_branch(np.eye(d, dtype=complex).reshape(1, d * d))
     dropped = 0.0
     for friend, bit in std._plan[1:-1]:
         b, gate_dropped = _record_gate(b, r.projector(friend), bit)
@@ -532,10 +527,10 @@ def commutation_certificates(r: QuantumRealization, n: int) -> CertificateReport
     contexts = make_cycle_scenario(n).contexts
     # each gate pair's norm is 4 ||[P_i, P_j]||_F (see the module docstring)
     norms = (4.0 * r.commutator_norms(contexts)).tolist()
-    entries = [CertificateEntry(f"M{i} vs M{j}", (f"M{i}", f"M{j}"), norm, True)
+    entries = [CertificateEntry(f"M{i} vs M{j}", norm, True)
                for (i, j), norm in zip(contexts, norms)]
     # U_k is the gate M_k, so U_k^dag vs M_{k+1} is the context pair (k, k+1)
-    entries += [CertificateEntry(f"U{k}† vs M{k + 1}", (f"U{k}†", f"M{k + 1}"), norm, True)
+    entries += [CertificateEntry(f"U{k}† vs M{k + 1}", norm, True)
                 for k, norm in zip(range(1, n - 1), norms)]
     # [M_n, block] = sum_f [P_n, B_f] (x) (X^{f+e_n} - X^f). The block leaves
     # record n alone (f_n = 0), so no two of these X-strings coincide and
@@ -546,8 +541,7 @@ def commutation_certificates(r: QuantumRealization, n: int) -> CertificateReport
     pt = r.projector(n).T
     comm = cols @ pt - pt @ cols
     entries.append(CertificateEntry(
-        f"block U vs M{n}", ("U", f"M{n}"),
-        float(np.sqrt(2.0) * np.linalg.norm(comm)), True,
+        f"block U vs M{n}", float(np.sqrt(2.0) * np.linalg.norm(comm)), True,
         2.0 * math.sqrt(2.0) * dropped))
 
     def noncontext() -> list[CertificateEntry]:
@@ -555,7 +549,7 @@ def commutation_certificates(r: QuantumRealization, n: int) -> CertificateReport
         others = [(a, b) for a, b in itertools.combinations(range(1, n + 1), 2)
                   if (a, b) not in ctx_set]
         norms = (4.0 * r.commutator_norms(others)).tolist()
-        return [CertificateEntry(f"M{a} vs M{b} (non-context)", (f"M{a}", f"M{b}"), norm, False)
+        return [CertificateEntry(f"M{a} vs M{b} (non-context)", norm, False)
                 for (a, b), norm in zip(others, norms)]
 
     return CertificateReport(tuple(entries), noncontext)
@@ -628,7 +622,8 @@ def paradox_report(r: QuantumRealization, n: int,
     force M_n off its second value. A target without one (full support
     everywhere, say) is no paradox and gets a false verdict, not an error;
     one that does not live on the n-cycle, or whose required tuple is not
-    an outcome of (1, n), raises ``ValueError``.
+    of the closing context (1, n), raises ``ValueError``; the behavior
+    checked when it was built that the tuple is an outcome of its context.
     """
     if target is None:
         target = default_paradox_target(n)
@@ -640,8 +635,6 @@ def paradox_report(r: QuantumRealization, n: int,
     if req_ctx != (1, n):
         raise ValueError(f"paradox target requires a tuple of context {req_ctx}, "
                          f"but the counterfactual read is of the closing context (1, {n})")
-    if req_tuple not in target.scenario.tuples(req_ctx):
-        raise ValueError(f"required tuple {req_tuple} is not an outcome of context (1, {n})")
     certs = commutation_certificates(r, n)
     if not certs.passed:
         bad = [e.label for e in certs.required if e.norm + e.bound > ALG_TOL]

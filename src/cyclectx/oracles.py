@@ -29,7 +29,9 @@ forced against the scan order costs it O(n^2).
 every stage; its memory grows as d 2^n per stage. It, the dense gates of
 ``measurement_unitary`` and ``_pair_gates`` (the kernel applied to an
 identity tensor) and the certificates below share one record-gate kernel,
-``_apply_record_gate``, and no code with the branch kernel of ``ewf``.
+``_apply_record_gate``, and no code with the branch kernel of ``ewf``. Its
+stages are named by ``Protocol.stage_index``, the one stage map, as a
+trace's are.
 
 Every oracle that reads a realization checks its labels with its own
 ``_require`` first: a friend the realization lacks raises ``ProtocolError``
@@ -85,17 +87,15 @@ class OracleResult:
     quantity: str
     oracle_value: Mapping
     pipeline_value: Mapping
-    max_abs_diff: float
 
     def __post_init__(self):
         if set(self.oracle_value) != set(self.pipeline_value):
             raise ValueError("oracle and pipeline values have different key sets")
 
-
-def _diff(a: Mapping, b: Mapping) -> float:
-    if set(a) != set(b):
-        raise ValueError("oracle and pipeline values have different key sets")
-    return max(abs(a[k] - b[k]) for k in a) if a else 0.0
+    @property
+    def max_abs_diff(self) -> float:
+        a, b = self.oracle_value, self.pipeline_value
+        return max(abs(a[k] - b[k]) for k in a) if a else 0.0
 
 
 def _require(r: QuantumRealization, labels, error: type[ValueError]) -> None:
@@ -151,7 +151,7 @@ def exhaustive_support_check(r: QuantumRealization, s: Scenario) -> OracleResult
     oracle = dict(zip(keys, traces.tolist()))
     b = behavior_from_realization(r, s)
     pipeline = {(c, t): b.tables[c][t] for c in s.contexts for t in b.tables[c]}
-    return OracleResult("context tables", oracle, pipeline, _diff(oracle, pipeline))
+    return OracleResult("context tables", oracle, pipeline)
 
 
 def _witness_scan_order(s: Scenario) -> list[Context]:
@@ -201,8 +201,8 @@ def enumerate_contextuality(pb: PossibilisticBehavior) -> ContextualityVerdict:
                         break
                 assert killer is not None
                 fates.append(AssignmentFate(full, killer))
-            return ContextualityVerdict(True, Witness(c, t, tuple(fates)))
-    return ContextualityVerdict(False, None)
+            return ContextualityVerdict(Witness(c, t, tuple(fates)))
+    return ContextualityVerdict(None)
 
 
 def fixpoint_propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
@@ -247,9 +247,7 @@ def fixpoint_propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
 @dataclass(frozen=True)
 class DenseTrace:
     protocol: Protocol
-    dim: int
     states: tuple[np.ndarray, ...]            # one per stage, index 0 = initial
-    stage_index: Mapping[str, int]
 
 
 def _apply_record_gate(tensor: np.ndarray, p1: np.ndarray, axis: int,
@@ -266,15 +264,13 @@ def _apply_record_gate(tensor: np.ndarray, p1: np.ndarray, axis: int,
 
 
 def dense_simulate(p: Protocol, r: QuantumRealization) -> DenseTrace:
-    """Run the schedule from state (x) |0...0> and keep every stage."""
+    """Run the schedule from state (x) |0...0> and keep every stage;
+    ``p.stage_index`` names them."""
     _require(r, range(1, p.n + 1), ProtocolError)
-    d = r.dim
-    shape = (d,) + (2,) * p.n
-    tensor = np.zeros(shape, dtype=complex)
+    tensor = np.zeros((r.dim,) + (2,) * p.n, dtype=complex)
     tensor[(slice(None),) + (0,) * p.n] = r.state
     states = [tensor.reshape(-1)]
-    stage_index = {"initial": 0}
-    for pos, st in enumerate(p.steps, start=1):
+    for st in p.steps:
         tensor = _apply_record_gate(tensor, r.projector(st.friend), st.friend,
                                     dagger=(st.kind == "undo"))
         flat = tensor.reshape(-1)
@@ -282,11 +278,7 @@ def dense_simulate(p: Protocol, r: QuantumRealization) -> DenseTrace:
         if abs(norm2 - 1.0) > ALG_TOL:
             raise ProtocolError(f"norm drifted to {norm2} at step {st.label}")
         states.append(flat)
-        stage_index[f"after {st.label}"] = pos
-    if p.kind == "counterfactual":
-        stage_index["before U"] = p.measured[p.n]
-    stage_index["final"] = len(p.steps)
-    return DenseTrace(p, d, tuple(states), stage_index)
+    return DenseTrace(p, tuple(states))
 
 
 def _identity_tensor(d: int, records: int) -> np.ndarray:
@@ -334,20 +326,18 @@ def dense_commutation_certificates(r: QuantumRealization, n: int) -> Certificate
     contexts = [(i, i + 1) for i in range(1, n)] + [(1, n)]
     for i, j in contexts:
         ui, uj = _pair_gates(r, i, j)
-        required.append(CertificateEntry(
-            f"M{i} vs M{j}", (f"M{i}", f"M{j}"), _comm_norm(ui, uj), True))
+        required.append(CertificateEntry(f"M{i} vs M{j}", _comm_norm(ui, uj), True))
     for k in range(1, n - 1):
         uk, uk1 = _pair_gates(r, k, k + 1)
         required.append(CertificateEntry(
-            f"U{k}† vs M{k + 1}", (f"U{k}†", f"M{k + 1}"),
-            _comm_norm(uk.conj().T, uk1), True))
+            f"U{k}† vs M{k + 1}", _comm_norm(uk.conj().T, uk1), True))
     size = r.dim * 2 ** n
     block = _identity_tensor(r.dim, n)
     for st in build_protocol(n).steps[1:-1]:
         block = _apply_record_gate(block, r.projector(st.friend), st.friend,
                                    dagger=(st.kind == "undo"))
     required.append(CertificateEntry(
-        f"block U vs M{n}", ("U", f"M{n}"),
+        f"block U vs M{n}",
         _comm_norm(block.reshape(size, size), measurement_unitary(r, n, n)), True))
     ctx_set = {tuple(sorted(c)) for c in contexts}
     others: list[CertificateEntry] = []
@@ -356,6 +346,5 @@ def dense_commutation_certificates(r: QuantumRealization, n: int) -> Certificate
             continue
         ua, ub = _pair_gates(r, a, b)
         others.append(CertificateEntry(
-            f"M{a} vs M{b} (non-context)", (f"M{a}", f"M{b}"),
-            _comm_norm(ua, ub), False))
+            f"M{a} vs M{b} (non-context)", _comm_norm(ua, ub), False))
     return CertificateReport(tuple(required), lambda: others)

@@ -14,7 +14,8 @@ context's measurements in ascending label order, so the closing context is
 stored as the ordered pair (1, n). Malformed input stops at the boundary
 with ``ScenarioError``: a context naming a measurement twice, a support that
 is not a frozenset, a support tuple or a chain seed with a value outside the
-outcomes, and a flip mask that does not name exactly the measurements. A
+outcomes, a required tuple that is not an outcome tuple of one of the
+contexts, and a flip mask that does not name exactly the measurements. A
 behavior is validated once, when it is built, and holds a read-only copy of
 its supports, so no later edit can undo that check.
 
@@ -24,9 +25,10 @@ bits of an int (bit 2a + b set when (a, b) is possible) and each mask back
 to one shared frozenset, and every binary n-cycle operation works on the
 masks:
 
-- ``possibilistic_collapse`` and the ``ncycle`` generators take each
-  binary pair support from the table, so every later lookup of it finds
-  the shared frozenset by identity instead of comparing tuples.
+- The ``ncycle`` generators take each binary pair support from the table,
+  so every later lookup of it finds the shared frozenset by identity
+  instead of comparing tuples. ``possibilistic_collapse`` builds fresh
+  frozensets, whose masks the behavior finds by equality.
 - ``PossibilisticBehavior``, on a scenario whose contexts are all binary
   pairs, looks up the mask of each support when it is built and stores
   them, in scenario context order, beside its read-only supports; a
@@ -179,6 +181,9 @@ class PossibilisticBehavior:
         object.__setattr__(self, "supports", MappingProxyType(supports))
         if supports.keys() != s._context_set:
             raise ScenarioError("supports must cover exactly the contexts")
+        if self.required is not None and not _is_outcome_of_context(s, self.required):
+            raise ScenarioError(f"required {self.required!r} is not an outcome tuple "
+                                "of a context of the scenario")
         # a set would fail the first hash lookup, a list every comparison
         for c, sup in supports.items():
             if not isinstance(sup, frozenset):
@@ -216,6 +221,15 @@ class PossibilisticBehavior:
 
     def possible(self, context: Context, t: OutcomeTuple) -> bool:
         return t in self.supports[context]
+
+
+def _is_outcome_of_context(s: Scenario, required) -> bool:
+    """``required`` is a pair (context of s, outcome tuple of that context)."""
+    try:
+        c, t = required
+        return c in s._context_set and t in s._tuple_sets[len(c)]
+    except (TypeError, ValueError):     # not a pair, or an unhashable part
+        return False
 
 
 @dataclass(frozen=True)
@@ -281,8 +295,11 @@ class Witness:
 
 @dataclass(frozen=True)
 class ContextualityVerdict:
-    contextual: bool
     witness: Witness | None
+
+    @property
+    def contextual(self) -> bool:
+        return self.witness is not None
 
 
 @dataclass(frozen=True)
@@ -361,25 +378,14 @@ def possibilistic_collapse(b: Behavior) -> PossibilisticBehavior:
 
     The threshold separates genuine support from floating-point dust;
     quantum-computed zeros land many orders below it, genuine supports well
-    above. On binary pair contexts the support is the shared frozenset of
-    its mask; a table with a tuple outside {0, 1}^2 takes the general path,
-    whose validation names it.
+    above. A tuple outside the outcomes is named by the behavior's
+    validation.
     """
-    s = b.scenario
-    if s._binary_pairs:
-        try:
-            supports = {c: _PAIR_SUPPORTS[sum(_PAIR_BITS[t] for t, p in table.items()
-                                              if p > POSSIBILITY_EPS)]
-                        for c, table in b.tables.items()}
-        except KeyError:
-            pass
-        else:
-            return PossibilisticBehavior(s, supports)
     supports = {
         c: frozenset(t for t, p in table.items() if p > POSSIBILITY_EPS)
         for c, table in b.tables.items()
     }
-    return PossibilisticBehavior(s, supports)
+    return PossibilisticBehavior(b.scenario, supports)
 
 
 # --- binary pair supports --------------------------------------------------
@@ -450,13 +456,6 @@ def _packed_product(x: int, y: int) -> int:
 _PRODUCT = tuple(tuple(_packed_product(x, y) for y in range(16)) for x in range(16))
 
 
-def _is_binary_cycle(s: Scenario) -> bool:
-    if s.n < 3 or s.outcomes != (0, 1):
-        return False
-    cycle = make_cycle_scenario(s.n)
-    return s.measurements == cycle.measurements and s.contexts == cycle.contexts
-
-
 def is_logically_contextual(pb: PossibilisticBehavior) -> ContextualityVerdict:
     """Search for a possible tuple none of whose global extensions survives.
 
@@ -478,7 +477,7 @@ def is_logically_contextual(pb: PossibilisticBehavior) -> ContextualityVerdict:
     decides them by enumeration.
     """
     s = pb.scenario
-    if not _is_binary_cycle(s):
+    if not (s.n >= 3 and s == make_cycle_scenario(s.n)):
         raise ScenarioError("is_logically_contextual decides binary n-cycle scenarios "
                             "only; use oracles.enumerate_contextuality for others")
     n = s.n
@@ -500,8 +499,8 @@ def is_logically_contextual(pb: PossibilisticBehavior) -> ContextualityVerdict:
         if dead:
             c, t = s.contexts[k], _FIRST_TUPLE[dead]
             supports = tuple(map(pb.supports.__getitem__, s.contexts))
-            return ContextualityVerdict(True, Witness(c, t, WitnessFates(s, supports, c, t)))
-    return ContextualityVerdict(False, None)
+            return ContextualityVerdict(Witness(c, t, WitnessFates(s, supports, c, t)))
+    return ContextualityVerdict(None)
 
 
 def _forced_values(c: Context, support: frozenset, fixed: Mapping[int, int]):

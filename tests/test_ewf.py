@@ -42,6 +42,7 @@ from cyclectx.quantum import (
 )
 from cyclectx.scenario import (
     PossibilisticBehavior,
+    ScenarioError,
     is_logically_contextual,
     make_cycle_scenario,
 )
@@ -87,7 +88,7 @@ def random_rank1(n, dim, seed):
 def reference_record_gate(keys, values, op, bit):
     """The list-based record gate the branch kernel must reproduce bit for bit.
 
-    Returns (keys, values, norm2, dropped norm, squared norm of each kept row).
+    Returns (keys, values, dropped norm, squared norm of each kept row).
     """
     d = op.shape[0]
     pairs = {}
@@ -109,18 +110,17 @@ def reference_record_gate(keys, values, op, bit):
     real = u.view(np.float64)
     floor2 = BRANCH_FLOOR ** 2
     bases = list(pairs)
-    keep, out_keys, kept_w, norm2, dropped2 = [], [], [], 0.0, 0.0
+    keep, out_keys, kept_w, dropped2 = [], [], [], 0.0
     for j, w in enumerate(np.add.reduce(real * real, 1).tolist()):
         if w > floor2:
             keep.append(j)
             out_keys.append(bases[j] if j < npairs else bases[j - npairs] | bit)
             kept_w.append(w)
-            norm2 += w
         else:
             dropped2 += w
     if len(keep) < len(u):
         u = u[keep]
-    return tuple(out_keys), u, norm2, math.sqrt(dropped2), kept_w
+    return tuple(out_keys), u, math.sqrt(dropped2), kept_w
 
 
 def random_branch_case(rng, n, d, width):
@@ -169,7 +169,7 @@ def random_branch_case(rng, n, d, width):
     values = np.array(rows, dtype=complex)
     real = values.view(np.float64)
     w = np.add.reduce(real * real, 1)
-    return Branches(tuple(keys), values, float(w.sum()), tuple(w.tolist())), p, bit
+    return Branches(tuple(keys), values, tuple(w.tolist())), p, bit
 
 
 class TestRecordGateKernel:
@@ -183,11 +183,10 @@ class TestRecordGateKernel:
         for _ in range(60):
             b, op, bit = random_branch_case(rng, n, d, width)
             got, dropped = _record_gate(b, op, bit)
-            keys, values, norm2, ref_dropped, ref_w = reference_record_gate(
+            keys, values, ref_dropped, ref_w = reference_record_gate(
                 b.keys, b.values, op, bit)
             assert got.keys == keys
             assert np.array_equal(got.values, values)
-            assert got.norm2 == norm2
             assert dropped == ref_dropped
             assert list(got.weights) == ref_w
             real = got.values.view(np.float64)
@@ -326,7 +325,7 @@ class TestSimulate:
     def test_undo_restores_ready_state(self, kcbs):
         t = simulate(build_protocol(5), kcbs)
         # every branch after U1 has record 1 (bit n - 1 = 4) back at 0
-        b = t.stages[t.stage_index["after U1"]]
+        b = t.stages[t.protocol.stage_index["after U1"]]
         assert all(not k & (1 << 4) for k in b.keys)
         assert abs(sum(b.weights) - 1.0) < 1e-12
 
@@ -374,7 +373,7 @@ class TestSimulate:
 
         def poisoned(b, op, bit):
             out, dropped = real(b, op, bit)
-            return out._replace(norm2=math.nan), dropped
+            return out._replace(weights=(math.nan,) + out.weights[1:]), dropped
 
         monkeypatch.setattr(ewf, "_record_gate", poisoned)
         t = simulate(build_protocol(5), kcbs)
@@ -406,14 +405,13 @@ def reference_trace(p, r):
     """
     state = np.array(r.state, dtype=complex).reshape(1, r.dim)
     real = state.view(np.float64)
-    stages = [Branches((0,), state, float(np.vdot(state, state).real),
-                       tuple(np.add.reduce(real * real, 1).tolist()))]
+    stages = [Branches((0,), state, tuple(np.add.reduce(real * real, 1).tolist()))]
     deltas = [0.0]
     delta = 0.0
     for st in p.steps:
         b, dropped = _record_gate(stages[-1], r.projector(st.friend), 1 << (p.n - st.friend))
         delta += dropped
-        assert abs(b.norm2 - 1.0) <= ALG_TOL
+        assert abs(sum(b.weights) - 1.0) <= ALG_TOL
         stages.append(b)
         deltas.append(delta)
     return stages, deltas
@@ -491,8 +489,8 @@ class TestOnDemandTrace:
         stages, deltas = reference_trace(p, r)
         stage_index = reference_stage_index(p)
         t = simulate(p, r)
-        assert t.stage_index == stage_index
-        assert list(t.stage_index) == list(stage_index)
+        assert t.protocol.stage_index == stage_index
+        assert list(t.protocol.stage_index) == list(stage_index)
         for name, pos in sorted(stage_index.items(), key=lambda kv: kv[1]):
             assert t.truncation_at(name) == deltas[pos]
         # from the last stage back: the first read runs every gate at once
@@ -504,7 +502,6 @@ class TestOnDemandTrace:
         for b, ref in zip(got, stages):
             assert b.keys == ref.keys
             assert b.values.tobytes() == ref.values.tobytes()
-            assert b.norm2 == ref.norm2
             assert b.weights == ref.weights
 
     @pytest.mark.parametrize("n", range(4, 41))
@@ -512,20 +509,20 @@ class TestOnDemandTrace:
         for build in (build_protocol, build_counterfactual_protocol,
                       build_measure_undo_protocol):
             p = build(n)
-            assert dict(p._stage_index) == reference_stage_index(p)
-            assert list(p._stage_index) == list(reference_stage_index(p))
+            assert dict(p.stage_index) == reference_stage_index(p)
+            assert list(p.stage_index) == list(reference_stage_index(p))
             assert p._plan == tuple((st.friend, 1 << (n - st.friend)) for st in p.steps)
 
     def test_stage_index_of_a_custom_protocol(self):
         steps = (GateStep("measure", 2), GateStep("measure", 1), GateStep("undo", 2),
                  GateStep("measure", 3), GateStep("undo", 1))
         p = Protocol(3, steps)
-        assert dict(p._stage_index) == reference_stage_index(p) == {
+        assert dict(p.stage_index) == reference_stage_index(p) == {
             "initial": 0, "after M2": 1, "after M1": 2, "after U2": 3, "after M3": 4,
             "after U1": 5, "final": 5}
         assert p._plan == ((2, 2), (1, 4), (2, 2), (3, 1), (1, 4))
         with pytest.raises(TypeError):
-            p._stage_index["final"] = 0
+            p.stage_index["final"] = 0
 
 
 class TestReadabilityGate:
@@ -567,7 +564,7 @@ def expected_read(t, stage, records):
     stage's branch keys and weights, keys over the records in ascending
     label order and reordered to argument order."""
     p = t.protocol
-    pos = t.stage_index.get(stage)
+    pos = p.stage_index.get(stage)
     if pos is None:
         return UnknownStageError
     for rec in records:
@@ -595,7 +592,7 @@ class TestReadContract:
     @pytest.mark.parametrize("read", [record_distribution])
     def test_every_stage_and_record_list(self, kcbs, build, read):
         t = simulate(build(5), kcbs)
-        for stage in [*t.stage_index, "after M9"]:
+        for stage in [*t.protocol.stage_index, "after M9"]:
             for records in READ_RECORDS:
                 expected = expected_read(t, stage, records)
                 if isinstance(expected, dict):
@@ -708,6 +705,13 @@ class TestMeasureUndo:
             assert abs(d[(1,)] - want) < 1e-10
 
 
+def label_gates(label):
+    """The two gates a certificate label names: "M1 vs M3 (non-context)" gives
+    ("M1", "M3"), "U2† vs M3" ("U2†", "M3") and "block U vs M5" ("U", "M5")."""
+    first, second = label.removesuffix(" (non-context)").split(" vs ")
+    return first.removeprefix("block "), second
+
+
 class TestCertificates:
     def test_kcbs_pass(self, kcbs):
         certs = commutation_certificates(kcbs, 5)
@@ -750,10 +754,12 @@ class TestCertificates:
             p = r.projector(int(name[1:].rstrip("†")))
             return p.conj().T if name.startswith("U") else p
 
-        entries = [e for e in commutation_certificates(r, n).entries if e.pair[0] != "U"]
+        entries = [e for e in commutation_certificates(r, n).entries
+                   if label_gates(e.label)[0] != "U"]
         assert len(entries) == n * (n - 1) // 2 + n - 2
         for e in entries:
-            want = 4 * commutator_norm(operator(e.pair[0]), operator(e.pair[1]))
+            a, b = label_gates(e.label)
+            want = 4 * commutator_norm(operator(a), operator(b))
             assert abs(e.norm - want) <= 1e-15, e.label
 
     def test_noncontext_entries_built_on_first_access(self, monkeypatch):
@@ -802,9 +808,10 @@ class TestCertificates:
         def label(name):
             return int(name[1:].rstrip("†"))
 
-        pairs = [(label(a), label(b)) for a, b in (e.pair for e in entries) if a != "U"]
+        gates = [label_gates(e.label) for e in entries]
+        pairs = [(label(a), label(b)) for a, b in gates if a != "U"]
         norms = (4.0 * r.commutator_norms(pairs)).tolist()
-        assert [e.norm for e in entries if e.pair[0] != "U"] == norms
+        assert [e.norm for e, (a, _) in zip(entries, gates) if a != "U"] == norms
 
     @pytest.mark.parametrize("n", list(range(5, 26)) + [101])
     def test_pair_entries_are_four_times_the_realization_norms(self, n):
@@ -812,8 +819,8 @@ class TestCertificates:
         # and the one call below splits its 5050 pairs at another boundary
         r = find_quantum_realization(make_cycle_scenario(n), unified_ncycle_behavior(n), 3,
                                      seed=1)
-        entries = [e for e in commutation_certificates(r, n).entries if e.pair[0][0] == "M"]
-        pairs = [(int(a[1:]), int(b[1:])) for a, b in (e.pair for e in entries)]
+        entries = [e for e in commutation_certificates(r, n).entries if e.label[0] == "M"]
+        pairs = [(int(a[1:]), int(b[1:])) for a, b in map(label_gates, (e.label for e in entries))]
         assert len(pairs) == n * (n - 1) // 2
         assert [e.norm for e in entries] == (4.0 * r.commutator_norms(pairs)).tolist()
 
@@ -942,12 +949,17 @@ class TestParadoxReport:
     @pytest.mark.parametrize("target, cause", [
         (dataclasses.replace(odd_ncycle_behavior(5), required=((1, 2), (0, 0))), "context"),
         (dataclasses.replace(odd_ncycle_behavior(5), required=((2, 3), (0, 1))), "context"),
-        (dataclasses.replace(odd_ncycle_behavior(5), required=((1, 5), (2, 0))), "outcome"),
         (unified_ncycle_behavior(6), "5-cycle"),
-    ], ids=["context-1-2", "context-2-3", "tuple", "6-cycle"])
+    ], ids=["context-1-2", "context-2-3", "6-cycle"])
     def test_malformed_target_rejected(self, kcbs, target, cause):
         with pytest.raises(ValueError, match=cause):
             paradox_report(kcbs, 5, target=target)
+
+    def test_tuple_outside_the_outcomes_rejected_at_construction(self):
+        # the behavior checks its required tuple when it is built, so no
+        # such target reaches paradox_report
+        with pytest.raises(ScenarioError, match="not an outcome tuple"):
+            dataclasses.replace(odd_ncycle_behavior(5), required=((1, 5), (2, 0)))
 
     def test_chain(self, kcbs):
         rep = paradox_report(kcbs, 5)

@@ -218,12 +218,14 @@ class TestExhaustiveSupportCheck:
 class TestOracleResult:
     def test_key_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            OracleResult("q", {"a": 1.0}, {"b": 1.0}, 0.0)
-        # constructing via the helper path
-        from cyclectx.oracles import _diff
+            OracleResult("q", {"a": 1.0}, {"b": 1.0})
 
-        with pytest.raises(ValueError):
-            _diff({"a": 1.0}, {"b": 1.0})
+    def test_max_abs_diff_is_read_from_the_values(self):
+        res = OracleResult("q", {"a": 1.0, "b": 2.0}, {"b": 2.25, "a": 1.0})
+        assert res.max_abs_diff == 0.25
+        assert OracleResult("q", {}, {}).max_abs_diff == 0.0
+        with pytest.raises(TypeError):      # no stored copy to disagree with
+            OracleResult("q", {"a": 1.0}, {"a": 1.0}, 0.0)
 
     def test_disagreement_threshold(self, kcbs, cycle5):
         # the build-level contract: oracle and pipeline never drift past 1e-10
@@ -646,7 +648,7 @@ class TestDenseSimulate:
         for build in SCHEDULES:
             p = build(n)
             fast, dense = simulate(p, r), dense_simulate(p, r)
-            assert fast.stage_index == dense.stage_index
+            assert fast.protocol is dense.protocol is p
             got = dense_stages(fast)
             assert len(got) == len(dense.states) == len(p.steps) + 1
             for g, want in zip(got, dense.states):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -5,12 +6,19 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclectx.ncycle import FlipMask, identity_mask, relabel, unified_ncycle_behavior
-from cyclectx.quantum import behavior_from_realization
+from cyclectx.ncycle import (
+    FlipMask,
+    identity_mask,
+    odd_ncycle_behavior,
+    relabel,
+    unified_ncycle_behavior,
+)
+from cyclectx.quantum import behavior_from_realization, find_quantum_realization
 from cyclectx.scenario import (
     _PAIR_BITS,
     _PAIR_SUPPORTS,
     Behavior,
+    ContextualityVerdict,
     EnumerationLimitError,
     PossibilisticBehavior,
     Scenario,
@@ -244,6 +252,43 @@ class TestPossibilisticValidation:
         with pytest.raises(ScenarioError, match="domain must equal the measurement set"):
             flip_outcomes(unified_ncycle_behavior(5), flip)
 
+    def test_required_naming_a_measurement_outside_the_scenario_rejected(self):
+        # unchecked, relabel stops on a bare KeyError: 9 while moving this tuple
+        with pytest.raises(ScenarioError, match=r"required \(\(1, 9\), \(0, 1\)\)"):
+            relabel(dataclasses.replace(odd_ncycle_behavior(5), required=((1, 9), (0, 1))),
+                    identity_mask(5))
+
+    def test_required_tuple_of_the_wrong_arity_rejected(self):
+        # unchecked, relabel's zip cuts this tuple to two values without a word
+        with pytest.raises(ScenarioError, match="not an outcome tuple"):
+            relabel(dataclasses.replace(odd_ncycle_behavior(5), required=((1, 5), (0, 1, 1))),
+                    identity_mask(5))
+
+    def test_required_value_outside_the_outcomes_rejected(self):
+        # unchecked, the realization search stops on a bare KeyError: (0, 7)
+        with pytest.raises(ScenarioError, match="not an outcome tuple"):
+            find_quantum_realization(
+                make_cycle_scenario(5),
+                dataclasses.replace(unified_ncycle_behavior(5), required=((1, 5), (0, 7))), 3)
+
+    @pytest.mark.parametrize("required", [
+        ((1, 5),), ((1, 5), (0, 1), 0), ([1, 5], (0, 1)), ((1, 5), [0, 1]),
+        ((5, 1), (0, 1)), ((1, 3), (0, 1)), 0,
+    ], ids=["short", "long", "list-context", "list-tuple", "unordered", "not-a-context", "int"])
+    def test_required_that_is_not_a_context_and_outcome_rejected(self, required):
+        s = make_cycle_scenario(5)
+        with pytest.raises(ScenarioError, match="not an outcome tuple"):
+            PossibilisticBehavior(s, dict(all_possible(5).supports), required=required)
+
+    def test_required_outside_the_support_accepted(self):
+        # a target whose required tuple clashes with its supports is still a
+        # behavior: the search tests build such targets on purpose
+        pb = unified_ncycle_behavior(5)
+        supports = dict(pb.supports)
+        supports[(1, 5)] = frozenset({(0, 0)})
+        clash = PossibilisticBehavior(pb.scenario, supports, required=((1, 5), (0, 1)))
+        assert not clash.possible(*clash.required)
+
     def test_relabel_and_chain_still_accepted(self):
         mask = FlipMask({m: m % 3 == 0 for m in range(1, 10)})
         pb = relabel(unified_ncycle_behavior(9), mask)
@@ -272,10 +317,14 @@ class TestCollapse:
         again = possibilistic_collapse(Behavior(cycle5, tables))
         assert again.supports == pb.supports
 
-    def test_binary_supports_are_the_shared_pair_supports(self, kcbs, cycle5):
+    def test_collapsed_kcbs_stores_the_masks_of_its_supports(self, kcbs, cycle5):
+        # the collapse builds fresh frozensets; the behavior finds each mask
+        # by equality and stores them in context order
         pb = possibilistic_collapse(behavior_from_realization(kcbs, cycle5))
-        for sup in pb.supports.values():
-            assert sup is _PAIR_SUPPORTS[sum(_PAIR_BITS[t] for t in sup)]
+        assert pb._masks == tuple(sum(_PAIR_BITS[t] for t in pb.supports[c])
+                                  for c in cycle5.contexts)
+        assert all(pb.supports[c] == _PAIR_SUPPORTS[m]
+                   for c, m in zip(cycle5.contexts, pb._masks))
 
     def test_three_outcome_scenario_collapses(self):
         s = Scenario((1, 2, 3), ((1, 2), (2, 3), (1, 3)), outcomes=(0, 1, 2))
@@ -330,6 +379,25 @@ class TestLogicalContextuality:
         pb = PossibilisticBehavior(s, {c: frozenset({(0, 0)}) for c in s.contexts})
         with pytest.raises(ScenarioError, match="enumerate_contextuality"):
             is_logically_contextual(pb)
+
+    def test_verdict_reads_contextual_from_its_witness(self):
+        v = is_logically_contextual(unified_ncycle_behavior(5))
+        assert v.contextual and ContextualityVerdict(v.witness).contextual
+        assert not ContextualityVerdict(None).contextual
+        with pytest.raises(TypeError):      # no stored flag to disagree with
+            ContextualityVerdict(True, None)
+
+    def test_cycle_contexts_with_three_outcomes_rejected(self):
+        # the decision takes only the binary n-cycle, equal to make_cycle_scenario(n)
+        cycle = make_cycle_scenario(5)
+        s = Scenario(cycle.measurements, cycle.contexts, outcomes=(0, 1, 2))
+        pb = PossibilisticBehavior(s, {c: frozenset({(0, 2)}) for c in s.contexts})
+        with pytest.raises(ScenarioError, match="enumerate_contextuality"):
+            is_logically_contextual(pb)
+        rebuilt = Scenario(cycle.measurements, cycle.contexts)
+        assert rebuilt is not cycle
+        assert is_logically_contextual(PossibilisticBehavior(
+            rebuilt, dict(unified_ncycle_behavior(5).supports))).contextual
 
     def test_non_binary_tuple_rejected(self):
         pb = all_possible(4)
