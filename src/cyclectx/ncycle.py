@@ -19,8 +19,9 @@ the even pattern. These transforms are exact support bijections, so all
 contextuality verdicts are preserved.
 
 Each call builds a fresh behavior, validated once and read-only. What is
-built once is shared: the cycle scenario per n (``make_cycle_scenario``)
-and the 15 binary pair supports, of which every support here is one.
+built once is shared: the cycle scenario per n (``make_cycle_scenario``,
+the package's one scenario) and the 15 pair supports of ``scenario``, of
+which every support of a behavior is one.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _behavior_from_constraints(
     required: tuple[Context, OutcomeTuple],
     kind: str,
 ) -> PossibilisticBehavior:
-    # s is a cycle scenario, so each support is a shared binary pair support
+    # each support is a shared pair support
     full = 0b1111
     supports = {c: _PAIR_SUPPORTS[full ^ _PAIR_BITS[forbidden[c]] if c in forbidden else full]
                 for c in s.contexts}

@@ -15,15 +15,21 @@ one stacked product, and every Tr(Q_a Q_b rho) one batched trace.
 ``enumerate_contextuality`` decides logical contextuality by walking all
 global assignments, sharing no code with the transfer-matrix decision in
 ``scenario.is_logically_contextual``. It returns the same verdict, witness
-and fates (materialized as a tuple) on cycle scenarios, and also decides
-scenarios that are not cycles.
+and fates (materialized as a tuple) on the binary cycle.
 
 ``fixpoint_propagate_chain`` runs unit propagation by rescanning every
-context in scenario order until a full pass changes nothing, restricting
-tuple sets throughout. It shares no code with the worklist and mask tables
-of ``scenario.propagate_chain`` and returns the same ``ChainResult``, steps
-in the same order, on the well-formed input that function accepts; a chain
-forced against the scan order costs it O(n^2).
+context in order until a full pass changes nothing, restricting tuple sets
+throughout. It shares no code with the worklist and mask tables of
+``scenario.propagate_chain`` and returns the same ``ChainResult``, steps in
+the same order, on the binary cycle; a chain forced against the scan order
+costs it O(n^2).
+
+Both take plain contexts, a support per context and the outcome alphabet
+rather than a ``PossibilisticBehavior``, whose scenario is the binary
+n-cycle only, so they also decide contexts of any size, outcomes beyond
+{0, 1} and scenarios that are not cycles. The measurements are the labels
+the contexts name, in ascending order; a context that names one twice
+raises ``ScenarioError``.
 
 ``dense_simulate`` runs a schedule on the full d 2^n state tensor and keeps
 every stage; its memory grows as d 2^n per stage. It, the dense gates of
@@ -72,11 +78,9 @@ from .scenario import (
     ContextualityVerdict,
     EnumerationLimitError,
     OutcomeTuple,
-    PossibilisticBehavior,
     Scenario,
     ScenarioError,
     Witness,
-    closing_context,
 )
 
 ENUMERATION_GUARD = 2**24
@@ -137,11 +141,9 @@ def exhaustive_support_check(r: QuantumRealization, s: Scenario) -> OracleResult
     """Recompute every pair context table via Tr(Q_a Q_b rho).
 
     The products Q_a Q_b of every (context, outcome) key take one stacked
-    product, and their traces against rho one batched trace. A context that
-    is not a pair raises ``RealizationError`` before any of that work, as
-    does a measurement of the scenario that the realization lacks."""
-    if any(len(c) != 2 for c in s.contexts):
-        raise RealizationError("only two-measurement contexts are supported here")
+    product, and their traces against rho one batched trace. A measurement
+    of the scenario that the realization lacks raises ``RealizationError``
+    before any of that work."""
     _require(r, s.measurements, RealizationError)
     rho = np.outer(r.state, r.state.conj())
     keys = [(c, t) for c in s.contexts for t in itertools.product((0, 1), repeat=2)]
@@ -154,49 +156,58 @@ def exhaustive_support_check(r: QuantumRealization, s: Scenario) -> OracleResult
     return OracleResult("context tables", oracle, pipeline)
 
 
-def _witness_scan_order(s: Scenario) -> list[Context]:
-    closing = closing_context(s)
-    if closing is None:
-        return list(s.contexts)
-    return [closing] + [c for c in s.contexts if c != closing]
+def _measurements(contexts: Sequence[Context]) -> list[int]:
+    """The labels the contexts name, ascending; a context naming one twice
+    raises ``ScenarioError``."""
+    for c in contexts:
+        if len(set(c)) != len(c):
+            raise ScenarioError(f"context {c} names a measurement twice")
+    return sorted({m for c in contexts for m in c})
 
 
-def enumerate_contextuality(pb: PossibilisticBehavior) -> ContextualityVerdict:
+def enumerate_contextuality(contexts: Sequence[Context],
+                            supports: Mapping[Context, frozenset[OutcomeTuple]],
+                            outcomes: Sequence[int]) -> ContextualityVerdict:
     """Decide logical contextuality by walking every global assignment.
 
-    Works on any finite scenario. An assignment survives when its
-    restriction to every context is possible. Contexts are scanned starting
-    from the cycle-closing one, so on the cycle behaviors the reported
-    witness is the tuple the paradox post-selects on.
+    An assignment gives each measurement one of ``outcomes`` and survives
+    when its restriction to every context is in that context's support.
+    Contexts are scanned starting from the cycle-closing one, the pair of
+    the first and last measurement when there is one and more than two
+    measurements, so on the cycle behaviors the reported witness is the
+    tuple the paradox post-selects on.
     """
-    s = pb.scenario
-    size = len(s.outcomes) ** s.n
+    measurements = _measurements(contexts)
+    n = len(measurements)
+    size = len(outcomes) ** n
     if size > ENUMERATION_GUARD:
         raise EnumerationLimitError(f"{size} assignments exceed the enumeration guard")
 
-    pos = {m: k for k, m in enumerate(s.measurements)}
-    ctx_idx = {c: [pos[m] for m in c] for c in s.contexts}
+    pos = {m: k for k, m in enumerate(measurements)}
+    ctx_idx = {c: [pos[m] for m in c] for c in contexts}
 
-    surviving_restrictions: dict[Context, set[OutcomeTuple]] = {c: set() for c in s.contexts}
-    for values in itertools.product(s.outcomes, repeat=s.n):
-        if all(tuple(values[i] for i in ctx_idx[c]) in pb.supports[c] for c in s.contexts):
-            for c in s.contexts:
+    surviving_restrictions: dict[Context, set[OutcomeTuple]] = {c: set() for c in contexts}
+    for values in itertools.product(outcomes, repeat=n):
+        if all(tuple(values[i] for i in ctx_idx[c]) in supports[c] for c in contexts):
+            for c in contexts:
                 surviving_restrictions[c].add(tuple(values[i] for i in ctx_idx[c]))
 
-    for c in _witness_scan_order(s):
-        for t in sorted(pb.supports[c]):
+    closing = (measurements[0], measurements[-1]) if n > 2 else None
+    scan = [closing] if closing in contexts else []
+    for c in scan + [c for c in contexts if c != closing]:
+        for t in sorted(supports[c]):
             if t in surviving_restrictions[c]:
                 continue
             # every extension of t dies somewhere; record where
             fates = []
-            free = [m for m in s.measurements if m not in c]
-            for rest in itertools.product(s.outcomes, repeat=len(free)):
+            free = [m for m in measurements if m not in c]
+            for rest in itertools.product(outcomes, repeat=len(free)):
                 assignment = dict(zip(c, t))
                 assignment.update(zip(free, rest))
-                full = tuple(assignment[m] for m in s.measurements)
+                full = tuple(assignment[m] for m in measurements)
                 killer = None
-                for c2 in s.contexts:
-                    if tuple(full[i] for i in ctx_idx[c2]) not in pb.supports[c2]:
+                for c2 in contexts:
+                    if tuple(full[i] for i in ctx_idx[c2]) not in supports[c2]:
                         killer = c2
                         break
                 assert killer is not None
@@ -205,31 +216,36 @@ def enumerate_contextuality(pb: PossibilisticBehavior) -> ContextualityVerdict:
     return ContextualityVerdict(None)
 
 
-def fixpoint_propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
+def fixpoint_propagate_chain(contexts: Sequence[Context],
+                             supports: Mapping[Context, frozenset[OutcomeTuple]],
+                             outcomes: Sequence[int], seed_measurement: int,
                              seed_value: int) -> ChainResult:
     """Unit propagation by rescanning every context until a fixpoint.
 
     Starting from the seeded value, whenever the support of some context
     restricted to the currently fixed values leaves a single option for an
     unfixed measurement, that value is forced. Stops at a fixpoint, or at
-    the first context whose restricted support becomes empty.
+    the first context whose restricted support becomes empty. An unknown
+    seed measurement, or a seed value not in ``outcomes``, raises
+    ``ScenarioError``.
     """
-    s = pb.scenario
-    if seed_measurement not in s.measurements:
+    if seed_measurement not in _measurements(contexts):
         raise ScenarioError(f"unknown measurement {seed_measurement}")
+    if seed_value not in outcomes:
+        raise ScenarioError(f"seed value {seed_value!r} is not one of the outcomes {outcomes}")
     fixed: dict[int, int] = {seed_measurement: seed_value}
     steps: list[tuple[int, int]] = [(seed_measurement, seed_value)]
     changed = True
     while changed:
         changed = False
-        for c in s.contexts:
+        for c in contexts:
             pinned = [k for k, m in enumerate(c) if m in fixed]
             if pinned:
                 get = operator.itemgetter(*pinned)
                 want = get([fixed.get(m) for m in c])
-                allowed = [t for t in pb.supports[c] if get(t) == want]
+                allowed = [t for t in supports[c] if get(t) == want]
             else:
-                allowed = list(pb.supports[c])
+                allowed = list(supports[c])
             if not allowed:
                 return ChainResult(dict(fixed), tuple(steps), ChainConflict(c, dict(fixed)))
             for k, m in enumerate(c):

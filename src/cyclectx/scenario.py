@@ -1,4 +1,4 @@
-"""Theory-independent contextuality framework.
+"""Theory-independent contextuality framework, on the binary n-cycle.
 
 A measurement scenario is a finite set of measurements, a family of maximal
 contexts (sets of jointly measurable measurements), and an outcome label set.
@@ -7,63 +7,61 @@ context; its possibilistic collapse keeps only the supports. A possibilistic
 behavior is logically contextual when some possible joint outcome admits no
 global outcome assignment that stays possible in every context.
 
-The types admit arbitrary finite scenarios, but everything in this package
-is exercised on n-cycle scenarios (contexts {i, i+1} plus the closing pair
-{n, 1}) with binary outcomes. Outcome tuples are always keyed by the
+The one scenario here is the binary n-cycle: measurements 1..n, contexts
+{i, i+1} plus the closing pair {n, 1}, outcomes (0, 1), built and shared by
+``make_cycle_scenario``. ``oracles.enumerate_contextuality`` and
+``oracles.fixpoint_propagate_chain`` take plain contexts and supports and
+decide other scenarios too. Outcome tuples are always keyed by the
 context's measurements in ascending label order, so the closing context is
 stored as the ordered pair (1, n). Malformed input stops at the boundary
-with ``ScenarioError``: a context naming a measurement twice, a support that
-is not a frozenset, a support tuple or a chain seed with a value outside the
+with ``ScenarioError``: a table or support tuple outside {0, 1}^2, a
+support that is not a frozenset, a chain seed with a value outside the
 outcomes, a required tuple that is not an outcome tuple of one of the
 contexts, and a flip mask that does not name exactly the measurements. A
 behavior is validated once, when it is built, and holds a read-only copy of
 its supports, so no later edit can undo that check.
 
-A support on a pair context with outcomes in {0, 1} is one of the 15
-non-empty subsets of {0, 1}^2. One table maps each to a mask in the four low
-bits of an int (bit 2a + b set when (a, b) is possible) and each mask back
-to one shared frozenset, and every binary n-cycle operation works on the
-masks:
+Every context support is one of the 15 non-empty subsets of {0, 1}^2. One
+table maps each to a mask in the four low bits of an int (bit 2a + b set
+when (a, b) is possible) and each mask back to one shared frozenset, and
+every operation works on the masks:
 
-- The ``ncycle`` generators take each binary pair support from the table,
-  so every later lookup of it finds the shared frozenset by identity
-  instead of comparing tuples. ``possibilistic_collapse`` builds fresh
-  frozensets, whose masks the behavior finds by equality.
-- ``PossibilisticBehavior``, on a scenario whose contexts are all binary
-  pairs, looks up the mask of each support when it is built and stores
-  them, in scenario context order, beside its read-only supports; a
-  support without a mask is checked tuple by tuple, to name the first bad
-  context.
+- The ``ncycle`` generators take each support from the table, so every
+  later lookup of it finds the shared frozenset by identity instead of
+  comparing tuples. ``possibilistic_collapse`` builds fresh frozensets,
+  whose masks the behavior finds by equality.
+- ``PossibilisticBehavior`` looks up the mask of each support when it is
+  built and stores them, in scenario context order, beside its read-only
+  supports; a support without a mask is rejected, naming its context.
 - ``is_logically_contextual`` reads the stored masks and decides the cycle
   in O(n) with products of the 2x2 boolean transfer matrices they pack (a
   16 x 16 product table). The witness's 2^(n-2) dead extensions are a
   frozen record that decodes each one on demand.
   ``oracles.enumerate_contextuality`` keeps the exhaustive enumeration of
-  global assignments as its cross-check and decides any other scenario.
+  global assignments as its cross-check.
 - ``flip_outcomes``, behind ``ncycle.relabel``, maps the stored masks
   through one 4 x 16 flip table and builds the result from the shared
   frozensets without validating it again.
 - ``propagate_chain`` is a worklist in (pass, scenario index) order that
   re-evaluates a context only after another context fixed one of its
-  measurements, and reads the forcing of a binary pair context from a table
-  keyed by its stored mask and fixed values. The first pass, which takes
-  every context, walks the scenario in order without a heap; later passes
-  pop a heap. On an n-cycle a chain costs O(n log n) from any seed, and its steps
-  come out in the order of the fixpoint scan that
-  ``oracles.fixpoint_propagate_chain`` keeps as its cross-check.
+  measurements, and reads the forcing of a context from a table keyed by
+  its stored mask and fixed values. The first pass, which takes every
+  context, walks the scenario in order without a heap; later passes pop a
+  heap. A chain costs O(n log n) from any seed, and its steps come out in
+  the order of the fixpoint scan that ``oracles.fixpoint_propagate_chain``
+  keeps as its cross-check.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import operator
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 from .linalg import ALG_TOL
 
@@ -83,37 +81,29 @@ class EnumerationLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class Scenario:
-    measurements: tuple[int, ...]
-    contexts: tuple[Context, ...]
-    outcomes: tuple[int, ...] = (0, 1)
+    """The binary n-cycle: measurements 1..n, the contexts (i, i+1) for i < n
+    and the closing context (1, n), outcomes (0, 1).
+
+    Built from n alone, so it is a valid scenario by construction;
+    ``make_cycle_scenario`` shares one per n.
+    """
+
+    n: int
+    measurements: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    contexts: tuple[Context, ...] = field(init=False, repr=False, compare=False)
+    outcomes: ClassVar[tuple[int, ...]] = (0, 1)
 
     def __post_init__(self):
-        mset = set(self.measurements)
-        if len(mset) != len(self.measurements):
-            raise ScenarioError("duplicate measurement labels")
-        for c in self.contexts:
-            if len(set(c)) != len(c):
-                raise ScenarioError(f"context {c} names a measurement twice")
-            if tuple(sorted(c)) != c:
-                raise ScenarioError(f"context {c} must be stored in ascending order")
-            if not set(c) <= mset:
-                raise ScenarioError(f"context {c} is not a subset of the measurement set")
-        # a superset of c1 contains c1[0], so only those contexts are candidates
-        sets = [set(c) for c in self.contexts]
-        containing = self._containing
-        everything = range(len(self.contexts))
-        for c1, s1 in zip(self.contexts, sets):
-            for k in (containing[c1[0]] if c1 else everything):
-                c2 = self.contexts[k]
-                if c1 != c2 and s1 <= sets[k]:
-                    raise ScenarioError(f"context {c1} is contained in {c2}; contexts must be maximal")
-
-    @property
-    def n(self) -> int:
-        return len(self.measurements)
+        n = operator.index(self.n)
+        if n < 3:
+            raise ScenarioError(f"a cycle needs at least 3 measurements, got {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "measurements", tuple(range(1, n + 1)))
+        object.__setattr__(self, "contexts",
+                           tuple((i, i + 1) for i in range(1, n)) + ((1, n),))
 
     def tuples(self, context: Context) -> list[OutcomeTuple]:
-        return list(itertools.product(self.outcomes, repeat=len(context)))
+        return list(_PAIR_TUPLES)
 
     @functools.cached_property
     def _containing(self) -> dict[int, list[int]]:
@@ -125,23 +115,12 @@ class Scenario:
         return containing
 
     @functools.cached_property
-    def _tuple_sets(self) -> dict[int, frozenset[OutcomeTuple]]:
-        """Every outcome tuple of each context arity, built on first use."""
-        return {k: frozenset(itertools.product(self.outcomes, repeat=k))
-                for k in {len(c) for c in self.contexts}}
-
-    @functools.cached_property
     def _measurement_set(self) -> frozenset[int]:
         return frozenset(self.measurements)
 
     @functools.cached_property
     def _context_set(self) -> frozenset[Context]:
         return frozenset(self.contexts)
-
-    @functools.cached_property
-    def _binary_pairs(self) -> bool:
-        """Every context is a pair over the outcomes (0, 1)."""
-        return self.outcomes == (0, 1) and all(len(c) == 2 for c in self.contexts)
 
 
 @dataclass(frozen=True)
@@ -156,13 +135,20 @@ class Behavior:
         for c, table in self.tables.items():
             total = 0.0
             for t, p in table.items():
-                if len(t) != len(c):
-                    raise ScenarioError(f"tuple {t} has wrong arity for context {c}")
+                if t not in _PAIR_BITS:
+                    raise _bad_tuple(c, t)
                 if not -1e-15 <= p <= 1 + ALG_TOL:     # also false for NaN
                     raise ScenarioError(f"probability {p} outside [0,1] in context {c}")
                 total += p
             if abs(total - 1.0) > ALG_TOL:
                 raise ScenarioError(f"table for context {c} sums to {total}, not 1")
+
+
+def _bad_tuple(c: Context, t) -> ScenarioError:
+    """The error naming a tuple of context c that is not in {0, 1}^2."""
+    if len(t) != len(c):
+        return ScenarioError(f"tuple {t} has wrong arity for context {c}")
+    return ScenarioError(f"tuple {t} of context {c} has a value outside the outcomes (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -172,8 +158,8 @@ class PossibilisticBehavior:
     # Annotations set by generators; not part of support equality.
     kind: str | None = field(default=None, compare=False)
     required: tuple[Context, OutcomeTuple] | None = field(default=None, compare=False)
-    # each support's mask in context order if every context is a binary pair
-    _masks: tuple[int, ...] | None = field(default=None, init=False, compare=False, repr=False)
+    # each support's mask, in scenario context order
+    _masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         s = self.scenario
@@ -184,35 +170,24 @@ class PossibilisticBehavior:
         if self.required is not None and not _is_outcome_of_context(s, self.required):
             raise ScenarioError(f"required {self.required!r} is not an outcome tuple "
                                 "of a context of the scenario")
-        # a set would fail the first hash lookup, a list every comparison
+        # a set would fail the mask lookup's hash, a list every comparison
         for c, sup in supports.items():
             if not isinstance(sup, frozenset):
                 raise ScenarioError(f"support of context {c} is a {type(sup).__name__}, "
                                     "not a frozenset")
-        if s._binary_pairs:
-            masks = tuple(_PAIR_MASKS.get(supports[c]) for c in s.contexts)
-            if None not in masks:
-                object.__setattr__(self, "_masks", masks)
-                return
-        valid = s._tuple_sets
-        for c, sup in supports.items():
-            if not sup:
+        masks = tuple(_PAIR_MASKS.get(supports[c]) for c in s.contexts)
+        if None in masks:
+            c = s.contexts[masks.index(None)]
+            if not supports[c]:
                 raise ScenarioError(f"context {c} has empty support")
-            tuples = valid[len(c)]
-            if tuples.issuperset(sup):
-                continue
-            for t in sup:
-                if len(t) != len(c):
-                    raise ScenarioError(f"tuple {t} has wrong arity for context {c}")
-                if t not in tuples:
-                    raise ScenarioError(f"tuple {t} of context {c} has a value outside "
-                                        f"the outcomes {s.outcomes}")
+            raise _bad_tuple(c, next(t for t in supports[c] if t not in _PAIR_BITS))
+        object.__setattr__(self, "_masks", masks)
 
     @classmethod
     def _trusted(cls, s: Scenario, masks: tuple[int, ...],
                  required: tuple[Context, OutcomeTuple] | None) -> PossibilisticBehavior:
-        """The behavior of the shared pair supports of ``masks`` on a binary-pair
-        scenario, built without validation: each is one of the 15 valid supports."""
+        """The behavior of the shared pair supports of ``masks``, built without
+        validation: each is one of the 15 valid supports."""
         pb = object.__new__(cls)
         pb.__dict__.update(scenario=s, kind=None, required=required, _masks=masks,
                            supports=MappingProxyType(dict(zip(s.contexts, map(
@@ -227,7 +202,7 @@ def _is_outcome_of_context(s: Scenario, required) -> bool:
     """``required`` is a pair (context of s, outcome tuple of that context)."""
     try:
         c, t = required
-        return c in s._context_set and t in s._tuple_sets[len(c)]
+        return c in s._context_set and t in _PAIR_BITS
     except (TypeError, ValueError):     # not a pair, or an unhashable part
         return False
 
@@ -326,24 +301,12 @@ class ChainResult:
 
 @functools.lru_cache(typed=True)
 def make_cycle_scenario(n: int) -> Scenario:
-    """n binary measurements with contexts {i, i+1} for i < n plus {n, 1}.
+    """The binary n-cycle scenario, n >= 3.
 
     The scenario is immutable, so a call with a recently used n returns the
-    instance built and validated then.
+    instance built then.
     """
-    if n < 3:
-        raise ScenarioError(f"a cycle needs at least 3 measurements, got {n}")
-    return Scenario(tuple(range(1, n + 1)), _cycle_contexts(n))
-
-
-def _cycle_contexts(n: int) -> tuple[Context, ...]:
-    return tuple((i, i + 1) for i in range(1, n)) + ((1, n),)
-
-
-def closing_context(s: Scenario) -> Context | None:
-    """The cycle-closing context (1, n), if the scenario has one."""
-    c = (1, s.n)
-    return c if c in s.contexts and s.n > 2 else None
+    return Scenario(n)
 
 
 def marginal(table: Mapping[OutcomeTuple, float], context: Context,
@@ -358,15 +321,17 @@ def marginal(table: Mapping[OutcomeTuple, float], context: Context,
 
 
 def check_no_disturbance(b: Behavior) -> bool:
-    """Marginals on every context overlap agree entrywise within ALG_TOL."""
-    s = b.scenario
-    for c1, c2 in itertools.combinations(s.contexts, 2):
-        shared = tuple(sorted(set(c1) & set(c2)))
-        if not shared:
-            continue
-        m1 = marginal(b.tables[c1], c1, shared)
-        m2 = marginal(b.tables[c2], c2, shared)
-        for t in set(m1) | set(m2):
+    """Marginals on every context overlap agree entrywise within ALG_TOL.
+
+    On the cycle two contexts overlap only in a measurement they share, and
+    each measurement lies in two contexts, so those two are compared on it.
+    """
+    s, tables = b.scenario, b.tables
+    for m, (j, k) in s._containing.items():
+        c1, c2 = s.contexts[j], s.contexts[k]
+        m1 = marginal(tables[c1], c1, (m,))
+        m2 = marginal(tables[c2], c2, (m,))
+        for t in m1.keys() | m2.keys():
             if abs(m1.get(t, 0.0) - m2.get(t, 0.0)) > ALG_TOL:
                 return False
     return True
@@ -378,8 +343,8 @@ def possibilistic_collapse(b: Behavior) -> PossibilisticBehavior:
 
     The threshold separates genuine support from floating-point dust;
     quantum-computed zeros land many orders below it, genuine supports well
-    above. A tuple outside the outcomes is named by the behavior's
-    validation.
+    above. A tuple outside {0, 1}^2 never gets here: ``Behavior`` rejects
+    it.
     """
     supports = {
         c: frozenset(t for t, p in table.items() if p > POSSIBILITY_EPS)
@@ -411,20 +376,15 @@ def _flipped_mask(m: int, flip_first: bool, flip_second: bool) -> int:
 _FLIPPED = tuple(tuple(_flipped_mask(m, k >> 1, k & 1) for m in range(16)) for k in range(4))
 
 
-def _moved(flip: Mapping[int, bool], c: Context, t: OutcomeTuple) -> OutcomeTuple:
-    return tuple(1 - v if flip[m] else v for m, v in zip(c, t))
-
-
 def flip_outcomes(pb: PossibilisticBehavior,
                   flip: Mapping[int, bool]) -> PossibilisticBehavior:
     """Swap outcomes 0 <-> 1 of every measurement m with ``flip[m]`` true.
 
     ``flip`` must name exactly the measurements, or ``ScenarioError`` is
-    raised. On a scenario of binary pair contexts each stored mask is
-    flipped by a table lookup, and the result holds the shared frozenset of
-    each flipped mask without being validated again; any other support is
-    rebuilt tuple by tuple and validated. The required tuple moves with its
-    context; the kind annotation is dropped.
+    raised. Each stored mask is flipped by a table lookup, and the result
+    holds the shared frozenset of each flipped mask without being validated
+    again. The required tuple moves with its context; the kind annotation
+    is dropped.
     """
     s = pb.scenario
     if flip.keys() != s._measurement_set:
@@ -432,14 +392,10 @@ def flip_outcomes(pb: PossibilisticBehavior,
     required = None
     if pb.required is not None:
         rc, rt = pb.required
-        required = (rc, _moved(flip, rc, rt))
-    masks = pb._masks
-    if masks is not None:
-        return PossibilisticBehavior._trusted(s, tuple(
-            _FLIPPED[(2 if flip[a] else 0) | (1 if flip[b] else 0)][m]
-            for (a, b), m in zip(s.contexts, masks)), required)
-    supports = {c: frozenset(_moved(flip, c, t) for t in pb.supports[c]) for c in s.contexts}
-    return PossibilisticBehavior(s, supports, required=required)
+        required = (rc, tuple(1 - v if flip[m] else v for m, v in zip(rc, rt)))
+    return PossibilisticBehavior._trusted(s, tuple(
+        _FLIPPED[(2 if flip[a] else 0) | (1 if flip[b] else 0)][m]
+        for (a, b), m in zip(s.contexts, pb._masks)), required)
 
 
 _IDENTITY = 0b1001                       # packed 2x2 identity: bits [0][0] and [1][1]
@@ -472,14 +428,11 @@ def is_logically_contextual(pb: PossibilisticBehavior) -> ContextualityVerdict:
 
     Contexts are scanned starting from the cycle-closing one, then in
     scenario order, tuples in sorted order, so on the cycle behaviors the
-    reported witness is the tuple the paradox post-selects on. Other
-    scenarios raise ``ScenarioError``; ``oracles.enumerate_contextuality``
-    decides them by enumeration.
+    reported witness is the tuple the paradox post-selects on.
+    ``oracles.enumerate_contextuality`` decides the same question by
+    enumeration, on any scenario.
     """
     s = pb.scenario
-    if not (s.n >= 3 and s == make_cycle_scenario(s.n)):
-        raise ScenarioError("is_logically_contextual decides binary n-cycle scenarios "
-                            "only; use oracles.enumerate_contextuality for others")
     n = s.n
     masks = pb._masks                    # bit 2a + b: keyed tuple (a, b) possible
     mats = masks[:-1] + (_TRANSPOSED[masks[-1]],)
@@ -503,39 +456,30 @@ def is_logically_contextual(pb: PossibilisticBehavior) -> ContextualityVerdict:
     return ContextualityVerdict(None)
 
 
-def _forced_values(c: Context, support: frozenset, fixed: Mapping[int, int]):
-    """What one context forces given the fixed values.
+def _pair_forced(mask: int, va: int | None, vb: int | None):
+    """What a context of support ``mask`` forces given the fixed values of
+    its first and second measurement (None if free).
 
-    None when no tuple of the support agrees with the fixed measurements of
-    c; otherwise the (position in c, value) pairs of the free measurements
-    on which every agreeing tuple takes the same value.
+    None when no tuple of the support agrees with the fixed values;
+    otherwise the (position in the context, value) pairs of the free
+    measurements on which every agreeing tuple takes the same value.
     """
-    pinned = [k for k, m in enumerate(c) if m in fixed]
-    if pinned:
-        get = operator.itemgetter(*pinned)
-        want = get([fixed.get(m) for m in c])
-        allowed = [t for t in support if get(t) == want]
-    else:
-        allowed = list(support)
+    allowed = [t for t in _PAIR_SUPPORTS[mask]
+               if va in (None, t[0]) and vb in (None, t[1])]
     if not allowed:
         return None
     forced = []
-    for k, m in enumerate(c):
-        if m in fixed:
-            continue
+    for k, v in enumerate((va, vb)):
         vals = {t[k] for t in allowed}
-        if len(vals) == 1:
+        if v is None and len(vals) == 1:
             forced.append((k, vals.pop()))
     return tuple(forced)
 
 
 # (mask, fixed value of the first measurement, of the second; None if free)
-# -> what ``_forced_values`` gives for that binary pair support
-_PAIR_FORCED = {
-    (m, va, vb): _forced_values((0, 1), _PAIR_SUPPORTS[m],
-                                {k: v for k, v in ((0, va), (1, vb)) if v is not None})
-    for m in range(1, 16) for va in (None, 0, 1) for vb in (None, 0, 1)
-}
+# -> what that context forces
+_PAIR_FORCED = {(m, va, vb): _pair_forced(m, va, vb)
+                for m in range(1, 16) for va in (None, 0, 1) for vb in (None, 0, 1)}
 
 
 def propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
@@ -556,11 +500,10 @@ def propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
     context nothing has touched since would change nothing, so ``steps``,
     ``forced`` and the conflict are those of rescanning every context until
     nothing changes (``oracles.fixpoint_propagate_chain``), at O(n log n)
-    instead of O(n^2) for a chain forced against the scan order. On a
-    scenario of binary pair contexts each context reads its forcing from a
-    table keyed by its stored mask and fixed values; any other context
-    restricts the support's tuples. An unknown seed measurement, or a seed
-    value not in ``scenario.outcomes``, raises ``ScenarioError``.
+    instead of O(n^2) for a chain forced against the scan order. Each
+    context reads its forcing from a table keyed by its stored mask and
+    fixed values. An unknown seed measurement, or a seed value not in
+    ``scenario.outcomes``, raises ``ScenarioError``.
     """
     s = pb.scenario
     if seed_measurement not in s.measurements:
@@ -569,19 +512,14 @@ def propagate_chain(pb: PossibilisticBehavior, seed_measurement: int,
         raise ScenarioError(f"seed value {seed_value!r} is not one of the outcomes {s.outcomes}")
     fixed: dict[int, int] = {seed_measurement: seed_value}
     steps: list[tuple[int, int]] = [(seed_measurement, seed_value)]
-    contexts, supports, containing = s.contexts, pb.supports, s._containing
-    masks = pb._masks or (None,) * len(contexts)
+    contexts, masks, containing = s.contexts, pb._masks, s._containing
     heap: list[int] | None = None        # the first pass queues every context: no heap
     order: Iterable[int] = range(len(contexts))
     while True:
         later: set[int] = set()
         for i in order:
             c = contexts[i]
-            mask = masks[i]
-            if mask:                     # fixed values are then 0 or 1
-                forced = _PAIR_FORCED[mask, fixed.get(c[0]), fixed.get(c[1])]
-            else:
-                forced = _forced_values(c, supports[c], fixed)
+            forced = _PAIR_FORCED[masks[i], fixed.get(c[0]), fixed.get(c[1])]
             if forced is None:
                 return ChainResult(dict(fixed), tuple(steps), ChainConflict(c, dict(fixed)))
             for k, v in forced:

@@ -25,6 +25,7 @@ CASES = [
     ("search_n5_d2.json", ["search", "--n", "5", "--dim", "2"], 1),
     ("contextuality_n9_odd.json", ["contextuality", "--n", "9", "--kind", "odd"], 0),
     ("contextuality_n64_even.json", ["contextuality", "--n", "64", "--kind", "even"], 0),
+    ("contextuality_n12_unified.json", ["contextuality", "--n", "12", "--kind", "unified"], 0),
 ]
 
 

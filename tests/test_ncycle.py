@@ -17,8 +17,6 @@ from cyclectx.ncycle import (
 )
 from cyclectx.scenario import (
     _PAIR_SUPPORTS,
-    PossibilisticBehavior,
-    Scenario,
     ScenarioError,
     is_logically_contextual,
     make_cycle_scenario,
@@ -167,13 +165,14 @@ class TestRelabel:
         {1: np.bool_(True), 2: np.bool_(False), 3: np.bool_(True), 4: np.bool_(True)},
         {1: 1, 2: 0, 3: 1, 4: 1},
     ], ids=["numpy-bool", "int"])
-    def test_generic_contexts_and_mask_values(self, flips):
-        s = Scenario((1, 2, 3, 4), ((1, 2, 3), (3, 4)))
-        pb = PossibilisticBehavior(s, {(1, 2, 3): frozenset({(0, 0, 1), (0, 1, 1), (1, 1, 0)}),
-                                       (3, 4): frozenset({(1, 0), (0, 1)})})
-        out = relabel(pb, FlipMask(flips))
-        assert out.supports == {(1, 2, 3): {(1, 0, 0), (1, 1, 0), (0, 1, 1)},
-                                (3, 4): {(0, 1), (1, 0)}}
+    def test_mask_values_of_other_types(self, flips):
+        # unified n = 4 forbids (0, 1) on each adjacent context; flipping 1, 3
+        # and 4 moves that tuple to (1, 1), (1, 0) and (0, 0)
+        out = relabel(unified_ncycle_behavior(4), FlipMask(flips))
+        full = {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert out.supports == {(1, 2): full - {(1, 1)}, (2, 3): full - {(0, 0)},
+                                (3, 4): full - {(1, 0)}, (1, 4): full}
+        assert out.required == ((1, 4), (1, 0))
         assert all(type(v) is int for sup in out.supports.values() for t in sup for v in t)
 
     def test_support_cardinalities_preserved(self):

@@ -21,7 +21,6 @@ from cyclectx.ewf import (
     commutation_certificates,
     simulate,
 )
-from cyclectx import oracles
 from cyclectx.oracles import (
     OracleResult,
     _pair_gates,
@@ -42,9 +41,9 @@ from cyclectx.quantum import (
     realization_from_doc,
 )
 from cyclectx.scenario import (
+    AssignmentFate,
     EnumerationLimitError,
     PossibilisticBehavior,
-    Scenario,
     ScenarioError,
     _packed_product,
     is_logically_contextual,
@@ -176,31 +175,6 @@ class TestExhaustiveSupportCheck:
         for c in s.contexts:
             assert abs(res.oracle_value[(c, (0, 0))] - 1.0) <= 1e-12
 
-    def test_large_context_rejected(self, kcbs):
-        s = Scenario((1, 2, 3, 4), ((1, 2, 3, 4),))
-        with pytest.raises(ValueError):
-            exhaustive_support_check(kcbs, s)
-
-    @pytest.mark.parametrize("s", [
-        Scenario((1, 2), ((1,), (2,))),
-        Scenario((1, 2, 3), ((1, 2, 3),)),
-        Scenario((1, 2, 3, 4), ((1, 2, 3, 4),)),
-        Scenario((1, 2, 3, 4), ((1, 2), (2, 3, 4))),
-    ], ids=["size1", "size3", "size4", "pair-and-size3"])
-    def test_non_pair_context_rejected_before_oracle_work(self, kcbs, s, monkeypatch):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the oracle ran")
-
-        monkeypatch.setattr(QuantumRealization, "outcome_projector", unreachable)
-        monkeypatch.setattr(oracles, "behavior_from_realization", unreachable)
-        with pytest.raises(RealizationError, match="only two-measurement contexts"):
-            exhaustive_support_check(kcbs, s)
-        # also before the labels are checked: KCBS has no label 9
-        s9 = Scenario(tuple(m + 8 for m in s.measurements),
-                      tuple(tuple(m + 8 for m in c) for c in s.contexts))
-        with pytest.raises(RealizationError, match="only two-measurement contexts"):
-            exhaustive_support_check(kcbs, s9)
-
     def test_oracle_values_equal_per_key_products_bit_for_bit(self):
         for n, r in fixture_cases():
             s = make_cycle_scenario(n)
@@ -233,8 +207,13 @@ class TestOracleResult:
         assert res.max_abs_diff <= 1e-10
 
 
+def plain(pb):
+    """The oracles' arguments for a behavior: its contexts, supports and outcomes."""
+    return pb.scenario.contexts, pb.supports, pb.scenario.outcomes
+
+
 def assert_same_verdict(pb):
-    fast, slow = is_logically_contextual(pb), enumerate_contextuality(pb)
+    fast, slow = is_logically_contextual(pb), enumerate_contextuality(*plain(pb))
     assert fast.contextual == slow.contextual
     if slow.witness is None:
         assert fast.witness is None
@@ -298,17 +277,54 @@ class TestEnumerateContextuality:
 
     def test_decides_non_cycles(self):
         # a path, not a cycle: m2 is 0 in one context and 1 in the other
-        s = Scenario((1, 2, 3), ((1, 2), (2, 3)))
         supports = {(1, 2): frozenset({(0, 0)}), (2, 3): frozenset({(1, 1)})}
-        v = enumerate_contextuality(PossibilisticBehavior(s, supports))
+        v = enumerate_contextuality(((1, 2), (2, 3)), supports, (0, 1))
         assert v.contextual and v.witness.context == (1, 2)
+        assert v.witness.fates == (AssignmentFate((0, 0, 0), (2, 3)),
+                                   AssignmentFate((0, 0, 1), (2, 3)))
+
+    def test_three_outcome_cycle_under_flips(self):
+        # measurement 1 alone may take the outcome 2, first in both of its
+        # contexts; swapping 0 <-> 1 on the others keeps the verdict
+        n = 6
+        contexts = make_cycle_scenario(n).contexts
+        rng = np.random.default_rng(37)
+        seen = set()
+        for _ in range(30):
+            supports = {}
+            for c in contexts:
+                tuples = PAIRS + [(2, 0), (2, 1)] if 1 in c else PAIRS
+                keep = rng.random(len(tuples)) < 0.5
+                keep[rng.integers(len(tuples))] = True
+                supports[c] = frozenset(t for t, k in zip(tuples, keep) if k)
+            flip = {1: False, **{m: bool(rng.integers(2)) for m in range(2, n + 1)}}
+            flipped = {c: frozenset(tuple(1 - v if flip[m] else v for m, v in zip(c, t))
+                                    for t in sup)
+                       for c, sup in supports.items()}
+            v = enumerate_contextuality(contexts, supports, (0, 1, 2))
+            w = enumerate_contextuality(contexts, flipped, (0, 1, 2))
+            assert v.contextual == w.contextual
+            for m in range(1, n + 1):
+                for value in (0, 1, 2):
+                    chain = fixpoint_propagate_chain(contexts, supports, (0, 1, 2), m, value)
+                    assert_sound_chain(contexts, supports, (0, 1, 2), m, value, chain)
+            seen.add(v.contextual)
+        assert seen == {False, True}
 
     def test_guard(self):
         # 2^25 global assignments exceed the 2^24 enumeration guard
         s = make_cycle_scenario(25)
         pb = PossibilisticBehavior(s, {c: frozenset(s.tuples(c)) for c in s.contexts})
         with pytest.raises(EnumerationLimitError):
-            enumerate_contextuality(pb)
+            enumerate_contextuality(*plain(pb))
+
+    @pytest.mark.parametrize("contexts", [((1, 1), (2, 3)), ((1, 1, 2), (2, 3)),
+                                          ((1, 2), (3, 3))])
+    def test_context_naming_a_measurement_twice(self, contexts):
+        twice = next(c for c in contexts if len(set(c)) < len(c))
+        supports = {c: frozenset({(0,) * len(c)}) for c in contexts}
+        with pytest.raises(ScenarioError, match=re.escape(f"context {twice} names")):
+            enumerate_contextuality(contexts, supports, (0, 1))
 
 
 PAIRS = list(itertools.product((0, 1), repeat=2))
@@ -341,17 +357,36 @@ def assert_same_chains(pb):
     for m in pb.scenario.measurements:
         for v in (0, 1):
             fast = propagate_chain(pb, m, v)
-            slow = fixpoint_propagate_chain(pb, m, v)
+            slow = fixpoint_propagate_chain(*plain(pb), m, v)
             assert fast.steps == slow.steps
             assert fast == slow
 
 
+def assert_sound_chain(contexts, supports, outcomes, m, v, chain):
+    """Every global assignment that survives all supports and takes m = v
+    takes each forced value; a conflict leaves no such assignment."""
+    labels = sorted({x for c in contexts for x in c})
+    for values in itertools.product(outcomes, repeat=len(labels)):
+        a = dict(zip(labels, values))
+        if a[m] == v and all(tuple(a[x] for x in c) in supports[c] for c in contexts):
+            assert not chain.conflicted
+            assert all(a[x] == fv for x, fv in chain.forced.items())
+
+
+def assert_sound_chains(contexts, supports):
+    for m in sorted({x for c in contexts for x in c}):
+        for v in (0, 1):
+            chain = fixpoint_propagate_chain(contexts, supports, (0, 1), m, v)
+            assert_sound_chain(contexts, supports, (0, 1), m, v, chain)
+
+
+TRIPLE_AND_PAIR = ((1, 2, 3), (3, 4))
+PATH = ((1, 2), (2, 3))
 THREE_MEASUREMENT_SUPPORTS = [
-    (Scenario((1, 2, 3, 4), ((1, 2, 3), (3, 4))),
+    (TRIPLE_AND_PAIR,
      {(1, 2, 3): frozenset({(0, 0, 1), (0, 1, 1), (1, 1, 0)}),
       (3, 4): frozenset({(1, 0), (0, 1)})}),
-    (Scenario((1, 2, 3), ((1, 2), (2, 3))),
-     {(1, 2): frozenset({(0, 0)}), (2, 3): frozenset({(1, 1)})}),
+    (PATH, {(1, 2): frozenset({(0, 0)}), (2, 3): frozenset({(1, 1)})}),
 ]
 
 
@@ -368,31 +403,52 @@ class TestFixpointPropagateChain:
         # the draw must reach both outcomes of a chain
         assert 0 < conflicts < 25
 
-    @pytest.mark.parametrize("scenario, supports", THREE_MEASUREMENT_SUPPORTS,
+    @pytest.mark.parametrize("contexts, supports", THREE_MEASUREMENT_SUPPORTS,
                              ids=["triple-and-pair", "path"])
-    def test_propagate_chain_scenarios(self, scenario, supports):
-        assert_same_chains(PossibilisticBehavior(scenario, supports))
+    def test_propagate_chain_scenarios(self, contexts, supports):
+        # contexts that no cycle has: the chain is checked against enumeration
+        assert_sound_chains(contexts, supports)
+
+    @pytest.mark.parametrize("seed, steps", [
+        ((1, 1), ((1, 1), (2, 1), (3, 0), (4, 1))),
+        ((2, 0), ((2, 0), (1, 0), (3, 1), (4, 0))),
+        ((2, 1), ((2, 1),)),
+        ((4, 0), ((4, 0), (3, 1), (1, 0))),
+    ])
+    def test_three_measurement_context(self, seed, steps):
+        res = fixpoint_propagate_chain(*THREE_MEASUREMENT_SUPPORTS[0], (0, 1), *seed)
+        assert res.steps == steps and res.forced == dict(steps)
+        assert not res.conflicted
+
+    @pytest.mark.parametrize("seed, steps, context", [
+        ((1, 0), ((1, 0), (2, 0)), (2, 3)),
+        ((1, 1), ((1, 1),), (1, 2)),
+        ((3, 1), ((3, 1), (1, 0), (2, 0)), (2, 3)),
+    ])
+    def test_path_conflicts(self, seed, steps, context):
+        res = fixpoint_propagate_chain(*THREE_MEASUREMENT_SUPPORTS[1], (0, 1), *seed)
+        assert res.steps == steps and res.forced == dict(steps)
+        assert res.conflict.context == context and res.conflict.fixed == dict(steps)
 
     def test_random_supports_with_a_triple_context(self):
-        s = THREE_MEASUREMENT_SUPPORTS[0][0]
         rng = np.random.default_rng(17)
         for _ in range(200):
             supports = {}
-            for c in s.contexts:
+            for c in TRIPLE_AND_PAIR:
                 tuples = list(itertools.product((0, 1), repeat=len(c)))
                 keep = rng.random(len(tuples)) < 0.5
                 keep[rng.integers(len(tuples))] = True
                 supports[c] = frozenset(t for t, k in zip(tuples, keep) if k)
-            assert_same_chains(PossibilisticBehavior(s, supports))
+            assert_sound_chains(TRIPLE_AND_PAIR, supports)
 
     @pytest.mark.parametrize("contexts", [((1, 1), (2, 3)), ((1, 1, 2), (2, 3)),
                                           ((1, 2), (3, 3))])
     def test_context_naming_a_measurement_twice(self, contexts):
-        # the chains are compared on well-formed scenarios only: one whose
-        # context names a measurement twice is rejected before any chain runs
+        # plain contexts are checked where they enter, before any chain runs
         twice = next(c for c in contexts if len(set(c)) < len(c))
+        supports = {c: frozenset({(0,) * len(c)}) for c in contexts}
         with pytest.raises(ScenarioError, match=re.escape(f"context {twice} names")):
-            Scenario((1, 2, 3), contexts)
+            fixpoint_propagate_chain(contexts, supports, (0, 1), 2, 0)
 
     @pytest.mark.parametrize("value", [True, 1.0])
     def test_seed_values_off_the_table(self, value):
@@ -401,7 +457,8 @@ class TestFixpointPropagateChain:
         for n in range(3, 8):
             pb = random_cycle_behavior(n, rng)
             for m in pb.scenario.measurements:
-                assert propagate_chain(pb, m, value) == fixpoint_propagate_chain(pb, m, value)
+                assert propagate_chain(pb, m, value) == \
+                    fixpoint_propagate_chain(*plain(pb), m, value)
 
     @pytest.mark.parametrize("value", [None, 2, -1, 0.5])
     def test_seed_value_outside_the_outcomes(self, value):
@@ -411,6 +468,8 @@ class TestFixpointPropagateChain:
             for m in pb.scenario.measurements:
                 with pytest.raises(ScenarioError, match="not one of the outcomes"):
                     propagate_chain(pb, m, value)
+                with pytest.raises(ScenarioError, match="not one of the outcomes"):
+                    fixpoint_propagate_chain(*plain(pb), m, value)
 
     @pytest.mark.parametrize("generator, sizes", [
         (unified_ncycle_behavior, range(4, 17)),
@@ -438,13 +497,13 @@ class TestFixpointPropagateChain:
     def test_backward_chain_order_at_small_n(self):
         for n in range(4, 31):
             pb = unified_ncycle_behavior(n)
-            res = fixpoint_propagate_chain(pb, n, 1)
+            res = fixpoint_propagate_chain(*plain(pb), n, 1)
             assert res.steps == tuple((m, 1) for m in range(n, 0, -1))
             assert propagate_chain(pb, n, 1) == res and not res.conflicted
 
     def test_unknown_measurement(self):
         with pytest.raises(ScenarioError):
-            fixpoint_propagate_chain(unified_ncycle_behavior(5), 9, 0)
+            fixpoint_propagate_chain(*plain(unified_ncycle_behavior(5)), 9, 0)
 
 
 def moved(mask, c, t):
@@ -475,35 +534,6 @@ class TestTrustedRelabel:
             if n <= 10:
                 assert_same_verdict(r)
             assert_same_chains(r)
-
-    def test_three_outcome_cycle_takes_the_general_path(self):
-        # measurement 1 is never flipped, so it alone may take the outcome 2,
-        # first in both of its contexts
-        n = 6
-        s = Scenario(tuple(range(1, n + 1)), make_cycle_scenario(n).contexts, outcomes=(0, 1, 2))
-        rng = np.random.default_rng(37)
-        seen = set()
-        for _ in range(30):
-            supports = {}
-            for c in s.contexts:
-                tuples = PAIRS + [(2, 0), (2, 1)] if 1 in c else PAIRS
-                keep = rng.random(len(tuples)) < 0.5
-                keep[rng.integers(len(tuples))] = True
-                supports[c] = frozenset(t for t, k in zip(tuples, keep) if k)
-            pb = PossibilisticBehavior(s, supports, required=((1, n), (2, 0)))
-            mask = FlipMask({1: False, **{m: bool(rng.integers(2)) for m in range(2, n + 1)}})
-            r = relabel(pb, mask)
-            assert pb._masks is None and r._masks is None
-            assert r == PossibilisticBehavior(s, dict(r.supports))
-            assert r.supports == reference_relabel(pb, mask)
-            assert r.required == ((1, n), moved(mask, (1, n), (2, 0)))
-            for m in s.measurements:
-                for v in s.outcomes:
-                    assert propagate_chain(r, m, v) == fixpoint_propagate_chain(r, m, v)
-            with pytest.raises(ScenarioError, match="binary n-cycle scenarios only"):
-                is_logically_contextual(r)
-            seen.add(enumerate_contextuality(r).contextual)
-        assert seen == {False, True}
 
 
 def random_realization(n, dim, seed):

@@ -24,7 +24,6 @@ from cyclectx.quantum import (
     _pair_tables,
 )
 from cyclectx.scenario import (
-    Scenario,
     check_no_disturbance,
     make_cycle_scenario,
     possibilistic_collapse,
@@ -247,11 +246,9 @@ class TestRealizationValidation:
     @pytest.mark.parametrize("call, phrase", [
         (lambda k: QuantumRealization(1, np.ones(1), {1: np.eye(1)}), "dimension must be at least 2"),
         (lambda k: QuantumRealization(3, k.state[:2], dict(k.frames)), "state must have shape"),
-        (lambda k: behavior_from_realization(k, Scenario((1, 2, 3), ((1, 2, 3),))),
-         "only two-measurement contexts"),
         (lambda k: find_quantum_realization(make_cycle_scenario(5), odd_ncycle_behavior(5), 1),
          "dimension must be at least 2"),
-    ], ids=["dim-1", "state-shape", "three-measurement-context", "search-dim-1"])
+    ], ids=["dim-1", "state-shape", "search-dim-1"])
     def test_typed_errors(self, kcbs, call, phrase):
         with pytest.raises(RealizationError, match=phrase):
             call(kcbs)

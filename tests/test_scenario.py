@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from cyclectx.quantum import behavior_from_realization, find_quantum_realization
 from cyclectx.scenario import (
     _PAIR_BITS,
     _PAIR_SUPPORTS,
+    _PAIR_MASKS,
     Behavior,
     ContextualityVerdict,
     EnumerationLimitError,
@@ -32,6 +34,7 @@ from cyclectx.scenario import (
     propagate_chain,
     supports_within,
 )
+from scenario_reference import all_pairs_no_disturbance
 
 # supports of the pentagon realization's behavior, frozen from the trace
 # oracle: every adjacent pair of measurement vectors is orthogonal, so each
@@ -43,6 +46,17 @@ KCBS_SUPPORTS = {
     (4, 5): {(0, 1), (1, 0)},
     (1, 5): {(0, 0), (0, 1), (1, 0)},
 }
+
+
+def shifted(delta):
+    """Uniform tables on the 4-cycle, but context (1, 2) moves delta of m1's
+    weight from outcome 1 to 0."""
+    s = make_cycle_scenario(4)
+    uniform = {(a, b): 0.25 for a in (0, 1) for b in (0, 1)}
+    tables = {c: dict(uniform) for c in s.contexts}
+    tables[(1, 2)] = {(0, 0): 0.25 + delta, (0, 1): 0.25,
+                      (1, 0): 0.25 - delta, (1, 1): 0.25}
+    return Behavior(s, tables)
 
 
 def all_possible(n):
@@ -76,34 +90,15 @@ class TestScenario:
             with pytest.raises(ScenarioError):
                 make_cycle_scenario(2)
 
-    def test_maximality_enforced(self):
-        with pytest.raises(ScenarioError):
-            Scenario((1, 2, 3), ((1, 2), (1, 2, 3)))
-
-    def test_maximality_enforced_after_superset(self):
-        with pytest.raises(ScenarioError, match=r"context \(2, 3\) is contained in \(1, 2, 3\)"):
-            Scenario((1, 2, 3, 4), ((1, 2, 3), (3, 4), (2, 3)))
-
-    def test_maximality_reports_first_pair_in_scan_order(self):
-        # the first (c1, c2) of the all-pairs scan, c1 outer and c2 inner
-        rng = random.Random(5)
-        labels = (1, 2, 3, 4, 5)
-        for _ in range(300):
-            contexts = tuple(tuple(sorted(rng.sample(labels, rng.randint(1, 4))))
-                             for _ in range(rng.randint(1, 6)))
-            first = next(((c1, c2) for c1 in contexts for c2 in contexts
-                          if c1 != c2 and set(c1) <= set(c2)), None)
-            if first is None:
-                Scenario(labels, contexts)
-                continue
-            with pytest.raises(ScenarioError) as err:
-                Scenario(labels, contexts)
-            assert str(err.value) == (f"context {first[0]} is contained in {first[1]}; "
-                                      "contexts must be maximal")
-
-    def test_context_must_be_subset(self):
-        with pytest.raises(ScenarioError):
-            Scenario((1, 2), ((1, 3),))
+    def test_built_from_n_alone(self):
+        s = Scenario(np.int64(6))
+        assert s == make_cycle_scenario(6) and type(s.n) is int
+        assert s.measurements == tuple(range(1, 7)) and s.outcomes == (0, 1)
+        assert s.contexts == ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6))
+        assert s.tuples((1, 6)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert s != make_cycle_scenario(7)
+        with pytest.raises(ScenarioError, match="at least 3 measurements, got 2"):
+            Scenario(2)
 
 
 class TestNoDisturbance:
@@ -130,20 +125,37 @@ class TestNoDisturbance:
         assert not check_no_disturbance(Behavior(s, tables))
 
     def test_tolerance_is_fixed(self):
-        s = make_cycle_scenario(4)
-        uniform = {(a, b): 0.25 for a in (0, 1) for b in (0, 1)}
-
-        def shifted(delta):
-            # context (1, 2) moves delta of m1's weight from outcome 1 to 0
-            tables = {c: dict(uniform) for c in s.contexts}
-            tables[(1, 2)] = {(0, 0): 0.25 + delta, (0, 1): 0.25,
-                              (1, 0): 0.25 - delta, (1, 1): 0.25}
-            return Behavior(s, tables)
-
         assert check_no_disturbance(shifted(5e-13))
         assert not check_no_disturbance(shifted(1e-11))
         with pytest.raises(TypeError):
             check_no_disturbance(shifted(0.0), tol=1e-12)
+
+    @pytest.mark.parametrize("delta", [0.0, 5e-13, 1e-11, 0.25])
+    def test_walk_matches_all_pairs_on_shifted_tables(self, delta):
+        b = shifted(delta)
+        assert check_no_disturbance(b) == all_pairs_no_disturbance(b) == (delta < 1e-12)
+
+    def test_walk_matches_all_pairs_on_kcbs(self, kcbs, cycle5):
+        b = behavior_from_realization(kcbs, cycle5)
+        assert check_no_disturbance(b) and all_pairs_no_disturbance(b)
+
+    @pytest.mark.parametrize("n", [101, 356])
+    def test_walk_matches_all_pairs_on_the_chain(self, n):
+        s = make_cycle_scenario(n)
+        b = behavior_from_realization(
+            find_quantum_realization(s, unified_ncycle_behavior(n), 3), s)
+        assert check_no_disturbance(b) and all_pairs_no_disturbance(b)
+        # move delta of a context's largest entry to the tuple that differs
+        # in the first measurement: that measurement's marginals then differ
+        for c in (s.contexts[n // 2], s.contexts[-1]):
+            for delta in (5e-13, 1e-11):
+                table = dict(b.tables[c])
+                a, v = max(table, key=table.get)
+                table[(a, v)] -= delta
+                table[(1 - a, v)] += delta
+                moved = Behavior(s, {**b.tables, c: table})
+                assert check_no_disturbance(moved) == all_pairs_no_disturbance(moved) \
+                    == (delta < 1e-12)
 
 
 class TestBehaviorValidation:
@@ -155,40 +167,53 @@ class TestBehaviorValidation:
             Behavior(s, {c: dict(table) for c in s.contexts})
 
 
-def three_outcome_cycle_behavior():
-    s = Scenario((1, 2, 3, 4), make_cycle_scenario(4).contexts, outcomes=(0, 1, 2))
-    return PossibilisticBehavior(s, {c: frozenset(s.tuples(c)) for c in s.contexts})
-
-
 class TestTypedErrors:
     @pytest.mark.parametrize("call, phrase", [
-        (lambda: Scenario((1, 1, 2), ((1, 2),)), "duplicate measurement labels"),
-        (lambda: Scenario((1, 2), ((2, 1),)), "must be stored in ascending order"),
         (lambda: Behavior(make_cycle_scenario(4), {}), "exactly one table per context"),
         (lambda: Behavior(make_cycle_scenario(4),
                           {c: {(0,): 1.0} for c in make_cycle_scenario(4).contexts}),
          "wrong arity"),
+        (lambda: Behavior(make_cycle_scenario(4),
+                          {c: {(0, 0): 0.5, (0, 2): 0.5} for c in make_cycle_scenario(4).contexts}),
+         r"tuple \(0, 2\) of context \(1, 2\) has a value outside"),
         (lambda: supports_within(unified_ncycle_behavior(4), unified_ncycle_behavior(5)),
          "different scenarios"),
-        (lambda: is_logically_contextual(three_outcome_cycle_behavior()),
-         "binary n-cycle scenarios only"),
         (lambda: WitnessFates(make_cycle_scenario(5), tuple(all_possible(5).supports.values()),
                               (1, 2), (0, 0))[0],
          "survives every context: not a witness"),
-    ], ids=["duplicate-labels", "descending-context", "missing-table", "wrong-arity",
-            "two-scenarios", "three-outcomes", "not-a-witness"])
+    ], ids=["missing-table", "wrong-arity", "outside-tuple", "two-scenarios", "not-a-witness"])
     def test_raises(self, call, phrase):
         with pytest.raises(ScenarioError, match=phrase):
             call()
 
 
 class TestPossibilisticValidation:
-    def test_value_outside_outcomes_rejected(self):
-        pb = all_possible(5)
-        supports = dict(pb.supports)
-        supports[(3, 4)] = frozenset({(0, 0), (0, 2)})
-        with pytest.raises(ScenarioError, match=r"\(0, 2\) of context \(3, 4\)"):
-            PossibilisticBehavior(pb.scenario, supports)
+    @pytest.mark.parametrize("mask", range(1, 16))
+    @pytest.mark.parametrize("fresh", [False, True], ids=["shared", "fresh"])
+    def test_each_pair_support_yields_its_mask(self, mask, fresh):
+        support = _PAIR_SUPPORTS[mask]
+        if fresh:
+            support = frozenset(list(support))
+            assert support is not _PAIR_SUPPORTS[mask]
+        s = make_cycle_scenario(5)
+        supports = dict(all_possible(5).supports)
+        supports[(2, 3)] = support
+        pb = PossibilisticBehavior(s, supports)
+        assert pb._masks == (15, mask, 15, 15, 15)
+        assert mask == sum(_PAIR_BITS[t] for t in support) and _PAIR_MASKS[support] == mask
+
+    @pytest.mark.parametrize("support, phrase", [
+        (frozenset(), r"context \(2, 3\) has empty support"),
+        (frozenset({(0, 0), (0, 2)}), r"tuple \(0, 2\) of context \(2, 3\) has a value outside"),
+        (frozenset({(0, 1), (0, 1, 1)}), r"tuple \(0, 1, 1\) has wrong arity for context \(2, 3\)"),
+        ({(0, 0), (1, 1)}, r"support of context \(2, 3\) is a set, not a frozenset"),
+        ([(0, 0), (1, 1)], r"support of context \(2, 3\) is a list, not a frozenset"),
+    ], ids=["empty", "value-2", "three-tuple", "set", "list"])
+    def test_bad_support_rejected(self, support, phrase):
+        supports = dict(all_possible(5).supports)
+        supports[(2, 3)] = support
+        with pytest.raises(ScenarioError, match=phrase):
+            PossibilisticBehavior(make_cycle_scenario(5), supports)
 
     def test_supports_are_read_only_and_checked_at_construction(self):
         pb = all_possible(4)
@@ -199,32 +224,6 @@ class TestPossibilisticValidation:
         supports = dict(pb.supports)
         supports[(2, 3)] = frozenset({(0, 0), (0, 2)})
         with pytest.raises(ScenarioError, match=r"\(0, 2\) of context \(2, 3\) has a value outside"):
-            PossibilisticBehavior(pb.scenario, supports)
-
-    def test_wrong_arity_still_rejected(self):
-        s = make_cycle_scenario(3)
-        with pytest.raises(ScenarioError, match="wrong arity for context"):
-            PossibilisticBehavior(s, {c: frozenset({(0, 1, 1)}) for c in s.contexts})
-
-    def test_non_binary_scenario_takes_its_outcomes(self):
-        s = Scenario((1, 2, 3), ((1, 2), (2, 3)), outcomes=(0, 1, 2))
-        pb = PossibilisticBehavior(s, {c: frozenset({(0, 2), (2, 1)}) for c in s.contexts})
-        assert pb.possible((1, 2), (0, 2))
-
-    @pytest.mark.parametrize("kind", [set, list])
-    def test_support_that_is_not_a_frozenset_rejected(self, kind):
-        s = make_cycle_scenario(5)
-        supports = {c: frozenset({(0, 0), (1, 1)}) for c in s.contexts}
-        supports[(2, 3)] = kind({(0, 0), (1, 1)})
-        with pytest.raises(ScenarioError,
-                           match=rf"support of context \(2, 3\) is a {kind.__name__}, not a frozenset"):
-            PossibilisticBehavior(s, supports)
-
-    def test_empty_support_on_a_binary_cycle(self):
-        pb = all_possible(5)
-        supports = dict(pb.supports)
-        supports[(2, 3)] = frozenset()
-        with pytest.raises(ScenarioError, match=r"context \(2, 3\) has empty support"):
             PossibilisticBehavior(pb.scenario, supports)
 
     @pytest.mark.parametrize("edit", ["missing", "extra"])
@@ -326,17 +325,6 @@ class TestCollapse:
         assert all(pb.supports[c] == _PAIR_SUPPORTS[m]
                    for c, m in zip(cycle5.contexts, pb._masks))
 
-    def test_three_outcome_scenario_collapses(self):
-        s = Scenario((1, 2, 3), ((1, 2), (2, 3), (1, 3)), outcomes=(0, 1, 2))
-        tables = {c: {t: (0.0 if t[0] == t[1] else 1 / 6) for t in s.tuples(c)}
-                  for c in s.contexts}
-        tables[(2, 3)][(2, 0)] = 0.5e-9
-        tables[(2, 3)][(0, 2)] = 1 / 3 - 0.5e-9
-        pb = possibilistic_collapse(Behavior(s, tables))
-        off_diagonal = {t for t in s.tuples((1, 2)) if t[0] != t[1]}
-        assert pb.supports == {(1, 2): off_diagonal, (1, 3): off_diagonal,
-                               (2, 3): off_diagonal - {(2, 0)}}
-
     def test_binary_table_with_an_outside_value_is_named(self):
         s = make_cycle_scenario(3)
         tables = {c: {(0, 0): 0.5, (1, 1): 0.5} for c in s.contexts}
@@ -374,30 +362,12 @@ class TestLogicalContextuality:
     def test_unified7_contextual(self):
         assert is_logically_contextual(unified_ncycle_behavior(7)).contextual
 
-    def test_non_cycle_rejected(self):
-        s = Scenario((1, 2, 3), ((1, 2), (2, 3)))
-        pb = PossibilisticBehavior(s, {c: frozenset({(0, 0)}) for c in s.contexts})
-        with pytest.raises(ScenarioError, match="enumerate_contextuality"):
-            is_logically_contextual(pb)
-
     def test_verdict_reads_contextual_from_its_witness(self):
         v = is_logically_contextual(unified_ncycle_behavior(5))
         assert v.contextual and ContextualityVerdict(v.witness).contextual
         assert not ContextualityVerdict(None).contextual
         with pytest.raises(TypeError):      # no stored flag to disagree with
             ContextualityVerdict(True, None)
-
-    def test_cycle_contexts_with_three_outcomes_rejected(self):
-        # the decision takes only the binary n-cycle, equal to make_cycle_scenario(n)
-        cycle = make_cycle_scenario(5)
-        s = Scenario(cycle.measurements, cycle.contexts, outcomes=(0, 1, 2))
-        pb = PossibilisticBehavior(s, {c: frozenset({(0, 2)}) for c in s.contexts})
-        with pytest.raises(ScenarioError, match="enumerate_contextuality"):
-            is_logically_contextual(pb)
-        rebuilt = Scenario(cycle.measurements, cycle.contexts)
-        assert rebuilt is not cycle
-        assert is_logically_contextual(PossibilisticBehavior(
-            rebuilt, dict(unified_ncycle_behavior(5).supports))).contextual
 
     def test_non_binary_tuple_rejected(self):
         pb = all_possible(4)
@@ -521,33 +491,6 @@ class TestPropagateChain:
         assert not free.refutes(5, 0) and not free.refutes(5, 1)
         assert free.refutes(3, 0) and not free.refutes(3, 1)
 
-    @pytest.mark.parametrize("seed, steps", [
-        ((1, 1), ((1, 1), (2, 1), (3, 0), (4, 1))),
-        ((2, 0), ((2, 0), (1, 0), (3, 1), (4, 0))),
-        ((2, 1), ((2, 1),)),
-        ((4, 0), ((4, 0), (3, 1), (1, 0))),
-    ])
-    def test_three_measurement_context(self, seed, steps):
-        s = Scenario((1, 2, 3, 4), ((1, 2, 3), (3, 4)))
-        pb = PossibilisticBehavior(s, {(1, 2, 3): frozenset({(0, 0, 1), (0, 1, 1), (1, 1, 0)}),
-                                       (3, 4): frozenset({(1, 0), (0, 1)})})
-        res = propagate_chain(pb, *seed)
-        assert res.steps == steps and res.forced == dict(steps)
-        assert not res.conflicted
-
-    @pytest.mark.parametrize("seed, steps, context", [
-        ((1, 0), ((1, 0), (2, 0)), (2, 3)),
-        ((1, 1), ((1, 1),), (1, 2)),
-        ((3, 1), ((3, 1), (1, 0), (2, 0)), (2, 3)),
-    ])
-    def test_path_conflicts(self, seed, steps, context):
-        s = Scenario((1, 2, 3), ((1, 2), (2, 3)))
-        pb = PossibilisticBehavior(s, {(1, 2): frozenset({(0, 0)}), (2, 3): frozenset({(1, 1)})})
-        res = propagate_chain(pb, *seed)
-        assert res.steps == steps and res.forced == dict(steps)
-        assert res.conflict.context == context and res.conflict.fixed == dict(steps)
-
-
     def test_backward_chain_is_linear(self):
         # forced against the scan order: one context per pass, m_n down to m_1;
         # rescanning every context each pass takes about n^2/2 evaluations
@@ -583,8 +526,6 @@ class TestVerdictInvariance:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(4, 8), st.integers(0, 2**16))
     def test_flip_preserves_verdict(self, n, seed):
-        import numpy as np
-
         pb = unified_ncycle_behavior(n)
         rng = np.random.default_rng(seed)
         mask = FlipMask({i: bool(rng.integers(0, 2)) for i in range(1, n + 1)})
